@@ -8,6 +8,14 @@ classes.  The partition function of the closed level-(k1, k2) surface of
 genus g is the trace of G^(g-1) U1^k1 U2^k2, where negative powers use the
 closed-form annihilation operators and the g = 0 case divides by det(G) and
 asserts that the quotient reduces to a Laurent polynomial in phi.
+
+For g >= 1 no power of G above the square is formed.  By Cayley-Hamilton,
+G^3 = c1 G^2 - c2 G + c3 I with c1 = tr G, c2 = tr adj(G) and c3 = det G,
+all three free of t-denominators.  So G^n = a_n G^2 + b_n G + c_n I, where
+the scalars follow (a, b, c) -> (c1 a + b, c - c2 a, c3 a), and the trace is
+a tr(G^2 W) + b tr(G W) + c tr(W).  The genus loop runs on polynomials only;
+the rational traces tr(G^j W) are computed once per level and shared across
+genera.
 """
 
 from __future__ import annotations
@@ -193,8 +201,9 @@ def mat_inverse(m: Op3) -> Op3:
 
 
 def mat_power(m: Op3, e: int) -> Op3:
-    """Exact matrix power; negative exponents invert via adjugate/determinant
-    (entries are transient PhiRat fractions, reduced on demand)."""
+    """Exact matrix power by binary powering; a negative exponent powers the
+    inverse, whose entries mat_inverse reduces to Laurent polynomials in phi
+    (ReductionError when one does not reduce)."""
     if e < 0:
         return mat_power(mat_inverse(m), -e)
     result = mat_identity()
@@ -211,17 +220,21 @@ _named_power_cache: dict[tuple[str, int], Op3] = {}
 
 
 def op_power(name: str, e: int) -> Op3:
-    """Power of a named basic operator, cached incrementally."""
+    """Power of a named basic operator, cached incrementally.
+
+    Starts from the largest cached power not above e and multiplies upward
+    in a loop, so any exponent works without deep recursion.
+    """
     if e < 0:
         raise ValueError("op_power wants a nonnegative exponent")
-    if e == 0:
-        return mat_identity()
-    key = (name, e)
-    cached = _named_power_cache.get(key)
-    if cached is not None:
-        return cached
-    m = mat_mul(op_power(name, e - 1), build_operator(name))
-    _named_power_cache[key] = m
+    start = e
+    while start > 0 and (name, start) not in _named_power_cache:
+        start -= 1
+    m = _named_power_cache[(name, start)] if start else mat_identity()
+    base = build_operator(name)
+    for k in range(start + 1, e + 1):
+        m = mat_mul(m, base)
+        _named_power_cache[(name, k)] = m
     return m
 
 
@@ -236,9 +249,44 @@ def _level_word(k1: int, k2: int) -> Op3:
 
 
 @lru_cache(maxsize=None)
-def _g_adjugate_det() -> tuple[Op3, PhiElem]:
+def _g_invariants() -> tuple[Op3, PhiElem, PhiElem, PhiElem]:
+    """adj(G) and the characteristic coefficients (tr G, tr adj G, det G),
+    so that G^3 = c1 G^2 - c2 G + c3 I.  None of the three has a t-denominator."""
     gmat = build_operator("G")
-    return mat_adjugate(gmat), mat_det(gmat)
+    adj = mat_adjugate(gmat)
+    # det G is row 0 of G times column 0 of adj(G)
+    det = gmat[0][0] * adj[0][0] + gmat[0][1] * adj[1][0] + gmat[0][2] * adj[2][0]
+    return adj, mat_trace(gmat), mat_trace(adj), det
+
+
+_PHI_ONE = PhiElem.one()
+# (a_n, b_n, c_n) with G^n = a_n G^2 + b_n G + c_n I, indexed by n
+_G_POWER_COEFFS: list[tuple[PhiElem, PhiElem, PhiElem]] = [
+    (PhiElem.zero(), PhiElem.zero(), _PHI_ONE),
+    (PhiElem.zero(), _PHI_ONE, PhiElem.zero()),
+    (_PHI_ONE, PhiElem.zero(), PhiElem.zero()),
+]
+
+
+def _g_power_coeffs(n: int) -> tuple[PhiElem, PhiElem, PhiElem]:
+    """(a, b, c) with G^n = a G^2 + b G + c I, from the Cayley-Hamilton
+    recurrence (a, b, c) -> (c1 a + b, c - c2 a, c3 a)."""
+    coeffs = _G_POWER_COEFFS
+    if n >= len(coeffs):
+        _, c1, c2, c3 = _g_invariants()
+        while n >= len(coeffs):
+            a, b, c = coeffs[-1]
+            coeffs.append((c1 * a + b, c - c2 * a, c3 * a))
+    return coeffs[n]
+
+
+@lru_cache(maxsize=None)
+def _level_trace(k1: int, k2: int, j: int) -> PhiElem:
+    """tr(G^j W) for W = U1^k1 U2^k2 and j in {0, 1, 2}."""
+    w = _level_word(k1, k2)
+    if j == 0:
+        return mat_trace(w)
+    return mat_trace_mul(op_power("G", j), w)
 
 
 @lru_cache(maxsize=None)
@@ -246,16 +294,27 @@ def trace_formula(g: int, k1: int, k2: int) -> PhiElem:
     """Section-class partition function of the closed genus-g, level
     (k1, k2) space, as a Laurent polynomial in phi over Q(t).
 
-    For g = 0 the genus-adding operator enters with exponent -1; the trace is
-    computed as tr(adj(G) W) / det(G) and the quotient is asserted to reduce.
+    For g >= 1, Cayley-Hamilton writes G^(g-1) = a G^2 + b G + c I with
+    scalars a, b, c that are polynomials in t (see _g_power_coeffs), so the
+    trace is a tr(G^2 W) + b tr(G W) + c tr(W) and no power of G above the
+    square is formed.  For g = 0 the genus-adding operator enters with
+    exponent -1; the trace is computed as tr(adj(G) W) / det(G) and the
+    quotient is asserted to reduce.
     """
     if g < 0:
         raise ValueError("genus must be nonnegative")
-    w = _level_word(k1, k2)
     if g >= 1:
-        return mat_trace_mul(op_power("G", g - 1), w)
-    adj, det = _g_adjugate_det()
-    numerator = mat_trace_mul(adj, w)
+        total = PhiElem.zero()
+        for j, coeff in zip((2, 1, 0), _g_power_coeffs(g - 1)):
+            if coeff.is_zero:
+                continue
+            level = _level_trace(k1, k2, j)
+            # a unit coefficient (g <= 3) shares the cached trace's
+            # coefficients instead of copying them through a product
+            total = total + (level if coeff == _PHI_ONE else coeff * level)
+        return total
+    adj, _, _, det = _g_invariants()
+    numerator = mat_trace_mul(adj, _level_word(k1, k2))
     return laurent_divexact(numerator, det)
 
 

@@ -74,6 +74,13 @@ class TestNumericCrosscheck:
         point = (Fraction(1, 2), Fraction(-1), Fraction(3))
         assert numeric_trace(0, 1, 0, point) == {-2: Fraction(1)}
 
+    def test_high_genus_numeric_path(self):
+        # numeric_trace powers G linearly, independent of the symbolic recurrence
+        point = (Fraction(3, 2), Fraction(-2), Fraction(5, 3))
+        for k1, k2 in ((0, 0), (2, -1)):
+            sym = trace_formula(12, k1, k2).evaluate_t(point)
+            assert numeric_trace(12, k1, k2, point) == sym, (k1, k2)
+
 
 class TestOverlapConsistency:
     def test_annihilation_family_agrees_with_calabi_yau(self):

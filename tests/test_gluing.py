@@ -15,20 +15,28 @@ from gwtqft.operators import (
     build_operator,
     build_pants,
     build_tube,
+    mat_add,
     mat_identity,
     weight,
 )
+from gwtqft.phicalc import laurent_divexact
 from gwtqft.gluing import (
     CobordismWord,
+    _g_invariants,
     closed_surface_word,
     contract,
     contract_refined,
     evaluate_word,
     lower_index,
+    mat_adjugate,
+    mat_det,
     mat_eq,
     mat_mul,
     mat_power,
+    mat_scale,
     mat_trace,
+    mat_trace_mul,
+    op_power,
     parse_word,
     raise_index,
     refined_scalar,
@@ -177,6 +185,10 @@ class TestMatPower:
         with pytest.raises((ZeroDivisionError, ReductionError)):
             mat_power(b, -1)
 
+    def test_op_power_large_exponent_without_recursion(self):
+        zero = tuple(tuple(PhiElem.zero() for _ in LABELS) for _ in LABELS)
+        assert mat_eq(op_power("M1", 3000), zero)  # M1^3 = 0
+
 
 class TestTraceFormula:
     def test_genus_one_level_zero(self):
@@ -202,6 +214,42 @@ class TestTraceFormula:
     def test_genus_zero_reduces_for_small_levels(self):
         for k1, k2 in product(range(-2, 3), repeat=2):
             trace_formula(0, k1, k2)  # must not raise
+
+
+LEVELS = [(0, 0), (2, -1), (-1, 2), (1, 1), (-2, -1)]
+
+
+def _level_matrix(k1, k2):
+    return mat_mul(
+        mat_power(build_operator("U1"), k1), mat_power(build_operator("U2"), k2)
+    )
+
+
+class TestCayleyHamilton:
+    def test_characteristic_polynomial(self):
+        gmat = build_operator("G")
+        c1, c2, c3 = mat_trace(gmat), mat_trace(mat_adjugate(gmat)), mat_det(gmat)
+        assert _g_invariants()[1:] == (c1, c2, c3)
+        rhs = mat_add(
+            mat_add(mat_scale(mat_power(gmat, 2), c1), mat_scale(gmat, -c2)),
+            mat_scale(mat_identity(), c3),
+        )
+        assert mat_eq(mat_power(gmat, 3), rhs)
+
+    def test_trace_formula_matches_matrix_power(self):
+        gpowers = [mat_power(build_operator("G"), n) for n in range(7)]
+        for k1, k2 in LEVELS:
+            w = _level_matrix(k1, k2)
+            for g in range(1, 8):
+                want = mat_trace(mat_mul(gpowers[g - 1], w))
+                assert trace_formula(g, k1, k2) == want, (g, k1, k2)
+
+    def test_genus_zero_matches_adjugate_quotient(self):
+        gmat = build_operator("G")
+        for k1, k2 in LEVELS:
+            w = _level_matrix(k1, k2)
+            want = laurent_divexact(mat_trace_mul(mat_adjugate(gmat), w), mat_det(gmat))
+            assert trace_formula(0, k1, k2) == want, (k1, k2)
 
 
 class TestCommutation:
