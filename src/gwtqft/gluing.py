@@ -21,6 +21,7 @@ genera.
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -220,22 +221,14 @@ _named_power_cache: dict[tuple[str, int], Op3] = {}
 
 
 def op_power(name: str, e: int) -> Op3:
-    """Power of a named basic operator, cached incrementally.
-
-    Starts from the largest cached power not above e and multiplies upward
-    in a loop, so any exponent works without deep recursion.
-    """
+    """Power of a named basic operator by binary powering, cached per exponent."""
     if e < 0:
         raise ValueError("op_power wants a nonnegative exponent")
-    start = e
-    while start > 0 and (name, start) not in _named_power_cache:
-        start -= 1
-    m = _named_power_cache[(name, start)] if start else mat_identity()
-    base = build_operator(name)
-    for k in range(start + 1, e + 1):
-        m = mat_mul(m, base)
-        _named_power_cache[(name, k)] = m
-    return m
+    key = (name, e)
+    cached = _named_power_cache.get(key)
+    if cached is None:
+        cached = _named_power_cache[key] = mat_power(build_operator(name), e)
+    return cached
 
 
 # -- the closed-surface trace formula ------------------------------------------
@@ -254,18 +247,17 @@ def _g_invariants() -> tuple[Op3, PhiElem, PhiElem, PhiElem]:
     so that G^3 = c1 G^2 - c2 G + c3 I.  None of the three has a t-denominator."""
     gmat = build_operator("G")
     adj = mat_adjugate(gmat)
-    # det G is row 0 of G times column 0 of adj(G)
-    det = gmat[0][0] * adj[0][0] + gmat[0][1] * adj[1][0] + gmat[0][2] * adj[2][0]
-    return adj, mat_trace(gmat), mat_trace(adj), det
+    return adj, mat_trace(gmat), mat_trace(adj), mat_det(gmat)
 
 
-_PHI_ONE = PhiElem.one()
-# (a_n, b_n, c_n) with G^n = a_n G^2 + b_n G + c_n I, indexed by n
+# (a_n, b_n, c_n) with G^n = a_n G^2 + b_n G + c_n I, indexed by n; extended
+# under _G_POWER_COEFFS_LOCK, since verify runs suites in threads
 _G_POWER_COEFFS: list[tuple[PhiElem, PhiElem, PhiElem]] = [
-    (PhiElem.zero(), PhiElem.zero(), _PHI_ONE),
-    (PhiElem.zero(), _PHI_ONE, PhiElem.zero()),
-    (_PHI_ONE, PhiElem.zero(), PhiElem.zero()),
+    (PhiElem.zero(), PhiElem.zero(), PhiElem.one()),
+    (PhiElem.zero(), PhiElem.one(), PhiElem.zero()),
+    (PhiElem.one(), PhiElem.zero(), PhiElem.zero()),
 ]
+_G_POWER_COEFFS_LOCK = threading.Lock()
 
 
 def _g_power_coeffs(n: int) -> tuple[PhiElem, PhiElem, PhiElem]:
@@ -274,9 +266,10 @@ def _g_power_coeffs(n: int) -> tuple[PhiElem, PhiElem, PhiElem]:
     coeffs = _G_POWER_COEFFS
     if n >= len(coeffs):
         _, c1, c2, c3 = _g_invariants()
-        while n >= len(coeffs):
-            a, b, c = coeffs[-1]
-            coeffs.append((c1 * a + b, c - c2 * a, c3 * a))
+        with _G_POWER_COEFFS_LOCK:
+            while n >= len(coeffs):
+                a, b, c = coeffs[-1]
+                coeffs.append((c1 * a + b, c - c2 * a, c3 * a))
     return coeffs[n]
 
 
@@ -308,10 +301,7 @@ def trace_formula(g: int, k1: int, k2: int) -> PhiElem:
         for j, coeff in zip((2, 1, 0), _g_power_coeffs(g - 1)):
             if coeff.is_zero:
                 continue
-            level = _level_trace(k1, k2, j)
-            # a unit coefficient (g <= 3) shares the cached trace's
-            # coefficients instead of copying them through a product
-            total = total + (level if coeff == _PHI_ONE else coeff * level)
+            total = total + coeff * _level_trace(k1, k2, j)
         return total
     adj, _, _, det = _g_invariants()
     numerator = mat_trace_mul(adj, _level_word(k1, k2))

@@ -2,6 +2,8 @@
 and cobordism-word evaluation."""
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import pytest
@@ -20,6 +22,7 @@ from gwtqft.operators import (
     weight,
 )
 from gwtqft.phicalc import laurent_divexact
+from gwtqft import gluing
 from gwtqft.gluing import (
     CobordismWord,
     _g_invariants,
@@ -243,6 +246,19 @@ class TestCayleyHamilton:
             for g in range(1, 8):
                 want = mat_trace(mat_mul(gpowers[g - 1], w))
                 assert trace_formula(g, k1, k2) == want, (g, k1, k2)
+
+    def test_power_coeffs_extend_safely_from_threads(self, monkeypatch):
+        # verify --jobs runs suites in threads that extend the shared list together
+        serial = [gluing._g_power_coeffs(n) for n in range(12)]
+        monkeypatch.setattr(gluing, "_G_POWER_COEFFS", gluing._G_POWER_COEFFS[:3])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                list(pool.map(gluing._g_power_coeffs, [11] * 8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert gluing._G_POWER_COEFFS == serial
 
     def test_genus_zero_matches_adjugate_quotient(self):
         gmat = build_operator("G")
