@@ -3,8 +3,8 @@ partition functions of P2-bundles P(O + L1 + L2) over genus-g curves."""
 
 __version__ = "0.1.0"
 
-from .exactring import TPoly, TRat, poly_gcd, parse_poly, parse_rat
-from .phicalc import PhiElem, USeries, PhiRat, phi_expansion, phi_pow_series, to_useries
+from .exactring import TPoly, TRat, parse_poly, parse_rat
+from .phicalc import PhiElem, USeries, phi_expansion, phi_pow_series, to_useries
 from .operators import build_cap, build_tube, build_pants, build_operator, weight
 from .gluing import (
     CobordismWord,
@@ -30,12 +30,10 @@ from .partition import (
 __all__ = [
     "TPoly",
     "TRat",
-    "poly_gcd",
     "parse_poly",
     "parse_rat",
     "PhiElem",
     "USeries",
-    "PhiRat",
     "phi_expansion",
     "phi_pow_series",
     "to_useries",

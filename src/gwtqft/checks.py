@@ -20,11 +20,13 @@ from .exactring import TPoly, TRat, is_linear_form_product
 from .phicalc import PhiElem, ReductionError
 from .operators import (
     LABELS,
+    _d,
     Op3,
     build_cap,
     build_operator,
     build_pants,
     build_tube,
+    mat_add,
     mat_identity,
     matrix_to_tensor,
     refined_to_matrix,
@@ -45,13 +47,6 @@ from .gluing import (
     trace_formula,
 )
 from .partition import SpaceParams, class_component
-
-_t = (TPoly.var(0), TPoly.var(1), TPoly.var(2))
-
-
-def _d(i: int, j: int) -> TPoly:
-    return _t[i] - _t[j]
-
 
 _Q = _d(0, 1) * _d(0, 2) + _d(1, 0) * _d(1, 2) + _d(2, 0) * _d(2, 1)
 
@@ -364,7 +359,7 @@ def _operator_identities(rep: CheckReport) -> None:
         )
         for i in LABELS
     )
-    c1e2_e1c2 = _mat_add(mat_mul(c1, e2), mat_mul(e1, c2))
+    c1e2_e1c2 = mat_add(mat_mul(c1, e2), mat_mul(e1, c2))
     chk("C1 E2 + E1 C2 diagonal", c1e2_e1c2, mixed)
     for e in (2, 3):
         powered = tuple(
@@ -380,8 +375,8 @@ def _operator_identities(rep: CheckReport) -> None:
 
     for mgen, ngen, tag in ((m2, n2, "2"), ((m1), (n1), "1")):
         chk(f"M{tag}^3 = 0", mat_power(mgen, 3), zero)
-        sym = _mat_add(
-            _mat_add(mat_mul(mat_power(mgen, 2), ngen), mat_mul(mgen, mat_mul(ngen, mgen))),
+        sym = mat_add(
+            mat_add(mat_mul(mat_power(mgen, 2), ngen), mat_mul(mgen, mat_mul(ngen, mgen))),
             mat_mul(ngen, mat_power(mgen, 2)),
         )
         chk(f"(M{tag}^2, N{tag}) = 0", sym, zero)
@@ -416,15 +411,6 @@ def _operator_identities(rep: CheckReport) -> None:
                     rep.cases += 1
                     if not coeff.den.is_const and not is_linear_form_product(coeff.den):
                         rep.record(f"{name} denominator", "product of ti - tj", str(coeff.den))
-
-
-def _mat_add(x: Op3, y: Op3) -> Op3:
-    return tuple(tuple(x[i][j] + y[i][j] for j in LABELS) for i in LABELS)
-
-
-def _mat_zero() -> Op3:
-    z = PhiElem.zero()
-    return tuple(tuple(z for _ in LABELS) for _ in LABELS)
 
 
 # -- semisimplicity ---------------------------------------------------------------

@@ -3,7 +3,8 @@ components, tabulate fixed-genus invariants, evaluate cobordism words, and
 run the verification suites, with JSON / LaTeX / plain-text output.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error, 3 internal
-consistency error (a quotient the theory guarantees failed to reduce).
+consistency error (a quotient the theory guarantees failed to reduce, or a
+denominator outside the products of ti - tj).
 """
 
 from __future__ import annotations
@@ -311,9 +312,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     use_cache = cache_path() is not None and args.command in ("compute", "extract", "genus")
-    if use_cache:
-        load_cache()
     try:
+        if use_cache:
+            load_cache()
         code = args.fn(args)
     except ReductionError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)

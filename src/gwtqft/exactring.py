@@ -1,9 +1,11 @@
-"""Exact arithmetic over Q[t0, t1, t2] and its fraction field.
+"""Exact arithmetic over Q[t0, t1, t2] and the fractions the theory produces.
 
 TPoly is a sparse trivariate polynomial with Fraction coefficients.  TRat is
-a gcd-reduced fraction num/den of two TPoly with a monic denominator, so that
-structural equality coincides with mathematical equality.  All values are
-immutable after construction and safe to share between threads.
+a fraction whose denominator is a product of powers of the three linear forms
+t0 - t1, t0 - t2, t1 - t2, stored as an exponent triple; its canonical form
+makes structural equality coincide with mathematical equality.  A denominator
+outside those products raises ReductionError.  All values are immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -15,10 +17,6 @@ Exponent = tuple[int, int, int]
 
 VAR_NAMES = ("t0", "t1", "t2")
 _ZERO_EXP: Exponent = (0, 0, 0)
-
-
-class NonHomogeneousDenominator(ValueError):
-    """Raised when a degree decomposition needs a homogeneous denominator."""
 
 
 def _grlex(e: Exponent) -> tuple[int, Exponent]:
@@ -98,11 +96,6 @@ class TPoly:
             return -1
         return max(e[0] + e[1] + e[2] for e in self.terms)
 
-    def deg_in(self, v: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[v] for e in self.terms)
-
     def lead_exp(self) -> Exponent:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -110,12 +103,6 @@ class TPoly:
 
     def lead_coeff(self) -> Fraction:
         return self.terms[self.lead_exp()]
-
-    def monic(self) -> "TPoly":
-        if not self.terms:
-            return self
-        lc = self.lead_coeff()
-        return self if lc == 1 else self.scale(Fraction(1, 1) / lc)
 
     def scale(self, c: Fraction | int) -> "TPoly":
         c = Fraction(c)
@@ -215,32 +202,6 @@ class TPoly:
     def is_homogeneous(self) -> bool:
         degs = {e[0] + e[1] + e[2] for e in self.terms}
         return len(degs) <= 1
-
-    def divexact(self, d: "TPoly") -> "TPoly | None":
-        """Exact quotient self/d, or None when d does not divide self."""
-        if not d.terms:
-            raise ZeroDivisionError("division by zero polynomial")
-        if not self.terms:
-            return TPoly._raw({})
-        dle = d.lead_exp()
-        dlc = d.terms[dle]
-        rem = dict(self.terms)
-        quot: dict[Exponent, Fraction] = {}
-        while rem:
-            re = max(rem, key=_grlex)
-            qe = (re[0] - dle[0], re[1] - dle[1], re[2] - dle[2])
-            if qe[0] < 0 or qe[1] < 0 or qe[2] < 0:
-                return None
-            qc = rem[re] / dlc
-            quot[qe] = qc
-            for de, dc in d.terms.items():
-                te = (qe[0] + de[0], qe[1] + de[1], qe[2] + de[2])
-                v = rem.get(te, _F0) - qc * dc
-                if v:
-                    rem[te] = v
-                else:
-                    rem.pop(te, None)
-        return TPoly._raw(quot)
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
         pt = tuple(Fraction(x) for x in point)
@@ -355,129 +316,70 @@ def gens() -> tuple[TPoly, TPoly, TPoly]:
     return (T0, T1, T2)
 
 
-# -- multivariate gcd --------------------------------------------------------
+def _cancel_forms(p: TPoly, limit: Sequence[int]) -> tuple[TPoly, list[int]]:
+    """Divide the i-th linear form out of p as often as it goes, at most
+    limit[i] times; returns the quotient and how often each form went."""
+    counts = [0, 0, 0]
+    for i, (a, b) in enumerate(_LINEAR_PAIRS):
+        while counts[i] < limit[i]:
+            q = _div_linear(p, a, b)
+            if q is None:
+                break
+            p = q
+            counts[i] += 1
+    return p, counts
 
 
-def _lead_in(p: TPoly, v: int) -> TPoly:
-    d = p.deg_in(v)
-    return TPoly._raw(
-        {tuple(0 if i == v else e[i] for i in range(3)): c
-         for e, c in p.terms.items() if e[v] == d}
-    )
-
-
-def _univar_coeffs(p: TPoly, v: int) -> list[TPoly]:
-    by_deg: dict[int, dict[Exponent, Fraction]] = {}
-    for e, c in p.terms.items():
-        key = tuple(0 if i == v else e[i] for i in range(3))
-        by_deg.setdefault(e[v], {})[key] = c
-    return [TPoly._raw(t) for t in by_deg.values()]
-
-def _prem(a: TPoly, b: TPoly, v: int) -> TPoly:
-    # pseudo-remainder of a by b with respect to variable v
-    db = b.deg_in(v)
-    lb = _lead_in(b, v)
-    r = a
-    while r and r.deg_in(v) >= db:
-        dr = r.deg_in(v)
-        lr = _lead_in(r, v)
-        shift = TPoly.monomial(tuple(dr - db if i == v else 0 for i in range(3)))
-        r = lb * r - lr * shift * b
-    return r
-
-
-def _content(p: TPoly, v: int) -> TPoly:
-    g: TPoly | None = None
-    for c in _univar_coeffs(p, v):
-        g = c if g is None else _gcd_impl(g, c)
-        if g.is_const:
-            return TPoly.one()
-    assert g is not None
-    return g.monic()
-
-
-def _gcd_impl(p: TPoly, q: TPoly) -> TPoly:
-    # both nonzero; returns some associate of the gcd
-    if p.is_const or q.is_const:
-        return TPoly.one()
-    v = next(i for i in range(3) if p.deg_in(i) > 0 or q.deg_in(i) > 0)
-    if p.deg_in(v) == 0:
-        return _gcd_impl(p, _content(q, v))
-    if q.deg_in(v) == 0:
-        return _gcd_impl(q, _content(p, v))
-    cp, cq = _content(p, v), _content(q, v)
-    cont = _gcd_impl(cp, cq)
-    a = p.divexact(cp)
-    b = q.divexact(cq)
-    assert a is not None and b is not None
-    if a.deg_in(v) < b.deg_in(v):
-        a, b = b, a
-    # primitive polynomial remainder sequence
-    while b:
-        r = _prem(a, b, v)
-        if r:
-            rc = _content(r, v)
-            r2 = r.divexact(rc)
-            assert r2 is not None
-            r = r2
-        a, b = b, r
-    return cont * a
-
-
-def poly_gcd(p: TPoly, q: TPoly) -> TPoly:
-    """Greatest common divisor, normalized monic in graded lex order."""
-    if not p and not q:
-        raise ValueError("gcd(0, 0) is undefined")
-    if not p:
-        return q.monic()
-    if not q:
-        return p.monic()
-    return _gcd_impl(p, q).monic()
+def _times_forms(p: TPoly, dexp: Sequence[int]) -> TPoly:
+    """p times the product of the linear forms raised to dexp."""
+    for form, k in zip(LINEAR_FORMS, dexp):
+        if k:
+            p = p * form**k
+    return p
 
 
 def is_linear_form_product(p: TPoly) -> bool:
     """True when p is a constant times a product of powers of (ti - tj)."""
     if not p:
         return False
-    r = p
-    for (a, b) in _LINEAR_PAIRS:
-        while True:
-            nxt = _div_linear(r, a, b)
-            if nxt is None:
-                break
-            r = nxt
-    return r.is_const
+    return _cancel_forms(p, (p.degree(),) * 3)[0].is_const
 
 
 # -- rational functions ------------------------------------------------------
 
 
-def _strip_shared_linear(num: TPoly, den: TPoly) -> tuple[TPoly, TPoly]:
-    for (a, b) in _LINEAR_PAIRS:
-        while True:
-            d2 = _div_linear(den, a, b)
-            if d2 is None:
-                break
-            n2 = _div_linear(num, a, b)
-            if n2 is None:
-                break
-            num, den = n2, d2
-    return num, den
+class ReductionError(ArithmeticError):
+    """A quotient that the theory guarantees to reduce did not: a denominator
+    outside the products of (ti - tj), or a phi-polynomial quotient that is
+    not a Laurent polynomial.  Signals a bug or a misuse of the genus-0 path."""
 
 
 class TRat:
-    """Reduced fraction of two TPoly; the field Q(t0, t1, t2).
+    """Fraction num / ((t0-t1)^a (t0-t2)^b (t1-t2)^c) with ``dexp = (a, b, c)``.
 
-    Canonical form: gcd(num, den) = 1, den monic in graded lex, den = 1 when
-    num = 0.  Use :meth:`make` to construct from arbitrary num/den.
+    These are the only denominators the theory produces: products of the
+    fixed-point weights T(x_a).  Canonical form: no linear form with a positive
+    exponent divides num, and dexp = (0, 0, 0) when num = 0.  The expanded
+    denominator is monic in graded lex, so structural equality coincides with
+    mathematical equality.  Use :meth:`make` to construct from a polynomial
+    denominator; it raises ReductionError when the denominator is not a
+    constant times a product of the linear forms.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "dexp")
 
-    def __init__(self, num: TPoly, den: TPoly):
-        # trusted constructor; use make() for unreduced input
+    def __init__(self, num: TPoly, dexp: Exponent = _ZERO_EXP):
+        # trusted constructor: (num, dexp) must already be canonical
         self.num = num
-        self.den = den
+        self.dexp = dexp
+
+    @classmethod
+    def _reduced(cls, num: TPoly, dexp: Sequence[int]) -> "TRat":
+        # cancel the linear forms num shares with the denominator
+        if not num:
+            return RAT_ZERO
+        num, k = _cancel_forms(num, dexp)
+        return cls(num, (dexp[0] - k[0], dexp[1] - k[1], dexp[2] - k[2]))
 
     @classmethod
     def make(cls, num, den=1) -> "TRat":
@@ -487,40 +389,28 @@ class TRat:
             raise ZeroDivisionError("denominator is zero")
         if not num:
             return RAT_ZERO
-        if not den.is_const:
-            num, den = _strip_shared_linear(num, den)
-            # den's linear-form factors are now coprime to num; anything left
-            # after stripping them needs a general gcd
-            probe = den
-            for (a, b) in _LINEAR_PAIRS:
-                while True:
-                    nxt = _div_linear(probe, a, b)
-                    if nxt is None:
-                        break
-                    probe = nxt
-            if not probe.is_const:
-                g = poly_gcd(num, den)
-                if not g.is_const:
-                    n2 = num.divexact(g)
-                    d2 = den.divexact(g)
-                    assert n2 is not None and d2 is not None
-                    num, den = n2, d2
-        lc = den.lead_coeff()
+        rest, dexp = _cancel_forms(den, (den.degree(),) * 3)
+        if not rest.is_const:
+            raise ReductionError(f"denominator {den} is not a product of ti - tj")
+        lc = rest.const_value()
         if lc != 1:
-            inv = Fraction(1) / lc
-            num = num.scale(inv)
-            den = den.scale(inv)
-        return cls(num, den)
+            num = num.scale(Fraction(1) / lc)
+        return cls._reduced(num, dexp)
 
     @classmethod
     def const(cls, c) -> "TRat":
-        return cls(TPoly.const(c), TPoly.one())
+        return cls(TPoly.const(c))
 
     @classmethod
     def from_poly(cls, p: TPoly) -> "TRat":
-        return cls(p, TPoly.one())
+        return cls(p)
 
     # -- structure -----------------------------------------------------------
+
+    @property
+    def den(self) -> TPoly:
+        """The expanded denominator (t0-t1)^a (t0-t2)^b (t1-t2)^c."""
+        return _times_forms(TPoly.one(), self.dexp)
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -531,16 +421,16 @@ class TRat:
 
     @property
     def is_poly(self) -> bool:
-        return self.den.is_const
+        return not any(self.dexp)
 
     def __eq__(self, other):
         o = _as_rat(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.num == o.num and self.dexp == o.dexp
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.num, self.dexp))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -548,14 +438,17 @@ class TRat:
         o = _as_rat(other)
         if o is None:
             return NotImplemented
-        if self.den == o.den:
-            return TRat.make(self.num + o.num, self.den)
-        return TRat.make(self.num * o.den + o.num * self.den, self.den * o.den)
+        if self.dexp == o.dexp:
+            return TRat._reduced(self.num + o.num, self.dexp)
+        dexp = tuple(map(max, self.dexp, o.dexp))
+        n1 = _times_forms(self.num, [m - k for m, k in zip(dexp, self.dexp)])
+        n2 = _times_forms(o.num, [m - k for m, k in zip(dexp, o.dexp)])
+        return TRat._reduced(n1 + n2, dexp)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TRat(-self.num, self.den)
+        return TRat(-self.num, self.dexp)
 
     def __sub__(self, other):
         o = _as_rat(other)
@@ -575,10 +468,14 @@ class TRat:
             return NotImplemented
         if not self.num or not o.num:
             return RAT_ZERO
-        # cross-cancel first to keep the polynomial products small
-        n1, d2 = _strip_shared_linear(self.num, o.den)
-        n2, d1 = _strip_shared_linear(o.num, self.den)
-        return TRat.make(n1 * n2, d1 * d2)
+        # each numerator is already coprime to its own denominator, so
+        # cancelling it against the other denominator gives canonical form
+        n1, k2 = _cancel_forms(self.num, o.dexp)
+        n2, k1 = _cancel_forms(o.num, self.dexp)
+        return TRat(
+            n1 * n2,
+            tuple(a - i + b - j for a, i, b, j in zip(self.dexp, k1, o.dexp, k2)),
+        )
 
     __rmul__ = __mul__
 
@@ -586,9 +483,7 @@ class TRat:
         o = _as_rat(other)
         if o is None:
             return NotImplemented
-        if not o.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return TRat.make(self.num * o.den, self.den * o.num)
+        return self * o.reciprocal()
 
     def __rtruediv__(self, other):
         o = _as_rat(other)
@@ -597,6 +492,7 @@ class TRat:
         return o / self
 
     def reciprocal(self) -> "TRat":
+        """1 / self; ReductionError unless num is a product of the linear forms."""
         if not self.num:
             raise ZeroDivisionError("zero has no reciprocal")
         return TRat.make(self.den, self.num)
@@ -609,7 +505,7 @@ class TRat:
         if n < 0:
             return self.reciprocal() ** (-n)
         # canonical form is preserved by termwise powers
-        return TRat(self.num ** n, self.den ** n)
+        return TRat(self.num**n, tuple(n * k for k in self.dexp))
 
     # -- evaluation and grading ----------------------------------------------
 
@@ -618,33 +514,27 @@ class TRat:
         pt = tuple(Fraction(x) for x in point)
         if len(pt) != 3 or len(set(pt)) != 3:
             raise ValueError("evaluation point must have three pairwise distinct coordinates")
-        dv = self.den.evaluate(pt)
-        if dv == 0:
-            raise ZeroDivisionError("denominator vanishes at evaluation point")
+        dv = Fraction(1)
+        for (a, b), k in zip(_LINEAR_PAIRS, self.dexp):
+            dv *= (pt[a] - pt[b]) ** k
         return self.num.evaluate(pt) / dv
 
     def homogeneous_component(self, d: int) -> "TRat":
-        """Component of homogeneity degree d (num degree minus den degree)."""
-        if not self.den.is_homogeneous():
-            raise NonHomogeneousDenominator(f"denominator {self.den} is not homogeneous")
-        if not self.num:
-            return RAT_ZERO
-        part = self.num.homogeneous_parts().get(d + self.den.degree())
+        """Component of homogeneity degree d (num degree minus sum(dexp))."""
+        part = self.num.homogeneous_parts().get(d + sum(self.dexp))
         if part is None:
             return RAT_ZERO
-        return TRat.make(part, self.den)
+        return TRat._reduced(part, self.dexp)
 
     def homogeneous_parts(self) -> dict[int, "TRat"]:
-        if not self.den.is_homogeneous():
-            raise NonHomogeneousDenominator(f"denominator {self.den} is not homogeneous")
-        shift = self.den.degree()
+        shift = sum(self.dexp)
         return {
-            d - shift: TRat.make(part, self.den)
+            d - shift: TRat._reduced(part, self.dexp)
             for d, part in self.num.homogeneous_parts().items()
         }
 
     def is_homogeneous(self) -> bool:
-        return self.num.is_homogeneous() and self.den.is_homogeneous()
+        return self.num.is_homogeneous()
 
     def permute_vars(self, perm: Sequence[int]) -> "TRat":
         return TRat.make(self.num.permute_vars(perm), self.den.permute_vars(perm))
@@ -652,7 +542,7 @@ class TRat:
     # -- printing --------------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.den.is_const:
+        if self.is_poly:
             return str(self.num)
         return f"{self.num} / {self.den}"
 
@@ -660,8 +550,8 @@ class TRat:
         return f"TRat({self})"
 
 
-RAT_ZERO = TRat(TPoly.zero(), TPoly.one())
-RAT_ONE = TRat(TPoly.one(), TPoly.one())
+RAT_ZERO = TRat(TPoly.zero())
+RAT_ONE = TRat(TPoly.one())
 
 
 def _as_poly(x) -> TPoly:

@@ -10,21 +10,15 @@ that nothing is ever silently approximated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
-from .exactring import RAT_ZERO, TPoly, TRat, as_rat
+from .exactring import RAT_ZERO, ReductionError, TPoly, TRat, as_rat
 
 
 class PrecisionError(ValueError):
     """A series coefficient beyond the truncation horizon was requested."""
-
-
-class ReductionError(ArithmeticError):
-    """A quotient that the theory guarantees to be a Laurent polynomial in
-    phi failed to reduce; signals a bug or a misuse of the genus-0 path."""
 
 
 class PhiElem:
@@ -460,16 +454,7 @@ def useries_coeff(s: USeries, k: int) -> TRat:
     return s.coeff(k)
 
 
-# -- transient fractions of phi-polynomials -------------------------------------
-
-
-@dataclass(frozen=True)
-class PhiRat:
-    """Unreduced fraction of two PhiElem; used transiently by the genus-0
-    matrix inversion path."""
-
-    num: PhiElem
-    den: PhiElem
+# -- exact division of phi-polynomials -------------------------------------------
 
 
 def laurent_divexact(num: PhiElem, den: PhiElem) -> PhiElem:
@@ -494,8 +479,3 @@ def laurent_divexact(num: PhiElem, den: PhiElem) -> PhiElem:
         quot[m] = c
         rem = rem - den * PhiElem.term(c, m)
     return PhiElem._raw(quot)
-
-
-def phirat_reduce(r: PhiRat) -> PhiElem:
-    """Reduce a transient fraction to its exact PhiElem quotient."""
-    return laurent_divexact(r.num, r.den)

@@ -1,10 +1,14 @@
 """Command-line interface: output formats, exit codes, JSON stability."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import gwtqft
 from gwtqft import __version__
 from gwtqft.cli import dumps_canonical, main, phi_latex
 from gwtqft.exactring import TPoly, parse_poly
@@ -230,6 +234,19 @@ class TestCachePersistence:
         assert any(e["g"] == 2 for e in data["entries"])
         code, out2, _ = run_cli(capsys, "compute", "-g", "2")
         assert out1 == out2
+
+    def test_rejected_denominator_in_cache_is_exit_3(self, tmp_path):
+        # a fresh process, so the poisoned entry cannot reach this session's memo
+        entry = {"g": 2, "k1": 0, "k2": 0,
+                 "terms": [{"phi_exp": 0, "num": "1", "den": "t0 + t1"}]}
+        (tmp_path / "zcache.json").write_text(json.dumps({"entries": [entry]}))
+        env = dict(os.environ, GWTQFT_CACHE_DIR=str(tmp_path),
+                   PYTHONPATH=os.path.dirname(os.path.dirname(gwtqft.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "gwtqft.cli", "compute", "-g", "2"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert "internal consistency error" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestLatex:

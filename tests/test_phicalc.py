@@ -8,13 +8,11 @@ import pytest
 from gwtqft.exactring import TPoly, TRat
 from gwtqft.phicalc import (
     PhiElem,
-    PhiRat,
     PrecisionError,
     ReductionError,
     laurent_divexact,
     phi_expansion,
     phi_pow_series,
-    phirat_reduce,
     to_useries,
     useries_coeff,
 )
@@ -173,11 +171,6 @@ class TestLaurentDivision:
         den = PhiElem.one() + PhiElem.term(1, 1)
         with pytest.raises(ReductionError):
             laurent_divexact(num, den)
-
-    def test_phirat_wrapper(self):
-        c = PhiElem.term((t0 - t1) * (t1 - t2), 1)
-        r = PhiRat(num=c * PhiElem.term(1, 2), den=c)
-        assert phirat_reduce(r) == PhiElem.term(1, 2)
 
 
 class TestStrings:
