@@ -65,6 +65,16 @@ class TestPolyMul:
         assert str(got) == "t0^2 - t0*t1 - t0*t2 + t1^2 - t1*t2 + t2^2"
 
 
+class TestPolyGcd:
+    """The common factor of numerator and denominator, which TRat.make cancels."""
+
+    def test_common_linear_factor(self):
+        # gcd((t0-t1)^2, (t0-t1)(t0-t2)) = t0 - t1: it cancels, the rest stays
+        r = TRat.make((t0 - t1) ** 2, (t0 - t1) * (t0 - t2))
+        assert (r.num, r.den) == (t0 - t1, t0 - t2)
+        assert r.dexp == (0, 1, 0)
+
+
 class TestHomogeneousParts:
     def test_mixed(self):
         p = t0**2 + t1
@@ -87,9 +97,6 @@ class TestNormalize:
         r = TRat.make(t0**2 - t1**2, t0 - t1)
         assert r == TRat.from_poly(t0 + t1)
         assert r.den == TPoly.one()
-        # a shared linear form cancels, the others stay
-        r = TRat.make((t0 - t1) ** 2, (t0 - t1) * (t0 - t2))
-        assert (r.num, r.den) == (t0 - t1, t0 - t2)
 
     def test_constant_ratio(self):
         assert TRat.make(2 * (t0 - t1), 2 * t0 - 2 * t1) == TRat.const(1)
