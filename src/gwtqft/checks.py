@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .exactring import TPoly, TRat, is_linear_form_product
+from .exactring import TPoly, TRat
 from .phicalc import PhiElem, ReductionError
 from .operators import (
+    INV_WEIGHTS,
     LABELS,
     _d,
     Op3,
@@ -403,14 +404,18 @@ def _operator_identities(rep: CheckReport) -> None:
             mat_trace(mat_mul(bec, mat_power(m2n2, e))),
         )
 
-    # every operator entry keeps its denominator inside the linear-form ideal
+    # row-raised operators: every coefficient in row a has a denominator
+    # dividing the weight T(x_a)
     for name in ("G", "U1", "U2", "U1inv", "U2inv"):
-        for row in build_operator(name):
+        for a, row in zip(LABELS, build_operator(name)):
+            bound = INV_WEIGHTS[a].dexp
             for entry in row:
                 for _, coeff in entry.items():
                     rep.cases += 1
-                    if not coeff.den.is_const and not is_linear_form_product(coeff.den):
-                        rep.record(f"{name} denominator", "product of ti - tj", str(coeff.den))
+                    if any(k > m for k, m in zip(coeff.dexp, bound)):
+                        rep.record(
+                            f"{name} row {a} denominator", f"a divisor of {weight(a)}", str(coeff.den)
+                        )
 
 
 # -- semisimplicity ---------------------------------------------------------------

@@ -1,11 +1,18 @@
 """Exact arithmetic over Q[t0, t1, t2] and the fractions the theory produces.
 
-TPoly is a sparse trivariate polynomial with Fraction coefficients.  TRat is
-a fraction whose denominator is a product of powers of the three linear forms
-t0 - t1, t0 - t2, t1 - t2, stored as an exponent triple; its canonical form
-makes structural equality coincide with mathematical equality.  A denominator
-outside those products raises ReductionError.  All values are immutable after
-construction and safe to share between threads.
+TPoly is a sparse trivariate polynomial over Q.  An integral coefficient is
+stored as an int and only a genuinely rational one as a Fraction: every
+weight T(x_a) is monic up to sign, so the theory's numerators have integer
+coefficients, and int arithmetic is several times faster.  Mixing the two is
+exact (int with int stays int, int with Fraction stays a Fraction), and an
+integral Fraction compares, hashes and prints like the equal int, so no
+operation needs to normalise its result.
+
+TRat is a fraction whose denominator is a product of powers of the three
+linear forms t0 - t1, t0 - t2, t1 - t2, stored as an exponent triple; its
+canonical form makes structural equality coincide with mathematical equality.
+A denominator outside those products raises ReductionError.  All values are
+immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -19,6 +26,14 @@ VAR_NAMES = ("t0", "t1", "t2")
 _ZERO_EXP: Exponent = (0, 0, 0)
 
 
+def _exact(c) -> int | Fraction:
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _grlex(e: Exponent) -> tuple[int, Exponent]:
     # graded lexicographic order with t0 > t1 > t2
     return (e[0] + e[1] + e[2], e)
@@ -28,16 +43,19 @@ class TPoly:
     """Sparse polynomial in t0, t1, t2 over Q.
 
     ``terms`` maps exponent triples to nonzero coefficients; the zero
-    polynomial is the empty map.  Instances are treated as immutable.
+    polynomial is the empty map.  Coefficients built here are ints when
+    integral and Fractions otherwise; arithmetic may leave an integral
+    Fraction, which equals, hashes and prints like the int.  Instances are
+    treated as immutable.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Exponent, Fraction | int] | None = None):
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, int | Fraction] = {}
         if terms:
             for exp, c in terms.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
                     clean[exp] = c
         self.terms = clean
@@ -55,7 +73,7 @@ class TPoly:
 
     @classmethod
     def const(cls, c: Fraction | int) -> "TPoly":
-        c = Fraction(c)
+        c = _exact(c)
         return cls._raw({_ZERO_EXP: c} if c else {})
 
     @classmethod
@@ -66,7 +84,7 @@ class TPoly:
     def var(cls, i: int) -> "TPoly":
         e = [0, 0, 0]
         e[i] = 1
-        return cls._raw({tuple(e): Fraction(1)})
+        return cls._raw({tuple(e): 1})
 
     @classmethod
     def monomial(cls, exp: Exponent, coeff: Fraction | int = 1) -> "TPoly":
@@ -85,10 +103,10 @@ class TPoly:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _ZERO_EXP in self.terms)
 
-    def const_value(self) -> Fraction:
+    def const_value(self) -> int | Fraction:
         if not self.is_const:
             raise ValueError("polynomial is not constant")
-        return self.terms.get(_ZERO_EXP, Fraction(0))
+        return self.terms.get(_ZERO_EXP, 0)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -105,10 +123,10 @@ class TPoly:
         return self.terms[self.lead_exp()]
 
     def scale(self, c: Fraction | int) -> "TPoly":
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return TPoly._raw({})
-        return TPoly._raw({e: cf * c for e, cf in self.terms.items()})
+        return TPoly._raw({e: _exact(cf * c) for e, cf in self.terms.items()})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -250,8 +268,6 @@ class TPoly:
         return f"TPoly({self})"
 
 
-_F0 = Fraction(0)
-
 T0 = TPoly.var(0)
 T1 = TPoly.var(1)
 T2 = TPoly.var(2)
@@ -287,7 +303,7 @@ def _div_linear(p: TPoly, a: int, b: int) -> TPoly | None:
             eb = list(e)
             eb[b] += 1
             eb = tuple(eb)
-            v = cur.get(eb, _F0) + c
+            v = cur.get(eb, 0) + c
             if v:
                 cur[eb] = v
             else:
@@ -302,7 +318,7 @@ def _div_linear(p: TPoly, a: int, b: int) -> TPoly | None:
         eb = list(e)
         eb[b] += 1
         eb = tuple(eb)
-        v = rem.get(eb, _F0) + c
+        v = rem.get(eb, 0) + c
         if v:
             rem[eb] = v
         else:

@@ -115,10 +115,13 @@ def load_cache(path: str | None = None) -> int:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     count = 0
-    for item in data.get("entries", []):
-        key = (int(item["g"]), int(item["k1"]), int(item["k2"]))
-        _memo[key] = PhiElem.from_json_terms(item["terms"])
-        count += 1
+    try:
+        for item in data.get("entries", []):
+            key = (int(item["g"]), int(item["k1"]), int(item["k2"]))
+            _memo[key] = PhiElem.from_json_terms(item["terms"])
+            count += 1
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed cache file {path}: {exc!r}") from None
     return count
 
 

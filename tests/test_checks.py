@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gwtqft import checks
 from gwtqft.checks import (
     CheckReport,
     numeric_trace,
@@ -15,7 +16,10 @@ from gwtqft.checks import (
     verify_semisimplicity,
     verify_special_cases,
 )
+from gwtqft.exactring import TPoly, TRat
 from gwtqft.gluing import trace_formula
+from gwtqft.operators import build_operator
+from gwtqft.phicalc import PhiElem
 
 
 class TestCalabiYau:
@@ -46,6 +50,20 @@ class TestGluingDerivations:
     def test_passes(self):
         rep = verify_gluing_derivations(word_g_max=2, word_k_max=1)
         assert rep.passed, rep.failures[:1]
+
+    def test_row_denominator_outside_weight_recorded(self, monkeypatch):
+        # row 0 may only divide by T(x_0) = (t0 - t1)(t0 - t2); (t0 - t1)^2 is
+        # still a product of linear forms, so only the row bound catches it
+        t0, t1 = TPoly.var(0), TPoly.var(1)
+        g = build_operator("G")
+        bad = PhiElem.term(TRat.make(1, (t0 - t1) ** 2), 0)
+        doctored = ((bad,) + g[0][1:],) + g[1:]
+        monkeypatch.setattr(
+            checks, "build_operator", lambda name: doctored if name == "G" else build_operator(name)
+        )
+        rep = CheckReport("gluing_derivations", "unit")
+        checks._operator_identities(rep)
+        assert any(f.startswith("G row 0 denominator") for f in rep.failures), rep.failures
 
 
 class TestSemisimplicity:

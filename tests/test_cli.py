@@ -248,6 +248,22 @@ class TestCachePersistence:
         assert "internal consistency error" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("payload", [
+        {"entries": [{"g": 2, "k1": 0, "terms": []}]},  # entry without "k2"
+        {"entries": 5},
+        [1],
+    ], ids=["missing_key", "entries_not_a_list", "top_level_list"])
+    def test_malformed_cache_is_exit_2(self, tmp_path, payload):
+        (tmp_path / "zcache.json").write_text(json.dumps(payload))
+        env = dict(os.environ, GWTQFT_CACHE_DIR=str(tmp_path),
+                   PYTHONPATH=os.path.dirname(os.path.dirname(gwtqft.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "gwtqft.cli", "compute", "-g", "2"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+        assert "zcache.json" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestLatex:
     def test_phi_latex_forms(self):

@@ -218,6 +218,13 @@ class TestTraceFormula:
         for k1, k2 in product(range(-2, 3), repeat=2):
             trace_formula(0, k1, k2)  # must not raise
 
+    @pytest.mark.parametrize("g", [0, 1, 4])
+    @pytest.mark.parametrize("k1, k2", [(0, 0), (2, -1), (-1, -1)])
+    def test_numerator_coefficients_are_ints(self, g, k1, k2):
+        z = trace_formula(g, k1, k2)
+        coeffs = [c for _, r in z.items() for c in r.num.terms.values()]
+        assert all(type(c) is int for c in coeffs), {type(c) for c in coeffs}
+
 
 LEVELS = [(0, 0), (2, -1), (-1, 2), (1, 1), (-2, -1)]
 
