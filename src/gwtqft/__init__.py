@@ -3,6 +3,10 @@ partition functions of P2-bundles P(O + L1 + L2) over genus-g curves."""
 
 __version__ = "0.1.0"
 
+#: names accepted by ``verify --suite``; kept here so that the CLI can offer
+#: them without importing the checks module
+SUITES = ("all", "cy", "appendixB", "gluing", "semisimple", "numeric")
+
 from .exactring import TPoly, TRat, parse_poly, parse_rat
 from .phicalc import PhiElem, USeries, phi_expansion, phi_pow_series, to_useries
 from .operators import build_cap, build_tube, build_pants, build_operator, weight

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
+from . import SUITES
 from .exactring import TPoly, TRat
 from .phicalc import PhiElem, ReductionError
 from .operators import (
@@ -38,6 +38,7 @@ from .gluing import (
     contract_refined,
     evaluate_word,
     mat_eq,
+    mat_det,
     mat_inverse,
     mat_mul,
     mat_power,
@@ -405,17 +406,36 @@ def _operator_identities(rep: CheckReport) -> None:
         )
 
     # row-raised operators: every coefficient in row a has a denominator
-    # dividing the weight T(x_a)
-    for name in ("G", "U1", "U2", "U1inv", "U2inv"):
+    # dividing the weight T(x_a).  The folded trace formula also needs each
+    # operator of weight w (2 for G, 0 for the level operators) to have
+    # numerators that are translation invariant, and phi^m coefficients of
+    # t-degree w - m
+    for name, w in (("G", 2), ("U1", 0), ("U2", 0), ("U1inv", 0), ("U2inv", 0)):
         for a, row in zip(LABELS, build_operator(name)):
             bound = INV_WEIGHTS[a].dexp
-            for entry in row:
-                for _, coeff in entry.items():
+            for b, entry in zip(LABELS, row):
+                for m, coeff in entry.items():
                     rep.cases += 1
-                    if any(k > m for k, m in zip(coeff.dexp, bound)):
+                    if any(k > top for k, top in zip(coeff.dexp, bound)):
                         rep.record(
                             f"{name} row {a} denominator", f"a divisor of {weight(a)}", str(coeff.den)
                         )
+                    cell = f"{name}[{a}][{b}] phi^{m}"
+                    rep.check(f"{cell} (d0 + d1 + d2) num", TPoly.zero(), _shift_derivative(coeff.num))
+                    rep.check(f"{cell} t-degrees", [w - m], sorted(coeff.homogeneous_parts()))
+    for name in ("U1", "U2"):
+        rep.check(f"det {name} = 1", PhiElem.one(), mat_det(build_operator(name)))
+
+
+def _shift_derivative(p: TPoly) -> TPoly:
+    """(d/dt0 + d/dt1 + d/dt2) p, which is zero exactly when p(t + c) = p(t)."""
+    acc: dict = {}
+    for e, c in p.terms.items():
+        for i in LABELS:
+            if e[i]:
+                d = e[:i] + (e[i] - 1,) + e[i + 1:]
+                acc[d] = acc.get(d, 0) + e[i] * c
+    return TPoly(acc)
 
 
 # -- semisimplicity ---------------------------------------------------------------
@@ -604,8 +624,6 @@ def verify_numeric_crosscheck(seed: int = 42, trials: int = 20) -> CheckReport:
 
 # -- suite driver ------------------------------------------------------------------
 
-SUITES = ("all", "cy", "appendixB", "gluing", "semisimple", "numeric")
-
 
 def run_checks(
     suite: str = "all",
@@ -613,9 +631,9 @@ def run_checks(
     k_max: int | None = None,
     seed: int = 42,
     trials: int = 20,
-    jobs: int = 1,
 ) -> list[CheckReport]:
-    """Run one named suite (or all of them) and return the reports."""
+    """Run one named suite (or all of them), one after another, and return
+    the reports."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     tasks = []
@@ -629,9 +647,4 @@ def run_checks(
         tasks.append(lambda: verify_semisimplicity())
     if suite in ("all", "numeric"):
         tasks.append(lambda: verify_numeric_crosscheck(seed, trials))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda fn: fn(), tasks))
-    else:
-        reports = [fn() for fn in tasks]
-    return sorted(reports, key=lambda r: r.check_id)
+    return sorted((fn() for fn in tasks), key=lambda r: r.check_id)

@@ -4,16 +4,18 @@ run the verification suites, with JSON / LaTeX / plain-text output.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error, 3 internal
 consistency error (a quotient the theory guarantees failed to reduce, or a
-denominator outside the products of ti - tj).
+denominator outside the products of ti - tj), 141 (128 + SIGPIPE) when the
+reader of stdout went away before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from . import __version__
+from . import SUITES, __version__
 from .exactring import TPoly, TRat
 from .phicalc import PhiElem, PrecisionError, ReductionError
 from .operators import LABELS, ClassRefined, RelTensor
@@ -28,12 +30,12 @@ from .partition import (
     save_cache,
     virtual_dim,
 )
-from .checks import SUITES, run_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141
 
 DEFAULT_ORDER = 10
 
@@ -200,13 +202,15 @@ def cmd_genus(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here: only verify needs the suites, and every start pays for them
+    from .checks import run_checks
+
     reports = run_checks(
         suite=args.suite,
         g_max=args.gmax,
         k_max=args.kmax,
         seed=args.seed,
         trials=args.trials,
-        jobs=args.jobs,
     )
     if args.format == "json":
         for rep in reports:
@@ -296,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="ignored; the suites run one after another")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(fn=cmd_verify)
 
@@ -316,6 +320,12 @@ def main(argv=None) -> int:
         if use_cache:
             load_cache()
         code = args.fn(args)
+        # a closed stdout shows here rather than in the flush at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # send the rest nowhere, so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ReductionError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

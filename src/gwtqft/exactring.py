@@ -354,13 +354,6 @@ def _times_forms(p: TPoly, dexp: Sequence[int]) -> TPoly:
     return p
 
 
-def is_linear_form_product(p: TPoly) -> bool:
-    """True when p is a constant times a product of powers of (ti - tj)."""
-    if not p:
-        return False
-    return _cancel_forms(p, (p.degree(),) * 3)[0].is_const
-
-
 # -- rational functions ------------------------------------------------------
 
 

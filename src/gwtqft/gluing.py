@@ -1,30 +1,41 @@
 """The TQFT composition engine: index raising, contraction, self-gluing,
-class-refined convolution, matrix powers, the closed-surface trace formula,
-and evaluation of cobordism words.
+class-refined convolution, 3x3 matrix algebra, the closed-surface trace
+formula, and evaluation of cobordism words.
 
 Gluing two relative slots sums over the fixed-point basis with one slot
 raised; the fiber class of a composite is the convolution of the factors'
-classes.  The partition function of the closed level-(k1, k2) surface of
-genus g is the trace of G^(g-1) U1^k1 U2^k2, where negative powers use the
-closed-form annihilation operators and the g = 0 case divides by det(G) and
-asserts that the quotient reduces to a Laurent polynomial in phi.
+classes.
 
-For g >= 1 no power of G above the square is formed.  By Cayley-Hamilton,
-G^3 = c1 G^2 - c2 G + c3 I with c1 = tr G, c2 = tr adj(G) and c3 = det G,
-all three free of t-denominators.  So G^n = a_n G^2 + b_n G + c_n I, where
-the scalars follow (a, b, c) -> (c1 a + b, c - c2 a, c3 a), and the trace is
-a tr(G^2 W) + b tr(G W) + c tr(W).  The genus loop runs on polynomials only;
-the rational traces tr(G^j W) are computed once per level and shared across
-genera.
+The partition function of the closed genus-g, level-(k1, k2) space is
+Z = tr(G^(g-1) U1^k1 U2^k2), computed without forming a matrix power.  G, U1
+and U2 commute, their entries depend on t only through x = t0 - t2 and
+y = t1 - t2, and they are homogeneous for the weight that gives phi and
+each t weight 1: G has weight 2, U1 and U2 weight 0.  So the trace
+s_j(k1, k2) = tr(G^j U1^k1 U2^k2), of weight 2j, is fixed by its fold, the
+polynomial in Z[x, y] left by t2 = 0 and phi = 1: the monomial x^a y^b
+carries phi^(2j - a - b).  On folds:
+
+- the seeds s_j(a, b), 0 <= j <= 2 and a, b in {-1, 0, 1}, are traces of
+  matrix products;
+- levels |k| >= 2 follow from s(k) = e1 s(k-1) - e2 s(k-2) + s(k-3), where
+  e1, e2 are the trace and the sum of principal 2x2 minors of U1 (or U2);
+  det U = 1, so the recurrence runs downwards without a division;
+- genus follows from s_n = c1 s_(n-1) - c2 s_(n-2) + c3 s_(n-3) with the
+  same coefficients of G, and g = 0 divides exactly by c3 = det G.
+
+Z is re-expanded from s_(g-1) by a Taylor shift in t2.  Every fold of a
+matrix trace or coefficient is re-expanded and compared with its source,
+so an operator that breaks these assumptions raises ReductionError
+instead of giving a wrong Z.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, reduce
 from itertools import product
+from .exactring import ReductionError, TPoly, TRat
 from .phicalc import PhiElem, laurent_divexact
 from .operators import (
     LABELS,
@@ -217,69 +228,187 @@ def mat_power(m: Op3, e: int) -> Op3:
     return result
 
 
-_named_power_cache: dict[tuple[str, int], Op3] = {}
-
-
-def op_power(name: str, e: int) -> Op3:
-    """Power of a named basic operator by binary powering, cached per exponent."""
-    if e < 0:
-        raise ValueError("op_power wants a nonnegative exponent")
-    key = (name, e)
-    cached = _named_power_cache.get(key)
-    if cached is None:
-        cached = _named_power_cache[key] = mat_power(build_operator(name), e)
-    return cached
-
-
 # -- the closed-surface trace formula ------------------------------------------
 
+# A polynomial in x = t0 - t2 and y = t1 - t2 over Z, as {(a, b): c} for the
+# terms c x^a y^b; no coefficient is zero.
+_XYPoly = dict[tuple[int, int], int]
 
-@lru_cache(maxsize=None)
-def _level_word(k1: int, k2: int) -> Op3:
-    u1 = op_power("U1" if k1 >= 0 else "U1inv", abs(k1))
-    u2 = op_power("U2" if k2 >= 0 else "U2inv", abs(k2))
-    return mat_mul(u1, u2)
+_ONE: _XYPoly = {(0, 0): 1}
 
-
-@lru_cache(maxsize=None)
-def _g_invariants() -> tuple[Op3, PhiElem, PhiElem, PhiElem]:
-    """adj(G) and the characteristic coefficients (tr G, tr adj G, det G),
-    so that G^3 = c1 G^2 - c2 G + c3 I.  None of the three has a t-denominator."""
-    gmat = build_operator("G")
-    adj = mat_adjugate(gmat)
-    return adj, mat_trace(gmat), mat_trace(adj), mat_det(gmat)
+# folded tr(G^j U1^k1 U2^k2) under the key (j, k1, k2), j >= -1: the seeds
+# (0 <= j <= 2, |k1|, |k2| <= 1) and every value the recurrences reach
+_memo: dict[tuple[int, int, int], _XYPoly] = {}
 
 
-# (a_n, b_n, c_n) with G^n = a_n G^2 + b_n G + c_n I, indexed by n; extended
-# under _G_POWER_COEFFS_LOCK, since verify runs suites in threads
-_G_POWER_COEFFS: list[tuple[PhiElem, PhiElem, PhiElem]] = [
-    (PhiElem.zero(), PhiElem.zero(), PhiElem.one()),
-    (PhiElem.zero(), PhiElem.one(), PhiElem.zero()),
-    (PhiElem.one(), PhiElem.zero(), PhiElem.zero()),
-]
-_G_POWER_COEFFS_LOCK = threading.Lock()
+def _unfold(f: _XYPoly, weight: int) -> PhiElem:
+    """The element of the given weight whose fold is f.
+
+    The degree-d part F_d(x, y) of f becomes F_d(t0 - t2, t1 - t2)
+    phi^(weight - d).  The substitution is a Taylor shift in t2:
+    F_d(t0 - t2, t1 - t2) = sum over k of h_k(t0, t1) (-t2)^k, where
+    h_0 = F_d and h_k = (d/dx + d/dy) h_(k-1) / k, each division exact.
+    """
+    parts: dict[int, _XYPoly] = {}
+    for (a, b), c in f.items():
+        parts.setdefault(a + b, {})[a, b] = c
+    terms = {}
+    for d, h in parts.items():
+        poly = {}
+        k = 0
+        while h:
+            sign = -1 if k & 1 else 1
+            for (a, b), c in h.items():
+                poly[a, b, k] = sign * c
+            k += 1
+            dh: _XYPoly = {}
+            for (a, b), c in h.items():
+                if a:
+                    dh[a - 1, b] = dh.get((a - 1, b), 0) + a * c
+                if b:
+                    dh[a, b - 1] = dh.get((a, b - 1), 0) + b * c
+            h = {e: c // k for e, c in dh.items() if c}
+        terms[weight - d] = TRat.from_poly(TPoly(poly))
+    return PhiElem(terms)
 
 
-def _g_power_coeffs(n: int) -> tuple[PhiElem, PhiElem, PhiElem]:
-    """(a, b, c) with G^n = a G^2 + b G + c I, from the Cayley-Hamilton
-    recurrence (a, b, c) -> (c1 a + b, c - c2 a, c3 a)."""
-    coeffs = _G_POWER_COEFFS
-    if n >= len(coeffs):
-        _, c1, c2, c3 = _g_invariants()
-        with _G_POWER_COEFFS_LOCK:
-            while n >= len(coeffs):
-                a, b, c = coeffs[-1]
-                coeffs.append((c1 * a + b, c - c2 * a, c3 * a))
-    return coeffs[n]
+def _fold(p: PhiElem, weight: int, what: str) -> _XYPoly:
+    """p at t2 = 0 and phi = 1, for p of the given weight.
+
+    The fold loses nothing only when every phi^m coefficient of p is a
+    polynomial in t0 - t2 and t1 - t2, homogeneous of t-degree weight - m.
+    Re-expanding the fold and comparing it with p checks exactly that, so a
+    broken assumption raises ReductionError instead of giving a wrong Z.
+    Integer coefficients keep every later division exact.
+    """
+    f: _XYPoly = {}
+    for coeff in p.terms.values():
+        for (a, b, c2), c in coeff.num.terms.items():
+            if not c2:
+                f[a, b] = f.get((a, b), 0) + c
+    f = {e: c for e, c in f.items() if c}
+    if any(c.denominator != 1 for c in f.values()) or _unfold(f, weight) != p:
+        raise ReductionError(
+            f"{what} is not an integer polynomial in t0 - t2, t1 - t2 of weight {weight}"
+        )
+    return f
 
 
-@lru_cache(maxsize=None)
-def _level_trace(k1: int, k2: int, j: int) -> PhiElem:
-    """tr(G^j W) for W = U1^k1 U2^k2 and j in {0, 1, 2}."""
-    w = _level_word(k1, k2)
-    if j == 0:
-        return mat_trace(w)
-    return mat_trace_mul(op_power("G", j), w)
+def _neg(f: _XYPoly) -> _XYPoly:
+    return {e: -c for e, c in f.items()}
+
+
+def _combine(pairs) -> _XYPoly:
+    """The sum of f * p over the (f, p) pairs."""
+    acc: _XYPoly = {}
+    for f, p in pairs:
+        for (a1, b1), c1 in f.items():
+            for (a2, b2), c2 in p.items():
+                e = (a1 + a2, b1 + b2)
+                acc[e] = acc.get(e, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def _divexact(num: _XYPoly, den: _XYPoly) -> _XYPoly:
+    """num / den by long division in lex order; ReductionError on a remainder."""
+    lead = max(den)
+    lc = den[lead]
+    rem = dict(num)
+    quot: _XYPoly = {}
+    while rem:
+        top = max(rem)
+        q, r = divmod(rem[top], lc)
+        if r or top[0] < lead[0] or top[1] < lead[1]:
+            raise ReductionError("genus-0 trace does not divide by det G")
+        shift = (top[0] - lead[0], top[1] - lead[1])
+        quot[shift] = q
+        for (a, b), c in den.items():
+            e = (a + shift[0], b + shift[1])
+            v = rem.get(e, 0) - q * c
+            if v:
+                rem[e] = v
+            else:
+                del rem[e]
+    return quot
+
+
+@cache
+def _char_poly(name: str, weight: int) -> tuple[_XYPoly, _XYPoly, _XYPoly]:
+    """Folded (e1, e2, e3) of an operator of the given weight, so that
+    M^3 = e1 M^2 - e2 M + e3 I: its trace, the sum of its principal 2x2
+    minors and its determinant."""
+    m = build_operator(name)
+    minors = sum(
+        (m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2))),
+        PhiElem.zero(),
+    )
+    return (
+        _fold(mat_trace(m), weight, f"tr {name}"),
+        _fold(minors, 2 * weight, f"tr adj {name}"),
+        _fold(mat_det(m), 3 * weight, f"det {name}"),
+    )
+
+
+def _level_coeffs(name: str, up: bool) -> tuple[_XYPoly, _XYPoly, _XYPoly]:
+    """Coefficients of the level recurrence of U = U1 or U2 over the three
+    nearest levels, stepping up or down; det U = 1, so neither way divides."""
+    e1, e2, e3 = _char_poly(name, 0)
+    if e3 != _ONE:
+        raise ReductionError(f"det {name} is not 1")
+    # U^3 = e1 U^2 - e2 U + I, and U^-1 = U^2 - e1 U + e2 I
+    return (e1, _neg(e2), _ONE) if up else (e2, _neg(e1), _ONE)
+
+
+def _seed(j: int, k1: int, k2: int) -> _XYPoly:
+    """Folded tr(G^j U1^k1 U2^k2) for 0 <= j <= 2 and |k1|, |k2| <= 1,
+    straight from the matrices."""
+    # the level factors first: their products are the cheaper ones
+    factors = [
+        build_operator(name if k > 0 else name + "inv")
+        for name, k in (("U1", k1), ("U2", k2))
+        if k
+    ] + [build_operator("G")] * j
+    if not factors:
+        trace = PhiElem.const(3)
+    else:
+        last = factors.pop()
+        trace = mat_trace_mul(reduce(mat_mul, factors), last) if factors else mat_trace(last)
+    return _fold(trace, 2 * j, f"tr(G^{j} U1^{k1} U2^{k2})")
+
+
+def _walk(at, first: int, last: int, coeffs) -> _XYPoly:
+    """Run x_n = f1 x_(n-s) + f2 x_(n-2s) + f3 x_(n-3s) for n from first to
+    last, s the sign of last, keeping x_n in the memo under the key at(n)."""
+    s = 1 if last > 0 else -1
+    for n in range(first, last + s, s):
+        if at(n) not in _memo:
+            near = (_trace(*at(n - s)), _trace(*at(n - 2 * s)), _trace(*at(n - 3 * s)))
+            _memo[at(n)] = _combine(zip(coeffs, near))
+    return _memo[at(last)]
+
+
+def _trace(j: int, k1: int, k2: int) -> _XYPoly:
+    """Folded tr(G^j U1^k1 U2^k2) for j >= -1, from the seeds."""
+    f = _memo.get((j, k1, k2))
+    if f is not None:
+        return f
+    if j >= 3:
+        c1, c2, c3 = _char_poly("G", 2)
+        return _walk(lambda n: (n, k1, k2), 3, j, (c1, _neg(c2), c3))
+    if j == -1:
+        # G^-1 = (G^2 - c1 G + c2 I) / c3; the lex-leading term of the
+        # folded c3 = det G is -x^4 y^2, so the quotient stays integral
+        c1, c2, c3 = _char_poly("G", 2)
+        near = (_trace(2, k1, k2), _trace(1, k1, k2), _trace(0, k1, k2))
+        f = _divexact(_combine(zip((_ONE, _neg(c1), c2), near)), c3)
+    elif abs(k1) >= 2:
+        return _walk(lambda n: (j, n, k2), 2 if k1 > 0 else -2, k1, _level_coeffs("U1", k1 > 0))
+    elif abs(k2) >= 2:
+        return _walk(lambda n: (j, k1, n), 2 if k2 > 0 else -2, k2, _level_coeffs("U2", k2 > 0))
+    else:
+        f = _seed(j, k1, k2)
+    _memo[j, k1, k2] = f
+    return f
 
 
 @lru_cache(maxsize=None)
@@ -287,25 +416,15 @@ def trace_formula(g: int, k1: int, k2: int) -> PhiElem:
     """Section-class partition function of the closed genus-g, level
     (k1, k2) space, as a Laurent polynomial in phi over Q(t).
 
-    For g >= 1, Cayley-Hamilton writes G^(g-1) = a G^2 + b G + c I with
-    scalars a, b, c that are polynomials in t (see _g_power_coeffs), so the
-    trace is a tr(G^2 W) + b tr(G W) + c tr(W) and no power of G above the
-    square is formed.  For g = 0 the genus-adding operator enters with
-    exponent -1; the trace is computed as tr(adj(G) W) / det(G) and the
-    quotient is asserted to reduce.
+    Z = tr(G^(g-1) U1^k1 U2^k2) is computed folded, in Z[x, y] with
+    x = t0 - t2 and y = t1 - t2 (see the module docstring), as the value
+    s_(g-1) of the recurrences from the seed traces, and re-expanded at
+    weight 2g - 2.  Raises ReductionError when an operator breaks an
+    assumption of the fold or the genus-0 quotient does not divide.
     """
     if g < 0:
         raise ValueError("genus must be nonnegative")
-    if g >= 1:
-        total = PhiElem.zero()
-        for j, coeff in zip((2, 1, 0), _g_power_coeffs(g - 1)):
-            if coeff.is_zero:
-                continue
-            total = total + coeff * _level_trace(k1, k2, j)
-        return total
-    adj, _, _, det = _g_invariants()
-    numerator = mat_trace_mul(adj, _level_word(k1, k2))
-    return laurent_divexact(numerator, det)
+    return _unfold(_trace(g - 1, k1, k2), 2 * g - 2)
 
 
 # -- cobordism words -------------------------------------------------------------

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from threading import Lock
 
 from .exactring import TRat
 from .phicalc import PhiElem, to_useries, useries_coeff
@@ -30,7 +29,6 @@ class SpaceParams:
 
 
 _memo: dict[tuple[int, int, int], PhiElem] = {}
-_memo_lock = Lock()
 
 
 def compute_Z(p: SpaceParams) -> PhiElem:
@@ -39,9 +37,7 @@ def compute_Z(p: SpaceParams) -> PhiElem:
     hit = _memo.get(key)
     if hit is not None:
         return hit
-    z = trace_formula(p.g, p.k1, p.k2)
-    with _memo_lock:
-        _memo[key] = z
+    z = _memo[key] = trace_formula(p.g, p.k1, p.k2)
     return z
 
 
@@ -108,21 +104,25 @@ def cache_path() -> str | None:
 
 
 def load_cache(path: str | None = None) -> int:
-    """Preload the memo table from a plain JSON file; returns entries read."""
+    """Preload the memo table from a plain JSON file; returns entries read.
+
+    Every entry is parsed before any reaches the memo, so a file that fails
+    anywhere raises and leaves the memo as it was.
+    """
     path = path or cache_path()
     if not path or not os.path.exists(path):
         return 0
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    count = 0
+    loaded: dict[tuple[int, int, int], PhiElem] = {}
     try:
         for item in data.get("entries", []):
             key = (int(item["g"]), int(item["k1"]), int(item["k2"]))
-            _memo[key] = PhiElem.from_json_terms(item["terms"])
-            count += 1
+            loaded[key] = PhiElem.from_json_terms(item["terms"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed cache file {path}: {exc!r}") from None
-    return count
+    _memo.update(loaded)
+    return len(loaded)
 
 
 def save_cache(path: str | None = None) -> int:

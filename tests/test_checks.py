@@ -1,6 +1,7 @@
 """The verification suites themselves: every default check must pass, and
 failing inputs must produce counterexamples rather than exceptions."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from gwtqft.checks import (
     verify_semisimplicity,
     verify_special_cases,
 )
-from gwtqft.exactring import TPoly, TRat
+from gwtqft.exactring import TPoly, TRat, parse_poly
 from gwtqft.gluing import trace_formula
 from gwtqft.operators import build_operator
 from gwtqft.phicalc import PhiElem
@@ -64,6 +65,27 @@ class TestGluingDerivations:
         rep = CheckReport("gluing_derivations", "unit")
         checks._operator_identities(rep)
         assert any(f.startswith("G row 0 denominator") for f in rep.failures), rep.failures
+
+    @pytest.mark.parametrize("extra, label", [
+        ("t0*t1", "(d0 + d1 + d2) num"),  # weight 2, but not translation invariant
+        ("t0 - t2", "t-degrees"),  # translation invariant, but of weight 1
+    ])
+    def test_fold_assumption_break_recorded(self, monkeypatch, extra, label):
+        g = build_operator("G")
+        bad = g[1][1] + PhiElem.const(parse_poly(extra))
+        doctored = (g[0], (g[1][0], bad, g[1][2]), g[2])
+        monkeypatch.setattr(
+            checks, "build_operator", lambda name: doctored if name == "G" else build_operator(name)
+        )
+        rep = CheckReport("gluing_derivations", "unit")
+        checks._operator_identities(rep)
+        assert any(f.startswith(f"G[1][1] phi^0 {label}") for f in rep.failures), rep.failures
+
+    def test_case_count(self):
+        # 120 generator and operator cases and one closed word; the fold
+        # invariants add 2 cases per coefficient of G, U1, U2, U1inv and
+        # U2inv (50 of them) and the two determinants, 121 -> 223
+        assert verify_gluing_derivations(word_g_max=0, word_k_max=0).cases == 223
 
 
 class TestSemisimplicity:
@@ -148,8 +170,14 @@ class TestRunner:
         assert [r.check_id for r in reports] == ["semisimplicity"]
         assert all(r.passed for r in reports)
 
-    def test_parallel_matches_serial(self):
-        serial = run_checks("numeric", seed=5, trials=4)
-        parallel = run_checks("numeric", seed=5, trials=4, jobs=2)
-        assert [r.passed for r in serial] == [r.passed for r in parallel]
-        assert [r.cases for r in serial] == [r.cases for r in parallel]
+    def test_parallel_matches_serial(self, capsys):
+        # verify --jobs is still accepted, and ignored: the suites run serially
+        from gwtqft.cli import main
+
+        runs = []
+        for extra in ([], ["--jobs", "2"]):
+            argv = ["verify", "--suite", "numeric", "--seed", "5", "--trials", "4", "--format", "json"]
+            assert main(argv + extra) == 0
+            docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+            runs.append([(d["check_id"], d["passed"], d["cases"]) for d in docs])
+        assert runs[0] == runs[1] == [("numeric_crosscheck", True, 4)]

@@ -192,12 +192,13 @@ class TestExitCodes:
         assert "internal consistency" in capsys.readouterr().err
 
     def test_failed_check_is_exit_1(self, capsys, monkeypatch):
-        from gwtqft import cli
+        from gwtqft import checks, cli
         from gwtqft.checks import CheckReport
 
         bad = CheckReport("demo", "unit")
         bad.check("p", 1, 2)
-        monkeypatch.setattr(cli, "run_checks", lambda **kw: [bad])
+        # cli imports the suites only inside verify, from the checks module
+        monkeypatch.setattr(checks, "run_checks", lambda **kw: [bad])
         code = cli.main(["verify", "--suite", "cy"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
@@ -263,6 +264,35 @@ class TestCachePersistence:
         assert "error:" in proc.stderr
         assert "zcache.json" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestClosedStdout:
+    def test_closed_stdout_is_exit_141(self):
+        # the read end is closed before the program writes, so every write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gwtqft.__file__)))
+        env.pop("GWTQFT_CACHE_DIR", None)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gwtqft.cli", "word", "trace(G^2 * U1)"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert "Traceback" not in proc.stderr
+
+
+class TestStartup:
+    def test_compute_does_not_import_checks(self):
+        code = ("import sys, gwtqft.cli; gwtqft.cli.main(['compute', '-g', '1']); "
+                "print('gwtqft.checks' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gwtqft.__file__)))
+        env.pop("GWTQFT_CACHE_DIR", None)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.stdout.split() == ["3", "False"]
 
 
 class TestLatex:

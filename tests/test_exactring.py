@@ -10,7 +10,6 @@ from gwtqft.exactring import (
     ReductionError,
     TPoly,
     TRat,
-    is_linear_form_product,
     parse_poly,
     parse_rat,
 )
@@ -278,8 +277,11 @@ def test_field_axioms(p, q, r):
     assert (a + b) + c == a + (b + c)
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
-    if is_linear_form_product(a.num):
-        assert a * a.reciprocal() == TRat.const(1)
+    try:
+        inv = a.reciprocal()
+    except (ZeroDivisionError, ReductionError):  # a = 0, or a.num is no form product
+        return
+    assert a * inv == TRat.const(1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -300,13 +302,6 @@ def test_evaluation_is_ring_homomorphism(p, q):
     point = (Fraction(1, 3), Fraction(-2), Fraction(5, 2))
     assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
     assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
-
-
-def test_linear_form_product_detection():
-    assert is_linear_form_product((t0 - t1) ** 2 * (t1 - t2))
-    assert is_linear_form_product(TPoly.const(3))
-    assert not is_linear_form_product(t0 + t1)
-    assert not is_linear_form_product(TPoly.zero())
 
 
 def test_linear_forms_are_the_three_differences():

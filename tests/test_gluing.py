@@ -2,8 +2,6 @@
 and cobordism-word evaluation."""
 
 import random
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import pytest
@@ -22,10 +20,9 @@ from gwtqft.operators import (
     weight,
 )
 from gwtqft.phicalc import laurent_divexact
-from gwtqft import gluing
+from gwtqft import cli, gluing, partition
 from gwtqft.gluing import (
     CobordismWord,
-    _g_invariants,
     closed_surface_word,
     contract,
     contract_refined,
@@ -39,7 +36,6 @@ from gwtqft.gluing import (
     mat_scale,
     mat_trace,
     mat_trace_mul,
-    op_power,
     parse_word,
     raise_index,
     refined_scalar,
@@ -188,9 +184,9 @@ class TestMatPower:
         with pytest.raises((ZeroDivisionError, ReductionError)):
             mat_power(b, -1)
 
-    def test_op_power_large_exponent_without_recursion(self):
+    def test_mat_power_large_exponent_without_recursion(self):
         zero = tuple(tuple(PhiElem.zero() for _ in LABELS) for _ in LABELS)
-        assert mat_eq(op_power("M1", 3000), zero)  # M1^3 = 0
+        assert mat_eq(mat_power(build_operator("M1"), 3000), zero)  # M1^3 = 0
 
 
 class TestTraceFormula:
@@ -226,53 +222,88 @@ class TestTraceFormula:
         assert all(type(c) is int for c in coeffs), {type(c) for c in coeffs}
 
 
-LEVELS = [(0, 0), (2, -1), (-1, 2), (1, 1), (-2, -1)]
+# the engine's seed window is |k| <= 1; |k| = 2, 3 run its level recurrences
+LEVELS = list(product(range(-3, 4), repeat=2))
 
 
-def _level_matrix(k1, k2):
-    return mat_mul(
-        mat_power(build_operator("U1"), k1), mat_power(build_operator("U2"), k2)
-    )
+@pytest.fixture(scope="module")
+def level_words():
+    """U1^k1 U2^k2 by matrix powers, for every level in LEVELS."""
+    u1 = {k: mat_power(build_operator("U1"), k) for k in range(-3, 4)}
+    u2 = {k: mat_power(build_operator("U2"), k) for k in range(-3, 4)}
+    return {(k1, k2): mat_mul(u1[k1], u2[k2]) for k1, k2 in LEVELS}
+
+
+def _clear_engine_caches():
+    trace_formula.cache_clear()
+    gluing._memo.clear()
+    gluing._char_poly.cache_clear()
+    partition._memo.clear()
 
 
 class TestCayleyHamilton:
+    """trace_formula against the matrix-power traces it replaced."""
+
     def test_characteristic_polynomial(self):
         gmat = build_operator("G")
         c1, c2, c3 = mat_trace(gmat), mat_trace(mat_adjugate(gmat)), mat_det(gmat)
-        assert _g_invariants()[1:] == (c1, c2, c3)
+        folded = gluing._char_poly("G", 2)
+        assert tuple(map(gluing._unfold, folded, (2, 4, 6))) == (c1, c2, c3)
         rhs = mat_add(
             mat_add(mat_scale(mat_power(gmat, 2), c1), mat_scale(gmat, -c2)),
             mat_scale(mat_identity(), c3),
         )
         assert mat_eq(mat_power(gmat, 3), rhs)
 
-    def test_trace_formula_matches_matrix_power(self):
-        gpowers = [mat_power(build_operator("G"), n) for n in range(7)]
-        for k1, k2 in LEVELS:
-            w = _level_matrix(k1, k2)
+    def test_trace_formula_matches_matrix_power(self, level_words):
+        gpowers = [mat_identity()]
+        for _ in range(6):
+            gpowers.append(mat_mul(gpowers[-1], build_operator("G")))
+        for (k1, k2), w in level_words.items():
             for g in range(1, 8):
-                want = mat_trace(mat_mul(gpowers[g - 1], w))
+                want = mat_trace_mul(gpowers[g - 1], w)
                 assert trace_formula(g, k1, k2) == want, (g, k1, k2)
 
-    def test_power_coeffs_extend_safely_from_threads(self, monkeypatch):
-        # verify --jobs runs suites in threads that extend the shared list together
-        serial = [gluing._g_power_coeffs(n) for n in range(12)]
-        monkeypatch.setattr(gluing, "_G_POWER_COEFFS", gluing._G_POWER_COEFFS[:3])
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                list(pool.map(gluing._g_power_coeffs, [11] * 8))
-        finally:
-            sys.setswitchinterval(interval)
-        assert gluing._G_POWER_COEFFS == serial
-
-    def test_genus_zero_matches_adjugate_quotient(self):
+    def test_genus_zero_matches_adjugate_quotient(self, level_words):
         gmat = build_operator("G")
-        for k1, k2 in LEVELS:
-            w = _level_matrix(k1, k2)
-            want = laurent_divexact(mat_trace_mul(mat_adjugate(gmat), w), mat_det(gmat))
+        adj, det = mat_adjugate(gmat), mat_det(gmat)
+        for (k1, k2), w in level_words.items():
+            want = laurent_divexact(mat_trace_mul(adj, w), det)
             assert trace_formula(0, k1, k2) == want, (k1, k2)
+
+    def test_high_genus_mixed_level(self, level_words):
+        g4 = mat_power(build_operator("G"), 4)
+        g8 = mat_mul(g4, g4)
+        g11 = mat_mul(g8, mat_power(build_operator("G"), 3))
+        w = level_words[2, -1]
+        assert trace_formula(12, 2, -1) == mat_trace_mul(g11, w)
+        assert trace_formula(20, 2, -1) == mat_trace_mul(g11, mat_mul(g8, w))
+
+
+class TestFold:
+    def test_unfold_is_a_taylor_shift(self):
+        # x y^2 at weight 4 is (t0 - t2)(t1 - t2)^2 phi
+        got = gluing._unfold({(1, 2): 1}, 4)
+        assert got == PhiElem.term((t0 - t2) * (t1 - t2) ** 2, 1)
+        assert gluing._fold(got, 4, "x y^2") == {(1, 2): 1}
+
+    def test_operator_breaking_translation_invariance_is_exit_3(self, monkeypatch, capsys):
+        # t0 t1 has weight 2 like G but changes under t -> t + c
+        gmat = build_operator("G")
+        bad = gmat[0][0] + PhiElem.const(t0 * t1)
+        doctored = ((bad,) + gmat[0][1:],) + gmat[1:]
+        monkeypatch.setattr(
+            gluing, "build_operator", lambda name: doctored if name == "G" else build_operator(name)
+        )
+        _clear_engine_caches()
+        try:
+            with pytest.raises(ReductionError):
+                trace_formula(2, 0, 0)
+            assert cli.main(["compute", "-g", "2"]) == 3
+            assert "internal consistency error" in capsys.readouterr().err
+        finally:
+            monkeypatch.undo()
+            _clear_engine_caches()
 
 
 class TestCommutation:

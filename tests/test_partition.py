@@ -1,6 +1,7 @@
 """Partition-function API: class components, support, genus tables,
 grading properties."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -165,13 +166,14 @@ class TestGradingProperties:
 
     def test_trace_factor_reordering(self):
         # the commuting factors may be multiplied in any order
-        from gwtqft.gluing import mat_mul, mat_trace, op_power
+        from gwtqft.gluing import mat_mul, mat_power, mat_trace
+        from gwtqft.operators import build_operator
 
         for (g, k1, k2) in [(2, 1, 1), (3, 2, -1), (1, -2, 2)]:
             z = compute_Z(SpaceParams(g, k1, k2))
-            u1 = op_power("U1" if k1 >= 0 else "U1inv", abs(k1))
-            u2 = op_power("U2" if k2 >= 0 else "U2inv", abs(k2))
-            gp = op_power("G", g - 1)
+            u1 = mat_power(build_operator("U1" if k1 >= 0 else "U1inv"), abs(k1))
+            u2 = mat_power(build_operator("U2" if k2 >= 0 else "U2inv"), abs(k2))
+            gp = mat_power(build_operator("G"), g - 1)
             for order in ((u1, gp, u2), (u2, u1, gp), (gp, u2, u1)):
                 m = mat_mul(mat_mul(order[0], order[1]), order[2])
                 assert mat_trace(m) == z
@@ -188,3 +190,14 @@ class TestDiskCache:
         partition._memo.clear()
         assert load_cache(path) > 0
         assert compute_Z(p) == z
+
+    def test_malformed_entry_leaves_memo_unchanged(self, tmp_path):
+        from gwtqft import partition
+
+        good = {"g": 3, "k1": 0, "k2": 0, "terms": [{"phi_exp": 0, "num": "5", "den": "1"}]}
+        path = tmp_path / "zcache.json"
+        path.write_text(json.dumps({"entries": [good, {"g": 2}]}))
+        before = dict(partition._memo)
+        with pytest.raises(ValueError):
+            load_cache(str(path))
+        assert partition._memo == before
