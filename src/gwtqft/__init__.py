@@ -18,7 +18,6 @@ from .gluing import (
     evaluate_word,
     mat_power,
     parse_word,
-    raise_index,
     self_glue,
     trace_formula,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "evaluate_word",
     "mat_power",
     "parse_word",
-    "raise_index",
     "self_glue",
     "trace_formula",
     "SpaceParams",

@@ -226,8 +226,9 @@ def verify_gluing_derivations(word_g_max: int = 3, word_k_max: int = 2) -> Check
     Covers: caps glued to pants give the level tubes; opposite-level tubes
     compose to the identity tube; tubes capped off give the level caps; the
     displayed Frobenius relation; the two-pants assembly of the genus-adding
-    matrix pieces; the operator-algebra identities; and agreement of every
-    closed-surface word with the trace formula on the swept grid.
+    matrix pieces, pair by pair and in one pass; the operator-algebra
+    identities; and agreement of every closed-surface word with the trace
+    formula on the swept grid.
     """
     t0 = time.monotonic()
     rep = CheckReport(
@@ -265,6 +266,8 @@ def verify_gluing_derivations(word_g_max: int = 3, word_k_max: int = 2) -> Check
     lowered_b = matrix_to_tensor(build_operator("B")).lower_slot(0)
     rep.check("two-pants handle, section class", lowered_a, handle.piece(0))
     rep.check("two-pants handle, fiber class", lowered_b, handle.piece(1))
+    # the same handle glued along both fibers in one contraction pass
+    rep.check("two-pants handle, one pass", handle, contract_refined(pants, (2, 1), pants, (0, 1)))
 
     # raised tubes agree with the hand-encoded matrices
     for name, level in (("U1", (1, 0)), ("U2", (0, 1)), ("U1inv", (-1, 0)), ("U2inv", (0, -1))):

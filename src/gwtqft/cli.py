@@ -3,9 +3,10 @@ components, tabulate fixed-genus invariants, evaluate cobordism words, and
 run the verification suites, with JSON / LaTeX / plain-text output.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error, 3 internal
-consistency error (a quotient the theory guarantees failed to reduce, or a
-denominator outside the products of ti - tj), 141 (128 + SIGPIPE) when the
-reader of stdout went away before the output was written.
+error (a quotient the theory guarantees failed to reduce, a denominator
+outside the products of ti - tj, or the interpreter ran out of recursion
+depth or memory), 141 (128 + SIGPIPE) when the reader of stdout went away
+before the output was written.
 """
 
 from __future__ import annotations
@@ -328,6 +329,10 @@ def main(argv=None) -> int:
         return EXIT_BROKEN_PIPE
     except ReductionError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except (RecursionError, MemoryError) as exc:
+        detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"internal error: {detail}", file=sys.stderr)
         return EXIT_INTERNAL
     except PrecisionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,11 @@
-"""The TQFT composition engine: index raising, contraction, self-gluing,
-class-refined convolution, 3x3 matrix algebra, the closed-surface trace
-formula, and evaluation of cobordism words.
+"""The TQFT composition engine: contraction, self-gluing, class-refined
+convolution, 3x3 matrix algebra, the closed-surface trace formula, and
+evaluation of cobordism words.
 
 Gluing two relative slots sums over the fixed-point basis with one slot
 raised; the fiber class of a composite is the convolution of the factors'
-classes.
+classes.  Every slot pair between the same two tensors is glued in one
+pass over flat entry offsets.
 
 The partition function of the closed genus-g, level-(k1, k2) space is
 Z = tr(G^(g-1) U1^k1 U2^k2), computed without forming a matrix power.  G, U1
@@ -54,52 +55,89 @@ from .operators import (
 # -- index calculus ----------------------------------------------------------
 
 
-def raise_index(t: RelTensor, slot: int) -> RelTensor:
-    """Divide a lowered slot's entries by T(x_a); see RelTensor.raise_slot."""
-    return t.raise_slot(slot)
+def _slots(rank: int, slot) -> tuple[int, ...]:
+    """One slot or a tuple of slots, checked against the rank."""
+    slots = (slot,) if isinstance(slot, int) else tuple(slot)
+    for s in slots:
+        if not 0 <= s < rank:
+            raise ValueError(f"slot {s} out of range for rank {rank}")
+    if len(set(slots)) != len(slots):
+        raise ValueError(f"slots {slots} name one slot twice")
+    return slots
 
 
-def lower_index(t: RelTensor, slot: int) -> RelTensor:
-    return t.lower_slot(slot)
+def _offsets(rank: int, glued: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Flat offsets into a row-major rank-r entry array: one per label tuple
+    of the free slots (glued labels 0) and one per label tuple of the glued
+    slots (free labels 0), each in row-major order.  An entry's index is the
+    sum of its two offsets."""
+    free = [s for s in range(rank) if s not in glued]
+
+    def table(slots):
+        strides = [3 ** (rank - 1 - s) for s in slots]
+        return [
+            sum(a * st for a, st in zip(labels, strides))
+            for labels in product(LABELS, repeat=len(slots))
+        ]
+
+    return table(free), table(glued)
 
 
-def _opposed(a: RelTensor, sa: int, b: RelTensor, sb: int) -> RelTensor:
-    # flip b's slot so the contracted pair has opposite variance
-    if a.variance[sa] == b.variance[sb]:
-        return b.raise_slot(sb) if not b.variance[sb] else b.lower_slot(sb)
+def _opposed(variance_a, slots_a, b: RelTensor, slots_b) -> RelTensor:
+    # flip b's glued slots so that every contracted pair has opposite variance
+    for sa, sb in zip(slots_a, slots_b):
+        if variance_a[sa] == b.variance[sb]:
+            b = b.lower_slot(sb) if b.variance[sb] else b.raise_slot(sb)
     return b
 
 
-def contract(a: RelTensor, slot_a: int, b: RelTensor, slot_b: int) -> RelTensor:
+class _Glue:
+    """The contraction of slots_a of a rank-ra tensor with slots_b of a
+    rank-rb tensor, pair by pair, as flat offsets shared by every pair of
+    tensors of those ranks."""
+
+    def __init__(self, variance_a, slot_a, variance_b, slot_b):
+        self.slots_a = _slots(len(variance_a), slot_a)
+        self.slots_b = _slots(len(variance_b), slot_b)
+        if len(self.slots_a) != len(self.slots_b):
+            raise ValueError("slot lists to glue differ in length")
+        self.free_a, glue_a = _offsets(len(variance_a), self.slots_a)
+        self.free_b, glue_b = _offsets(len(variance_b), self.slots_b)
+        self.glue = list(zip(glue_a, glue_b))
+        self.variance = [v for s, v in enumerate(variance_a) if s not in self.slots_a] + [
+            v for s, v in enumerate(variance_b) if s not in self.slots_b
+        ]
+
+    def entries(self, a: RelTensor, b: RelTensor) -> list[PhiElem]:
+        """Result entries for a and an already opposed b; zero entries of
+        either factor are skipped."""
+        ea, eb = a.entries, b.entries
+        out = []
+        for fa in self.free_a:
+            row = [(x, gb) for ga, gb in self.glue if (x := ea[fa + ga])]
+            for fb in self.free_b:
+                total = PhiElem.zero()
+                for x, gb in row:
+                    y = eb[fb + gb]
+                    if y:
+                        total = total + x * y
+                out.append(total)
+        return out
+
+
+def contract(a: RelTensor, slot_a, b: RelTensor, slot_b) -> RelTensor:
     """Glue slot_a of a to slot_b of b, summing over the basis.
 
-    The second slot is raised (or lowered) automatically so the pair has
-    opposite variance.  Result slots: a's remaining slots then b's.
+    slot_a and slot_b are single slots, or equal-length tuples of slots that
+    are glued pairwise (slot_a[i] to slot_b[i]) in one pass: every pair that
+    joins the same two tensors costs one sum over the glued labels, with no
+    intermediate tensor.  Each of b's glued slots is raised (or lowered)
+    once, so every pair has opposite variance, and zero entries are skipped.
+    Result slots: a's remaining slots then b's.
     """
-    if not 0 <= slot_a < a.rank:
-        raise ValueError(f"slot {slot_a} out of range for rank {a.rank}")
-    if not 0 <= slot_b < b.rank:
-        raise ValueError(f"slot {slot_b} out of range for rank {b.rank}")
-    b = _opposed(a, slot_a, b, slot_b)
-    ra = [s for s in range(a.rank) if s != slot_a]
-    rb = [s for s in range(b.rank) if s != slot_b]
-    variance = [a.variance[s] for s in ra] + [b.variance[s] for s in rb]
-    entries = []
-    for labels in product(LABELS, repeat=len(variance)):
-        la, lb = labels[: len(ra)], labels[len(ra):]
-        total = PhiElem.zero()
-        for lam in LABELS:
-            ia = [0] * a.rank
-            for s, v in zip(ra, la):
-                ia[s] = v
-            ia[slot_a] = lam
-            ib = [0] * b.rank
-            for s, v in zip(rb, lb):
-                ib[s] = v
-            ib[slot_b] = lam
-            total = total + a.entry(*ia) * b.entry(*ib)
-        entries.append(total)
-    return RelTensor(variance, entries)
+    glue = _Glue(a.variance, slot_a, b.variance, slot_b)
+    b = _opposed(a.variance, glue.slots_a, b, glue.slots_b)
+    return RelTensor(glue.variance, glue.entries(a, b))
 
 
 def self_glue(t: RelTensor, slot1: int, slot2: int) -> RelTensor:
@@ -110,33 +148,31 @@ def self_glue(t: RelTensor, slot1: int, slot2: int) -> RelTensor:
         raise ValueError("slot out of range")
     if t.variance[slot1] == t.variance[slot2]:
         t = t.raise_slot(slot2) if not t.variance[slot2] else t.lower_slot(slot2)
-    rest = [s for s in range(t.rank) if s not in (slot1, slot2)]
-    variance = [t.variance[s] for s in rest]
-    entries = []
-    for labels in product(LABELS, repeat=len(rest)):
-        total = PhiElem.zero()
-        for lam in LABELS:
-            ix = [0] * t.rank
-            for s, v in zip(rest, labels):
-                ix[s] = v
-            ix[slot1] = lam
-            ix[slot2] = lam
-            total = total + t.entry(*ix)
-        entries.append(total)
+    free, _ = _offsets(t.rank, (slot1, slot2))
+    step = 3 ** (t.rank - 1 - slot1) + 3 ** (t.rank - 1 - slot2)
+    variance = [v for s, v in enumerate(t.variance) if s not in (slot1, slot2)]
+    entries = [sum((t.entries[f + lam * step] for lam in LABELS), PhiElem.zero()) for f in free]
     return RelTensor(variance, entries)
 
 
-def contract_refined(
-    a: ClassRefined, slot_a: int, b: ClassRefined, slot_b: int
-) -> ClassRefined:
-    """Class-refined gluing: piece n is the convolution over n = n' + n''."""
-    pieces: dict[int, RelTensor] = {}
+def contract_refined(a: ClassRefined, slot_a, b: ClassRefined, slot_b) -> ClassRefined:
+    """Class-refined gluing: piece n is the convolution over n = n' + n''.
+
+    Slots as in contract; each piece of b is raised once per call, not once
+    per pair of pieces."""
+    if not a.pieces or not b.pieces:
+        return ClassRefined({})
+    glue = _Glue(a.variance, slot_a, b.variance, slot_b)
+    opposed = [
+        (nb, _opposed(a.variance, glue.slots_a, tb, glue.slots_b)) for nb, tb in b.pieces.items()
+    ]
+    acc: dict[int, list[PhiElem]] = {}
     for na, ta in a.pieces.items():
-        for nb, tb in b.pieces.items():
-            term = contract(ta, slot_a, tb, slot_b)
-            n = na + nb
-            pieces[n] = pieces[n] + term if n in pieces else term
-    return ClassRefined(pieces)
+        for nb, tb in opposed:
+            entries = glue.entries(ta, tb)
+            prev = acc.get(na + nb)
+            acc[na + nb] = entries if prev is None else [x + y for x, y in zip(prev, entries)]
+    return ClassRefined({n: RelTensor(glue.variance, e) for n, e in acc.items()})
 
 
 def self_glue_refined(a: ClassRefined, slot1: int, slot2: int) -> ClassRefined:
@@ -485,6 +521,12 @@ def evaluate_word(w: CobordismWord, refined: bool | None = None):
     Returns a ClassRefined when every generator is a cap/tube/pants (or when
     refined=True); with operator generators the evaluation is class-summed
     and returns a RelTensor.  A fully glued word yields a rank-0 result.
+
+    The pattern is glued in order, but a pair that joins two components also
+    takes every later pair between the same two components, so a handle or
+    the closing of a chain is one contraction pass (see contract).  The
+    result is the same tensor, slots in the same order, as gluing pair by
+    pair: a's remaining slots then b's at every join.
     """
     if not w.generators:
         raise ValueError("empty word")
@@ -500,40 +542,56 @@ def evaluate_word(w: CobordismWord, refined: bool | None = None):
         cr = _build_refined(gen)
         return cr if refined else cr.total()
 
-    # each component: (value, [slot ids]) where a slot id is (gen index, slot)
-    comps: list[tuple[object, list[tuple[int, int]]]] = []
-    for i, gen in enumerate(w.generators):
-        comps.append((value_of(gen), [(i, s) for s in range(_gen_rank(gen))]))
+    # the pattern is checked in order first, so the first unknown or reused
+    # slot is the one reported by gluing pair by pair
+    free = {(i, s) for i, gen in enumerate(w.generators) for s in range(_gen_rank(gen))}
+    partner: dict[tuple[int, int], tuple[int, int]] = {}
+    for ra, rb in w.pattern:
+        for ref in (ra, rb):
+            if ref not in free:
+                raise ValueError(f"slot {ref} is unknown or already glued")
+        if ra == rb:
+            raise ValueError("cannot glue a slot to itself")
+        free -= {ra, rb}
+        partner[ra], partner[rb] = rb, ra
 
-    def locate(ref: tuple[int, int]) -> tuple[int, int]:
-        for ci, (_, slots) in enumerate(comps):
-            if ref in slots:
-                return ci, slots.index(ref)
-        raise ValueError(f"slot {ref} is unknown or already glued")
-
-    for (ra, rb) in w.pattern:
-        ca, sa = locate(ra)
-        cb, sb = locate(rb)
+    # component id -> (value, [slot ids]), a slot id being (gen index, slot);
+    # owner maps every slot not yet glued to its component
+    comps = {
+        i: (value_of(gen), [(i, s) for s in range(_gen_rank(gen))])
+        for i, gen in enumerate(w.generators)
+    }
+    owner = {ref: i for i, (_, slots) in comps.items() for ref in slots}
+    for ra, rb in w.pattern:
+        if ra not in owner:
+            continue  # glued together with an earlier pair
+        ca, cb = owner[ra], owner[rb]
+        va, slots_a = comps[ca]
         if ca == cb:
-            val, slots = comps[ca]
             fn = self_glue_refined if refined else self_glue
-            new_val = fn(val, sa, sb)
-            new_slots = [s for k, s in enumerate(slots) if k not in (sa, sb)]
-            comps[ca] = (new_val, new_slots)
+            glued = {ra, rb}
+            new_val = fn(va, slots_a.index(ra), slots_a.index(rb))
+            new_slots = [s for s in slots_a if s not in glued]
         else:
-            va, slots_a = comps[ca]
-            vb, slots_b = comps[cb]
-            fn = contract_refined if refined else contract
-            new_val = fn(va, sa, vb, sb)
-            new_slots = [s for k, s in enumerate(slots_a) if k != sa] + [
-                s for k, s in enumerate(slots_b) if k != sb
+            vb, slots_b = comps.pop(cb)
+            pairs = [
+                (ka, slots_b.index(partner[r]))
+                for ka, r in enumerate(slots_a)
+                if owner.get(partner.get(r)) == cb
             ]
-            comps[ca] = (new_val, new_slots)
-            del comps[cb]
+            glued = {slots_a[ka] for ka, _ in pairs} | {slots_b[kb] for _, kb in pairs}
+            fn = contract_refined if refined else contract
+            new_val = fn(va, tuple(ka for ka, _ in pairs), vb, tuple(kb for _, kb in pairs))
+            new_slots = [s for s in slots_a + slots_b if s not in glued]
+        for ref in glued:
+            del owner[ref]
+        for ref in new_slots:
+            owner[ref] = ca
+        comps[ca] = (new_val, new_slots)
 
     if len(comps) != 1:
         raise ValueError("word does not describe a connected cobordism")
-    return comps[0][0]
+    return next(iter(comps.values()))[0]
 
 
 def refined_scalar(cr: ClassRefined) -> PhiElem:

@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 
 from .exactring import TRat
-from .phicalc import PhiElem, to_useries, useries_coeff
+from .phicalc import PhiElem, to_useries
 from .gluing import trace_formula
 
 
@@ -87,7 +87,7 @@ def genus_expansion(p: SpaceParams, n: int, h_max: int, order: int | None = None
         order = max(needed, 0)
     comp = class_component(p, n)
     series = to_useries(comp, order)
-    return [(h, useries_coeff(series, 2 * h - 2 + d)) for h in range(h_max + 1)]
+    return [(h, series.coeff(2 * h - 2 + d)) for h in range(h_max + 1)]
 
 
 # -- optional on-disk memo table ---------------------------------------------

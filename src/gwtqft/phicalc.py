@@ -449,11 +449,6 @@ def to_useries(e: PhiElem, order: int) -> USeries:
     return total
 
 
-def useries_coeff(s: USeries, k: int) -> TRat:
-    """Exact coefficient of u^k; PrecisionError past the horizon."""
-    return s.coeff(k)
-
-
 # -- exact division of phi-polynomials -------------------------------------------
 
 

@@ -82,10 +82,11 @@ class TestGluingDerivations:
         assert any(f.startswith(f"G[1][1] phi^0 {label}") for f in rep.failures), rep.failures
 
     def test_case_count(self):
-        # 120 generator and operator cases and one closed word; the fold
-        # invariants add 2 cases per coefficient of G, U1, U2, U1inv and
-        # U2inv (50 of them) and the two determinants, 121 -> 223
-        assert verify_gluing_derivations(word_g_max=0, word_k_max=0).cases == 223
+        # 121 generator and operator cases (the two-pants handle three
+        # times: section class, fiber class, one pass) and one closed word;
+        # the fold invariants add 2 cases per coefficient of G, U1, U2,
+        # U1inv and U2inv (50 of them) and the two determinants, 122 -> 224
+        assert verify_gluing_derivations(word_g_max=0, word_k_max=0).cases == 224
 
 
 class TestSemisimplicity:

@@ -191,6 +191,28 @@ class TestExitCodes:
         assert code == 3
         assert "internal consistency" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "error, line",
+        [
+            (RecursionError("maximum recursion depth exceeded"),
+             "internal error: RecursionError: maximum recursion depth exceeded\n"),
+            (MemoryError(), "internal error: MemoryError\n"),
+        ],
+    )
+    def test_interpreter_limit_is_exit_3(self, capsys, monkeypatch, error, line):
+        from gwtqft import cli
+
+        def boom(args):
+            raise error
+
+        # build_parser binds the command when main calls it
+        monkeypatch.setattr(cli, "cmd_compute", boom)
+        code = cli.main(["compute", "-g", "1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == line
+        assert "Traceback" not in err
+
     def test_failed_check_is_exit_1(self, capsys, monkeypatch):
         from gwtqft import checks, cli
         from gwtqft.checks import CheckReport

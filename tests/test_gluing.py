@@ -5,6 +5,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwtqft.exactring import TPoly, TRat
 from gwtqft.phicalc import PhiElem, ReductionError
@@ -27,7 +28,6 @@ from gwtqft.gluing import (
     contract,
     contract_refined,
     evaluate_word,
-    lower_index,
     mat_adjugate,
     mat_det,
     mat_eq,
@@ -37,9 +37,9 @@ from gwtqft.gluing import (
     mat_trace,
     mat_trace_mul,
     parse_word,
-    raise_index,
     refined_scalar,
     self_glue,
+    self_glue_refined,
     trace_formula,
 )
 
@@ -49,25 +49,25 @@ t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
 class TestRaiseIndex:
     def test_level_zero_tube_becomes_identity(self):
         tube = build_tube((0, 0)).piece(0)
-        raised = raise_index(tube, 1)
+        raised = tube.raise_slot(1)
         for a, b in product(LABELS, repeat=2):
             want = PhiElem.one() if a == b else PhiElem.zero()
             assert raised.entry(a, b) == want
 
     def test_raise_then_lower_is_identity(self):
         pants1 = build_pants().piece(1)
-        assert lower_index(raise_index(pants1, 2), 2) == pants1
+        assert pants1.raise_slot(2).lower_slot(2) == pants1
 
     def test_raised_pants_entry(self):
         pants1 = build_pants().piece(1)
-        raised = raise_index(pants1, 2)
+        raised = pants1.raise_slot(2)
         want = PhiElem.term(TRat.make(t0 - t1, weight(2)), 3)
         assert raised.entry(0, 0, 2) == want
 
     def test_double_raise_rejected(self):
-        raised = raise_index(build_tube((0, 0)).piece(0), 0)
+        raised = build_tube((0, 0)).piece(0).raise_slot(0)
         with pytest.raises(ValueError):
-            raise_index(raised, 0)
+            raised.raise_slot(0)
 
 
 class TestContract:
@@ -100,6 +100,63 @@ class TestContract:
         scalar = RelTensor((), [PhiElem.one()])
         with pytest.raises(ValueError):
             contract(scalar, 0, scalar, 0)
+
+
+# every cap, tube and pants generator, class-refined
+GENERATORS = (
+    [build_cap(lv) for lv in ((0, 0), (0, -1), (-1, 0), (0, 1), (1, 0))]
+    + [build_tube(lv) for lv in ((0, 0), (0, -1), (-1, 0), (0, 1), (1, 0))]
+    + [build_pants()]
+)
+
+
+def _glue_pair_by_pair(a, slots_a, b, slots_b, one, itself):
+    """Contract the first slot pair, then self-glue the rest one by one."""
+    out = one(a, slots_a[0], b, slots_b[0])
+    # the composite's slots: a's remaining then b's, named by (side, slot)
+    names = [("a", s) for s in range(a.rank) if s != slots_a[0]]
+    names += [("b", s) for s in range(b.rank) if s != slots_b[0]]
+    for sa, sb in zip(slots_a[1:], slots_b[1:]):
+        i, j = names.index(("a", sa)), names.index(("b", sb))
+        out = itself(out, i, j)
+        names = [n for n in names if n not in (("a", sa), ("b", sb))]
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(GENERATORS), st.sampled_from(GENERATORS), st.data())
+def test_one_pass_glue_matches_pair_by_pair(a, b, data):
+    # two or more pairs whenever both ranks allow it
+    m = data.draw(st.integers(min(2, a.rank, b.rank), min(a.rank, b.rank)))
+    slots_a = tuple(data.draw(st.permutations(range(a.rank)))[:m])
+    slots_b = tuple(data.draw(st.permutations(range(b.rank)))[:m])
+    want = _glue_pair_by_pair(a, slots_a, b, slots_b, contract_refined, self_glue_refined)
+    assert contract_refined(a, slots_a, b, slots_b) == want
+    ta, tb = a.total(), b.total()
+    want = _glue_pair_by_pair(ta, slots_a, tb, slots_b, contract, self_glue)
+    assert contract(ta, slots_a, tb, slots_b) == want
+
+
+class TestContractSlotTuples:
+    def test_handle_in_one_pass(self):
+        pants = build_pants()
+        handle = self_glue_refined(contract_refined(pants, 2, pants, 0), 1, 2)
+        assert contract_refined(pants, (2, 1), pants, (0, 1)) == handle
+
+    def test_slot_lists_must_match(self):
+        pants = build_pants().total()
+        with pytest.raises(ValueError, match="differ in length"):
+            contract(pants, (1, 2), pants, (0,))
+
+    def test_slot_named_twice_rejected(self):
+        pants = build_pants().total()
+        with pytest.raises(ValueError, match="twice"):
+            contract(pants, (1, 1), pants, (0, 2))
+
+    def test_slot_out_of_range(self):
+        tube = build_tube((0, 0)).total()
+        with pytest.raises(ValueError, match="out of range"):
+            contract(tube, (0, 2), tube, (0, 1))
 
 
 class TestContractRefined:
@@ -382,6 +439,43 @@ class TestWords:
         word = CobordismWord((("cap", (0, 0)), ("cap", (0, 0))), ())
         with pytest.raises(ValueError):
             evaluate_word(word)
+
+    @pytest.mark.parametrize(
+        "word, key",
+        [
+            (parse_word("trace(G^2 * U1^-1)"), (3, -1, 0)),
+            (closed_surface_word(8, 0, 0), (8, 0, 0)),
+        ],
+    )
+    def test_one_pass_words_match_trace_formula(self, word, key):
+        got = evaluate_word(word)
+        got = got.scalar() if isinstance(got, RelTensor) else refined_scalar(got)
+        assert got == trace_formula(*key)
+
+    def test_slot_reused_after_a_grouped_pair_is_reported(self):
+        # the third pair joins the same two tubes as the first, but the
+        # second pair has already glued its slot (1, 1) to the cap
+        word = CobordismWord(
+            (("tube", (0, 0)), ("tube", (0, 0)), ("cap", (0, 0))),
+            (((0, 1), (1, 0)), ((2, 0), (1, 1)), ((1, 1), (0, 0))),
+        )
+        with pytest.raises(ValueError, match=r"slot \(1, 1\) is unknown or already glued"):
+            evaluate_word(word)
+
+    def test_free_slot_order(self):
+        # the second pair joins two components and takes the third along;
+        # the free slots are the joining component's (1, 2), then U1's raised
+        # (2, 0), as when the third pair is self-glued afterwards
+        pants, u1 = build_pants().total(), gluing.matrix_to_tensor(build_operator("U1"))
+        word = CobordismWord(
+            (("pants",), ("pants",), ("op", "U1")),
+            (((2, 1), (0, 0)), ((1, 0), (0, 1)), ((0, 2), (1, 1))),
+        )
+        first = contract(u1, 1, pants, 0)  # (2, 0), (0, 1), (0, 2)
+        joined = contract(pants, 0, first, 1)  # (1, 1), (1, 2), (2, 0), (0, 2)
+        want = self_glue(joined, 3, 0)
+        assert want.variance == (False, True)
+        assert evaluate_word(word) == want
 
     def test_reused_slot_rejected(self):
         word = CobordismWord(

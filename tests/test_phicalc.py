@@ -14,7 +14,6 @@ from gwtqft.phicalc import (
     phi_expansion,
     phi_pow_series,
     to_useries,
-    useries_coeff,
 )
 
 t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
@@ -53,17 +52,17 @@ class TestPhiArith:
 class TestPhiExpansion:
     def test_leading_term(self):
         s = phi_expansion(1)
-        assert useries_coeff(s, 1) == TRat.const(1)
+        assert s.coeff(1) == TRat.const(1)
 
     def test_taylor_coefficients(self):
         s = phi_expansion(9)
         for k in range(1, 10):
-            assert useries_coeff(s, k) == TRat.const(sin_half_coeff(k))
+            assert s.coeff(k) == TRat.const(sin_half_coeff(k))
 
     def test_u3_and_u5(self):
         s = phi_expansion(5)
-        assert useries_coeff(s, 3) == TRat.const(Fraction(-1, 24))
-        assert useries_coeff(s, 5) == TRat.const(Fraction(1, 1920))
+        assert s.coeff(3) == TRat.const(Fraction(-1, 24))
+        assert s.coeff(5) == TRat.const(Fraction(1, 1920))
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -73,52 +72,52 @@ class TestPhiExpansion:
 class TestPhiPowSeries:
     def test_square(self):
         s = phi_pow_series(2, 8)
-        assert useries_coeff(s, 2) == TRat.const(1)
-        assert useries_coeff(s, 4) == TRat.const(Fraction(-1, 12))
-        assert useries_coeff(s, 6) == TRat.const(Fraction(1, 360))
+        assert s.coeff(2) == TRat.const(1)
+        assert s.coeff(4) == TRat.const(Fraction(-1, 12))
+        assert s.coeff(6) == TRat.const(Fraction(1, 360))
 
     def test_power_zero(self):
         s = phi_pow_series(0, 4)
-        assert useries_coeff(s, 0) == TRat.const(1)
-        assert all(useries_coeff(s, k).is_zero for k in range(1, 5))
+        assert s.coeff(0) == TRat.const(1)
+        assert all(s.coeff(k).is_zero for k in range(1, 5))
 
     def test_inverse_square(self):
         s = phi_pow_series(-2, 2)
-        assert useries_coeff(s, -2) == TRat.const(1)
-        assert useries_coeff(s, 0) == TRat.const(Fraction(1, 12))
-        assert useries_coeff(s, 2) == TRat.const(Fraction(1, 240))
+        assert s.coeff(-2) == TRat.const(1)
+        assert s.coeff(0) == TRat.const(Fraction(1, 12))
+        assert s.coeff(2) == TRat.const(Fraction(1, 240))
 
     def test_inverse_against_product_oracle(self):
         # phi^m * phi^-m = 1 up to truncation
         for m in (1, 2, 3, 5):
             prod = phi_pow_series(m, 8) * phi_pow_series(-m, 8)
-            assert useries_coeff(prod, 0) == TRat.const(1)
+            assert prod.coeff(0) == TRat.const(1)
             for k in range(1, prod.trunc + 1):
-                assert useries_coeff(prod, k).is_zero
+                assert prod.coeff(k).is_zero
 
     def test_parity(self):
         for m in (-3, -2, 1, 4):
             s = phi_pow_series(m, 9)
             for k in range(s.min_exp, s.trunc + 1):
                 if (k - m) % 2 == 1:
-                    assert useries_coeff(s, k).is_zero
+                    assert s.coeff(k).is_zero
 
 
 class TestToUseries:
     def test_constant(self):
         s = to_useries(PhiElem.const(3), 4)
-        assert useries_coeff(s, 0) == TRat.const(3)
-        assert useries_coeff(s, 2).is_zero
+        assert s.coeff(0) == TRat.const(3)
+        assert s.coeff(2).is_zero
 
     def test_nine_phi_square(self):
         s = to_useries(PhiElem.term(9, 2), 6)
-        assert useries_coeff(s, 2) == TRat.const(9)
-        assert useries_coeff(s, 4) == TRat.const(Fraction(-3, 4))
+        assert s.coeff(2) == TRat.const(9)
+        assert s.coeff(4) == TRat.const(Fraction(-3, 4))
 
     def test_inverse_square(self):
         s = to_useries(PhiElem.term(1, -2), 2)
-        assert useries_coeff(s, -2) == TRat.const(1)
-        assert useries_coeff(s, 0) == TRat.const(Fraction(1, 12))
+        assert s.coeff(-2) == TRat.const(1)
+        assert s.coeff(0) == TRat.const(Fraction(1, 12))
 
     def test_multiplicativity(self):
         a = PhiElem.term(1, -2) + PhiElem.const(t0 - t1)
@@ -135,16 +134,16 @@ class TestToUseries:
 class TestUseriesCoeff:
     def test_below_min_exp_is_zero(self):
         s = phi_pow_series(-2, 4)
-        assert useries_coeff(s, -3).is_zero
+        assert s.coeff(-3).is_zero
 
     def test_beyond_truncation_raises(self):
         s = phi_pow_series(2, 4)
         with pytest.raises(PrecisionError):
-            useries_coeff(s, 5)
+            s.coeff(5)
 
     def test_leading_scaling(self):
         s = to_useries(PhiElem.term(9, 2), 3)
-        assert useries_coeff(s, 2) == TRat.const(9)
+        assert s.coeff(2) == TRat.const(9)
 
     def test_print_format(self):
         s = phi_pow_series(-2, 3)
