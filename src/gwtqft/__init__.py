@@ -1,5 +1,9 @@
 """Exact TQFT trace calculus for section-class equivariant Gromov-Witten
-partition functions of P2-bundles P(O + L1 + L2) over genus-g curves."""
+partition functions of P2-bundles P(O + L1 + L2) over genus-g curves.
+
+The names in ``__all__`` load their submodule on first use (PEP 562), so a
+CLI process compiles only the modules its command runs.
+"""
 
 __version__ = "0.1.0"
 
@@ -7,58 +11,25 @@ __version__ = "0.1.0"
 #: them without importing the checks module
 SUITES = ("all", "cy", "appendixB", "gluing", "semisimple", "numeric")
 
-from .exactring import TPoly, TRat, parse_poly, parse_rat
-from .phicalc import PhiElem, USeries, phi_expansion, phi_pow_series, to_useries
-from .operators import build_cap, build_tube, build_pants, build_operator, weight
-from .gluing import (
-    CobordismWord,
-    closed_surface_word,
-    contract,
-    contract_refined,
-    evaluate_word,
-    mat_power,
-    parse_word,
-    self_glue,
-    trace_formula,
-)
-from .partition import (
-    SpaceParams,
-    class_component,
-    compute_Z,
-    genus_expansion,
-    support,
-    virtual_dim,
-)
+_EXPORTS = {
+    "exactring": "TPoly TRat parse_poly parse_rat",
+    "phicalc": "PhiElem USeries phi_expansion phi_pow_series to_useries",
+    "operators": "build_cap build_tube build_pants build_operator weight",
+    "gluing": "CobordismWord closed_surface_word contract contract_refined evaluate_word"
+    " mat_power parse_word self_glue trace_formula",
+    "partition": "SpaceParams compute_Z virtual_dim class_component support genus_expansion",
+}
+_SOURCE = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 
-__all__ = [
-    "TPoly",
-    "TRat",
-    "parse_poly",
-    "parse_rat",
-    "PhiElem",
-    "USeries",
-    "phi_expansion",
-    "phi_pow_series",
-    "to_useries",
-    "build_cap",
-    "build_tube",
-    "build_pants",
-    "build_operator",
-    "weight",
-    "CobordismWord",
-    "closed_surface_word",
-    "contract",
-    "contract_refined",
-    "evaluate_word",
-    "mat_power",
-    "parse_word",
-    "self_glue",
-    "trace_formula",
-    "SpaceParams",
-    "compute_Z",
-    "virtual_dim",
-    "class_component",
-    "support",
-    "genus_expansion",
-    "__version__",
-]
+__all__ = [*_SOURCE, "__version__"]
+
+
+def __getattr__(name):
+    mod = _SOURCE.get(name)
+    if mod is None:
+        # lets ``from gwtqft import checks`` fall through to the submodule import
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{mod}", __name__), name)
+    return value

@@ -2,11 +2,17 @@
 components, tabulate fixed-genus invariants, evaluate cobordism words, and
 run the verification suites, with JSON / LaTeX / plain-text output.
 
-Exit codes: 0 success, 1 failed verification, 2 usage error, 3 internal
-error (a quotient the theory guarantees failed to reduce, a denominator
-outside the products of ti - tj, or the interpreter ran out of recursion
-depth or memory), 141 (128 + SIGPIPE) when the reader of stdout went away
-before the output was written.
+Exit codes: 0 success, 1 failed verification, 2 usage error or a malformed
+or mis-graded cache file, 3 internal error (a quotient the theory
+guarantees failed to reduce, a denominator outside the products of
+ti - tj, or the interpreter ran out of recursion depth or memory), 141
+(128 + SIGPIPE) when the reader of stdout went away before the output was
+written.
+
+Each command imports only what it runs: a cache-hit ``compute`` loads no
+``gluing``, ``operators`` or ``checks``.  The disk cache is rewritten, via
+a temporary file, only when the command computed a new entry or the file
+held none.
 """
 
 from __future__ import annotations
@@ -15,14 +21,14 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from . import SUITES, __version__
 from .exactring import TPoly, TRat
 from .phicalc import PhiElem, PrecisionError, ReductionError
-from .operators import LABELS, ClassRefined, RelTensor
-from .gluing import evaluate_word, parse_word
 from .partition import (
     SpaceParams,
+    _memo,
     cache_path,
     class_component,
     compute_Z,
@@ -31,6 +37,9 @@ from .partition import (
     save_cache,
     virtual_dim,
 )
+
+if TYPE_CHECKING:
+    from .operators import RelTensor
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -120,6 +129,8 @@ def _emit_phi(e: PhiElem, fmt: str, meta: dict) -> str:
 def _tensor_lines(t: RelTensor) -> list[str]:
     from itertools import product as iproduct
 
+    from .operators import LABELS
+
     if t.rank == 0:
         return [str(t.scalar())]
     marks = ["^" if up else "_" for up in t.variance]
@@ -135,6 +146,8 @@ def _tensor_lines(t: RelTensor) -> list[str]:
 
 def _tensor_json(t: RelTensor) -> dict:
     from itertools import product as iproduct
+
+    from .operators import LABELS
 
     entries = []
     for labels in iproduct(LABELS, repeat=t.rank):
@@ -225,6 +238,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_word(args) -> int:
+    from .gluing import evaluate_word, parse_word, refined_scalar
+    from .operators import ClassRefined
+
     word = parse_word(args.text)
     result = evaluate_word(word)
     if isinstance(result, ClassRefined):
@@ -241,8 +257,6 @@ def cmd_word(args) -> int:
             if not result.pieces:
                 print("0")
             elif result.rank == 0:
-                from .gluing import refined_scalar
-
                 print(refined_scalar(result))
             else:
                 for n, t in sorted(result.pieces.items()):
@@ -318,8 +332,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     use_cache = cache_path() is not None and args.command in ("compute", "extract", "genus")
     try:
-        if use_cache:
-            load_cache()
+        # the cache is rewritten only if the command adds an entry or the file
+        # held none; other callers in this process share the memo, so compare sizes
+        known = len(_memo) if use_cache and load_cache() else -1
         code = args.fn(args)
         # a closed stdout shows here rather than in the flush at exit
         sys.stdout.flush()
@@ -340,7 +355,7 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if use_cache and code == EXIT_OK:
+    if use_cache and code == EXIT_OK and len(_memo) > known:
         save_cache()
     return code
 

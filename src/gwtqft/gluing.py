@@ -33,9 +33,9 @@ instead of giving a wrong Z.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from itertools import product
+from typing import NamedTuple
 from .exactring import ReductionError, TPoly, TRat
 from .phicalc import PhiElem, laurent_divexact
 from .operators import (
@@ -468,8 +468,7 @@ def trace_formula(g: int, k1: int, k2: int) -> PhiElem:
 GenRef = tuple  # ("cap", (k1, k2)) | ("tube", (k1, k2)) | ("pants",) | ("op", name)
 
 
-@dataclass(frozen=True)
-class CobordismWord:
+class CobordismWord(NamedTuple):
     """A list of generators plus a gluing pattern.
 
     Pattern entries are pairs of (generator index, slot index); the two named

@@ -88,9 +88,6 @@ class RelTensor:
     def is_zero(self) -> bool:
         return all(e.is_zero for e in self.entries)
 
-    def map_entries(self, fn: Callable[[PhiElem], PhiElem]) -> "RelTensor":
-        return RelTensor(self.variance, [fn(e) for e in self.entries])
-
     def __add__(self, other: "RelTensor") -> "RelTensor":
         if self.variance != other.variance:
             raise ValueError("cannot add tensors with different slot variance")
@@ -172,9 +169,6 @@ class ClassRefined:
     def total(self) -> RelTensor:
         """Sum over all fiber classes."""
         return reduce(lambda a, b: a + b, self.pieces.values())
-
-    def map_pieces(self, fn: Callable[[RelTensor], RelTensor]) -> "ClassRefined":
-        return ClassRefined({n: fn(t) for n, t in self.pieces.items()})
 
     def __eq__(self, other):
         if not isinstance(other, ClassRefined):

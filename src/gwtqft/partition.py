@@ -2,30 +2,31 @@
 function Z(g | k1, k2), its class-by-class refinement through homogeneous
 t-degrees, virtual-dimension bookkeeping, support computation, and
 genus-by-genus invariant tables.
+
+``gluing`` is imported only on a memo miss, so a Z read from the disk cache
+needs no operator algebra.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 
 from .exactring import TRat
 from .phicalc import PhiElem, to_useries
-from .gluing import trace_formula
 
 
-@dataclass(frozen=True)
 class SpaceParams:
     """Genus of the base curve and the degrees of the two twisting bundles."""
 
-    g: int
-    k1: int = 0
-    k2: int = 0
+    __slots__ = ("g", "k1", "k2")
 
-    def __post_init__(self):
-        if self.g < 0:
+    def __init__(self, g: int, k1: int = 0, k2: int = 0):
+        if g < 0:
             raise ValueError("genus must be nonnegative")
+        self.g = g
+        self.k1 = k1
+        self.k2 = k2
 
 
 _memo: dict[tuple[int, int, int], PhiElem] = {}
@@ -37,6 +38,8 @@ def compute_Z(p: SpaceParams) -> PhiElem:
     hit = _memo.get(key)
     if hit is not None:
         return hit
+    from .gluing import trace_formula
+
     z = _memo[key] = trace_formula(p.g, p.k1, p.k2)
     return z
 
@@ -106,8 +109,8 @@ def cache_path() -> str | None:
 def load_cache(path: str | None = None) -> int:
     """Preload the memo table from a plain JSON file; returns entries read.
 
-    Every entry is parsed before any reaches the memo, so a file that fails
-    anywhere raises and leaves the memo as it was.
+    Every entry is parsed and its grading checked before any reaches the
+    memo, so a file that fails anywhere raises and leaves the memo as it was.
     """
     path = path or cache_path()
     if not path or not os.path.exists(path):
@@ -118,7 +121,15 @@ def load_cache(path: str | None = None) -> int:
     try:
         for item in data.get("entries", []):
             key = (int(item["g"]), int(item["k1"]), int(item["k2"]))
-            loaded[key] = PhiElem.from_json_terms(item["terms"])
+            loaded[key] = z = PhiElem.from_json_terms(item["terms"])
+            for m, c in z.terms.items():
+                # Z is weighted-homogeneous: phi^m carries t-degree 2g - 2 - m
+                deg = 2 * key[0] - 2 - m
+                if {a + b + d for a, b, d in c.num.terms} - {deg + sum(c.dexp)}:
+                    raise ValueError(
+                        f"mis-graded cache file {path}: the phi^{m} coefficient of "
+                        f"Z{key} is not homogeneous of t-degree {deg}"
+                    )
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed cache file {path}: {exc!r}") from None
     _memo.update(loaded)
@@ -126,7 +137,11 @@ def load_cache(path: str | None = None) -> int:
 
 
 def save_cache(path: str | None = None) -> int:
-    """Write the memo table out as a plain JSON file; returns entries written."""
+    """Write the memo table out as a plain JSON file; returns entries written.
+
+    The table goes to a temporary file beside ``path`` that then replaces
+    it, so a reader never sees a half-written cache.
+    """
     path = path or cache_path()
     if not path:
         return 0
@@ -135,6 +150,12 @@ def save_cache(path: str | None = None) -> int:
         {"g": g, "k1": k1, "k2": k2, "terms": z.to_json_terms()}
         for (g, k1, k2), z in sorted(_memo.items())
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"entries": entries}, fh, indent=1, sort_keys=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump({"entries": entries}, fh, indent=1, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return len(entries)

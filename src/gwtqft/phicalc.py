@@ -268,9 +268,6 @@ def _as_phi(x) -> PhiElem | None:
     return None
 
 
-PHI = PhiElem.term(1, 1)
-
-
 # -- truncated Laurent series in u --------------------------------------------
 
 

@@ -287,6 +287,58 @@ class TestCachePersistence:
         assert "zcache.json" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_mis_graded_cache_is_exit_2(self, tmp_path):
+        # Z(2|0,0) has t-degree 2, so the constant 5 cannot be it
+        entry = {"g": 2, "k1": 0, "k2": 0,
+                 "terms": [{"phi_exp": 0, "num": "5", "den": "1"}]}
+        (tmp_path / "zcache.json").write_text(json.dumps({"entries": [entry]}))
+        proc = _fresh_cli(tmp_path, "compute", "-g", "2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "zcache.json" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_cache_written_only_when_an_entry_is_added(self, tmp_path):
+        cache = tmp_path / "zcache.json"
+        assert _fresh_cli(tmp_path, "compute", "-g", "2").returncode == 0
+        # an old mtime, so that any rewrite shows even on a coarse clock
+        os.utime(cache, ns=(10**18, 10**18))
+        data, stamp = cache.read_bytes(), cache.stat().st_mtime_ns
+        for argv in (("compute", "-g", "2"), ("extract", "-g", "2", "--n", "0"),
+                     ("genus", "-g", "2", "--n", "0", "--hmax", "1")):
+            assert _fresh_cli(tmp_path, *argv).returncode == 0
+            assert cache.read_bytes() == data
+            assert cache.stat().st_mtime_ns == stamp
+        assert _fresh_cli(tmp_path, "compute", "-g", "3").returncode == 0
+        keys = {(e["g"], e["k1"], e["k2"]) for e in json.loads(cache.read_text())["entries"]}
+        assert keys == {(2, 0, 0), (3, 0, 0)}
+        assert [f.name for f in tmp_path.iterdir()] == ["zcache.json"]
+
+
+def _env(cache_dir=None) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gwtqft.__file__)))
+    env.pop("GWTQFT_CACHE_DIR", None)
+    if cache_dir is not None:
+        env["GWTQFT_CACHE_DIR"] = str(cache_dir)
+    return env
+
+
+def _fresh_cli(cache_dir, *argv) -> subprocess.CompletedProcess:
+    """Run one CLI command in a new interpreter over the given cache directory."""
+    return subprocess.run([sys.executable, "-m", "gwtqft.cli", *argv], capture_output=True,
+                          text=True, env=_env(cache_dir), timeout=120)
+
+
+def _loaded_modules(argv, cache_dir=None) -> list[str]:
+    """The gwtqft modules and ``dataclasses`` a new process holds after one command."""
+    code = ("import json, sys, gwtqft.cli; gwtqft.cli.main(sys.argv[1:]); "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.startswith('gwtqft') or m == 'dataclasses')))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=_env(cache_dir), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
 
 class TestClosedStdout:
     def test_closed_stdout_is_exit_141(self):
@@ -315,6 +367,23 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=120)
         assert proc.stdout.split() == ["3", "False"]
+
+    @pytest.mark.parametrize("argv", [
+        ("compute", "-g", "2"),
+        ("extract", "-g", "2", "--n", "0"),
+        ("genus", "-g", "2", "--n", "0", "--hmax", "1"),
+    ], ids=["compute", "extract", "genus"])
+    def test_cache_hit_loads_no_tensor_code(self, tmp_path, argv):
+        assert _fresh_cli(tmp_path, "compute", "-g", "2").returncode == 0
+        assert _loaded_modules(argv, tmp_path) == [
+            "gwtqft", "gwtqft.cli", "gwtqft.exactring", "gwtqft.partition", "gwtqft.phicalc",
+        ]
+
+    def test_word_loads_no_checks_or_dataclasses(self):
+        loaded = _loaded_modules(["word", "trace(G^2 * U1)"])
+        assert "gwtqft.gluing" in loaded
+        assert "gwtqft.checks" not in loaded
+        assert "dataclasses" not in loaded
 
 
 class TestLatex:

@@ -1,0 +1,38 @@
+"""Package exports: the names in ``gwtqft.__all__`` load their submodule on
+first use and are the submodules' own objects."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import gwtqft
+
+
+def test_star_import_binds_submodule_objects():
+    ns = {}
+    exec("from gwtqft import *", ns)
+    assert ns["__version__"] == gwtqft.__version__
+    for name in gwtqft.__all__:
+        if name == "__version__":
+            continue
+        obj = ns[name]
+        assert obj.__module__.startswith("gwtqft.")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+        assert getattr(gwtqft, name) is obj
+
+
+def test_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gwtqft.no_such_name  # noqa: B018
+
+
+def test_submodules_import_from_package_in_fresh_process():
+    code = ("from gwtqft import checks, cli, gluing; "
+            "print(checks.__name__, cli.__name__, gluing.__name__)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gwtqft.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["gwtqft.checks", "gwtqft.cli", "gwtqft.gluing"]

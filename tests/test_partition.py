@@ -201,3 +201,36 @@ class TestDiskCache:
         with pytest.raises(ValueError):
             load_cache(str(path))
         assert partition._memo == before
+
+    def test_valid_entry_before_malformed_one_is_not_loaded(self, tmp_path):
+        from gwtqft import partition
+
+        z = compute_Z(SpaceParams(2, 1, 0))
+        real = {"g": 2, "k1": 1, "k2": 0, "terms": z.to_json_terms()}
+        path = tmp_path / "zcache.json"
+        path.write_text(json.dumps({"entries": [real, {"g": 2}]}))
+        partition._memo.pop((2, 1, 0))
+        before = dict(partition._memo)
+        with pytest.raises(ValueError, match="malformed"):
+            load_cache(str(path))
+        assert partition._memo == before
+
+    def test_mis_graded_entry_is_rejected(self, tmp_path):
+        from gwtqft import partition
+
+        # Z(2|0,0) has t-degree 2; a constant cannot be it
+        poisoned = {"g": 2, "k1": 0, "k2": 0, "terms": [{"phi_exp": 0, "num": "5", "den": "1"}]}
+        path = tmp_path / "zcache.json"
+        path.write_text(json.dumps({"entries": [poisoned]}))
+        before = dict(partition._memo)
+        with pytest.raises(ValueError, match="mis-graded"):
+            load_cache(str(path))
+        assert partition._memo == before
+
+    def test_save_leaves_no_temporary_file(self, tmp_path):
+        compute_Z(SpaceParams(1))
+        path = tmp_path / "zcache.json"
+        path.write_text("stale")
+        assert save_cache(str(path)) > 0
+        assert [f.name for f in tmp_path.iterdir()] == ["zcache.json"]
+        assert json.loads(path.read_text())["entries"]
