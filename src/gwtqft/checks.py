@@ -13,11 +13,12 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 from . import SUITES
 from .exactring import TPoly, TRat
-from .phicalc import PhiElem, ReductionError
+from .phicalc import PhiElem, laurent_divexact
 from .operators import (
     INV_WEIGHTS,
     LABELS,
@@ -30,13 +31,13 @@ from .operators import (
     mat_add,
     mat_identity,
     matrix_to_tensor,
-    refined_to_matrix,
     weight,
 )
 from .gluing import (
     closed_surface_word,
     contract_refined,
     evaluate_word,
+    mat_adjugate,
     mat_eq,
     mat_det,
     mat_inverse,
@@ -44,6 +45,7 @@ from .gluing import (
     mat_power,
     mat_scale,
     mat_trace,
+    mat_trace_mul,
     refined_scalar,
     self_glue_refined,
     trace_formula,
@@ -269,10 +271,10 @@ def verify_gluing_derivations(word_g_max: int = 3, word_k_max: int = 2) -> Check
     # the same handle glued along both fibers in one contraction pass
     rep.check("two-pants handle, one pass", handle, contract_refined(pants, (2, 1), pants, (0, 1)))
 
-    # raised tubes agree with the hand-encoded matrices
+    # the hand-encoded matrices, lowered, agree with the tubes
     for name, level in (("U1", (1, 0)), ("U2", (0, 1)), ("U1inv", (-1, 0)), ("U2inv", (0, -1))):
-        got = refined_to_matrix(build_tube(level))
-        rep.check(f"raised tube {level} = {name}", True, mat_eq(got, build_operator(name)))
+        lowered = matrix_to_tensor(build_operator(name)).lower_slot(0)
+        rep.check(f"raised tube {level} = {name}", build_tube(level).total(), lowered)
 
     _operator_identities(rep)
 
@@ -475,126 +477,36 @@ def verify_semisimplicity() -> CheckReport:
 
 # -- numeric cross-check -------------------------------------------------------------
 
-NumPhi = dict[int, Fraction]
+
+def _numeric_operator(name: str, point) -> Op3:
+    """The operator with every coefficient evaluated at a t-point: constant
+    coefficients, phi formal."""
+    return tuple(tuple(PhiElem(e.evaluate_t(point)) for e in row) for row in build_operator(name))
 
 
-def _nphi_add(x: NumPhi, y: NumPhi) -> NumPhi:
-    out = dict(x)
-    for m, c in y.items():
-        v = out.get(m, Fraction(0)) + c
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-    return out
+def _chain_trace(factors: list[Op3]) -> PhiElem:
+    """Trace of the product of the factors, one multiplication per factor
+    (never mat_power's binary powering)."""
+    if not factors:
+        return PhiElem.const(3)
+    *head, last = factors
+    return mat_trace_mul(reduce(mat_mul, head), last) if head else mat_trace(last)
 
 
-def _nphi_mul(x: NumPhi, y: NumPhi) -> NumPhi:
-    out: NumPhi = {}
-    for m1, c1 in x.items():
-        for m2, c2 in y.items():
-            m = m1 + m2
-            v = out.get(m, Fraction(0)) + c1 * c2
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-    return out
-
-
-NumMat = tuple[tuple[NumPhi, ...], ...]
-
-
-def _nmat_mul(a: NumMat, b: NumMat) -> NumMat:
-    return tuple(
-        tuple(
-            _nphi_add(_nphi_add(_nphi_mul(a[i][0], b[0][j]), _nphi_mul(a[i][1], b[1][j])),
-                      _nphi_mul(a[i][2], b[2][j]))
-            for j in LABELS
-        )
-        for i in LABELS
-    )
-
-
-def _nmat_identity() -> NumMat:
-    return tuple(tuple({0: Fraction(1)} if i == j else {} for j in LABELS) for i in LABELS)
-
-
-def _nmat_power(m: NumMat, e: int) -> NumMat:
-    out = _nmat_identity()
-    for _ in range(e):
-        out = _nmat_mul(out, m)
-    return out
-
-
-def _nmat_trace(m: NumMat) -> NumPhi:
-    return _nphi_add(_nphi_add(m[0][0], m[1][1]), m[2][2])
-
-
-def _nmat_adjugate(m: NumMat) -> NumMat:
-    def cof(i: int, j: int) -> NumPhi:
-        rows = [r for r in LABELS if r != i]
-        cols = [c for c in LABELS if c != j]
-        minor = _nphi_add(
-            _nphi_mul(m[rows[0]][cols[0]], m[rows[1]][cols[1]]),
-            {k: -v for k, v in _nphi_mul(m[rows[0]][cols[1]], m[rows[1]][cols[0]]).items()},
-        )
-        if (i + j) % 2:
-            return {k: -v for k, v in minor.items()}
-        return minor
-
-    return tuple(tuple(cof(j, i) for j in LABELS) for i in LABELS)
-
-
-def _nmat_det(m: NumMat) -> NumPhi:
-    total: NumPhi = {}
-    adj = _nmat_adjugate(m)
-    # det = sum_j m[0][j] * adj[j][0]
-    for j in LABELS:
-        total = _nphi_add(total, _nphi_mul(m[0][j], adj[j][0]))
-    return total
-
-
-def _nlaurent_div(num: NumPhi, den: NumPhi) -> NumPhi:
-    if not num:
-        return {}
-    dmin = min(den)
-    dlead = den[dmin]
-    max_q = max(num) - max(den)
-    quot: NumPhi = {}
-    rem = dict(num)
-    while rem:
-        lo = min(rem)
-        m = lo - dmin
-        if m > max_q:
-            raise ReductionError("numeric quotient does not reduce")
-        c = rem[lo] / dlead
-        quot[m] = c
-        for dm, dc in den.items():
-            k = dm + m
-            v = rem.get(k, Fraction(0)) - c * dc
-            if v:
-                rem[k] = v
-            else:
-                rem.pop(k, None)
-    return quot
-
-
-def _numeric_operator(name: str, point) -> NumMat:
-    m = build_operator(name)
-    return tuple(tuple(m[i][j].evaluate_t(point) for j in LABELS) for i in LABELS)
-
-
-def numeric_trace(g: int, k1: int, k2: int, point) -> NumPhi:
-    """Trace computed entirely over Fractions at a t-point, phi formal."""
-    u1 = _nmat_power(_numeric_operator("U1" if k1 >= 0 else "U1inv", point), abs(k1))
-    u2 = _nmat_power(_numeric_operator("U2" if k2 >= 0 else "U2inv", point), abs(k2))
-    w = _nmat_mul(u1, u2)
+def numeric_trace(g: int, k1: int, k2: int, point) -> dict[int, Fraction]:
+    """Trace computed at a t-point, phi formal: the operators are evaluated
+    before any product, powers are taken by repeated multiplication from the
+    explicit inverses for negative levels, and g = 0 divides the adjugate
+    trace by det G."""
+    levels: list[Op3] = []
+    for name, k in (("U1", k1), ("U2", k2)):
+        if k:
+            levels += [_numeric_operator(name if k > 0 else name + "inv", point)] * abs(k)
     gm = _numeric_operator("G", point)
     if g >= 1:
-        return _nmat_trace(_nmat_mul(_nmat_power(gm, g - 1), w))
-    numerator = _nmat_trace(_nmat_mul(_nmat_adjugate(gm), w))
-    return _nlaurent_div(numerator, _nmat_det(gm))
+        return _chain_trace(levels + [gm] * (g - 1)).evaluate_t(point)
+    numerator = _chain_trace(levels + [mat_adjugate(gm)])
+    return laurent_divexact(numerator, mat_det(gm)).evaluate_t(point)
 
 
 def _random_point(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:

@@ -2,12 +2,13 @@
 components, tabulate fixed-genus invariants, evaluate cobordism words, and
 run the verification suites, with JSON / LaTeX / plain-text output.
 
-Exit codes: 0 success, 1 failed verification, 2 usage error or a malformed
-or mis-graded cache file, 3 internal error (a quotient the theory
-guarantees failed to reduce, a denominator outside the products of
-ti - tj, or the interpreter ran out of recursion depth or memory), 141
-(128 + SIGPIPE) when the reader of stdout went away before the output was
-written.
+Exit codes: 0 success, 1 failed verification, 2 usage error or a cache
+file that is malformed, mis-graded or cannot be read or written (the
+result may already be on stdout when the write fails), 3 internal error
+(a quotient the theory guarantees failed to reduce, a denominator outside
+the products of ti - tj, or the interpreter ran out of recursion depth or
+memory), 141 (128 + SIGPIPE) when the reader of stdout went away before
+the output was written.
 
 Each command imports only what it runs: a cache-hit ``compute`` loads no
 ``gluing``, ``operators`` or ``checks``.  The disk cache is rewritten, via
@@ -338,6 +339,8 @@ def main(argv=None) -> int:
         code = args.fn(args)
         # a closed stdout shows here rather than in the flush at exit
         sys.stdout.flush()
+        if use_cache and code == EXIT_OK and len(_memo) > known:
+            save_cache()
     except BrokenPipeError:
         # send the rest nowhere, so that the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -355,8 +358,6 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if use_cache and code == EXIT_OK and len(_memo) > known:
-        save_cache()
     return code
 
 

@@ -514,12 +514,12 @@ def _build_refined(gen: GenRef) -> ClassRefined:
     raise ValueError(f"generator {gen!r} has no class refinement")
 
 
-def evaluate_word(w: CobordismWord, refined: bool | None = None):
+def evaluate_word(w: CobordismWord):
     """Evaluate a cobordism word to its composite tensor.
 
-    Returns a ClassRefined when every generator is a cap/tube/pants (or when
-    refined=True); with operator generators the evaluation is class-summed
-    and returns a RelTensor.  A fully glued word yields a rank-0 result.
+    Returns a ClassRefined when every generator is a cap/tube/pants; with an
+    operator generator the evaluation is class-summed and returns a
+    RelTensor.  A fully glued word yields a rank-0 result.
 
     The pattern is glued in order, but a pair that joins two components also
     takes every later pair between the same two components, so a handle or
@@ -529,11 +529,7 @@ def evaluate_word(w: CobordismWord, refined: bool | None = None):
     """
     if not w.generators:
         raise ValueError("empty word")
-    has_op = any(g[0] == "op" for g in w.generators)
-    if refined is None:
-        refined = not has_op
-    if refined and has_op:
-        raise ValueError("operator generators cannot be evaluated class-refined")
+    refined = not any(g[0] == "op" for g in w.generators)
 
     def value_of(gen: GenRef):
         if gen[0] == "op":

@@ -396,19 +396,7 @@ def mat_identity() -> Op3:
     return _mat([[o if i == j else z for j in LABELS] for i in LABELS])
 
 
-def tensor_to_matrix(t: RelTensor) -> Op3:
-    """Row-raised matrix form of a rank-2 lowered tensor."""
-    if t.rank != 2 or any(t.variance):
-        raise ValueError("expected a rank-2 all-lowered tensor")
-    raised = t.raise_slot(0)
-    return _mat([[raised.entry(a, b) for b in LABELS] for a in LABELS])
-
-
 def matrix_to_tensor(m: Op3) -> RelTensor:
     """View a matrix as a rank-2 tensor with (raised, lowered) slots."""
     return RelTensor((True, False), [m[a][b] for a in LABELS for b in LABELS])
 
-
-def refined_to_matrix(cr: ClassRefined) -> Op3:
-    """Class-summed, row-raised matrix of a rank-2 refined tensor."""
-    return tensor_to_matrix(cr.total())

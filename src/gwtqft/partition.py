@@ -110,13 +110,17 @@ def load_cache(path: str | None = None) -> int:
     """Preload the memo table from a plain JSON file; returns entries read.
 
     Every entry is parsed and its grading checked before any reaches the
-    memo, so a file that fails anywhere raises and leaves the memo as it was.
+    memo, so a file that fails anywhere, or cannot be read, raises
+    ValueError and leaves the memo as it was.
     """
     path = path or cache_path()
     if not path or not os.path.exists(path):
         return 0
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read cache file {path}: {exc}") from None
     loaded: dict[tuple[int, int, int], PhiElem] = {}
     try:
         for item in data.get("entries", []):
@@ -140,21 +144,24 @@ def save_cache(path: str | None = None) -> int:
     """Write the memo table out as a plain JSON file; returns entries written.
 
     The table goes to a temporary file beside ``path`` that then replaces
-    it, so a reader never sees a half-written cache.
+    it, so a reader never sees a half-written cache.  A file that cannot be
+    written raises ValueError.
     """
     path = path or cache_path()
     if not path:
         return 0
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     entries = [
         {"g": g, "k1": k1, "k2": k2, "terms": z.to_json_terms()}
         for (g, k1, k2), z in sorted(_memo.items())
     ]
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump({"entries": entries}, fh, indent=1, sort_keys=True)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise ValueError(f"cannot write cache file {path}: {exc}") from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -314,6 +314,26 @@ class TestCachePersistence:
         assert keys == {(2, 0, 0), (3, 0, 0)}
         assert [f.name for f in tmp_path.iterdir()] == ["zcache.json"]
 
+    def test_unwritable_cache_is_exit_2(self, tmp_path):
+        # the cache directory is a regular file: the result prints, the write fails
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("")
+        proc = _fresh_cli(blocker, "compute", "-g", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == "3\n"
+        assert proc.stderr.startswith("error: cannot write cache file")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "zcache.json" in proc.stderr
+
+    def test_unreadable_cache_is_exit_2(self, tmp_path):
+        (tmp_path / "zcache.json").mkdir()
+        proc = _fresh_cli(tmp_path, "compute", "-g", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: cannot read cache file")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "zcache.json" in proc.stderr
+
 
 def _env(cache_dir=None) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gwtqft.__file__)))
