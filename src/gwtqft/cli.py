@@ -2,18 +2,16 @@
 components, tabulate fixed-genus invariants, evaluate cobordism words, and
 run the verification suites, with JSON / LaTeX / plain-text output.
 
-Exit codes: 0 success, 1 failed verification, 2 usage error or a cache
-file that is malformed, mis-graded or cannot be read or written (the
-result may already be on stdout when the write fails), 3 internal error
-(a quotient the theory guarantees failed to reduce, a denominator outside
-the products of ti - tj, or the interpreter ran out of recursion depth or
-memory), 141 (128 + SIGPIPE) when the reader of stdout went away before
-the output was written.
+Exit codes: 0 success, 1 failed verification, 2 usage error (including a
+word of more than ``gluing.MAX_WORD_GENERATORS`` generators), 3 internal
+error (a quotient the theory guarantees failed to reduce, a denominator
+outside the products of ti - tj, or the interpreter ran out of recursion
+depth or memory), 141 (128 + SIGPIPE) when the reader of stdout went away
+before the output was written.
 
-Each command imports only what it runs: a cache-hit ``compute`` loads no
-``gluing``, ``operators`` or ``checks``.  The disk cache is rewritten, via
-a temporary file, only when the command computed a new entry or the file
-held none.
+Each command imports only what it runs: ``compute``, ``extract``, ``genus``
+and ``word`` load ``operators`` and ``gluing``, and only ``verify`` loads
+``checks``.  Nothing is read from or written to disk.
 """
 
 from __future__ import annotations
@@ -27,17 +25,7 @@ from typing import TYPE_CHECKING
 from . import SUITES, __version__
 from .exactring import TPoly, TRat
 from .phicalc import PhiElem, PrecisionError, ReductionError
-from .partition import (
-    SpaceParams,
-    _memo,
-    cache_path,
-    class_component,
-    compute_Z,
-    genus_expansion,
-    load_cache,
-    save_cache,
-    virtual_dim,
-)
+from .partition import SpaceParams, class_component, compute_Z, genus_expansion, virtual_dim
 
 if TYPE_CHECKING:
     from .operators import RelTensor
@@ -331,16 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    use_cache = cache_path() is not None and args.command in ("compute", "extract", "genus")
     try:
-        # the cache is rewritten only if the command adds an entry or the file
-        # held none; other callers in this process share the memo, so compare sizes
-        known = len(_memo) if use_cache and load_cache() else -1
         code = args.fn(args)
         # a closed stdout shows here rather than in the flush at exit
         sys.stdout.flush()
-        if use_cache and code == EXIT_OK and len(_memo) > known:
-            save_cache()
     except BrokenPipeError:
         # send the rest nowhere, so that the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -661,6 +661,10 @@ _ATOM_RE = re.compile(
 
 _INVERTIBLE = {"U1": "U1inv", "U2": "U2inv", "U1inv": "U1", "U2inv": "U2"}
 
+# words are contracted one generator at a time; trace(G^24) takes about 10 s
+# on CPython 3.11
+MAX_WORD_GENERATORS = 32
+
 
 def parse_word(text: str) -> CobordismWord:
     """Parse the CLI chain syntax into a CobordismWord.
@@ -668,7 +672,9 @@ def parse_word(text: str) -> CobordismWord:
     Grammar: ["trace("] atom {"*" atom} [")"], where an atom is "pants",
     "cap(k1,k2)", "tube(k1,k2)" or an operator name, optionally raised to an
     integer power.  A chain contracts each atom's outgoing slot with the next
-    atom's incoming slot; trace(...) closes the two ends of the chain.
+    atom's incoming slot; trace(...) closes the two ends of the chain.  A
+    word of more than MAX_WORD_GENERATORS generators, counting powers, is
+    a ValueError.
     """
     s = text.strip()
     traced = False
@@ -720,6 +726,11 @@ def parse_word(text: str) -> CobordismWord:
             raise ValueError(f"expected '*' at position {pos}")
         pos += 1
 
+    total = sum(power for _, power in atoms)
+    if total > MAX_WORD_GENERATORS:
+        raise ValueError(
+            f"the word has {total} generators; at most {MAX_WORD_GENERATORS} are allowed"
+        )
     gens: list[GenRef] = []
     for gen, power in atoms:
         gens.extend([gen] * power)

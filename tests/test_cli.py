@@ -172,6 +172,14 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "compute", "--genus", "-1")
         assert code == 2
 
+    def test_oversized_word_is_exit_2(self):
+        # rejected before ten million generators are listed or contracted
+        proc = _fresh_cli("word", "A^10000000")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1
+
 
 class TestExitCodes:
     def test_internal_consistency_error_is_exit_3(self, capsys, monkeypatch):
@@ -246,116 +254,52 @@ class TestNumericReEvaluation:
             assert parsed.evaluate_t(pt) == numeric_trace(2, 1, 0, pt)
 
 
-class TestCachePersistence:
-    def test_cache_file_written_and_reused(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("GWTQFT_CACHE_DIR", str(tmp_path))
-        code, out1, _ = run_cli(capsys, "compute", "-g", "2")
-        assert code == 0
+class TestLeftoverCache:
+    """Earlier versions kept Z in ``$GWTQFT_CACHE_DIR/zcache.json``; the
+    variable and the file are now ignored."""
+
+    def test_poisoned_cache_file_is_ignored(self, tmp_path):
         cache = tmp_path / "zcache.json"
-        assert cache.exists()
-        data = json.loads(cache.read_text())
-        assert any(e["g"] == 2 for e in data["entries"])
-        code, out2, _ = run_cli(capsys, "compute", "-g", "2")
-        assert out1 == out2
-
-    def test_rejected_denominator_in_cache_is_exit_3(self, tmp_path):
-        # a fresh process, so the poisoned entry cannot reach this session's memo
-        entry = {"g": 2, "k1": 0, "k2": 0,
-                 "terms": [{"phi_exp": 0, "num": "1", "den": "t0 + t1"}]}
-        (tmp_path / "zcache.json").write_text(json.dumps({"entries": [entry]}))
-        env = dict(os.environ, GWTQFT_CACHE_DIR=str(tmp_path),
-                   PYTHONPATH=os.path.dirname(os.path.dirname(gwtqft.__file__)))
-        proc = subprocess.run([sys.executable, "-m", "gwtqft.cli", "compute", "-g", "2"],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 3
-        assert "internal consistency error" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-    @pytest.mark.parametrize("payload", [
-        {"entries": [{"g": 2, "k1": 0, "terms": []}]},  # entry without "k2"
-        {"entries": 5},
-        [1],
-    ], ids=["missing_key", "entries_not_a_list", "top_level_list"])
-    def test_malformed_cache_is_exit_2(self, tmp_path, payload):
-        (tmp_path / "zcache.json").write_text(json.dumps(payload))
-        env = dict(os.environ, GWTQFT_CACHE_DIR=str(tmp_path),
-                   PYTHONPATH=os.path.dirname(os.path.dirname(gwtqft.__file__)))
-        proc = subprocess.run([sys.executable, "-m", "gwtqft.cli", "compute", "-g", "2"],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 2
-        assert "error:" in proc.stderr
-        assert "zcache.json" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-    def test_mis_graded_cache_is_exit_2(self, tmp_path):
-        # Z(2|0,0) has t-degree 2, so the constant 5 cannot be it
         entry = {"g": 2, "k1": 0, "k2": 0,
                  "terms": [{"phi_exp": 0, "num": "5", "den": "1"}]}
-        (tmp_path / "zcache.json").write_text(json.dumps({"entries": [entry]}))
-        proc = _fresh_cli(tmp_path, "compute", "-g", "2")
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "zcache.json" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-    def test_cache_written_only_when_an_entry_is_added(self, tmp_path):
-        cache = tmp_path / "zcache.json"
-        assert _fresh_cli(tmp_path, "compute", "-g", "2").returncode == 0
-        # an old mtime, so that any rewrite shows even on a coarse clock
-        os.utime(cache, ns=(10**18, 10**18))
-        data, stamp = cache.read_bytes(), cache.stat().st_mtime_ns
-        for argv in (("compute", "-g", "2"), ("extract", "-g", "2", "--n", "0"),
-                     ("genus", "-g", "2", "--n", "0", "--hmax", "1")):
-            assert _fresh_cli(tmp_path, *argv).returncode == 0
-            assert cache.read_bytes() == data
-            assert cache.stat().st_mtime_ns == stamp
-        assert _fresh_cli(tmp_path, "compute", "-g", "3").returncode == 0
-        keys = {(e["g"], e["k1"], e["k2"]) for e in json.loads(cache.read_text())["entries"]}
-        assert keys == {(2, 0, 0), (3, 0, 0)}
+        cache.write_text(json.dumps({"entries": [entry]}))
+        data = cache.read_bytes()
+        proc = _fresh_cli("compute", "-g", "2", GWTQFT_CACHE_DIR=str(tmp_path))
+        assert proc.returncode == 0
+        assert proc.stdout == "t0^2 - t0*t1 - t0*t2 + t1^2 - t1*t2 + t2^2\n"
+        assert proc.stderr == ""
+        assert cache.read_bytes() == data
         assert [f.name for f in tmp_path.iterdir()] == ["zcache.json"]
 
-    def test_unwritable_cache_is_exit_2(self, tmp_path):
-        # the cache directory is a regular file: the result prints, the write fails
+    def test_cache_dir_naming_a_file_is_ignored(self, tmp_path):
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("")
-        proc = _fresh_cli(blocker, "compute", "-g", "1")
-        assert proc.returncode == 2
+        proc = _fresh_cli("compute", "-g", "1", GWTQFT_CACHE_DIR=str(blocker))
+        assert proc.returncode == 0
         assert proc.stdout == "3\n"
-        assert proc.stderr.startswith("error: cannot write cache file")
-        assert len(proc.stderr.splitlines()) == 1
-        assert "zcache.json" in proc.stderr
-
-    def test_unreadable_cache_is_exit_2(self, tmp_path):
-        (tmp_path / "zcache.json").mkdir()
-        proc = _fresh_cli(tmp_path, "compute", "-g", "1")
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error: cannot read cache file")
-        assert len(proc.stderr.splitlines()) == 1
-        assert "zcache.json" in proc.stderr
+        assert proc.stderr == ""
+        assert [f.name for f in tmp_path.iterdir()] == ["not_a_dir"]
+        assert blocker.read_bytes() == b""
 
 
-def _env(cache_dir=None) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gwtqft.__file__)))
-    env.pop("GWTQFT_CACHE_DIR", None)
-    if cache_dir is not None:
-        env["GWTQFT_CACHE_DIR"] = str(cache_dir)
-    return env
+def _env(**extra) -> dict:
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gwtqft.__file__)),
+                **extra)
 
 
-def _fresh_cli(cache_dir, *argv) -> subprocess.CompletedProcess:
-    """Run one CLI command in a new interpreter over the given cache directory."""
+def _fresh_cli(*argv, **extra_env) -> subprocess.CompletedProcess:
+    """Run one CLI command in a new interpreter."""
     return subprocess.run([sys.executable, "-m", "gwtqft.cli", *argv], capture_output=True,
-                          text=True, env=_env(cache_dir), timeout=120)
+                          text=True, env=_env(**extra_env), timeout=120)
 
 
-def _loaded_modules(argv, cache_dir=None) -> list[str]:
+def _loaded_modules(argv) -> list[str]:
     """The gwtqft modules and ``dataclasses`` a new process holds after one command."""
     code = ("import json, sys, gwtqft.cli; gwtqft.cli.main(sys.argv[1:]); "
             "print(json.dumps(sorted(m for m in sys.modules "
             "if m.startswith('gwtqft') or m == 'dataclasses')))")
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          env=_env(cache_dir), timeout=120)
+                          env=_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -365,12 +309,10 @@ class TestClosedStdout:
         # the read end is closed before the program writes, so every write fails
         read_end, write_end = os.pipe()
         os.close(read_end)
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gwtqft.__file__)))
-        env.pop("GWTQFT_CACHE_DIR", None)
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "gwtqft.cli", "word", "trace(G^2 * U1)"],
-                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=_env(), timeout=120,
             )
         finally:
             os.close(write_end)
@@ -382,25 +324,18 @@ class TestStartup:
     def test_compute_does_not_import_checks(self):
         code = ("import sys, gwtqft.cli; gwtqft.cli.main(['compute', '-g', '1']); "
                 "print('gwtqft.checks' in sys.modules)")
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gwtqft.__file__)))
-        env.pop("GWTQFT_CACHE_DIR", None)
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120)
+                              env=_env(), timeout=120)
         assert proc.stdout.split() == ["3", "False"]
 
     @pytest.mark.parametrize("argv", [
         ("compute", "-g", "2"),
         ("extract", "-g", "2", "--n", "0"),
         ("genus", "-g", "2", "--n", "0", "--hmax", "1"),
-    ], ids=["compute", "extract", "genus"])
-    def test_cache_hit_loads_no_tensor_code(self, tmp_path, argv):
-        assert _fresh_cli(tmp_path, "compute", "-g", "2").returncode == 0
-        assert _loaded_modules(argv, tmp_path) == [
-            "gwtqft", "gwtqft.cli", "gwtqft.exactring", "gwtqft.partition", "gwtqft.phicalc",
-        ]
-
-    def test_word_loads_no_checks_or_dataclasses(self):
-        loaded = _loaded_modules(["word", "trace(G^2 * U1)"])
+        ("word", "trace(G^2 * U1)"),
+    ], ids=["compute", "extract", "genus", "word"])
+    def test_command_loads_no_checks_or_dataclasses(self, argv):
+        loaded = _loaded_modules(argv)
         assert "gwtqft.gluing" in loaded
         assert "gwtqft.checks" not in loaded
         assert "dataclasses" not in loaded

@@ -21,7 +21,7 @@ from gwtqft.operators import (
     weight,
 )
 from gwtqft.phicalc import laurent_divexact
-from gwtqft import cli, gluing, partition
+from gwtqft import cli, gluing
 from gwtqft.gluing import (
     CobordismWord,
     closed_surface_word,
@@ -295,7 +295,6 @@ def _clear_engine_caches():
     trace_formula.cache_clear()
     gluing._memo.clear()
     gluing._char_poly.cache_clear()
-    partition._memo.clear()
 
 
 class TestCayleyHamilton:
@@ -494,6 +493,13 @@ class TestWordParsing:
             parse_word("frob")
         with pytest.raises(ValueError, match="position"):
             parse_word("cap * pants")
+
+    def test_word_size_bound(self):
+        assert len(parse_word("trace(G^32)").generators) == gluing.MAX_WORD_GENERATORS == 32
+        for text in ("trace(G^33)", "A^10000000", "G^99999999999999999999",
+                     "trace(" + " * ".join(["U1"] * 33) + ")"):
+            with pytest.raises(ValueError, match="at most 32"):
+                parse_word(text)
 
     def test_negative_operator_powers(self):
         out = evaluate_word(parse_word("trace(G^2 * U1^-1)"))

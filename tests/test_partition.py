@@ -1,7 +1,6 @@
 """Partition-function API: class components, support, genus tables,
 grading properties."""
 
-import json
 import random
 from fractions import Fraction
 
@@ -15,8 +14,6 @@ from gwtqft.partition import (
     class_degree,
     compute_Z,
     genus_expansion,
-    load_cache,
-    save_cache,
     support,
     virtual_dim,
 )
@@ -177,60 +174,3 @@ class TestGradingProperties:
             for order in ((u1, gp, u2), (u2, u1, gp), (gp, u2, u1)):
                 m = mat_mul(mat_mul(order[0], order[1]), order[2])
                 assert mat_trace(m) == z
-
-
-class TestDiskCache:
-    def test_roundtrip(self, tmp_path):
-        p = SpaceParams(2, 1, 0)
-        z = compute_Z(p)
-        path = str(tmp_path / "zcache.json")
-        assert save_cache(path) > 0
-        from gwtqft import partition
-
-        partition._memo.clear()
-        assert load_cache(path) > 0
-        assert compute_Z(p) == z
-
-    def test_malformed_entry_leaves_memo_unchanged(self, tmp_path):
-        from gwtqft import partition
-
-        good = {"g": 3, "k1": 0, "k2": 0, "terms": [{"phi_exp": 0, "num": "5", "den": "1"}]}
-        path = tmp_path / "zcache.json"
-        path.write_text(json.dumps({"entries": [good, {"g": 2}]}))
-        before = dict(partition._memo)
-        with pytest.raises(ValueError):
-            load_cache(str(path))
-        assert partition._memo == before
-
-    def test_valid_entry_before_malformed_one_is_not_loaded(self, tmp_path):
-        from gwtqft import partition
-
-        z = compute_Z(SpaceParams(2, 1, 0))
-        real = {"g": 2, "k1": 1, "k2": 0, "terms": z.to_json_terms()}
-        path = tmp_path / "zcache.json"
-        path.write_text(json.dumps({"entries": [real, {"g": 2}]}))
-        partition._memo.pop((2, 1, 0))
-        before = dict(partition._memo)
-        with pytest.raises(ValueError, match="malformed"):
-            load_cache(str(path))
-        assert partition._memo == before
-
-    def test_mis_graded_entry_is_rejected(self, tmp_path):
-        from gwtqft import partition
-
-        # Z(2|0,0) has t-degree 2; a constant cannot be it
-        poisoned = {"g": 2, "k1": 0, "k2": 0, "terms": [{"phi_exp": 0, "num": "5", "den": "1"}]}
-        path = tmp_path / "zcache.json"
-        path.write_text(json.dumps({"entries": [poisoned]}))
-        before = dict(partition._memo)
-        with pytest.raises(ValueError, match="mis-graded"):
-            load_cache(str(path))
-        assert partition._memo == before
-
-    def test_save_leaves_no_temporary_file(self, tmp_path):
-        compute_Z(SpaceParams(1))
-        path = tmp_path / "zcache.json"
-        path.write_text("stale")
-        assert save_cache(str(path)) > 0
-        assert [f.name for f in tmp_path.iterdir()] == ["zcache.json"]
-        assert json.loads(path.read_text())["entries"]
