@@ -548,14 +548,22 @@ def run_checks(
     trials: int = 20,
 ) -> list[CheckReport]:
     """Run one named suite (or all of them), one after another, and return
-    the reports."""
+    the reports.  g_max and k_max default per suite when None; a negative
+    one is a ValueError."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    for name, bound in (("g_max", g_max), ("k_max", k_max)):
+        if bound is not None and bound < 0:
+            raise ValueError(f"{name} must be nonnegative, got {bound}")
     tasks = []
     if suite in ("all", "cy"):
-        tasks.append(lambda: verify_calabi_yau(g_max or 6, k_max or 6))
+        tasks.append(lambda: verify_calabi_yau(
+            6 if g_max is None else g_max, 6 if k_max is None else k_max
+        ))
     if suite in ("all", "appendixB"):
-        tasks.append(lambda: verify_special_cases(g_max or 5, k_max or 4, max(g_max or 0, 8)))
+        tasks.append(lambda: verify_special_cases(
+            5 if g_max is None else g_max, 4 if k_max is None else k_max, max(g_max or 0, 8)
+        ))
     if suite in ("all", "gluing"):
         tasks.append(lambda: verify_gluing_derivations())
     if suite in ("all", "semisimple"):

@@ -11,8 +11,13 @@ operation needs to normalise its result.
 TRat is a fraction whose denominator is a product of powers of the three
 linear forms t0 - t1, t0 - t2, t1 - t2, stored as an exponent triple; its
 canonical form makes structural equality coincide with mathematical equality.
-A denominator outside those products raises ReductionError.  All values are
-immutable after construction and safe to share between threads.
+A denominator outside those products raises ReductionError.
+
+XYRat is the same fraction folded at t2 = 0 when it is translation
+invariant: a numerator in Z[x, y], x = t0 - t2 and y = t1 - t2, over
+(x - y)^a x^b y^c.  The gluing engine contracts tensors in this ring, and
+its trace engine shares the polynomial product.  All values are immutable
+after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -222,7 +227,9 @@ class TPoly:
         return len(degs) <= 1
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
-        pt = tuple(Fraction(x) for x in point)
+        return self._value(tuple(Fraction(x) for x in point))
+
+    def _value(self, pt: tuple[Fraction, ...]) -> Fraction:
         total = Fraction(0)
         for e, c in self.terms.items():
             total += c * pt[0] ** e[0] * pt[1] ** e[1] * pt[2] ** e[2]
@@ -328,10 +335,6 @@ def _div_linear(p: TPoly, a: int, b: int) -> TPoly | None:
     return TPoly._raw(quot)
 
 
-def gens() -> tuple[TPoly, TPoly, TPoly]:
-    return (T0, T1, T2)
-
-
 def _cancel_forms(p: TPoly, limit: Sequence[int]) -> tuple[TPoly, list[int]]:
     """Divide the i-th linear form out of p as often as it goes, at most
     limit[i] times; returns the quotient and how often each form went."""
@@ -355,6 +358,15 @@ def _times_forms(p: TPoly, dexp: Sequence[int]) -> TPoly:
 
 
 # -- rational functions ------------------------------------------------------
+
+
+def _point(point: Sequence[Fraction | int]) -> tuple[Fraction, Fraction, Fraction]:
+    """An evaluation point as Fractions; ValueError unless it has three
+    pairwise distinct coordinates."""
+    pt = tuple(Fraction(x) for x in point)
+    if len(pt) != 3 or len(set(pt)) != 3:
+        raise ValueError("evaluation point must have three pairwise distinct coordinates")
+    return pt
 
 
 class ReductionError(ArithmeticError):
@@ -520,13 +532,14 @@ class TRat:
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
         """Exact value at a point with pairwise distinct coordinates."""
-        pt = tuple(Fraction(x) for x in point)
-        if len(pt) != 3 or len(set(pt)) != 3:
-            raise ValueError("evaluation point must have three pairwise distinct coordinates")
+        return self._value(_point(point))
+
+    def _value(self, pt: tuple[Fraction, Fraction, Fraction]) -> Fraction:
+        # pt as _point returns it
         dv = Fraction(1)
         for (a, b), k in zip(_LINEAR_PAIRS, self.dexp):
             dv *= (pt[a] - pt[b]) ** k
-        return self.num.evaluate(pt) / dv
+        return self.num._value(pt) / dv
 
     def homogeneous_component(self, d: int) -> "TRat":
         """Component of homogeneity degree d (num degree minus sum(dexp))."""
@@ -586,6 +599,142 @@ def as_rat(x) -> TRat:
     if r is None:
         raise TypeError(f"cannot interpret {x!r} as a rational function")
     return r
+
+
+# -- folded fractions over Z[x, y] ---------------------------------------------
+
+# A polynomial in x = t0 - t2 and y = t1 - t2, as {(a, b): c} for the terms
+# c x^a y^b; no coefficient is zero.
+_XYPoly = dict[tuple[int, int], int]
+
+
+def _xy_mul_into(acc: dict, f: _XYPoly, g: _XYPoly, scale: int = 1) -> dict:
+    """Add scale * f * g to acc, which may be left holding zero coefficients."""
+    for (a1, b1), c1 in f.items():
+        c1 *= scale
+        for (a2, b2), c2 in g.items():
+            e = (a1 + a2, b1 + b2)
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return acc
+
+
+def _xy_clean(acc: dict) -> _XYPoly:
+    return {e: c for e, c in acc.items() if c}
+
+
+def _div_diff(p: _XYPoly) -> _XYPoly | None:
+    """Exact quotient p / (x - y), or None when x - y does not divide p.
+
+    Degree by degree: for the degree-d part sum of c_a x^a y^(d-a), the
+    quotient has q_a = -(c_0 + ... + c_a), and the division is exact when
+    the c_a sum to 0, that is when the part vanishes at x = y.
+    """
+    if sum(p.values()):
+        return None  # p(1, 1) != 0
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for (a, b), c in p.items():
+        rows.setdefault(a + b, []).append((a, c))
+    if any(sum(c for _, c in row) for row in rows.values()):
+        return None
+    quot: _XYPoly = {}
+    for d, row in rows.items():
+        row.sort()
+        s = 0
+        for (a, c), (nxt, _) in zip(row, row[1:]):
+            s += c
+            if s:
+                for i in range(a, nxt):
+                    quot[i, d - 1 - i] = -s
+    return quot
+
+
+def _xy_cancel(p: _XYPoly, limit: Sequence[int]) -> tuple[_XYPoly, Exponent]:
+    """Divide x - y, x and y out of a nonzero p as often as each goes, at
+    most limit[i] times; returns the quotient and how often each form went.
+    x and y go as often as every term carries them."""
+    i = 0
+    while i < limit[0]:
+        q = _div_diff(p)
+        if q is None:
+            break
+        p = q
+        i += 1
+    j, k = limit[1], limit[2]
+    if j or k:
+        for a, b in p:
+            if a < j:
+                j = a
+            if b < k:
+                k = b
+        if j or k:
+            p = {(a - j, b - k): c for (a, b), c in p.items()}
+    return p, (i, j, k)
+
+
+def _xy_times_forms(p: _XYPoly, dexp: Sequence[int]) -> _XYPoly:
+    """p times (x - y)^dexp[0] x^dexp[1] y^dexp[2]."""
+    for _ in range(dexp[0]):
+        acc: dict = {}
+        for (a, b), c in p.items():
+            acc[a + 1, b] = acc.get((a + 1, b), 0) + c
+            acc[a, b + 1] = acc.get((a, b + 1), 0) - c
+        p = _xy_clean(acc)
+    if dexp[1] or dexp[2]:
+        p = {(a + dexp[1], b + dexp[2]): c for (a, b), c in p.items()}
+    return p
+
+
+class XYRat:
+    """Fraction num / ((x - y)^a x^b y^c) over Z[x, y] with ``dexp = (a, b, c)``.
+
+    It is the fold at t2 = 0 of a translation-invariant TRat, x = t0 - t2 and
+    y = t1 - t2.  The forms t0 - t1, t0 - t2, t1 - t2 fold to x - y, x, y, so
+    ``dexp`` is the TRat's exponent triple.  Canonical form as for TRat: no
+    form with a positive exponent divides num, and dexp = (0, 0, 0) when
+    num = 0.  The constructor trusts its arguments to be canonical; the
+    gluing engine builds every other value as a sum of products, reduced by
+    _xy_fraction_sum.
+    """
+
+    __slots__ = ("num", "dexp")
+
+    def __init__(self, num: _XYPoly, dexp: Exponent = _ZERO_EXP):
+        self.num = num
+        self.dexp = dexp
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def __eq__(self, other):
+        if not isinstance(other, XYRat):
+            return NotImplemented
+        return self.num == other.num and self.dexp == other.dexp
+
+    def __repr__(self) -> str:
+        return f"XYRat({self.num!r}, {self.dexp!r})"
+
+
+def _xy_fraction_sum(items) -> XYRat:
+    """The sum of num / ((x - y)^a x^b y^c) over the (num, (a, b, c)) items
+    as one canonical XYRat: a common denominator, then one reduction.  The
+    items need not be canonical, and a num may hold zero coefficients."""
+    dexp = items[0][1]
+    for _, d in items:
+        if d != dexp:
+            dexp = tuple(map(max, dexp, d))
+    acc: dict = {}
+    for num, d in items:
+        if d != dexp:
+            num = _xy_times_forms(num, (dexp[0] - d[0], dexp[1] - d[1], dexp[2] - d[2]))
+        for e, c in num.items():
+            acc[e] = acc.get(e, 0) + c
+    num = _xy_clean(acc)
+    if not num:
+        return XYRat({})
+    if dexp == _ZERO_EXP:
+        return XYRat(num)
+    num, k = _xy_cancel(num, dexp)
+    return XYRat(num, (dexp[0] - k[0], dexp[1] - k[1], dexp[2] - k[2]))
 
 
 # -- canonical string parsing -------------------------------------------------

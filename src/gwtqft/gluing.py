@@ -7,6 +7,19 @@ raised; the fiber class of a composite is the convolution of the factors'
 classes.  Every slot pair between the same two tensors is glued in one
 pass over flat entry offsets.
 
+Tensors are glued folded.  Every entry of the cap, tube and pants pieces
+and of the operators is translation invariant, so each phi^m coefficient
+is fixed by its value at t2 = 0: an XYRat, a fraction over Z[x, y] with
+x = t0 - t2, y = t1 - t2 and denominator (x - y)^a x^b y^c.  A pair of
+lowered slots is glued with the folded inverse weight as a factor of each
+product (a pair of raised ones with the weight), each coefficient of a
+glued entry is one sum of unreduced products reduced once, and only the
+result is unfolded, by the Taylor shift that the trace engine uses too.
+Each generator is folded once per process, at its first word, and every
+fold is re-expanded and compared with its source.  Words are still
+contracted one generator at a time, so a word's cost grows with its
+length (see MAX_WORD_GENERATORS).
+
 The partition function of the closed genus-g, level-(k1, k2) space is
 Z = tr(G^(g-1) U1^k1 U2^k2), computed without forming a matrix power.  G, U1
 and U2 commute, their entries depend on t only through x = t0 - t2 and
@@ -36,7 +49,16 @@ import re
 from functools import cache, lru_cache, reduce
 from itertools import product
 from typing import NamedTuple
-from .exactring import ReductionError, TPoly, TRat
+from .exactring import (
+    ReductionError,
+    TPoly,
+    TRat,
+    XYRat,
+    _XYPoly,
+    _xy_clean,
+    _xy_fraction_sum,
+    _xy_mul_into,
+)
 from .phicalc import PhiElem, laurent_divexact
 from .operators import (
     LABELS,
@@ -83,18 +105,79 @@ def _offsets(rank: int, glued: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return table(free), table(glued)
 
 
-def _opposed(variance_a, slots_a, b: RelTensor, slots_b) -> RelTensor:
-    # flip b's glued slots so that every contracted pair has opposite variance
-    for sa, sb in zip(slots_a, slots_b):
-        if variance_a[sa] == b.variance[sb]:
-            b = b.lower_slot(sb) if b.variance[sb] else b.raise_slot(sb)
-    return b
+# -- the folded ring --------------------------------------------------------------
+
+# The word path holds every tensor entry as its fold at t2 = 0 (see _fold):
+# a PhiElem whose coefficients are XYRat.  T(x_0), T(x_1), T(x_2) fold to
+# (x - y) x, -(x - y) y and x y; their inverses, as (sign, dexp), to
+# sign / ((x - y)^a x^b y^c).
+_WEIGHTS = ({(2, 0): 1, (1, 1): -1}, {(1, 1): -1, (0, 2): 1}, {(1, 1): 1})
+_INV_WEIGHTS = ((1, (1, 1, 0)), (-1, (1, 0, 1)), (1, (0, 1, 1)))
+_PHI_ONE = PhiElem._raw({0: XYRat({(0, 0): 1})})
+
+
+def _entrywise(fn, t):
+    """A RelTensor, or every piece of a ClassRefined, with fn applied to
+    each entry."""
+    if isinstance(t, ClassRefined):
+        return ClassRefined({n: _entrywise(fn, p) for n, p in t.pieces.items()})
+    return RelTensor(t.variance, [fn(e) for e in t.entries])
+
+
+def _fold_all(t, what: str = "a tensor entry"):
+    return _entrywise(lambda e: _fold(e, None, what), t)
+
+
+def _unfold_all(t):
+    return _entrywise(_unfold, t)
+
+
+def _glue_factors(pairs) -> list[tuple]:
+    """The factor of every glued label tuple, in row-major order, for slot
+    pairs of the given (variance, variance): 1 / T(x_a) for each pair of
+    lowered slots and T(x_a) for each pair of raised ones, so that every
+    pair is summed with opposite variance.  A factor is (sign, polynomial
+    or None, dexp)."""
+    out = []
+    for labels in product(LABELS, repeat=len(pairs)):
+        sign, poly, dexp = 1, None, (0, 0, 0)
+        for lam, (va, vb) in zip(labels, pairs):
+            if va == vb and va:
+                poly = _xy_clean(_xy_mul_into({}, poly or _ONE, _WEIGHTS[lam]))
+            elif va == vb:
+                s, d = _INV_WEIGHTS[lam]
+                sign, dexp = sign * s, (dexp[0] + d[0], dexp[1] + d[1], dexp[2] + d[2])
+        out.append((sign, poly, dexp))
+    return out
+
+
+def _dot(terms) -> PhiElem:
+    """The sum of x * y * f over the (x, y, f) terms: x and y folded
+    entries, f a glue factor.  Products are left unreduced; each phi^m
+    coefficient of the sum is reduced once."""
+    parts: dict[int, list] = {}
+    for x, y, (sign, poly, (w0, w1, w2)) in terms:
+        for m2, c2 in y.terms.items():
+            d2 = c2.dexp
+            for m1, c1 in x.terms.items():
+                d1 = c1.dexp
+                num = _xy_mul_into({}, c1.num, c2.num, sign)
+                parts.setdefault(m1 + m2, []).append((
+                    num if poly is None else _xy_mul_into({}, num, poly),
+                    (d1[0] + d2[0] + w0, d1[1] + d2[1] + w1, d1[2] + d2[2] + w2),
+                ))
+    total = {}
+    for m, items in parts.items():
+        c = _xy_fraction_sum(items)
+        if c:
+            total[m] = c
+    return PhiElem._raw(total)
 
 
 class _Glue:
     """The contraction of slots_a of a rank-ra tensor with slots_b of a
-    rank-rb tensor, pair by pair, as flat offsets shared by every pair of
-    tensors of those ranks."""
+    rank-rb tensor, pair by pair, as flat offsets and glue factors shared
+    by every pair of folded tensors of those ranks and variances."""
 
     def __init__(self, variance_a, slot_a, variance_b, slot_b):
         self.slots_a = _slots(len(variance_a), slot_a)
@@ -103,26 +186,73 @@ class _Glue:
             raise ValueError("slot lists to glue differ in length")
         self.free_a, glue_a = _offsets(len(variance_a), self.slots_a)
         self.free_b, glue_b = _offsets(len(variance_b), self.slots_b)
-        self.glue = list(zip(glue_a, glue_b))
+        factors = _glue_factors(
+            [(variance_a[sa], variance_b[sb]) for sa, sb in zip(self.slots_a, self.slots_b)]
+        )
+        self.glue = list(zip(glue_a, glue_b, factors))
         self.variance = [v for s, v in enumerate(variance_a) if s not in self.slots_a] + [
             v for s, v in enumerate(variance_b) if s not in self.slots_b
         ]
 
-    def entries(self, a: RelTensor, b: RelTensor) -> list[PhiElem]:
-        """Result entries for a and an already opposed b; zero entries of
-        either factor are skipped."""
-        ea, eb = a.entries, b.entries
+    def entries(self, pairs) -> list[PhiElem]:
+        """Result entries of the sum over the (a, b) pairs of tensors;
+        zero entries are skipped."""
         out = []
         for fa in self.free_a:
-            row = [(x, gb) for ga, gb in self.glue if (x := ea[fa + ga])]
+            rows = [
+                ([(x, gb, f) for ga, gb, f in self.glue if (x := a.entries[fa + ga])], b.entries)
+                for a, b in pairs
+            ]
             for fb in self.free_b:
-                total = PhiElem.zero()
-                for x, gb in row:
-                    y = eb[fb + gb]
-                    if y:
-                        total = total + x * y
-                out.append(total)
+                out.append(_dot(
+                    (x, y, f) for row, eb in rows for x, gb, f in row if (y := eb[fb + gb])
+                ))
         return out
+
+
+def _contract(a: RelTensor, slot_a, b: RelTensor, slot_b) -> RelTensor:
+    glue = _Glue(a.variance, slot_a, b.variance, slot_b)
+    return RelTensor(glue.variance, glue.entries([(a, b)]))
+
+
+def _self_glue(t: RelTensor, slot1: int, slot2: int) -> RelTensor:
+    if slot1 == slot2:
+        raise ValueError("cannot glue a slot to itself")
+    if not (0 <= slot1 < t.rank and 0 <= slot2 < t.rank):
+        raise ValueError("slot out of range")
+    factors = _glue_factors([(t.variance[slot1], t.variance[slot2])])
+    free, _ = _offsets(t.rank, (slot1, slot2))
+    step = 3 ** (t.rank - 1 - slot1) + 3 ** (t.rank - 1 - slot2)
+    variance = [v for s, v in enumerate(t.variance) if s not in (slot1, slot2)]
+    entries = [
+        _dot((x, _PHI_ONE, f) for lam, f in zip(LABELS, factors) if (x := t.entries[i + lam * step]))
+        for i in free
+    ]
+    return RelTensor(variance, entries)
+
+
+def _contract_refined(a: ClassRefined, slot_a, b: ClassRefined, slot_b) -> ClassRefined:
+    if not a.pieces or not b.pieces:
+        return ClassRefined({})
+    glue = _Glue(a.variance, slot_a, b.variance, slot_b)
+    # piece n sums the pairs of pieces with na + nb = n in one pass
+    pairs: dict[int, list] = {}
+    for na, ta in a.pieces.items():
+        for nb, tb in b.pieces.items():
+            pairs.setdefault(na + nb, []).append((ta, tb))
+    return ClassRefined({n: RelTensor(glue.variance, glue.entries(p)) for n, p in pairs.items()})
+
+
+def _self_glue_refined(a: ClassRefined, slot1: int, slot2: int) -> ClassRefined:
+    # a non-separating gluing keeps the fiber class of each piece
+    return ClassRefined({n: _self_glue(t, slot1, slot2) for n, t in a.pieces.items()})
+
+
+# -- gluing -------------------------------------------------------------------------
+#
+# Each public function folds its tensors, glues them in the folded ring and
+# unfolds the result.  A tensor with an entry that is not translation
+# invariant, with integer coefficients, raises ReductionError.
 
 
 def contract(a: RelTensor, slot_a, b: RelTensor, slot_b) -> RelTensor:
@@ -131,53 +261,30 @@ def contract(a: RelTensor, slot_a, b: RelTensor, slot_b) -> RelTensor:
     slot_a and slot_b are single slots, or equal-length tuples of slots that
     are glued pairwise (slot_a[i] to slot_b[i]) in one pass: every pair that
     joins the same two tensors costs one sum over the glued labels, with no
-    intermediate tensor.  Each of b's glued slots is raised (or lowered)
-    once, so every pair has opposite variance, and zero entries are skipped.
-    Result slots: a's remaining slots then b's.
+    intermediate tensor.  A pair of slots of the same variance is summed
+    with the weight or its inverse as a factor, so no slot is raised or
+    lowered first, and zero entries are skipped.  Result slots: a's
+    remaining slots then b's.
     """
-    glue = _Glue(a.variance, slot_a, b.variance, slot_b)
-    b = _opposed(a.variance, glue.slots_a, b, glue.slots_b)
-    return RelTensor(glue.variance, glue.entries(a, b))
+    return _unfold_all(_contract(_fold_all(a), slot_a, _fold_all(b), slot_b))
 
 
 def self_glue(t: RelTensor, slot1: int, slot2: int) -> RelTensor:
     """Glue two free slots of the same tensor to each other."""
-    if slot1 == slot2:
-        raise ValueError("cannot glue a slot to itself")
-    if not (0 <= slot1 < t.rank and 0 <= slot2 < t.rank):
-        raise ValueError("slot out of range")
-    if t.variance[slot1] == t.variance[slot2]:
-        t = t.raise_slot(slot2) if not t.variance[slot2] else t.lower_slot(slot2)
-    free, _ = _offsets(t.rank, (slot1, slot2))
-    step = 3 ** (t.rank - 1 - slot1) + 3 ** (t.rank - 1 - slot2)
-    variance = [v for s, v in enumerate(t.variance) if s not in (slot1, slot2)]
-    entries = [sum((t.entries[f + lam * step] for lam in LABELS), PhiElem.zero()) for f in free]
-    return RelTensor(variance, entries)
+    return _unfold_all(_self_glue(_fold_all(t), slot1, slot2))
 
 
 def contract_refined(a: ClassRefined, slot_a, b: ClassRefined, slot_b) -> ClassRefined:
     """Class-refined gluing: piece n is the convolution over n = n' + n''.
 
-    Slots as in contract; each piece of b is raised once per call, not once
-    per pair of pieces."""
-    if not a.pieces or not b.pieces:
-        return ClassRefined({})
-    glue = _Glue(a.variance, slot_a, b.variance, slot_b)
-    opposed = [
-        (nb, _opposed(a.variance, glue.slots_a, tb, glue.slots_b)) for nb, tb in b.pieces.items()
-    ]
-    acc: dict[int, list[PhiElem]] = {}
-    for na, ta in a.pieces.items():
-        for nb, tb in opposed:
-            entries = glue.entries(ta, tb)
-            prev = acc.get(na + nb)
-            acc[na + nb] = entries if prev is None else [x + y for x, y in zip(prev, entries)]
-    return ClassRefined({n: RelTensor(glue.variance, e) for n, e in acc.items()})
+    Slots as in contract; each entry of piece n is one sum over the pairs of
+    pieces and the glued labels."""
+    return _unfold_all(_contract_refined(_fold_all(a), slot_a, _fold_all(b), slot_b))
 
 
 def self_glue_refined(a: ClassRefined, slot1: int, slot2: int) -> ClassRefined:
-    # a non-separating gluing keeps the fiber class of each piece
-    return ClassRefined({n: self_glue(t, slot1, slot2) for n, t in a.pieces.items()})
+    """Self-gluing of every piece; the fiber class of each is kept."""
+    return _unfold_all(_self_glue_refined(_fold_all(a), slot1, slot2))
 
 
 # -- 3x3 matrix algebra over phi-Laurent polynomials ---------------------------
@@ -266,10 +373,6 @@ def mat_power(m: Op3, e: int) -> Op3:
 
 # -- the closed-surface trace formula ------------------------------------------
 
-# A polynomial in x = t0 - t2 and y = t1 - t2 over Z, as {(a, b): c} for the
-# terms c x^a y^b; no coefficient is zero.
-_XYPoly = dict[tuple[int, int], int]
-
 _ONE: _XYPoly = {(0, 0): 1}
 
 # folded tr(G^j U1^k1 U2^k2) under the key (j, k1, k2), j >= -1: the seeds
@@ -277,56 +380,74 @@ _ONE: _XYPoly = {(0, 0): 1}
 _memo: dict[tuple[int, int, int], _XYPoly] = {}
 
 
-def _unfold(f: _XYPoly, weight: int) -> PhiElem:
-    """The element of the given weight whose fold is f.
+def _shift(num: _XYPoly) -> TPoly:
+    """num(t0 - t2, t1 - t2), by a Taylor shift in t2:
+    num(t0 - t2, t1 - t2) = sum over k of h_k(t0, t1) (-t2)^k, where
+    h_0 = num and h_k = (d/dx + d/dy) h_(k-1) / k, each division exact."""
+    poly = {}
+    h = num
+    k = 0
+    while h:
+        sign = -1 if k & 1 else 1
+        for (a, b), c in h.items():
+            poly[a, b, k] = sign * c
+        k += 1
+        dh: _XYPoly = {}
+        for (a, b), c in h.items():
+            if a:
+                dh[a - 1, b] = dh.get((a - 1, b), 0) + a * c
+            if b:
+                dh[a, b - 1] = dh.get((a, b - 1), 0) + b * c
+        h = {e: c // k for e, c in dh.items() if c}
+    return TPoly(poly)
 
-    The degree-d part F_d(x, y) of f becomes F_d(t0 - t2, t1 - t2)
-    phi^(weight - d).  The substitution is a Taylor shift in t2:
-    F_d(t0 - t2, t1 - t2) = sum over k of h_k(t0, t1) (-t2)^k, where
-    h_0 = F_d and h_k = (d/dx + d/dy) h_(k-1) / k, each division exact.
+
+def _unfold(f, weight: int | None = None) -> PhiElem:
+    """The element whose fold is f.
+
+    f is a folded element: each phi^m coefficient num / ((x - y)^a x^b y^c)
+    becomes num(t0 - t2, t1 - t2) / ((t0 - t1)^a (t0 - t2)^b (t1 - t2)^c),
+    with the same exponents.  Given a weight, f is instead a polynomial in
+    x, y at phi = 1 (the trace engine's fold), and its degree-d part is the
+    coefficient of phi^(weight - d).
     """
+    if weight is None:
+        return PhiElem._raw({m: TRat(_shift(c.num), c.dexp) for m, c in f.terms.items()})
     parts: dict[int, _XYPoly] = {}
     for (a, b), c in f.items():
-        parts.setdefault(a + b, {})[a, b] = c
-    terms = {}
-    for d, h in parts.items():
-        poly = {}
-        k = 0
-        while h:
-            sign = -1 if k & 1 else 1
-            for (a, b), c in h.items():
-                poly[a, b, k] = sign * c
-            k += 1
-            dh: _XYPoly = {}
-            for (a, b), c in h.items():
-                if a:
-                    dh[a - 1, b] = dh.get((a - 1, b), 0) + a * c
-                if b:
-                    dh[a, b - 1] = dh.get((a, b - 1), 0) + b * c
-            h = {e: c // k for e, c in dh.items() if c}
-        terms[weight - d] = TRat.from_poly(TPoly(poly))
-    return PhiElem(terms)
+        parts.setdefault(weight - a - b, {})[a, b] = c
+    return PhiElem._raw({m: TRat(_shift(h)) for m, h in parts.items()})
 
 
-def _fold(p: PhiElem, weight: int, what: str) -> _XYPoly:
-    """p at t2 = 0 and phi = 1, for p of the given weight.
+def _fold(p: PhiElem, weight: int | None, what: str):
+    """p at t2 = 0: a folded element, or given a weight, an _XYPoly at phi = 1.
 
-    The fold loses nothing only when every phi^m coefficient of p is a
-    polynomial in t0 - t2 and t1 - t2, homogeneous of t-degree weight - m.
-    Re-expanding the fold and comparing it with p checks exactly that, so a
-    broken assumption raises ReductionError instead of giving a wrong Z.
-    Integer coefficients keep every later division exact.
+    The fold loses nothing only when every phi^m coefficient of p is
+    translation invariant: its numerator a polynomial in t0 - t2, t1 - t2.
+    At phi = 1 it must also be a polynomial, homogeneous of t-degree
+    weight - m.  Re-expanding the fold and comparing it with p checks
+    exactly that, so a broken assumption raises ReductionError instead of
+    giving a wrong result.  Integer coefficients keep every later division
+    exact.
     """
-    f: _XYPoly = {}
-    for coeff in p.terms.values():
-        for (a, b, c2), c in coeff.num.terms.items():
-            if not c2:
-                f[a, b] = f.get((a, b), 0) + c
-    f = {e: c for e, c in f.items() if c}
-    if any(c.denominator != 1 for c in f.values()) or _unfold(f, weight) != p:
-        raise ReductionError(
-            f"{what} is not an integer polynomial in t0 - t2, t1 - t2 of weight {weight}"
-        )
+    terms = {}
+    for m, c in p.terms.items():
+        num = {(a, b): v for (a, b, k), v in c.num.terms.items() if not k}
+        if num:
+            terms[m] = XYRat(num, c.dexp)
+    if weight is None:
+        f = PhiElem._raw(terms)
+        problem = "is not translation invariant with integer coefficients"
+    else:
+        acc: dict = {}
+        for c in terms.values():
+            for e, v in c.num.items():
+                acc[e] = acc.get(e, 0) + v
+        f = _xy_clean(acc)
+        problem = f"is not an integer polynomial in t0 - t2, t1 - t2 of weight {weight}"
+    integral = all(v.denominator == 1 for c in terms.values() for v in c.num.values())
+    if not integral or _unfold(f, weight) != p:
+        raise ReductionError(f"{what} {problem}")
     return f
 
 
@@ -336,13 +457,10 @@ def _neg(f: _XYPoly) -> _XYPoly:
 
 def _combine(pairs) -> _XYPoly:
     """The sum of f * p over the (f, p) pairs."""
-    acc: _XYPoly = {}
+    acc: dict = {}
     for f, p in pairs:
-        for (a1, b1), c1 in f.items():
-            for (a2, b2), c2 in p.items():
-                e = (a1 + a2, b1 + b2)
-                acc[e] = acc.get(e, 0) + c1 * c2
-    return {e: c for e, c in acc.items() if c}
+        _xy_mul_into(acc, f, p)
+    return _xy_clean(acc)
 
 
 def _divexact(num: _XYPoly, den: _XYPoly) -> _XYPoly:
@@ -514,6 +632,18 @@ def _build_refined(gen: GenRef) -> ClassRefined:
     raise ValueError(f"generator {gen!r} has no class refinement")
 
 
+@cache
+def _folded(gen: GenRef, refined: bool):
+    """The generator's tensor in the folded ring, class-refined or summed.
+
+    Each generator is folded once per process, at its first word."""
+    if gen[0] == "op":
+        t = matrix_to_tensor(build_operator(gen[1]))
+    else:
+        t = _build_refined(gen) if refined else _build_refined(gen).total()
+    return _fold_all(t, f"an entry of {_gen_name(gen)}")
+
+
 def evaluate_word(w: CobordismWord):
     """Evaluate a cobordism word to its composite tensor.
 
@@ -526,16 +656,13 @@ def evaluate_word(w: CobordismWord):
     the closing of a chain is one contraction pass (see contract).  The
     result is the same tensor, slots in the same order, as gluing pair by
     pair: a's remaining slots then b's at every join.
+
+    Every gluing runs in the folded ring (see _fold), and only the result
+    is unfolded.
     """
     if not w.generators:
         raise ValueError("empty word")
     refined = not any(g[0] == "op" for g in w.generators)
-
-    def value_of(gen: GenRef):
-        if gen[0] == "op":
-            return matrix_to_tensor(build_operator(gen[1]))
-        cr = _build_refined(gen)
-        return cr if refined else cr.total()
 
     # the pattern is checked in order first, so the first unknown or reused
     # slot is the one reported by gluing pair by pair
@@ -553,7 +680,7 @@ def evaluate_word(w: CobordismWord):
     # component id -> (value, [slot ids]), a slot id being (gen index, slot);
     # owner maps every slot not yet glued to its component
     comps = {
-        i: (value_of(gen), [(i, s) for s in range(_gen_rank(gen))])
+        i: (_folded(gen, refined), [(i, s) for s in range(_gen_rank(gen))])
         for i, gen in enumerate(w.generators)
     }
     owner = {ref: i for i, (_, slots) in comps.items() for ref in slots}
@@ -563,7 +690,7 @@ def evaluate_word(w: CobordismWord):
         ca, cb = owner[ra], owner[rb]
         va, slots_a = comps[ca]
         if ca == cb:
-            fn = self_glue_refined if refined else self_glue
+            fn = _self_glue_refined if refined else _self_glue
             glued = {ra, rb}
             new_val = fn(va, slots_a.index(ra), slots_a.index(rb))
             new_slots = [s for s in slots_a if s not in glued]
@@ -575,7 +702,7 @@ def evaluate_word(w: CobordismWord):
                 if owner.get(partner.get(r)) == cb
             ]
             glued = {slots_a[ka] for ka, _ in pairs} | {slots_b[kb] for _, kb in pairs}
-            fn = contract_refined if refined else contract
+            fn = _contract_refined if refined else _contract
             new_val = fn(va, tuple(ka for ka, _ in pairs), vb, tuple(kb for _, kb in pairs))
             new_slots = [s for s in slots_a + slots_b if s not in glued]
         for ref in glued:
@@ -586,7 +713,7 @@ def evaluate_word(w: CobordismWord):
 
     if len(comps) != 1:
         raise ValueError("word does not describe a connected cobordism")
-    return next(iter(comps.values()))[0]
+    return _unfold_all(next(iter(comps.values()))[0])
 
 
 def refined_scalar(cr: ClassRefined) -> PhiElem:
@@ -661,8 +788,10 @@ _ATOM_RE = re.compile(
 
 _INVERTIBLE = {"U1": "U1inv", "U2": "U2inv", "U1inv": "U1", "U2inv": "U2"}
 
-# words are contracted one generator at a time; trace(G^24) takes about 10 s
-# on CPython 3.11
+# words are contracted one generator at a time, in the folded ring:
+# trace(G^32) takes about 1 s in a fresh process on CPython 3.11.7 (2 shared
+# cores), and the cost grows with the length, so the bound stays at 32 until
+# traced chains of commuting operators are routed to trace_formula
 MAX_WORD_GENERATORS = 32
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
-from .exactring import RAT_ZERO, ReductionError, TPoly, TRat, as_rat
+from .exactring import RAT_ZERO, ReductionError, TPoly, TRat, _point, as_rat
 
 
 class PrecisionError(ValueError):
@@ -200,10 +200,13 @@ class PhiElem:
         return self.map_coeffs(lambda c: c.permute_vars(perm))
 
     def evaluate_t(self, point) -> dict[int, Fraction]:
-        """Nonzero numeric coefficient values at a t-point; phi stays formal."""
+        """Nonzero numeric coefficient values at a t-point; phi stays formal.
+
+        The point is converted and checked once, as TRat.evaluate does."""
+        pt = _point(point)
         out = {}
         for m, c in self.terms.items():
-            v = c.evaluate(point)
+            v = c._value(pt)
             if v:
                 out[m] = v
         return out

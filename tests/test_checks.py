@@ -166,6 +166,19 @@ class TestRunner:
         with pytest.raises(ValueError):
             run_checks("everything")
 
+    def test_zero_bounds_are_kept(self):
+        # 0 is a bound of its own, not a request for the default
+        (rep,) = run_checks("cy", g_max=0)
+        assert rep.swept == "0<=g<=0, 0<=k<=6, 3 | 2g-2-k"
+        assert rep.cases == 2  # k = 1 and k = 4
+        (rep,) = run_checks("appendixB", g_max=0, k_max=0)
+        assert rep.swept.startswith("0<=g<=0, |k|<=0;")
+
+    @pytest.mark.parametrize("bounds", [{"g_max": -3}, {"k_max": -1}])
+    def test_negative_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            run_checks("cy", **bounds)
+
     def test_single_suite(self):
         reports = run_checks("semisimple")
         assert [r.check_id for r in reports] == ["semisimplicity"]

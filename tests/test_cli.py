@@ -1,10 +1,14 @@
 """Command-line interface: output formats, exit codes, JSON stability."""
 
+import ast
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +184,14 @@ class TestUsageErrors:
         assert proc.stderr.startswith("error: ")
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("flag", ["--gmax", "--kmax"])
+    def test_negative_sweep_bound_is_exit_2(self, flag):
+        proc = _fresh_cli("verify", "--suite", "cy", flag, "-3")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1
+
 
 class TestExitCodes:
     def test_internal_consistency_error_is_exit_3(self, capsys, monkeypatch):
@@ -252,6 +264,32 @@ class TestNumericReEvaluation:
                 if len(set(pt)) == 3:
                     break
             assert parsed.evaluate_t(pt) == numeric_trace(2, 1, 0, pt)
+
+
+class TestWordGolden:
+    """``word`` output is byte-identical to the hashes the benchmark checks."""
+
+    PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+    def _session_words(self) -> tuple[str, ...]:
+        # read, not imported, so that nothing is written under perfbench/
+        tree = ast.parse((self.PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SESSION_WORDS"]:
+                return ast.literal_eval(node.value)
+        raise AssertionError("SESSION_WORDS not found")
+
+    def test_session_words_match_golden_hashes(self, capsys):
+        golden = json.loads((self.PERFBENCH / "golden.json").read_text(encoding="utf-8"))
+        hashes = golden["stdout_sha256"]
+        words = self._session_words()
+        assert words
+        for text in words:
+            for fmt in ("text", "json"):
+                argv = ["word", text, "--format", fmt]
+                assert main(argv) == 0
+                out = capsys.readouterr().out.encode("utf-8")
+                assert hashlib.sha256(out).hexdigest() == hashes[shlex.join(argv)], argv
 
 
 class TestLeftoverCache:

@@ -7,10 +7,12 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwtqft.exactring import TPoly, TRat
+from gwtqft.exactring import TPoly, TRat, XYRat
 from gwtqft.phicalc import PhiElem, ReductionError
 from gwtqft.operators import (
     LABELS,
+    OPERATOR_NAMES,
+    ClassRefined,
     RelTensor,
     build_cap,
     build_operator,
@@ -295,6 +297,7 @@ def _clear_engine_caches():
     trace_formula.cache_clear()
     gluing._memo.clear()
     gluing._char_poly.cache_clear()
+    gluing._folded.cache_clear()
 
 
 class TestCayleyHamilton:
@@ -360,6 +363,44 @@ class TestFold:
         finally:
             monkeypatch.undo()
             _clear_engine_caches()
+
+    def test_every_generator_entry_round_trips(self):
+        tensors = [t for cr in GENERATORS for t in cr.pieces.values()]
+        tensors += [gluing.matrix_to_tensor(build_operator(name)) for name in OPERATOR_NAMES]
+        assert len(tensors) == 16 + 15  # the 11 generators hold 16 pieces
+        for t in tensors:
+            for e in t.entries:
+                f = gluing._fold(e, None, "entry")
+                assert all(isinstance(c, XYRat) for c in f.terms.values())
+                assert gluing._unfold(f) == e
+
+    def test_fold_keeps_phi_and_the_denominator(self):
+        # pants[0,0,0] fiber class: (2 t0 - t1 - t2) phi^3 is (2x - y) phi^3
+        f = gluing._fold(build_pants().piece(1).entry(0, 0, 0), None, "entry")
+        assert f.terms == {3: XYRat({(1, 0): 2, (0, 1): -1})}
+        # 1 / T(x_1) = -1 / ((t0 - t1)(t1 - t2)) is -1 / ((x - y) y)
+        inv = PhiElem.term(TRat.make(1, weight(1)), -1)
+        assert gluing._fold(inv, None, "entry").terms == {-1: XYRat({(0, 0): -1}, (1, 0, 1))}
+
+    def test_generator_breaking_translation_invariance_is_exit_3(self, monkeypatch, capsys):
+        # t0 t1 phi^3 changes under t -> t + c, so the fold of pants must fail
+        pants = build_pants()
+        p1 = pants.piece(1)
+        bad = p1.entries[0] + PhiElem.term(t0 * t1, 3)
+        doctored = ClassRefined({
+            0: pants.piece(0), 1: RelTensor(p1.variance, (bad,) + p1.entries[1:])
+        })
+        monkeypatch.setattr(gluing, "build_pants", lambda: doctored)
+        gluing._folded.cache_clear()
+        try:
+            assert cli.main(["word", "trace(pants * pants)"]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("internal consistency error: an entry of pants")
+            assert len(err.splitlines()) == 1
+        finally:
+            monkeypatch.undo()
+            gluing._folded.cache_clear()
 
 
 class TestCommutation:
