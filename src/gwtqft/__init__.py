@@ -14,9 +14,10 @@ SUITES = ("all", "cy", "appendixB", "gluing", "semisimple", "numeric")
 _EXPORTS = {
     "exactring": "TPoly TRat parse_poly parse_rat",
     "phicalc": "PhiElem USeries phi_expansion phi_pow_series to_useries",
-    "operators": "build_cap build_tube build_pants build_operator weight",
-    "gluing": "CobordismWord closed_surface_word contract contract_refined evaluate_word"
-    " mat_power parse_word self_glue trace_formula",
+    "operators": "build_operator weight",
+    "gluing": "mat_power trace_formula",
+    "words": "build_cap build_tube build_pants CobordismWord closed_surface_word contract"
+    " contract_refined evaluate_word parse_word self_glue",
     "partition": "SpaceParams compute_Z virtual_dim class_component support genus_expansion",
 }
 _SOURCE = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

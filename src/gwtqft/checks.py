@@ -24,19 +24,12 @@ from .operators import (
     LABELS,
     _d,
     Op3,
-    build_cap,
     build_operator,
-    build_pants,
-    build_tube,
     mat_add,
     mat_identity,
-    matrix_to_tensor,
     weight,
 )
 from .gluing import (
-    closed_surface_word,
-    contract_refined,
-    evaluate_word,
     mat_adjugate,
     mat_eq,
     mat_det,
@@ -46,11 +39,20 @@ from .gluing import (
     mat_scale,
     mat_trace,
     mat_trace_mul,
-    refined_scalar,
-    self_glue_refined,
     trace_formula,
 )
 from .partition import SpaceParams, class_component
+from .words import (
+    build_cap,
+    build_pants,
+    build_tube,
+    closed_surface_word,
+    contract_refined,
+    evaluate_word,
+    matrix_to_tensor,
+    refined_scalar,
+    self_glue_refined,
+)
 
 _Q = _d(0, 1) * _d(0, 2) + _d(1, 0) * _d(1, 2) + _d(2, 0) * _d(2, 1)
 

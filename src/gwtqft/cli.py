@@ -3,21 +3,23 @@ components, tabulate fixed-genus invariants, evaluate cobordism words, and
 run the verification suites, with JSON / LaTeX / plain-text output.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error (including a
-word of more than ``gluing.MAX_WORD_GENERATORS`` generators), 3 internal
-error (a quotient the theory guarantees failed to reduce, a denominator
-outside the products of ti - tj, or the interpreter ran out of recursion
-depth or memory), 141 (128 + SIGPIPE) when the reader of stdout went away
-before the output was written.
+word of more than ``words.MAX_WORD_GENERATORS`` generators or a ``genus
+--order`` above ``partition.MAX_ORDER``), 3 internal error (a quotient the
+theory guarantees failed to reduce, a denominator outside the products of
+ti - tj, or the interpreter ran out of recursion depth or memory), 141
+(128 + SIGPIPE) when the reader of stdout went away before the output was
+written.
 
-Each command imports only what it runs: ``compute``, ``extract``, ``genus``
-and ``word`` load ``operators`` and ``gluing``, and only ``verify`` loads
-``checks``.  Nothing is read from or written to disk.
+Each command compiles only what it runs: ``compute``, ``extract`` and
+``genus`` load ``operators`` and the trace engine in ``gluing``; ``word``
+and ``verify`` also load ``words`` (the tensors, their gluing and the word
+parser); only ``verify`` loads ``checks``; and ``json`` is imported only
+for JSON output.  Nothing is read from or written to disk.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -25,10 +27,17 @@ from typing import TYPE_CHECKING
 from . import SUITES, __version__
 from .exactring import TPoly, TRat
 from .phicalc import PhiElem, PrecisionError, ReductionError
-from .partition import SpaceParams, class_component, compute_Z, genus_expansion, virtual_dim
+from .partition import (
+    MAX_ORDER,
+    SpaceParams,
+    class_component,
+    compute_Z,
+    genus_expansion,
+    virtual_dim,
+)
 
 if TYPE_CHECKING:
-    from .operators import RelTensor
+    from .words import RelTensor
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -41,6 +50,9 @@ DEFAULT_ORDER = 10
 
 def dumps_canonical(doc: dict) -> str:
     """The byte-stable JSON serialization used by every command."""
+    # imported here: text and LaTeX output would pay for it on every start
+    import json
+
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -216,6 +228,8 @@ def cmd_verify(args) -> int:
         trials=args.trials,
     )
     if args.format == "json":
+        import json
+
         for rep in reports:
             print(json.dumps(rep.to_json(), sort_keys=True))
     else:
@@ -227,8 +241,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_word(args) -> int:
-    from .gluing import evaluate_word, parse_word, refined_scalar
-    from .operators import ClassRefined
+    from .words import ClassRefined, evaluate_word, parse_word, refined_scalar
 
     word = parse_word(args.text)
     result = evaluate_word(word)
@@ -295,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("genus", help="fixed-genus invariants of one class")
     add_common(p, with_n=True)
     p.add_argument("--hmax", type=int, required=True, help="largest genus to tabulate")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER, help="u-series truncation order")
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                   help=f"u-series truncation order, at most {MAX_ORDER}")
     p.set_defaults(fn=cmd_genus)
 
     p = sub.add_parser("verify", help="run the closed-form verification suites")

@@ -65,12 +65,21 @@ def support(p: SpaceParams) -> list[int]:
     return sorted(out)
 
 
+# The largest u-series truncation order genus_expansion accepts.  The series
+# of every phi power is built up to the order, and its cost grows about as
+# the cube of the order: `genus -g 0 --level1 1 --n -1` took 0.17 s at order
+# 50, 0.47 s at 200, 2.6 s at 400 and 27.9 s at 800 in a fresh process
+# (CPython 3.11.7, 2 shared cores).
+MAX_ORDER = 200
+
+
 def genus_expansion(p: SpaceParams, n: int, h_max: int, order: int | None = None) -> list[tuple[int, TRat]]:
     """Fixed-genus invariants of the class beta0 + n f for 0 <= h <= h_max.
 
     The genus-h invariant is the u^(2h - 2 + D) coefficient of the class
     component.  ``order`` may force a truncation horizon; it must cover the
-    requested range.
+    requested range.  An order above MAX_ORDER is a ValueError, raised
+    before any work.
     """
     if h_max < 0:
         raise ValueError("h_max must be nonnegative")
@@ -78,6 +87,8 @@ def genus_expansion(p: SpaceParams, n: int, h_max: int, order: int | None = None
     needed = 2 * h_max - 2 + d
     if order is None:
         order = max(needed, 0)
+    if order > MAX_ORDER:
+        raise ValueError(f"truncation order u^{order} is above the limit u^{MAX_ORDER}")
     comp = class_component(p, n)
     series = to_useries(comp, order)
     return [(h, series.coeff(2 * h - 2 + d)) for h in range(h_max + 1)]

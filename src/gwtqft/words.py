@@ -1,0 +1,827 @@
+"""Cobordism words: the class-refined cap, tube and pants tensors, their
+gluing, and the evaluation of words built from them and the operators.
+
+Only ``word`` and ``verify`` load this module.  ``compute``, ``extract``
+and ``genus`` run the trace engine of ``gluing`` alone, so they do not
+compile it.
+
+The tensors are the localization values of the basic relative partition
+functions; the operators of ``operators`` and everything else are obtained
+from them by gluing.  Entries are stored with all slots lowered.
+
+Gluing two relative slots sums over the fixed-point basis with one slot
+raised; the fiber class of a composite is the convolution of the factors'
+classes.  Every slot pair between the same two tensors is glued in one
+pass over flat entry offsets.
+
+Tensors are glued folded.  Every entry of the cap, tube and pants pieces
+and of the operators is translation invariant, so each phi^m coefficient
+is fixed by its value at t2 = 0: an XYRat, a fraction over Z[x, y] with
+x = t0 - t2, y = t1 - t2 and denominator (x - y)^a x^b y^c.  A pair of
+lowered slots is glued with the folded inverse weight as a factor of each
+product (a pair of raised ones with the weight), each coefficient of a
+glued entry is one sum of unreduced products reduced once, and only the
+result is unfolded, by the Taylor shift that the trace engine uses too
+(``gluing._fold`` / ``gluing._unfold``).  Each generator is folded once per
+process, at its first word, and every fold is re-expanded and compared with
+its source.  Words are still contracted one generator at a time, so a
+word's cost grows with its length (see MAX_WORD_GENERATORS).
+"""
+
+from __future__ import annotations
+
+import re
+from functools import cache, reduce
+from itertools import product
+from typing import Callable, NamedTuple, Sequence
+
+from .exactring import TPoly, TRat, XYRat, _xy_clean, _xy_fraction_sum, _xy_mul_into
+from .gluing import _ONE, _fold, _unfold
+from .operators import (
+    INV_WEIGHTS,
+    LABELS,
+    OPERATOR_NAMES,
+    WEIGHT_RATS,
+    Op3,
+    _d,
+    _phi,
+    build_operator,
+    weight,
+)
+from .phicalc import PhiElem
+
+Level = tuple[int, int]
+
+# -- relative tensors --------------------------------------------------------
+
+
+class RelTensor:
+    """Rank-r array over the fixed-point basis with PhiElem entries.
+
+    ``variance[s]`` is True when slot s is raised.  Entries are stored
+    row-major over label tuples; instances are immutable.
+    """
+
+    __slots__ = ("variance", "entries")
+
+    def __init__(self, variance: Sequence[bool], entries: Sequence[PhiElem]):
+        variance = tuple(variance)
+        entries = tuple(entries)
+        if len(entries) != 3 ** len(variance):
+            raise ValueError("entry array must have 3^rank cells")
+        self.variance = variance
+        self.entries = entries
+
+    @classmethod
+    def from_function(
+        cls, rank: int, fn: Callable[..., PhiElem], variance: Sequence[bool] | None = None
+    ) -> "RelTensor":
+        if variance is None:
+            variance = (False,) * rank
+        return cls(variance, [fn(*labels) for labels in product(LABELS, repeat=rank)])
+
+    @property
+    def rank(self) -> int:
+        return len(self.variance)
+
+    def _index(self, labels: Sequence[int]) -> int:
+        idx = 0
+        for a in labels:
+            idx = idx * 3 + a
+        return idx
+
+    def entry(self, *labels: int) -> PhiElem:
+        if len(labels) != self.rank:
+            raise ValueError(f"expected {self.rank} labels, got {len(labels)}")
+        return self.entries[self._index(labels)]
+
+    @property
+    def is_zero(self) -> bool:
+        return all(e.is_zero for e in self.entries)
+
+    def __add__(self, other: "RelTensor") -> "RelTensor":
+        if self.variance != other.variance:
+            raise ValueError("cannot add tensors with different slot variance")
+        return RelTensor(self.variance, [a + b for a, b in zip(self.entries, other.entries)])
+
+    def __eq__(self, other):
+        if not isinstance(other, RelTensor):
+            return NotImplemented
+        return self.variance == other.variance and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.variance, self.entries))
+
+    def _rescale_slot(self, slot: int, factors: Sequence[TRat]) -> "RelTensor":
+        new = []
+        for labels in product(LABELS, repeat=self.rank):
+            new.append(self.entries[self._index(labels)] * factors[labels[slot]])
+        return RelTensor(self.variance, new)
+
+    def raise_slot(self, slot: int) -> "RelTensor":
+        """Divide entries by T(x_a) along one slot, turning it contravariant."""
+        if not 0 <= slot < self.rank:
+            raise ValueError(f"slot {slot} out of range for rank {self.rank}")
+        if self.variance[slot]:
+            raise ValueError(f"slot {slot} is already raised")
+        out = self._rescale_slot(slot, INV_WEIGHTS)
+        variance = list(self.variance)
+        variance[slot] = True
+        return RelTensor(variance, out.entries)
+
+    def lower_slot(self, slot: int) -> "RelTensor":
+        if not 0 <= slot < self.rank:
+            raise ValueError(f"slot {slot} out of range for rank {self.rank}")
+        if not self.variance[slot]:
+            raise ValueError(f"slot {slot} is already lowered")
+        out = self._rescale_slot(slot, WEIGHT_RATS)
+        variance = list(self.variance)
+        variance[slot] = False
+        return RelTensor(variance, out.entries)
+
+    def scalar(self) -> PhiElem:
+        if self.rank != 0:
+            raise ValueError("tensor has free slots")
+        return self.entries[0]
+
+    def __repr__(self):
+        return f"RelTensor(rank={self.rank}, variance={self.variance})"
+
+
+class ClassRefined:
+    """Fiber-class refinement: map n -> RelTensor for the class beta0 + n f.
+
+    Only nonzero tensors are stored; all pieces share rank and variance.
+    """
+
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: dict[int, RelTensor]):
+        self.pieces = {n: t for n, t in pieces.items() if not t.is_zero}
+
+    def classes(self) -> list[int]:
+        return sorted(self.pieces)
+
+    def piece(self, n: int) -> RelTensor:
+        t = self.pieces.get(n)
+        if t is not None:
+            return t
+        rank = self.rank
+        return RelTensor(self.variance, [PhiElem.zero()] * (3 ** rank))
+
+    @property
+    def rank(self) -> int:
+        return next(iter(self.pieces.values())).rank
+
+    @property
+    def variance(self) -> tuple[bool, ...]:
+        return next(iter(self.pieces.values())).variance
+
+    def total(self) -> RelTensor:
+        """Sum over all fiber classes."""
+        return reduce(lambda a, b: a + b, self.pieces.values())
+
+    def __eq__(self, other):
+        if not isinstance(other, ClassRefined):
+            return NotImplemented
+        return self.pieces == other.pieces
+
+    def __hash__(self):
+        return hash(frozenset(self.pieces.items()))
+
+    def __repr__(self):
+        return f"ClassRefined(classes={self.classes()})"
+
+
+# -- the class-refined generators ----------------------------------------------
+
+
+def _tensor1(values: Sequence[PhiElem]) -> RelTensor:
+    return RelTensor((False,), values)
+
+
+def _tensor2(rows: Sequence[Sequence[PhiElem]]) -> RelTensor:
+    return RelTensor((False, False), [rows[a][b] for a in LABELS for b in LABELS])
+
+
+_SUPPORTED_CAPS = {(0, 0), (0, -1), (-1, 0), (0, 1), (1, 0)}
+
+
+@cache
+def build_cap(level: Level) -> ClassRefined:
+    """Class-refined one-holed genus-0 generator at the given level."""
+    if level not in _SUPPORTED_CAPS:
+        raise ValueError(f"level {level} cap is not a basic generator")
+    z = PhiElem.zero()
+    if level == (0, 0):
+        return ClassRefined({0: _tensor1([PhiElem.one()] * 3)})
+    if level == (0, -1):
+        # (t_a - t2) phi^-1
+        return ClassRefined({0: _tensor1([_phi(_d(a, 2), -1) if a != 2 else z for a in LABELS])})
+    if level == (-1, 0):
+        # (t_a - t1) phi^-1
+        return ClassRefined({0: _tensor1([_phi(_d(a, 1), -1) if a != 1 else z for a in LABELS])})
+    if level == (0, 1):
+        # (t_a - t0)(t_a - t1) phi^-2, nonzero only at a = 2
+        return ClassRefined({-1: _tensor1([z, z, _phi(weight(2), -2)])})
+    # level (1, 0): (t_a - t0)(t_a - t2) phi^-2, nonzero only at a = 1
+    return ClassRefined({-1: _tensor1([z, _phi(weight(1), -2), z])})
+
+
+_SUPPORTED_TUBES = {(0, 0), (0, -1), (-1, 0), (0, 1), (1, 0)}
+
+
+@cache
+def build_tube(level: Level) -> ClassRefined:
+    """Class-refined two-holed genus-0 generator, both slots lowered."""
+    if level not in _SUPPORTED_TUBES:
+        raise ValueError(f"level {level} tube is not a basic generator")
+    z = PhiElem.zero()
+
+    def diag(vals: Sequence[PhiElem]) -> RelTensor:
+        return _tensor2([[vals[a] if a == b else z for b in LABELS] for a in LABELS])
+
+    ones_phi2 = _tensor2([[_phi(1, 2)] * 3] * 3)
+    if level == (0, 0):
+        return ClassRefined({0: diag([_phi(weight(a), 0) for a in LABELS])})
+    if level == (0, -1):
+        return ClassRefined({
+            0: diag([_phi(_d(0, 1) * _d(0, 2) ** 2, -1), _phi(_d(1, 0) * _d(1, 2) ** 2, -1), z]),
+            1: ones_phi2,
+        })
+    if level == (-1, 0):
+        return ClassRefined({
+            0: diag([_phi(_d(0, 2) * _d(0, 1) ** 2, -1), z, _phi(_d(2, 0) * _d(2, 1) ** 2, -1)]),
+            1: ones_phi2,
+        })
+    if level == (0, 1):
+        body = [
+            [_d(0, 1), TPoly.zero(), _d(2, 1)],
+            [TPoly.zero(), _d(1, 0), _d(2, 0)],
+            [_d(2, 1), _d(2, 0), _d(2, 0) + _d(2, 1)],
+        ]
+        return ClassRefined({
+            -1: diag([z, z, _phi(weight(2) ** 2, -2)]),
+            0: _tensor2([[_phi(body[a][b], 1) for b in LABELS] for a in LABELS]),
+        })
+    # level (1, 0)
+    body = [
+        [_d(0, 2), _d(1, 2), TPoly.zero()],
+        [_d(1, 2), _d(1, 0) + _d(1, 2), _d(1, 0)],
+        [TPoly.zero(), _d(1, 0), _d(2, 0)],
+    ]
+    return ClassRefined({
+        -1: diag([z, _phi(weight(1) ** 2, -2), z]),
+        0: _tensor2([[_phi(body[a][b], 1) for b in LABELS] for a in LABELS]),
+    })
+
+
+# the ten distinct entries of the fiber-class-1 pants, indexed by sorted label
+# multisets; the remaining 17 cells follow by full symmetry in the three slots.
+# The mixed entries obey pants[a,b,c] = t_a + t_b - 2 t_missing-style patterns
+# forced by capping off one slot: pants[lam,a,b] must rebuild the level tubes.
+_PANTS_F = {
+    (0, 0, 0): _d(0, 1) + _d(0, 2),
+    (1, 1, 1): _d(1, 0) + _d(1, 2),
+    (2, 2, 2): _d(2, 0) + _d(2, 1),
+    (0, 0, 1): _d(0, 2),
+    (0, 1, 1): _d(1, 2),
+    (0, 0, 2): _d(0, 1),
+    (0, 2, 2): _d(2, 1),
+    (1, 1, 2): _d(1, 0),
+    (1, 2, 2): _d(2, 0),
+    (0, 1, 2): TPoly.zero(),
+}
+
+
+@cache
+def build_pants() -> ClassRefined:
+    """Class-refined three-holed genus-0 level (0,0) generator."""
+
+    def base(a: int, b: int, c: int) -> PhiElem:
+        if a == b == c:
+            return _phi(weight(a) ** 2, 0)
+        return PhiElem.zero()
+
+    def fiber(a: int, b: int, c: int) -> PhiElem:
+        return _phi(_PANTS_F[tuple(sorted((a, b, c)))], 3)
+
+    return ClassRefined({
+        0: RelTensor.from_function(3, base),
+        1: RelTensor.from_function(3, fiber),
+    })
+
+
+def matrix_to_tensor(m: Op3) -> RelTensor:
+    """View a matrix as a rank-2 tensor with (raised, lowered) slots."""
+    return RelTensor((True, False), [m[a][b] for a in LABELS for b in LABELS])
+
+
+# -- index calculus ----------------------------------------------------------
+
+
+def _slots(rank: int, slot) -> tuple[int, ...]:
+    """One slot or a tuple of slots, checked against the rank."""
+    slots = (slot,) if isinstance(slot, int) else tuple(slot)
+    for s in slots:
+        if not 0 <= s < rank:
+            raise ValueError(f"slot {s} out of range for rank {rank}")
+    if len(set(slots)) != len(slots):
+        raise ValueError(f"slots {slots} name one slot twice")
+    return slots
+
+
+def _offsets(rank: int, glued: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Flat offsets into a row-major rank-r entry array: one per label tuple
+    of the free slots (glued labels 0) and one per label tuple of the glued
+    slots (free labels 0), each in row-major order.  An entry's index is the
+    sum of its two offsets."""
+    free = [s for s in range(rank) if s not in glued]
+
+    def table(slots):
+        strides = [3 ** (rank - 1 - s) for s in slots]
+        return [
+            sum(a * st for a, st in zip(labels, strides))
+            for labels in product(LABELS, repeat=len(slots))
+        ]
+
+    return table(free), table(glued)
+
+
+# -- the folded ring --------------------------------------------------------------
+
+# The word path holds every tensor entry as its fold at t2 = 0 (see
+# gluing._fold): a PhiElem whose coefficients are XYRat.  T(x_0), T(x_1),
+# T(x_2) fold to (x - y) x, -(x - y) y and x y; their inverses, as
+# (sign, dexp), to sign / ((x - y)^a x^b y^c).
+_WEIGHTS = ({(2, 0): 1, (1, 1): -1}, {(1, 1): -1, (0, 2): 1}, {(1, 1): 1})
+_INV_WEIGHTS = ((1, (1, 1, 0)), (-1, (1, 0, 1)), (1, (0, 1, 1)))
+_PHI_ONE = PhiElem._raw({0: XYRat({(0, 0): 1})})
+
+
+def _entrywise(fn, t):
+    """A RelTensor, or every piece of a ClassRefined, with fn applied to
+    each entry."""
+    if isinstance(t, ClassRefined):
+        return ClassRefined({n: _entrywise(fn, p) for n, p in t.pieces.items()})
+    return RelTensor(t.variance, [fn(e) for e in t.entries])
+
+
+def _fold_all(t, what: str = "a tensor entry"):
+    return _entrywise(lambda e: _fold(e, None, what), t)
+
+
+def _unfold_all(t):
+    return _entrywise(_unfold, t)
+
+
+def _glue_factors(pairs) -> list[tuple]:
+    """The factor of every glued label tuple, in row-major order, for slot
+    pairs of the given (variance, variance): 1 / T(x_a) for each pair of
+    lowered slots and T(x_a) for each pair of raised ones, so that every
+    pair is summed with opposite variance.  A factor is (sign, polynomial
+    or None, dexp)."""
+    out = []
+    for labels in product(LABELS, repeat=len(pairs)):
+        sign, poly, dexp = 1, None, (0, 0, 0)
+        for lam, (va, vb) in zip(labels, pairs):
+            if va == vb and va:
+                poly = _xy_clean(_xy_mul_into({}, poly or _ONE, _WEIGHTS[lam]))
+            elif va == vb:
+                s, d = _INV_WEIGHTS[lam]
+                sign, dexp = sign * s, (dexp[0] + d[0], dexp[1] + d[1], dexp[2] + d[2])
+        out.append((sign, poly, dexp))
+    return out
+
+
+def _dot(terms) -> PhiElem:
+    """The sum of x * y * f over the (x, y, f) terms: x and y folded
+    entries, f a glue factor.  Products are left unreduced; each phi^m
+    coefficient of the sum is reduced once."""
+    parts: dict[int, list] = {}
+    for x, y, (sign, poly, (w0, w1, w2)) in terms:
+        for m2, c2 in y.terms.items():
+            d2 = c2.dexp
+            for m1, c1 in x.terms.items():
+                d1 = c1.dexp
+                num = _xy_mul_into({}, c1.num, c2.num, sign)
+                parts.setdefault(m1 + m2, []).append((
+                    num if poly is None else _xy_mul_into({}, num, poly),
+                    (d1[0] + d2[0] + w0, d1[1] + d2[1] + w1, d1[2] + d2[2] + w2),
+                ))
+    total = {}
+    for m, items in parts.items():
+        c = _xy_fraction_sum(items)
+        if c:
+            total[m] = c
+    return PhiElem._raw(total)
+
+
+class _Glue:
+    """The contraction of slots_a of a rank-ra tensor with slots_b of a
+    rank-rb tensor, pair by pair, as flat offsets and glue factors shared
+    by every pair of folded tensors of those ranks and variances."""
+
+    def __init__(self, variance_a, slot_a, variance_b, slot_b):
+        self.slots_a = _slots(len(variance_a), slot_a)
+        self.slots_b = _slots(len(variance_b), slot_b)
+        if len(self.slots_a) != len(self.slots_b):
+            raise ValueError("slot lists to glue differ in length")
+        self.free_a, glue_a = _offsets(len(variance_a), self.slots_a)
+        self.free_b, glue_b = _offsets(len(variance_b), self.slots_b)
+        factors = _glue_factors(
+            [(variance_a[sa], variance_b[sb]) for sa, sb in zip(self.slots_a, self.slots_b)]
+        )
+        self.glue = list(zip(glue_a, glue_b, factors))
+        self.variance = [v for s, v in enumerate(variance_a) if s not in self.slots_a] + [
+            v for s, v in enumerate(variance_b) if s not in self.slots_b
+        ]
+
+    def entries(self, pairs) -> list[PhiElem]:
+        """Result entries of the sum over the (a, b) pairs of tensors;
+        zero entries are skipped."""
+        out = []
+        for fa in self.free_a:
+            rows = [
+                ([(x, gb, f) for ga, gb, f in self.glue if (x := a.entries[fa + ga])], b.entries)
+                for a, b in pairs
+            ]
+            for fb in self.free_b:
+                out.append(_dot(
+                    (x, y, f) for row, eb in rows for x, gb, f in row if (y := eb[fb + gb])
+                ))
+        return out
+
+
+def _contract(a: RelTensor, slot_a, b: RelTensor, slot_b) -> RelTensor:
+    glue = _Glue(a.variance, slot_a, b.variance, slot_b)
+    return RelTensor(glue.variance, glue.entries([(a, b)]))
+
+
+def _self_glue(t: RelTensor, slot1: int, slot2: int) -> RelTensor:
+    if slot1 == slot2:
+        raise ValueError("cannot glue a slot to itself")
+    if not (0 <= slot1 < t.rank and 0 <= slot2 < t.rank):
+        raise ValueError("slot out of range")
+    factors = _glue_factors([(t.variance[slot1], t.variance[slot2])])
+    free, _ = _offsets(t.rank, (slot1, slot2))
+    step = 3 ** (t.rank - 1 - slot1) + 3 ** (t.rank - 1 - slot2)
+    variance = [v for s, v in enumerate(t.variance) if s not in (slot1, slot2)]
+    entries = [
+        _dot((x, _PHI_ONE, f) for lam, f in zip(LABELS, factors) if (x := t.entries[i + lam * step]))
+        for i in free
+    ]
+    return RelTensor(variance, entries)
+
+
+def _contract_refined(a: ClassRefined, slot_a, b: ClassRefined, slot_b) -> ClassRefined:
+    if not a.pieces or not b.pieces:
+        return ClassRefined({})
+    glue = _Glue(a.variance, slot_a, b.variance, slot_b)
+    # piece n sums the pairs of pieces with na + nb = n in one pass
+    pairs: dict[int, list] = {}
+    for na, ta in a.pieces.items():
+        for nb, tb in b.pieces.items():
+            pairs.setdefault(na + nb, []).append((ta, tb))
+    return ClassRefined({n: RelTensor(glue.variance, glue.entries(p)) for n, p in pairs.items()})
+
+
+def _self_glue_refined(a: ClassRefined, slot1: int, slot2: int) -> ClassRefined:
+    # a non-separating gluing keeps the fiber class of each piece
+    return ClassRefined({n: _self_glue(t, slot1, slot2) for n, t in a.pieces.items()})
+
+
+# -- gluing -------------------------------------------------------------------------
+#
+# Each public function folds its tensors, glues them in the folded ring and
+# unfolds the result.  A tensor with an entry that is not translation
+# invariant, with integer coefficients, raises ReductionError.
+
+
+def contract(a: RelTensor, slot_a, b: RelTensor, slot_b) -> RelTensor:
+    """Glue slot_a of a to slot_b of b, summing over the basis.
+
+    slot_a and slot_b are single slots, or equal-length tuples of slots that
+    are glued pairwise (slot_a[i] to slot_b[i]) in one pass: every pair that
+    joins the same two tensors costs one sum over the glued labels, with no
+    intermediate tensor.  A pair of slots of the same variance is summed
+    with the weight or its inverse as a factor, so no slot is raised or
+    lowered first, and zero entries are skipped.  Result slots: a's
+    remaining slots then b's.
+    """
+    return _unfold_all(_contract(_fold_all(a), slot_a, _fold_all(b), slot_b))
+
+
+def self_glue(t: RelTensor, slot1: int, slot2: int) -> RelTensor:
+    """Glue two free slots of the same tensor to each other."""
+    return _unfold_all(_self_glue(_fold_all(t), slot1, slot2))
+
+
+def contract_refined(a: ClassRefined, slot_a, b: ClassRefined, slot_b) -> ClassRefined:
+    """Class-refined gluing: piece n is the convolution over n = n' + n''.
+
+    Slots as in contract; each entry of piece n is one sum over the pairs of
+    pieces and the glued labels."""
+    return _unfold_all(_contract_refined(_fold_all(a), slot_a, _fold_all(b), slot_b))
+
+
+def self_glue_refined(a: ClassRefined, slot1: int, slot2: int) -> ClassRefined:
+    """Self-gluing of every piece; the fiber class of each is kept."""
+    return _unfold_all(_self_glue_refined(_fold_all(a), slot1, slot2))
+
+
+# -- cobordism words -------------------------------------------------------------
+
+GenRef = tuple  # ("cap", (k1, k2)) | ("tube", (k1, k2)) | ("pants",) | ("op", name)
+
+
+class CobordismWord(NamedTuple):
+    """A list of generators plus a gluing pattern.
+
+    Pattern entries are pairs of (generator index, slot index); the two named
+    slots are contracted (with automatic index raising).  Slots may be used
+    at most once; unused slots remain free in the composite.
+    """
+
+    generators: tuple[GenRef, ...]
+    pattern: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+
+    def __str__(self) -> str:
+        names = [_gen_name(g) for g in self.generators]
+        glues = "; ".join(
+            f"glue({names[i]}[{i}].{si + 1}, {names[j]}[{j}].{sj + 1})"
+            for (i, si), (j, sj) in self.pattern
+        )
+        return glues if glues else " * ".join(names)
+
+
+def _gen_name(gen: GenRef) -> str:
+    kind = gen[0]
+    if kind == "cap":
+        return f"cap{gen[1]}"
+    if kind == "tube":
+        return f"tube{gen[1]}"
+    if kind == "pants":
+        return "pants"
+    return gen[1]
+
+
+def _gen_rank(gen: GenRef) -> int:
+    return {"cap": 1, "tube": 2, "pants": 3, "op": 2}[gen[0]]
+
+
+def _build_refined(gen: GenRef) -> ClassRefined:
+    kind = gen[0]
+    if kind == "cap":
+        return build_cap(gen[1])
+    if kind == "tube":
+        return build_tube(gen[1])
+    if kind == "pants":
+        return build_pants()
+    raise ValueError(f"generator {gen!r} has no class refinement")
+
+
+@cache
+def _folded(gen: GenRef, refined: bool):
+    """The generator's tensor in the folded ring, class-refined or summed.
+
+    Each generator is folded once per process, at its first word."""
+    if gen[0] == "op":
+        t = matrix_to_tensor(build_operator(gen[1]))
+    else:
+        t = _build_refined(gen) if refined else _build_refined(gen).total()
+    return _fold_all(t, f"an entry of {_gen_name(gen)}")
+
+
+def evaluate_word(w: CobordismWord):
+    """Evaluate a cobordism word to its composite tensor.
+
+    Returns a ClassRefined when every generator is a cap/tube/pants; with an
+    operator generator the evaluation is class-summed and returns a
+    RelTensor.  A fully glued word yields a rank-0 result.
+
+    The pattern is glued in order, but a pair that joins two components also
+    takes every later pair between the same two components, so a handle or
+    the closing of a chain is one contraction pass (see contract).  The
+    result is the same tensor, slots in the same order, as gluing pair by
+    pair: a's remaining slots then b's at every join.
+
+    Every gluing runs in the folded ring (see gluing._fold), and only the
+    result is unfolded.
+    """
+    if not w.generators:
+        raise ValueError("empty word")
+    refined = not any(g[0] == "op" for g in w.generators)
+
+    # the pattern is checked in order first, so the first unknown or reused
+    # slot is the one reported by gluing pair by pair
+    free = {(i, s) for i, gen in enumerate(w.generators) for s in range(_gen_rank(gen))}
+    partner: dict[tuple[int, int], tuple[int, int]] = {}
+    for ra, rb in w.pattern:
+        for ref in (ra, rb):
+            if ref not in free:
+                raise ValueError(f"slot {ref} is unknown or already glued")
+        if ra == rb:
+            raise ValueError("cannot glue a slot to itself")
+        free -= {ra, rb}
+        partner[ra], partner[rb] = rb, ra
+
+    # component id -> (value, [slot ids]), a slot id being (gen index, slot);
+    # owner maps every slot not yet glued to its component
+    comps = {
+        i: (_folded(gen, refined), [(i, s) for s in range(_gen_rank(gen))])
+        for i, gen in enumerate(w.generators)
+    }
+    owner = {ref: i for i, (_, slots) in comps.items() for ref in slots}
+    for ra, rb in w.pattern:
+        if ra not in owner:
+            continue  # glued together with an earlier pair
+        ca, cb = owner[ra], owner[rb]
+        va, slots_a = comps[ca]
+        if ca == cb:
+            fn = _self_glue_refined if refined else _self_glue
+            glued = {ra, rb}
+            new_val = fn(va, slots_a.index(ra), slots_a.index(rb))
+            new_slots = [s for s in slots_a if s not in glued]
+        else:
+            vb, slots_b = comps.pop(cb)
+            pairs = [
+                (ka, slots_b.index(partner[r]))
+                for ka, r in enumerate(slots_a)
+                if owner.get(partner.get(r)) == cb
+            ]
+            glued = {slots_a[ka] for ka, _ in pairs} | {slots_b[kb] for _, kb in pairs}
+            fn = _contract_refined if refined else _contract
+            new_val = fn(va, tuple(ka for ka, _ in pairs), vb, tuple(kb for _, kb in pairs))
+            new_slots = [s for s in slots_a + slots_b if s not in glued]
+        for ref in glued:
+            del owner[ref]
+        for ref in new_slots:
+            owner[ref] = ca
+        comps[ca] = (new_val, new_slots)
+
+    if len(comps) != 1:
+        raise ValueError("word does not describe a connected cobordism")
+    return _unfold_all(next(iter(comps.values()))[0])
+
+
+def refined_scalar(cr: ClassRefined) -> PhiElem:
+    """Class-summed scalar value of a rank-0 refined tensor."""
+    total = PhiElem.zero()
+    for t in cr.pieces.values():
+        total = total + t.scalar()
+    return total
+
+
+def closed_surface_word(g: int, k1: int, k2: int) -> CobordismWord:
+    """A pants/tube decomposition of the closed genus-g level-(k1, k2) space.
+
+    Genus comes from g-1 two-pants handle blocks plus the closing of the
+    chain into a ring; levels come from |k1| + |k2| one-level tubes.  At
+    g = 0 the chain is capped on both ends instead of closed.
+    """
+    if g < 0:
+        raise ValueError("genus must be nonnegative")
+    gens: list[GenRef] = []
+    pattern: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    blocks: list[tuple[tuple[int, int], tuple[int, int]]] = []  # (in, out) slot refs
+
+    def add_handle():
+        i = len(gens)
+        gens.append(("pants",))
+        gens.append(("pants",))
+        pattern.append(((i, 1), (i + 1, 0)))
+        pattern.append(((i, 2), (i + 1, 1)))
+        blocks.append(((i, 0), (i + 1, 2)))
+
+    def add_tube(level):
+        i = len(gens)
+        gens.append(("tube", level))
+        blocks.append(((i, 0), (i, 1)))
+
+    for _ in range(max(g - 1, 0)):
+        add_handle()
+    step1 = 1 if k1 >= 0 else -1
+    for _ in range(abs(k1)):
+        add_tube((step1, 0))
+    step2 = 1 if k2 >= 0 else -1
+    for _ in range(abs(k2)):
+        add_tube((0, step2))
+
+    if g == 0:
+        i = len(gens)
+        gens.append(("cap", (0, 0)))
+        gens.append(("cap", (0, 0)))
+        chain = [((i, 0), (i, 0))] + blocks + [((i + 1, 0), (i + 1, 0))]
+    else:
+        if not blocks:
+            add_tube((0, 0))
+        chain = blocks
+
+    for (_, prev_out), (nxt_in, _) in zip(chain, chain[1:]):
+        pattern.append((prev_out, nxt_in))
+    if g >= 1:
+        # closing the ring adds the final handle
+        pattern.append((chain[-1][1], chain[0][0]))
+
+    return CobordismWord(tuple(gens), tuple(pattern))
+
+
+# -- word text parsing ------------------------------------------------------------
+
+_ATOM_RE = re.compile(
+    r"\s*(?P<name>[A-Za-z][A-Za-z0-9]*)"
+    r"(?:\(\s*(?P<a>-?\d+)\s*,\s*(?P<b>-?\d+)\s*\))?"
+    r"(?:\^(?P<pow>-?\d+))?\s*"
+)
+
+_INVERTIBLE = {"U1": "U1inv", "U2": "U2inv", "U1inv": "U1", "U2inv": "U2"}
+
+# words are contracted one generator at a time, in the folded ring:
+# trace(G^32) takes about 1 s in a fresh process on CPython 3.11.7 (2 shared
+# cores), and the cost grows with the length, so the bound stays at 32 until
+# traced chains of commuting operators are routed to trace_formula
+MAX_WORD_GENERATORS = 32
+
+
+def parse_word(text: str) -> CobordismWord:
+    """Parse the CLI chain syntax into a CobordismWord.
+
+    Grammar: ["trace("] atom {"*" atom} [")"], where an atom is "pants",
+    "cap(k1,k2)", "tube(k1,k2)" or an operator name, optionally raised to an
+    integer power.  A chain contracts each atom's outgoing slot with the next
+    atom's incoming slot; trace(...) closes the two ends of the chain.  A
+    word of more than MAX_WORD_GENERATORS generators, counting powers, is
+    a ValueError.
+    """
+    s = text.strip()
+    traced = False
+    if s.startswith("trace"):
+        rest = s[len("trace"):].lstrip()
+        if not rest.startswith("(") or not rest.endswith(")"):
+            raise ValueError("malformed trace(...) at position 0")
+        s = rest[1:-1]
+        traced = True
+
+    atoms: list[tuple[GenRef, int]] = []
+    pos = 0
+    while True:
+        m = _ATOM_RE.match(s, pos)
+        if not m or not m.group("name"):
+            raise ValueError(f"expected a generator at position {pos}")
+        name = m.group("name")
+        level = None
+        if m.group("a") is not None:
+            level = (int(m.group("a")), int(m.group("b")))
+        power = int(m.group("pow")) if m.group("pow") else 1
+        if name in ("cap", "tube"):
+            if level is None:
+                raise ValueError(f"{name} needs a level at position {pos}")
+            gen: GenRef = (name, level)
+        elif name == "pants":
+            if level is not None:
+                raise ValueError(f"pants takes no level at position {pos}")
+            gen = ("pants",)
+        elif name in OPERATOR_NAMES:
+            if level is not None:
+                raise ValueError(f"operator {name} takes no level at position {pos}")
+            gen = ("op", name)
+        else:
+            raise ValueError(f"unknown generator {name!r} at position {pos}")
+        if power < 0:
+            if gen[0] == "op" and gen[1] in _INVERTIBLE:
+                gen = ("op", _INVERTIBLE[gen[1]])
+                power = -power
+            else:
+                raise ValueError(f"negative power at position {pos}")
+        if power < 1:
+            raise ValueError(f"power must be at least 1 at position {pos}")
+        atoms.append((gen, power))
+        pos = m.end()
+        if pos >= len(s):
+            break
+        if s[pos] != "*":
+            raise ValueError(f"expected '*' at position {pos}")
+        pos += 1
+
+    total = sum(power for _, power in atoms)
+    if total > MAX_WORD_GENERATORS:
+        raise ValueError(
+            f"the word has {total} generators; at most {MAX_WORD_GENERATORS} are allowed"
+        )
+    gens: list[GenRef] = []
+    for gen, power in atoms:
+        gens.extend([gen] * power)
+
+    def out_slot(i: int) -> tuple[int, int]:
+        return (i, _gen_rank(gens[i]) - 1)
+
+    def in_slot(i: int) -> tuple[int, int]:
+        return (i, 0)
+
+    pattern = [(out_slot(i), in_slot(i + 1)) for i in range(len(gens) - 1)]
+    if traced:
+        if len(gens) == 1 and _gen_rank(gens[0]) < 2:
+            raise ValueError("trace needs a two-slot composite")
+        pattern.append((out_slot(len(gens) - 1), in_slot(0)))
+    return CobordismWord(tuple(gens), tuple(pattern))

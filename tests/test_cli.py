@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -176,6 +177,19 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "compute", "--genus", "-1")
         assert code == 2
 
+    def test_oversized_genus_order_is_exit_2(self):
+        # rejected before any series is built: the child spends well under
+        # a second of CPU time, where order 800 alone took 27.9 s
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = _fresh_cli("genus", "-g", "0", "--level1", "1", "--n", "-1", "--hmax", "2",
+                          "--order", "100000")
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: truncation order u^100000 is above the limit u^200\n"
+        cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+        assert cpu < 1.0, cpu
+
     def test_oversized_word_is_exit_2(self):
         # rejected before ten million generators are listed or contracted
         proc = _fresh_cli("word", "A^10000000")
@@ -291,6 +305,17 @@ class TestWordGolden:
                 out = capsys.readouterr().out.encode("utf-8")
                 assert hashlib.sha256(out).hexdigest() == hashes[shlex.join(argv)], argv
 
+    def test_every_golden_request_matches(self, capsys):
+        # every compute, extract, genus and word request the benchmark checks
+        hashes = json.loads((self.PERFBENCH / "golden.json").read_text(encoding="utf-8"))
+        hashes = hashes["stdout_sha256"]
+        assert {key.split()[0] for key in hashes} == {"compute", "extract", "genus", "word"}
+        for key, digest in hashes.items():
+            argv = shlex.split(key)
+            assert main(argv) == 0, key
+            out = capsys.readouterr().out.encode("utf-8")
+            assert hashlib.sha256(out).hexdigest() == digest, key
+
 
 class TestLeftoverCache:
     """Earlier versions kept Z in ``$GWTQFT_CACHE_DIR/zcache.json``; the
@@ -332,14 +357,16 @@ def _fresh_cli(*argv, **extra_env) -> subprocess.CompletedProcess:
 
 
 def _loaded_modules(argv) -> list[str]:
-    """The gwtqft modules and ``dataclasses`` a new process holds after one command."""
-    code = ("import json, sys, gwtqft.cli; gwtqft.cli.main(sys.argv[1:]); "
-            "print(json.dumps(sorted(m for m in sys.modules "
-            "if m.startswith('gwtqft') or m == 'dataclasses')))")
+    """The gwtqft modules, ``dataclasses`` and ``json`` a new process holds
+    after one command.  The probe prints a list literal, so it loads no
+    module itself."""
+    code = ("import sys, gwtqft.cli; gwtqft.cli.main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('gwtqft') or m in ('dataclasses', 'json')))")
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                           env=_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
 class TestClosedStdout:
@@ -377,6 +404,24 @@ class TestStartup:
         assert "gwtqft.gluing" in loaded
         assert "gwtqft.checks" not in loaded
         assert "dataclasses" not in loaded
+
+    @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("compute", "-g", "2"),
+        ("extract", "-g", "2", "--n", "0"),
+        ("genus", "-g", "2", "--n", "0", "--hmax", "1"),
+    ], ids=["compute", "extract", "genus"])
+    def test_trace_command_loads_no_word_code(self, argv, fmt):
+        loaded = _loaded_modules((*argv, "--format", fmt))
+        assert "gwtqft.words" not in loaded
+        assert ("json" in loaded) == (fmt == "json")
+
+    @pytest.mark.parametrize("argv", [
+        ("word", "trace(G^2 * U1)"),
+        ("verify", "--suite", "cy", "--gmax", "0", "--kmax", "0"),
+    ], ids=["word", "verify"])
+    def test_word_and_verify_load_word_code(self, argv):
+        assert "gwtqft.words" in _loaded_modules(argv)
 
 
 class TestLatex:

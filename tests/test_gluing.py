@@ -12,24 +12,14 @@ from gwtqft.phicalc import PhiElem, ReductionError
 from gwtqft.operators import (
     LABELS,
     OPERATOR_NAMES,
-    ClassRefined,
-    RelTensor,
-    build_cap,
     build_operator,
-    build_pants,
-    build_tube,
     mat_add,
     mat_identity,
     weight,
 )
 from gwtqft.phicalc import laurent_divexact
-from gwtqft import cli, gluing
+from gwtqft import cli, gluing, words
 from gwtqft.gluing import (
-    CobordismWord,
-    closed_surface_word,
-    contract,
-    contract_refined,
-    evaluate_word,
     mat_adjugate,
     mat_det,
     mat_eq,
@@ -38,11 +28,23 @@ from gwtqft.gluing import (
     mat_scale,
     mat_trace,
     mat_trace_mul,
+    trace_formula,
+)
+from gwtqft.words import (
+    ClassRefined,
+    CobordismWord,
+    RelTensor,
+    build_cap,
+    build_pants,
+    build_tube,
+    closed_surface_word,
+    contract,
+    contract_refined,
+    evaluate_word,
     parse_word,
     refined_scalar,
     self_glue,
     self_glue_refined,
-    trace_formula,
 )
 
 t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
@@ -297,7 +299,7 @@ def _clear_engine_caches():
     trace_formula.cache_clear()
     gluing._memo.clear()
     gluing._char_poly.cache_clear()
-    gluing._folded.cache_clear()
+    words._folded.cache_clear()
 
 
 class TestCayleyHamilton:
@@ -366,7 +368,7 @@ class TestFold:
 
     def test_every_generator_entry_round_trips(self):
         tensors = [t for cr in GENERATORS for t in cr.pieces.values()]
-        tensors += [gluing.matrix_to_tensor(build_operator(name)) for name in OPERATOR_NAMES]
+        tensors += [words.matrix_to_tensor(build_operator(name)) for name in OPERATOR_NAMES]
         assert len(tensors) == 16 + 15  # the 11 generators hold 16 pieces
         for t in tensors:
             for e in t.entries:
@@ -390,8 +392,8 @@ class TestFold:
         doctored = ClassRefined({
             0: pants.piece(0), 1: RelTensor(p1.variance, (bad,) + p1.entries[1:])
         })
-        monkeypatch.setattr(gluing, "build_pants", lambda: doctored)
-        gluing._folded.cache_clear()
+        monkeypatch.setattr(words, "build_pants", lambda: doctored)
+        words._folded.cache_clear()
         try:
             assert cli.main(["word", "trace(pants * pants)"]) == 3
             out, err = capsys.readouterr()
@@ -400,7 +402,7 @@ class TestFold:
             assert len(err.splitlines()) == 1
         finally:
             monkeypatch.undo()
-            gluing._folded.cache_clear()
+            words._folded.cache_clear()
 
 
 class TestCommutation:
@@ -506,7 +508,7 @@ class TestWords:
         # the second pair joins two components and takes the third along;
         # the free slots are the joining component's (1, 2), then U1's raised
         # (2, 0), as when the third pair is self-glued afterwards
-        pants, u1 = build_pants().total(), gluing.matrix_to_tensor(build_operator("U1"))
+        pants, u1 = build_pants().total(), words.matrix_to_tensor(build_operator("U1"))
         word = CobordismWord(
             (("pants",), ("pants",), ("op", "U1")),
             (((2, 1), (0, 0)), ((1, 0), (0, 1)), ((0, 2), (1, 1))),
@@ -536,7 +538,7 @@ class TestWordParsing:
             parse_word("cap * pants")
 
     def test_word_size_bound(self):
-        assert len(parse_word("trace(G^32)").generators) == gluing.MAX_WORD_GENERATORS == 32
+        assert len(parse_word("trace(G^32)").generators) == words.MAX_WORD_GENERATORS == 32
         for text in ("trace(G^33)", "A^10000000", "G^99999999999999999999",
                      "trace(" + " * ".join(["U1"] * 33) + ")"):
             with pytest.raises(ValueError, match="at most 32"):

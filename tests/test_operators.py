@@ -6,16 +6,8 @@ import pytest
 
 from gwtqft.exactring import TPoly, TRat
 from gwtqft.phicalc import PhiElem
-from gwtqft.operators import (
-    LABELS,
-    build_cap,
-    build_operator,
-    build_pants,
-    build_tube,
-    mat_identity,
-    matrix_to_tensor,
-    weight,
-)
+from gwtqft.operators import LABELS, build_operator, mat_identity, weight
+from gwtqft.words import build_cap, build_pants, build_tube, matrix_to_tensor
 
 t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
 

@@ -8,7 +8,9 @@ import pytest
 
 from gwtqft.exactring import TPoly, TRat
 from gwtqft.phicalc import PhiElem
+from gwtqft import partition
 from gwtqft.partition import (
+    MAX_ORDER,
     SpaceParams,
     class_component,
     class_degree,
@@ -126,6 +128,20 @@ class TestGenusExpansion:
             assert virtual_dim(p, n) == 0
             for _, inv in genus_expansion(p, n, 3):
                 assert inv.num.is_const and inv.den.is_const
+
+    def test_order_above_the_limit_is_rejected_before_any_work(self, monkeypatch):
+        def boom(p, n):
+            raise AssertionError("class_component was called")
+
+        monkeypatch.setattr(partition, "class_component", boom)
+        p = SpaceParams(0, 1, 0)
+        with pytest.raises(ValueError, match=f"above the limit u\\^{MAX_ORDER}$"):
+            genus_expansion(p, -1, 2, order=MAX_ORDER + 1)
+        # without an order, the one the table needs is bounded the same way
+        h_max = MAX_ORDER // 2 + 2
+        assert 2 * h_max - 2 + virtual_dim(p, -1) > MAX_ORDER
+        with pytest.raises(ValueError, match="above the limit"):
+            genus_expansion(p, -1, h_max)
 
 
 class TestGradingProperties:
