@@ -3,8 +3,9 @@ components, tabulate fixed-genus invariants, evaluate cobordism words, and
 run the verification suites, with JSON / LaTeX / plain-text output.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error (including a
-word of more than ``words.MAX_WORD_GENERATORS`` generators or a ``genus
---order`` above ``partition.MAX_ORDER``), 3 internal error (a quotient the
+word of more than ``words.MAX_WORD_GENERATORS`` generators, a request with
+g + |k1| + |k2| above ``gluing.MAX_REQUEST``, or a ``genus --order`` or
+``--hmax`` above ``partition.MAX_ORDER``), 3 internal error (a quotient the
 theory guarantees failed to reduce, a denominator outside the products of
 ti - tj, or the interpreter ran out of recursion depth or memory), 141
 (128 + SIGPIPE) when the reader of stdout went away before the output was
@@ -307,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("genus", help="fixed-genus invariants of one class")
     add_common(p, with_n=True)
-    p.add_argument("--hmax", type=int, required=True, help="largest genus to tabulate")
+    p.add_argument("--hmax", type=int, required=True,
+                   help=f"largest genus to tabulate, at most {MAX_ORDER}")
     p.add_argument("--order", type=int, default=DEFAULT_ORDER,
                    help=f"u-series truncation order, at most {MAX_ORDER}")
     p.set_defaults(fn=cmd_genus)

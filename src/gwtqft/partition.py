@@ -3,9 +3,11 @@ function Z(g | k1, k2), its class-by-class refinement through homogeneous
 t-degrees, virtual-dimension bookkeeping, support computation, and
 genus-by-genus invariant tables.
 
-Z is memoised once, by the ``lru_cache`` on ``gluing.trace_formula``.
-``gluing`` is imported inside ``compute_Z``, so importing this module loads
-no operator algebra.
+Z is memoised once, by the bounded ``lru_cache`` on
+``gluing.trace_formula``, which also rejects g + |k1| + |k2| above
+``gluing.MAX_REQUEST``; the u-series of each phi power is rebuilt per
+table.  ``gluing`` is imported inside ``compute_Z``, so importing this
+module loads no operator algebra.
 """
 
 from __future__ import annotations
@@ -65,11 +67,13 @@ def support(p: SpaceParams) -> list[int]:
     return sorted(out)
 
 
-# The largest u-series truncation order genus_expansion accepts.  The series
-# of every phi power is built up to the order, and its cost grows about as
-# the cube of the order: `genus -g 0 --level1 1 --n -1` took 0.17 s at order
-# 50, 0.47 s at 200, 2.6 s at 400 and 27.9 s at 800 in a fresh process
-# (CPython 3.11.7, 2 shared cores).
+# The largest u-series truncation order, and the largest h_max, that
+# genus_expansion accepts.  The series of every phi power is built up to the
+# order, and its cost grows about as the cube of the order: `genus -g 0
+# --level1 1 --n -1` took 0.17 s at order 50, 0.47 s at 200, 2.6 s at 400
+# and 27.9 s at 800 in a fresh process (CPython 3.11.7, 2 shared cores).
+# With D >= 0 an h_max above 101 already needs an order above 200; with
+# D < 0 the table costs a row per h, so h_max gets the same bound.
 MAX_ORDER = 200
 
 
@@ -78,11 +82,13 @@ def genus_expansion(p: SpaceParams, n: int, h_max: int, order: int | None = None
 
     The genus-h invariant is the u^(2h - 2 + D) coefficient of the class
     component.  ``order`` may force a truncation horizon; it must cover the
-    requested range.  An order above MAX_ORDER is a ValueError, raised
-    before any work.
+    requested range.  An order or an h_max above MAX_ORDER is a ValueError,
+    raised before any work.
     """
     if h_max < 0:
         raise ValueError("h_max must be nonnegative")
+    if h_max > MAX_ORDER:
+        raise ValueError(f"h_max {h_max} is above the limit {MAX_ORDER}")
     d = virtual_dim(p, n)
     needed = 2 * h_max - 2 + d
     if order is None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .exactring import RAT_ZERO, ReductionError, TPoly, TRat, _point, as_rat
@@ -363,30 +362,19 @@ class USeries:
 # -- the expansion phi = 2 sin(u/2) --------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _phi_coeffs(order: int) -> tuple[Fraction, ...]:
-    # coefficients of u^1..u^order in 2 sin(u/2)
-    out = []
-    for k in range(1, order + 1):
-        if k % 2 == 1:
-            j = (k - 1) // 2
-            out.append(Fraction((-1) ** j, 4 ** j * math.factorial(k)))
-        else:
-            out.append(Fraction(0))
-    return tuple(out)
+def _phi_coeffs(order: int) -> list[Fraction]:
+    # coefficients of u^1..u^order in 2 sin(u/2); read from u^0, those of phi/u
+    return [
+        Fraction((-1) ** (k // 2), 4 ** (k // 2) * math.factorial(k)) if k % 2 else Fraction(0)
+        for k in range(1, order + 1)
+    ]
 
 
 def phi_expansion(order: int) -> USeries:
     """Series of 2 sin(u/2) with exact coefficients up to u^order."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    return USeries(1, list(_phi_coeffs(order)), order)
-
-
-def _unit_coeffs(n: int) -> list[Fraction]:
-    # coefficients of (phi/u) as a series in u, length n (u^0..u^{n-1})
-    phi = _phi_coeffs(n)
-    return [Fraction(1)] + [phi[k] for k in range(1, n)]
+    return USeries(1, _phi_coeffs(order), order)
 
 
 def _series_mul(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
@@ -427,13 +415,12 @@ def _series_pow(a: list[Fraction], e: int, n: int) -> list[Fraction]:
     return result
 
 
-@lru_cache(maxsize=None)
 def phi_pow_series(m: int, order: int) -> USeries:
     """Series of phi^m up to u^order; negative m via inversion of phi/u."""
     if m > order:
         return USeries.zero(order)
     n = order - m + 1
-    unit = _unit_coeffs(n)
+    unit = _phi_coeffs(n)  # phi/u, from u^0
     if m >= 0:
         coeffs = _series_pow(unit, m, n)
     else:

@@ -180,14 +180,34 @@ class TestUsageErrors:
     def test_oversized_genus_order_is_exit_2(self):
         # rejected before any series is built: the child spends well under
         # a second of CPU time, where order 800 alone took 27.9 s
-        before = resource.getrusage(resource.RUSAGE_CHILDREN)
-        proc = _fresh_cli("genus", "-g", "0", "--level1", "1", "--n", "-1", "--hmax", "2",
-                          "--order", "100000")
-        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc, cpu = _fresh_cli_cpu("genus", "-g", "0", "--level1", "1", "--n", "-1",
+                                   "--hmax", "2", "--order", "100000")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: truncation order u^100000 is above the limit u^200\n"
-        cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+        assert cpu < 1.0, cpu
+
+    def test_oversized_genus_hmax_is_exit_2(self):
+        # a very negative --n needs almost no order, but each h is a row:
+        # --hmax 1000000 printed a million rows in 7.6 s before the bound
+        proc, cpu = _fresh_cli_cpu("genus", "-g", "0", "--n", "-100000000",
+                                   "--hmax", "100000000")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: h_max 100000000 is above the limit 200\n"
+        assert cpu < 1.0, cpu
+
+    @pytest.mark.parametrize("argv, size", [
+        (("compute", "-g", "2", "--level1", "800"), 802),
+        (("compute", "-g", "1200"), 1200),
+    ], ids=["level", "genus"])
+    def test_oversized_request_is_exit_2(self, argv, size):
+        # rejected before any recurrence; without the bound the kernel
+        # killed trace_formula(2, 800, 0) (exit 137)
+        proc, cpu = _fresh_cli_cpu(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: g + |k1| + |k2| = {size} is above the limit 102\n"
         assert cpu < 1.0, cpu
 
     def test_oversized_word_is_exit_2(self):
@@ -354,6 +374,15 @@ def _fresh_cli(*argv, **extra_env) -> subprocess.CompletedProcess:
     """Run one CLI command in a new interpreter."""
     return subprocess.run([sys.executable, "-m", "gwtqft.cli", *argv], capture_output=True,
                           text=True, env=_env(**extra_env), timeout=120)
+
+
+def _fresh_cli_cpu(*argv) -> tuple[subprocess.CompletedProcess, float]:
+    """_fresh_cli and the child's CPU time in seconds, which a loaded machine
+    does not inflate as it does wall time."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = _fresh_cli(*argv)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return proc, (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
 
 
 def _loaded_modules(argv) -> list[str]:

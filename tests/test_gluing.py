@@ -283,6 +283,49 @@ class TestTraceFormula:
         assert all(type(c) is int for c in coeffs), {type(c) for c in coeffs}
 
 
+class TestEngineState:
+    """trace_formula's bounded cache is the one memo of results."""
+
+    @staticmethod
+    def _container_sizes() -> dict[str, int]:
+        return {
+            name: len(value)
+            for name, value in vars(gluing).items()
+            if isinstance(value, (dict, list, set))
+        }
+
+    def test_a_request_leaves_no_module_state(self):
+        trace_formula.cache_clear()
+        before = self._container_sizes()
+        trace_formula(2, 30, 0)
+        assert self._container_sizes() == before
+
+    def test_result_does_not_depend_on_earlier_requests(self):
+        trace_formula.cache_clear()
+        cold = trace_formula(7, 3, -2)
+        trace_formula.cache_clear()
+        trace_formula(9, 3, -2)
+        trace_formula(0, 3, -2)
+        assert trace_formula(7, 3, -2) == cold
+
+    def test_the_memo_of_results_is_bounded(self):
+        assert isinstance(trace_formula.cache_info().maxsize, int)
+
+    @pytest.mark.parametrize("key", [
+        (gluing.MAX_REQUEST + 1, 0, 0),
+        (2, gluing.MAX_REQUEST, 0),
+        (0, 0, -gluing.MAX_REQUEST - 1),
+        (1, 50, -52),
+    ])
+    def test_oversized_request_is_rejected_before_any_work(self, key, monkeypatch):
+        def boom(*args):
+            raise AssertionError("the trace engine ran")
+
+        monkeypatch.setattr(gluing, "_trace", boom)
+        with pytest.raises(ValueError, match=f"above the limit {gluing.MAX_REQUEST}$"):
+            trace_formula(*key)
+
+
 # the engine's seed window is |k| <= 1; |k| = 2, 3 run its level recurrences
 LEVELS = list(product(range(-3, 4), repeat=2))
 
@@ -297,7 +340,7 @@ def level_words():
 
 def _clear_engine_caches():
     trace_formula.cache_clear()
-    gluing._memo.clear()
+    gluing._seed.cache_clear()
     gluing._char_poly.cache_clear()
     words._folded.cache_clear()
 

@@ -143,6 +143,19 @@ class TestGenusExpansion:
         with pytest.raises(ValueError, match="above the limit"):
             genus_expansion(p, -1, h_max)
 
+    def test_hmax_above_the_limit_is_rejected_before_any_work(self, monkeypatch):
+        def boom(p, n):
+            raise AssertionError("class_component was called")
+
+        monkeypatch.setattr(partition, "class_component", boom)
+        # D = -2998 makes the needed order negative, so only h_max is too large
+        p = SpaceParams(0)
+        assert 2 * (MAX_ORDER + 1) - 2 + virtual_dim(p, -1000) < 0
+        with pytest.raises(ValueError, match=f"h_max {MAX_ORDER + 1} is above the limit"):
+            genus_expansion(p, -1000, MAX_ORDER + 1)
+        monkeypatch.undo()
+        assert len(genus_expansion(p, -1000, MAX_ORDER)) == MAX_ORDER + 1
+
 
 class TestGradingProperties:
     def test_sweep(self):
