@@ -17,7 +17,7 @@ _EXPORTS = {
     "operators": "build_operator weight",
     "gluing": "mat_power trace_formula",
     "words": "build_cap build_tube build_pants CobordismWord closed_surface_word contract"
-    " contract_refined evaluate_word parse_word self_glue",
+    " evaluate_word parse_word self_glue split_classes",
     "partition": "SpaceParams compute_Z virtual_dim class_component support genus_expansion",
 }
 _SOURCE = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

@@ -30,6 +30,7 @@ from .operators import (
     weight,
 )
 from .gluing import (
+    MAX_REQUEST,
     mat_adjugate,
     mat_eq,
     mat_det,
@@ -47,11 +48,12 @@ from .words import (
     build_pants,
     build_tube,
     closed_surface_word,
-    contract_refined,
+    contract,
     evaluate_word,
     matrix_to_tensor,
-    refined_scalar,
-    self_glue_refined,
+    parse_word,
+    self_glue,
+    split_classes,
 )
 
 _Q = _d(0, 1) * _d(0, 2) + _d(1, 0) * _d(1, 2) + _d(2, 0) * _d(2, 1)
@@ -233,6 +235,10 @@ def verify_gluing_derivations(word_g_max: int = 3, word_k_max: int = 2) -> Check
     matrix pieces, pair by pair and in one pass; the operator-algebra
     identities; and agreement of every closed-surface word with the trace
     formula on the swept grid.
+
+    Tensors are compared summed over the fiber classes; class n of a
+    level-K tensor is its phi^(K + 3n) part (see words.split_classes).  The
+    chains are evaluated as words, so each generator is folded once.
     """
     t0 = time.monotonic()
     rep = CheckReport(
@@ -240,43 +246,48 @@ def verify_gluing_derivations(word_g_max: int = 3, word_k_max: int = 2) -> Check
     )
     pants = build_pants()
 
+    def chain(text: str):
+        return evaluate_word(parse_word(text))
+
     # caps attached to pants produce the level tubes
     for level in ((0, -1), (-1, 0), (0, 1), (1, 0)):
-        got = contract_refined(build_cap(level), 0, pants, 0)
-        rep.check(f"cap{level} * pants", build_tube(level), got)
+        rep.check(f"cap{level} * pants", build_tube(level), chain(f"cap{level} * pants"))
 
     # opposite-level tubes compose to the level (0,0) tube
     for lv, opp in (((0, -1), (0, 1)), ((0, 1), (0, -1)), ((-1, 0), (1, 0)), ((1, 0), (-1, 0))):
-        got = contract_refined(build_tube(lv), 1, build_tube(opp), 0)
-        rep.check(f"tube{lv} * tube{opp}", build_tube((0, 0)), got)
+        rep.check(f"tube{lv} * tube{opp}", build_tube((0, 0)), chain(f"tube{lv} * tube{opp}"))
 
     # capping a tube with the level (0,0) cap produces the level cap
     for level in ((0, -1), (-1, 0), (0, 1), (1, 0)):
-        got = contract_refined(build_tube(level), 1, build_cap((0, 0)), 0)
-        rep.check(f"tube{level} * cap(0,0)", build_cap(level), got)
+        rep.check(f"tube{level} * cap(0,0)", build_cap(level), chain(f"tube{level} * cap(0,0)"))
 
-    # the displayed Frobenius relation among pants entries
-    p0 = pants.piece(0)
-    p1 = pants.piece(1)
-    lhs = p1.entry(0, 1, 1) * p0.entry(0, 0, 0) * TRat.make(1, weight(0)) + p0.entry(
-        1, 1, 1
-    ) * p1.entry(0, 0, 1) * TRat.make(1, weight(1))
+    # the displayed Frobenius relation among the pants classes 0 and 1, its
+    # phi^0 and phi^3 parts
+    def p0(*labels):
+        return PhiElem.term(pants.entry(*labels).coeff(0), 0)
+
+    def p1(*labels):
+        return PhiElem.term(pants.entry(*labels).coeff(3), 3)
+
+    lhs = p1(0, 1, 1) * p0(0, 0, 0) * TRat.make(1, weight(0)) + p0(1, 1, 1) * p1(
+        0, 0, 1
+    ) * TRat.make(1, weight(1))
     rep.check("frobenius relation", PhiElem.zero(), lhs)
 
     # two pants glued along two fibers assemble the genus-adding pieces
-    four = contract_refined(pants, 2, pants, 0)
-    handle = self_glue_refined(four, 1, 2)
+    handle = self_glue(contract(pants, 2, pants, 0), 1, 2)
+    classes = split_classes(handle, 0)
     lowered_a = matrix_to_tensor(build_operator("A")).lower_slot(0)
     lowered_b = matrix_to_tensor(build_operator("B")).lower_slot(0)
-    rep.check("two-pants handle, section class", lowered_a, handle.piece(0))
-    rep.check("two-pants handle, fiber class", lowered_b, handle.piece(1))
+    rep.check("two-pants handle, section class", lowered_a, classes.get(0))
+    rep.check("two-pants handle, fiber class", lowered_b, classes.get(1))
     # the same handle glued along both fibers in one contraction pass
-    rep.check("two-pants handle, one pass", handle, contract_refined(pants, (2, 1), pants, (0, 1)))
+    rep.check("two-pants handle, one pass", handle, contract(pants, (2, 1), pants, (0, 1)))
 
     # the hand-encoded matrices, lowered, agree with the tubes
     for name, level in (("U1", (1, 0)), ("U2", (0, 1)), ("U1inv", (-1, 0)), ("U2inv", (0, -1))):
         lowered = matrix_to_tensor(build_operator(name)).lower_slot(0)
-        rep.check(f"raised tube {level} = {name}", build_tube(level).total(), lowered)
+        rep.check(f"raised tube {level} = {name}", build_tube(level), lowered)
 
     _operator_identities(rep)
 
@@ -285,7 +296,7 @@ def verify_gluing_derivations(word_g_max: int = 3, word_k_max: int = 2) -> Check
         for k1 in range(-word_k_max, word_k_max + 1):
             for k2 in range(-word_k_max, word_k_max + 1):
                 word = closed_surface_word(g, k1, k2)
-                got = refined_scalar(evaluate_word(word))
+                got = evaluate_word(word).scalar()
                 rep.check(f"word g={g}, k1={k1}, k2={k2}", trace_formula(g, k1, k2), got)
 
     return _timed(rep, t0)
@@ -453,7 +464,7 @@ def verify_semisimplicity() -> CheckReport:
     so the weight-rescaled fixed-point basis is idempotent."""
     t0 = time.monotonic()
     rep = CheckReport("semisimplicity", "structure constants at u = 0")
-    struct = build_pants().total().raise_slot(2)
+    struct = build_pants().raise_slot(2)
 
     for a, b, k in product(LABELS, repeat=3):
         entry = struct.entry(a, b, k)
@@ -542,6 +553,36 @@ def verify_numeric_crosscheck(seed: int = 42, trials: int = 20) -> CheckReport:
 # -- suite driver ------------------------------------------------------------------
 
 
+def _cy_bounds(g_max: int | None, k_max: int | None) -> tuple[int, int]:
+    return (6 if g_max is None else g_max), (6 if k_max is None else k_max)
+
+
+def _special_bounds(g_max: int | None, k_max: int | None) -> tuple[int, int, int]:
+    return (5 if g_max is None else g_max), (4 if k_max is None else k_max), max(g_max or 0, 8)
+
+
+def largest_request(suite: str, g_max: int | None = None, k_max: int | None = None) -> int:
+    """The largest g + |k1| + |k2| that the selected suites pass to
+    trace_formula when run_checks runs them with these bounds, or 0 when
+    they request none that grows with the bounds.  The gluing and numeric
+    suites request fixed keys, all of size at most 10."""
+    largest = 0
+    if suite in ("all", "cy"):
+        gm, km = _cy_bounds(g_max, k_max)
+        # g -> g + 3 and k -> k + 3 keep 3 | 2g - 2 - k, so the largest
+        # admissible pair has g > gm - 3 and k > km - 3
+        largest = max(
+            (g + k for g in range(max(gm - 2, 0), gm + 1) for k in range(max(km - 2, 0), km + 1)
+             if (2 * g - 2 - k) % 3 == 0),
+            default=0,
+        )
+    if suite in ("all", "appendixB"):
+        gm, km, top = _special_bounds(g_max, k_max)
+        # the annihilation family reaches (gm, -km, -km), the level-(0,0) one (top, 0, 0)
+        largest = max(largest, gm + 2 * km, top)
+    return largest
+
+
 def run_checks(
     suite: str = "all",
     g_max: int | None = None,
@@ -551,21 +592,28 @@ def run_checks(
 ) -> list[CheckReport]:
     """Run one named suite (or all of them), one after another, and return
     the reports.  g_max and k_max default per suite when None; a negative
-    one is a ValueError."""
+    one, or bounds that make a suite request g + |k1| + |k2| above
+    gluing.MAX_REQUEST, is a ValueError raised before any suite runs."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     for name, bound in (("g_max", g_max), ("k_max", k_max)):
         if bound is not None and bound < 0:
             raise ValueError(f"{name} must be nonnegative, got {bound}")
+    largest = largest_request(suite, g_max, k_max)
+    if largest > MAX_REQUEST:
+        given = " ".join(
+            f"--{name} {bound}" for name, bound in (("gmax", g_max), ("kmax", k_max))
+            if bound is not None
+        )
+        raise ValueError(
+            f"{given} makes --suite {suite} request g + |k1| + |k2| = {largest},"
+            f" above the limit {MAX_REQUEST}"
+        )
     tasks = []
     if suite in ("all", "cy"):
-        tasks.append(lambda: verify_calabi_yau(
-            6 if g_max is None else g_max, 6 if k_max is None else k_max
-        ))
+        tasks.append(lambda: verify_calabi_yau(*_cy_bounds(g_max, k_max)))
     if suite in ("all", "appendixB"):
-        tasks.append(lambda: verify_special_cases(
-            5 if g_max is None else g_max, 4 if k_max is None else k_max, max(g_max or 0, 8)
-        ))
+        tasks.append(lambda: verify_special_cases(*_special_bounds(g_max, k_max)))
     if suite in ("all", "gluing"):
         tasks.append(lambda: verify_gluing_derivations())
     if suite in ("all", "semisimple"):

@@ -2,12 +2,17 @@
 components, tabulate fixed-genus invariants, evaluate cobordism words, and
 run the verification suites, with JSON / LaTeX / plain-text output.
 
+A class beta0 + n f is one power of phi: ``extract`` prints the
+phi^(k1 + k2 + 3n) term of Z, and ``word`` prints a word without operators
+class by class, as its phi^(K + 3n) parts for its total level K.
+
 Exit codes: 0 success, 1 failed verification, 2 usage error (including a
 word of more than ``words.MAX_WORD_GENERATORS`` generators, a request with
 g + |k1| + |k2| above ``gluing.MAX_REQUEST``, or a ``genus --order`` or
 ``--hmax`` above ``partition.MAX_ORDER``), 3 internal error (a quotient the
 theory guarantees failed to reduce, a denominator outside the products of
-ti - tj, or the interpreter ran out of recursion depth or memory), 141
+ti - tj, a word tensor with a phi power outside its mod-3 class grading,
+or the interpreter ran out of recursion depth or memory), 141
 (128 + SIGPIPE) when the reader of stdout went away before the output was
 written.
 
@@ -242,37 +247,36 @@ def cmd_verify(args) -> int:
 
 
 def cmd_word(args) -> int:
-    from .words import ClassRefined, evaluate_word, parse_word, refined_scalar
+    from .words import evaluate_word, parse_word, split_classes
 
     word = parse_word(args.text)
     result = evaluate_word(word)
-    if isinstance(result, ClassRefined):
-        if args.format == "json":
-            doc = {
-                "word": args.text,
-                "classes": [
-                    {"n": n, "tensor": _tensor_json(t)} for n, t in sorted(result.pieces.items())
-                ],
-                "version": __version__,
-            }
-            print(dumps_canonical(doc))
-        else:
-            if not result.pieces:
-                print("0")
-            elif result.rank == 0:
-                print(refined_scalar(result))
-            else:
-                for n, t in sorted(result.pieces.items()):
-                    print(f"class beta0{n:+d}f:" if n else "class beta0:")
-                    for line in _tensor_lines(t):
-                        print("  " + line)
-    else:
+    if word.level is None:
+        # a word with an operator is printed summed over the classes
         if args.format == "json":
             doc = {"word": args.text, "tensor": _tensor_json(result), "version": __version__}
             print(dumps_canonical(doc))
         else:
             for line in _tensor_lines(result):
                 print(line)
+        return EXIT_OK
+    classes = split_classes(result, word.level)
+    if args.format == "json":
+        doc = {
+            "word": args.text,
+            "classes": [{"n": n, "tensor": _tensor_json(t)} for n, t in classes.items()],
+            "version": __version__,
+        }
+        print(dumps_canonical(doc))
+    elif not classes:
+        print("0")
+    elif result.rank == 0:
+        print(result.scalar())
+    else:
+        for n, t in classes.items():
+            print(f"class beta0{n:+d}f:" if n else "class beta0:")
+            for line in _tensor_lines(t):
+                print("  " + line)
     return EXIT_OK
 
 

@@ -541,14 +541,9 @@ class TRat:
             dv *= (pt[a] - pt[b]) ** k
         return self.num._value(pt) / dv
 
-    def homogeneous_component(self, d: int) -> "TRat":
-        """Component of homogeneity degree d (num degree minus sum(dexp))."""
-        part = self.num.homogeneous_parts().get(d + sum(self.dexp))
-        if part is None:
-            return RAT_ZERO
-        return TRat._reduced(part, self.dexp)
-
     def homogeneous_parts(self) -> dict[int, "TRat"]:
+        """Split into homogeneous components (degree -> part), a part's
+        degree being its numerator's minus sum(dexp)."""
         shift = sum(self.dexp)
         return {
             d - shift: TRat._reduced(part, self.dexp)

@@ -1,7 +1,11 @@
 """User-facing partition-function API: the full section-class partition
-function Z(g | k1, k2), its class-by-class refinement through homogeneous
-t-degrees, virtual-dimension bookkeeping, support computation, and
-genus-by-genus invariant tables.
+function Z(g | k1, k2), its class-by-class refinement, virtual-dimension
+bookkeeping, support computation, and genus-by-genus invariant tables.
+
+A class is one power of phi.  The class beta0 + n f part of Z has t-degree
+-D = 2g - 2 - k1 - k2 - 3n, and Z has weight 2g - 2, so that its phi^m
+coefficient has t-degree 2g - 2 - m (the trace engine checks this weight
+on every fold).  So class n is exactly the phi^(k1 + k2 + 3n) term of Z.
 
 Z is memoised once, by the bounded ``lru_cache`` on
 ``gluing.trace_formula``, which also rejects g + |k1| + |k2| above
@@ -47,23 +51,22 @@ def class_degree(p: SpaceParams, n: int) -> int:
 
 
 def class_component(p: SpaceParams, n: int) -> PhiElem:
-    """The class beta0 + n f part of Z: the homogeneous t-degree
-    (2g - 2 - k1 - k2 - 3n) component of every coefficient."""
-    return compute_Z(p).homogeneous_component(class_degree(p, n))
+    """The class beta0 + n f part of Z: its phi^(k1 + k2 + 3n) term."""
+    m = p.k1 + p.k2 + 3 * n
+    return PhiElem.term(compute_Z(p).coeff(m), m)
 
 
 def support(p: SpaceParams) -> list[int]:
-    """All n with a nonzero class component, from the full homogeneous
-    decomposition of every coefficient of Z."""
-    base = 2 * p.g - 2 - p.k1 - p.k2
-    out = set()
-    for d in compute_Z(p).t_degrees():
-        rem = base - d
-        if rem % 3 != 0:
+    """All n with a nonzero class component, one per phi power of Z.  A phi
+    power m with m != k1 + k2 (mod 3) is an ArithmeticError."""
+    out = []
+    for m in compute_Z(p).terms:
+        n, r = divmod(m - p.k1 - p.k2, 3)
+        if r:
             raise ArithmeticError(
-                f"degree {d} component violates the mod-3 grading of Z{(p.g, p.k1, p.k2)}"
+                f"phi^{m} term violates the mod-3 grading of Z{(p.g, p.k1, p.k2)}"
             )
-        out.add(rem // 3)
+        out.append(n)
     return sorted(out)
 
 

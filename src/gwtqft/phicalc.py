@@ -2,9 +2,11 @@
 to truncated Laurent series in the genus parameter u.
 
 Every partition function in this library is a PhiElem: finitely many powers
-of phi with TRat coefficients.  Series in u are produced only on demand, for
-extracting fixed-genus invariants, and carry an explicit truncation order so
-that nothing is ever silently approximated.
+of phi with TRat coefficients.  A fiber class of a partition function is one
+of its phi powers (see ``partition``), so classes are read off the phi
+grading.  Series in u are produced only on demand, for extracting
+fixed-genus invariants, and carry an explicit truncation order so that
+nothing is ever silently approximated.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ class PhiElem:
     """Laurent polynomial in phi with TRat coefficients.
 
     ``terms`` maps integer phi-exponents (possibly negative) to nonzero TRat
-    coefficients.  Immutable by convention.
+    coefficients.  Immutable by convention.  The word path (``words``) also
+    stores folded tensor entries as PhiElems with XYRat coefficients; it
+    reads their ``terms`` directly and does no PhiElem arithmetic on them.
     """
 
     __slots__ = ("terms",)
@@ -183,17 +187,6 @@ class PhiElem:
             if not v.is_zero:
                 acc[m] = v
         return PhiElem._raw(acc)
-
-    def homogeneous_component(self, d: int) -> "PhiElem":
-        """Keep only the t-degree d part of every coefficient."""
-        return self.map_coeffs(lambda c: c.homogeneous_component(d))
-
-    def t_degrees(self) -> set[int]:
-        """All t-degrees carried by any coefficient."""
-        degs: set[int] = set()
-        for c in self.terms.values():
-            degs.update(c.homogeneous_parts().keys())
-        return degs
 
     def permute_vars(self, perm: Sequence[int]) -> "PhiElem":
         return self.map_coeffs(lambda c: c.permute_vars(perm))

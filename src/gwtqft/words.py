@@ -1,5 +1,5 @@
-"""Cobordism words: the class-refined cap, tube and pants tensors, their
-gluing, and the evaluation of words built from them and the operators.
+"""Cobordism words: the cap, tube and pants tensors, their gluing, and the
+evaluation of words built from them and the operators.
 
 Only ``word`` and ``verify`` load this module.  ``compute``, ``extract``
 and ``genus`` run the trace engine of ``gluing`` alone, so they do not
@@ -10,11 +10,16 @@ functions; the operators of ``operators`` and everything else are obtained
 from them by gluing.  Entries are stored with all slots lowered.
 
 Gluing two relative slots sums over the fixed-point basis with one slot
-raised; the fiber class of a composite is the convolution of the factors'
-classes.  Every slot pair between the same two tensors is glued in one
-pass over flat entry offsets.
+raised.  Every slot pair between the same two tensors is glued in one pass
+over flat entry offsets.
 
-Tensors are glued folded.  Every entry of the cap, tube and pants pieces
+Every tensor is summed over the fiber classes beta0 + n f, and each class
+is one power of phi: class n of a cap, tube or pants tensor of total level
+K = k1 + k2 is its phi^(K + 3n) part.  Each generator obeys this, and
+gluing adds the classes, the phi powers and the levels, so a word is glued
+class-summed and its classes are read off at the end (``split_classes``).
+
+Tensors are glued folded.  Every entry of the cap, tube and pants tensors
 and of the operators is translation invariant, so each phi^m coefficient
 is fixed by its value at t2 = 0: an XYRat, a fraction over Z[x, y] with
 x = t0 - t2, y = t1 - t2 and denominator (x - y)^a x^b y^c.  A pair of
@@ -31,11 +36,11 @@ word's cost grows with its length (see MAX_WORD_GENERATORS).
 from __future__ import annotations
 
 import re
-from functools import cache, reduce
+from functools import cache
 from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
-from .exactring import TPoly, TRat, XYRat, _xy_clean, _xy_fraction_sum, _xy_mul_into
+from .exactring import ReductionError, TPoly, TRat, XYRat, _xy_clean, _xy_fraction_sum, _xy_mul_into
 from .gluing import _ONE, _fold, _unfold
 from .operators import (
     INV_WEIGHTS,
@@ -95,15 +100,6 @@ class RelTensor:
             raise ValueError(f"expected {self.rank} labels, got {len(labels)}")
         return self.entries[self._index(labels)]
 
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.entries)
-
-    def __add__(self, other: "RelTensor") -> "RelTensor":
-        if self.variance != other.variance:
-            raise ValueError("cannot add tensors with different slot variance")
-        return RelTensor(self.variance, [a + b for a, b in zip(self.entries, other.entries)])
-
     def __eq__(self, other):
         if not isinstance(other, RelTensor):
             return NotImplemented
@@ -148,52 +144,7 @@ class RelTensor:
         return f"RelTensor(rank={self.rank}, variance={self.variance})"
 
 
-class ClassRefined:
-    """Fiber-class refinement: map n -> RelTensor for the class beta0 + n f.
-
-    Only nonzero tensors are stored; all pieces share rank and variance.
-    """
-
-    __slots__ = ("pieces",)
-
-    def __init__(self, pieces: dict[int, RelTensor]):
-        self.pieces = {n: t for n, t in pieces.items() if not t.is_zero}
-
-    def classes(self) -> list[int]:
-        return sorted(self.pieces)
-
-    def piece(self, n: int) -> RelTensor:
-        t = self.pieces.get(n)
-        if t is not None:
-            return t
-        rank = self.rank
-        return RelTensor(self.variance, [PhiElem.zero()] * (3 ** rank))
-
-    @property
-    def rank(self) -> int:
-        return next(iter(self.pieces.values())).rank
-
-    @property
-    def variance(self) -> tuple[bool, ...]:
-        return next(iter(self.pieces.values())).variance
-
-    def total(self) -> RelTensor:
-        """Sum over all fiber classes."""
-        return reduce(lambda a, b: a + b, self.pieces.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, ClassRefined):
-            return NotImplemented
-        return self.pieces == other.pieces
-
-    def __hash__(self):
-        return hash(frozenset(self.pieces.items()))
-
-    def __repr__(self):
-        return f"ClassRefined(classes={self.classes()})"
-
-
-# -- the class-refined generators ----------------------------------------------
+# -- the generators ------------------------------------------------------------------
 
 
 def _tensor1(values: Sequence[PhiElem]) -> RelTensor:
@@ -208,72 +159,70 @@ _SUPPORTED_CAPS = {(0, 0), (0, -1), (-1, 0), (0, 1), (1, 0)}
 
 
 @cache
-def build_cap(level: Level) -> ClassRefined:
-    """Class-refined one-holed genus-0 generator at the given level."""
+def build_cap(level: Level) -> RelTensor:
+    """One-holed genus-0 generator at the given level."""
     if level not in _SUPPORTED_CAPS:
         raise ValueError(f"level {level} cap is not a basic generator")
     z = PhiElem.zero()
     if level == (0, 0):
-        return ClassRefined({0: _tensor1([PhiElem.one()] * 3)})
+        return _tensor1([PhiElem.one()] * 3)
     if level == (0, -1):
-        # (t_a - t2) phi^-1
-        return ClassRefined({0: _tensor1([_phi(_d(a, 2), -1) if a != 2 else z for a in LABELS])})
+        # (t_a - t2) phi^-1, class 0
+        return _tensor1([_phi(_d(a, 2), -1) if a != 2 else z for a in LABELS])
     if level == (-1, 0):
-        # (t_a - t1) phi^-1
-        return ClassRefined({0: _tensor1([_phi(_d(a, 1), -1) if a != 1 else z for a in LABELS])})
+        # (t_a - t1) phi^-1, class 0
+        return _tensor1([_phi(_d(a, 1), -1) if a != 1 else z for a in LABELS])
     if level == (0, 1):
-        # (t_a - t0)(t_a - t1) phi^-2, nonzero only at a = 2
-        return ClassRefined({-1: _tensor1([z, z, _phi(weight(2), -2)])})
-    # level (1, 0): (t_a - t0)(t_a - t2) phi^-2, nonzero only at a = 1
-    return ClassRefined({-1: _tensor1([z, _phi(weight(1), -2), z])})
+        # (t_a - t0)(t_a - t1) phi^-2, class -1, nonzero only at a = 2
+        return _tensor1([z, z, _phi(weight(2), -2)])
+    # level (1, 0): (t_a - t0)(t_a - t2) phi^-2, class -1, nonzero only at a = 1
+    return _tensor1([z, _phi(weight(1), -2), z])
 
 
 _SUPPORTED_TUBES = {(0, 0), (0, -1), (-1, 0), (0, 1), (1, 0)}
 
 
 @cache
-def build_tube(level: Level) -> ClassRefined:
-    """Class-refined two-holed genus-0 generator, both slots lowered."""
+def build_tube(level: Level) -> RelTensor:
+    """Two-holed genus-0 generator at the given level, both slots lowered."""
     if level not in _SUPPORTED_TUBES:
         raise ValueError(f"level {level} tube is not a basic generator")
     z = PhiElem.zero()
 
-    def diag(vals: Sequence[PhiElem]) -> RelTensor:
-        return _tensor2([[vals[a] if a == b else z for b in LABELS] for a in LABELS])
+    def tube(diagonal: Sequence[PhiElem], rest=lambda a, b: z) -> RelTensor:
+        """Entry (a, b) is rest(a, b), plus diagonal[a] when a == b."""
+        return _tensor2([
+            [rest(a, b) + diagonal[a] if a == b else rest(a, b) for b in LABELS] for a in LABELS
+        ])
 
-    ones_phi2 = _tensor2([[_phi(1, 2)] * 3] * 3)
     if level == (0, 0):
-        return ClassRefined({0: diag([_phi(weight(a), 0) for a in LABELS])})
+        return tube([_phi(weight(a), 0) for a in LABELS])
+    # the annihilation tubes: class 0 on the diagonal, class 1 (phi^2) in every cell
     if level == (0, -1):
-        return ClassRefined({
-            0: diag([_phi(_d(0, 1) * _d(0, 2) ** 2, -1), _phi(_d(1, 0) * _d(1, 2) ** 2, -1), z]),
-            1: ones_phi2,
-        })
+        return tube(
+            [_phi(_d(0, 1) * _d(0, 2) ** 2, -1), _phi(_d(1, 0) * _d(1, 2) ** 2, -1), z],
+            lambda a, b: _phi(1, 2),
+        )
     if level == (-1, 0):
-        return ClassRefined({
-            0: diag([_phi(_d(0, 2) * _d(0, 1) ** 2, -1), z, _phi(_d(2, 0) * _d(2, 1) ** 2, -1)]),
-            1: ones_phi2,
-        })
+        return tube(
+            [_phi(_d(0, 2) * _d(0, 1) ** 2, -1), z, _phi(_d(2, 0) * _d(2, 1) ** 2, -1)],
+            lambda a, b: _phi(1, 2),
+        )
+    # the creation tubes: class -1 on the diagonal, class 0 (phi^1) from body
     if level == (0, 1):
         body = [
             [_d(0, 1), TPoly.zero(), _d(2, 1)],
             [TPoly.zero(), _d(1, 0), _d(2, 0)],
             [_d(2, 1), _d(2, 0), _d(2, 0) + _d(2, 1)],
         ]
-        return ClassRefined({
-            -1: diag([z, z, _phi(weight(2) ** 2, -2)]),
-            0: _tensor2([[_phi(body[a][b], 1) for b in LABELS] for a in LABELS]),
-        })
+        return tube([z, z, _phi(weight(2) ** 2, -2)], lambda a, b: _phi(body[a][b], 1))
     # level (1, 0)
     body = [
         [_d(0, 2), _d(1, 2), TPoly.zero()],
         [_d(1, 2), _d(1, 0) + _d(1, 2), _d(1, 0)],
         [TPoly.zero(), _d(1, 0), _d(2, 0)],
     ]
-    return ClassRefined({
-        -1: diag([z, _phi(weight(1) ** 2, -2), z]),
-        0: _tensor2([[_phi(body[a][b], 1) for b in LABELS] for a in LABELS]),
-    })
+    return tube([z, _phi(weight(1) ** 2, -2), z], lambda a, b: _phi(body[a][b], 1))
 
 
 # the ten distinct entries of the fiber-class-1 pants, indexed by sorted label
@@ -295,21 +244,15 @@ _PANTS_F = {
 
 
 @cache
-def build_pants() -> ClassRefined:
-    """Class-refined three-holed genus-0 level (0,0) generator."""
+def build_pants() -> RelTensor:
+    """Three-holed genus-0 level (0,0) generator: class 0 (phi^0) on the
+    diagonal a = b = c, class 1 (phi^3) from _PANTS_F."""
 
-    def base(a: int, b: int, c: int) -> PhiElem:
-        if a == b == c:
-            return _phi(weight(a) ** 2, 0)
-        return PhiElem.zero()
+    def entry(a: int, b: int, c: int) -> PhiElem:
+        fiber = _phi(_PANTS_F[tuple(sorted((a, b, c)))], 3)
+        return fiber + _phi(weight(a) ** 2, 0) if a == b == c else fiber
 
-    def fiber(a: int, b: int, c: int) -> PhiElem:
-        return _phi(_PANTS_F[tuple(sorted((a, b, c)))], 3)
-
-    return ClassRefined({
-        0: RelTensor.from_function(3, base),
-        1: RelTensor.from_function(3, fiber),
-    })
+    return RelTensor.from_function(3, entry)
 
 
 def matrix_to_tensor(m: Op3) -> RelTensor:
@@ -359,20 +302,12 @@ _INV_WEIGHTS = ((1, (1, 1, 0)), (-1, (1, 0, 1)), (1, (0, 1, 1)))
 _PHI_ONE = PhiElem._raw({0: XYRat({(0, 0): 1})})
 
 
-def _entrywise(fn, t):
-    """A RelTensor, or every piece of a ClassRefined, with fn applied to
-    each entry."""
-    if isinstance(t, ClassRefined):
-        return ClassRefined({n: _entrywise(fn, p) for n, p in t.pieces.items()})
-    return RelTensor(t.variance, [fn(e) for e in t.entries])
+def _fold_all(t: RelTensor, what: str = "a tensor entry") -> RelTensor:
+    return RelTensor(t.variance, [_fold(e, None, what) for e in t.entries])
 
 
-def _fold_all(t, what: str = "a tensor entry"):
-    return _entrywise(lambda e: _fold(e, None, what), t)
-
-
-def _unfold_all(t):
-    return _entrywise(_unfold, t)
+def _unfold_all(t: RelTensor) -> RelTensor:
+    return RelTensor(t.variance, [_unfold(e) for e in t.entries])
 
 
 def _glue_factors(pairs) -> list[tuple]:
@@ -417,45 +352,23 @@ def _dot(terms) -> PhiElem:
     return PhiElem._raw(total)
 
 
-class _Glue:
-    """The contraction of slots_a of a rank-ra tensor with slots_b of a
-    rank-rb tensor, pair by pair, as flat offsets and glue factors shared
-    by every pair of folded tensors of those ranks and variances."""
-
-    def __init__(self, variance_a, slot_a, variance_b, slot_b):
-        self.slots_a = _slots(len(variance_a), slot_a)
-        self.slots_b = _slots(len(variance_b), slot_b)
-        if len(self.slots_a) != len(self.slots_b):
-            raise ValueError("slot lists to glue differ in length")
-        self.free_a, glue_a = _offsets(len(variance_a), self.slots_a)
-        self.free_b, glue_b = _offsets(len(variance_b), self.slots_b)
-        factors = _glue_factors(
-            [(variance_a[sa], variance_b[sb]) for sa, sb in zip(self.slots_a, self.slots_b)]
-        )
-        self.glue = list(zip(glue_a, glue_b, factors))
-        self.variance = [v for s, v in enumerate(variance_a) if s not in self.slots_a] + [
-            v for s, v in enumerate(variance_b) if s not in self.slots_b
-        ]
-
-    def entries(self, pairs) -> list[PhiElem]:
-        """Result entries of the sum over the (a, b) pairs of tensors;
-        zero entries are skipped."""
-        out = []
-        for fa in self.free_a:
-            rows = [
-                ([(x, gb, f) for ga, gb, f in self.glue if (x := a.entries[fa + ga])], b.entries)
-                for a, b in pairs
-            ]
-            for fb in self.free_b:
-                out.append(_dot(
-                    (x, y, f) for row, eb in rows for x, gb, f in row if (y := eb[fb + gb])
-                ))
-        return out
-
-
 def _contract(a: RelTensor, slot_a, b: RelTensor, slot_b) -> RelTensor:
-    glue = _Glue(a.variance, slot_a, b.variance, slot_b)
-    return RelTensor(glue.variance, glue.entries([(a, b)]))
+    slots_a, slots_b = _slots(a.rank, slot_a), _slots(b.rank, slot_b)
+    if len(slots_a) != len(slots_b):
+        raise ValueError("slot lists to glue differ in length")
+    free_a, glue_a = _offsets(a.rank, slots_a)
+    free_b, glue_b = _offsets(b.rank, slots_b)
+    factors = _glue_factors([(a.variance[sa], b.variance[sb]) for sa, sb in zip(slots_a, slots_b)])
+    glue = list(zip(glue_a, glue_b, factors))
+    variance = [v for s, v in enumerate(a.variance) if s not in slots_a]
+    variance += [v for s, v in enumerate(b.variance) if s not in slots_b]
+    entries = []
+    for fa in free_a:
+        # zero entries are skipped
+        row = [(x, gb, f) for ga, gb, f in glue if (x := a.entries[fa + ga])]
+        for fb in free_b:
+            entries.append(_dot((x, y, f) for x, gb, f in row if (y := b.entries[fb + gb])))
+    return RelTensor(variance, entries)
 
 
 def _self_glue(t: RelTensor, slot1: int, slot2: int) -> RelTensor:
@@ -472,23 +385,6 @@ def _self_glue(t: RelTensor, slot1: int, slot2: int) -> RelTensor:
         for i in free
     ]
     return RelTensor(variance, entries)
-
-
-def _contract_refined(a: ClassRefined, slot_a, b: ClassRefined, slot_b) -> ClassRefined:
-    if not a.pieces or not b.pieces:
-        return ClassRefined({})
-    glue = _Glue(a.variance, slot_a, b.variance, slot_b)
-    # piece n sums the pairs of pieces with na + nb = n in one pass
-    pairs: dict[int, list] = {}
-    for na, ta in a.pieces.items():
-        for nb, tb in b.pieces.items():
-            pairs.setdefault(na + nb, []).append((ta, tb))
-    return ClassRefined({n: RelTensor(glue.variance, glue.entries(p)) for n, p in pairs.items()})
-
-
-def _self_glue_refined(a: ClassRefined, slot1: int, slot2: int) -> ClassRefined:
-    # a non-separating gluing keeps the fiber class of each piece
-    return ClassRefined({n: _self_glue(t, slot1, slot2) for n, t in a.pieces.items()})
 
 
 # -- gluing -------------------------------------------------------------------------
@@ -517,19 +413,6 @@ def self_glue(t: RelTensor, slot1: int, slot2: int) -> RelTensor:
     return _unfold_all(_self_glue(_fold_all(t), slot1, slot2))
 
 
-def contract_refined(a: ClassRefined, slot_a, b: ClassRefined, slot_b) -> ClassRefined:
-    """Class-refined gluing: piece n is the convolution over n = n' + n''.
-
-    Slots as in contract; each entry of piece n is one sum over the pairs of
-    pieces and the glued labels."""
-    return _unfold_all(_contract_refined(_fold_all(a), slot_a, _fold_all(b), slot_b))
-
-
-def self_glue_refined(a: ClassRefined, slot1: int, slot2: int) -> ClassRefined:
-    """Self-gluing of every piece; the fiber class of each is kept."""
-    return _unfold_all(_self_glue_refined(_fold_all(a), slot1, slot2))
-
-
 # -- cobordism words -------------------------------------------------------------
 
 GenRef = tuple  # ("cap", (k1, k2)) | ("tube", (k1, k2)) | ("pants",) | ("op", name)
@@ -554,6 +437,15 @@ class CobordismWord(NamedTuple):
         )
         return glues if glues else " * ".join(names)
 
+    @property
+    def level(self) -> int | None:
+        """The total level k1 + k2 of the word's caps and tubes, or None
+        when the word holds an operator: only a word without operators is
+        split into classes (see split_classes)."""
+        if any(gen[0] == "op" for gen in self.generators):
+            return None
+        return sum(sum(gen[1]) for gen in self.generators if gen[0] != "pants")
+
 
 def _gen_name(gen: GenRef) -> str:
     kind = gen[0]
@@ -570,35 +462,24 @@ def _gen_rank(gen: GenRef) -> int:
     return {"cap": 1, "tube": 2, "pants": 3, "op": 2}[gen[0]]
 
 
-def _build_refined(gen: GenRef) -> ClassRefined:
-    kind = gen[0]
-    if kind == "cap":
-        return build_cap(gen[1])
-    if kind == "tube":
-        return build_tube(gen[1])
-    if kind == "pants":
-        return build_pants()
-    raise ValueError(f"generator {gen!r} has no class refinement")
-
-
 @cache
-def _folded(gen: GenRef, refined: bool):
-    """The generator's tensor in the folded ring, class-refined or summed.
+def _folded(gen: GenRef) -> RelTensor:
+    """The generator's tensor in the folded ring.
 
     Each generator is folded once per process, at its first word."""
     if gen[0] == "op":
         t = matrix_to_tensor(build_operator(gen[1]))
+    elif gen[0] == "pants":
+        t = build_pants()
     else:
-        t = _build_refined(gen) if refined else _build_refined(gen).total()
+        t = (build_cap if gen[0] == "cap" else build_tube)(gen[1])
     return _fold_all(t, f"an entry of {_gen_name(gen)}")
 
 
-def evaluate_word(w: CobordismWord):
-    """Evaluate a cobordism word to its composite tensor.
-
-    Returns a ClassRefined when every generator is a cap/tube/pants; with an
-    operator generator the evaluation is class-summed and returns a
-    RelTensor.  A fully glued word yields a rank-0 result.
+def evaluate_word(w: CobordismWord) -> RelTensor:
+    """Evaluate a cobordism word to its composite tensor, summed over the
+    fiber classes; a fully glued word yields a rank-0 result.  The classes
+    of a word without operators are its phi powers (see split_classes).
 
     The pattern is glued in order, but a pair that joins two components also
     takes every later pair between the same two components, so a handle or
@@ -611,7 +492,6 @@ def evaluate_word(w: CobordismWord):
     """
     if not w.generators:
         raise ValueError("empty word")
-    refined = not any(g[0] == "op" for g in w.generators)
 
     # the pattern is checked in order first, so the first unknown or reused
     # slot is the one reported by gluing pair by pair
@@ -629,7 +509,7 @@ def evaluate_word(w: CobordismWord):
     # component id -> (value, [slot ids]), a slot id being (gen index, slot);
     # owner maps every slot not yet glued to its component
     comps = {
-        i: (_folded(gen, refined), [(i, s) for s in range(_gen_rank(gen))])
+        i: (_folded(gen), [(i, s) for s in range(_gen_rank(gen))])
         for i, gen in enumerate(w.generators)
     }
     owner = {ref: i for i, (_, slots) in comps.items() for ref in slots}
@@ -639,9 +519,8 @@ def evaluate_word(w: CobordismWord):
         ca, cb = owner[ra], owner[rb]
         va, slots_a = comps[ca]
         if ca == cb:
-            fn = _self_glue_refined if refined else _self_glue
             glued = {ra, rb}
-            new_val = fn(va, slots_a.index(ra), slots_a.index(rb))
+            new_val = _self_glue(va, slots_a.index(ra), slots_a.index(rb))
             new_slots = [s for s in slots_a if s not in glued]
         else:
             vb, slots_b = comps.pop(cb)
@@ -651,8 +530,7 @@ def evaluate_word(w: CobordismWord):
                 if owner.get(partner.get(r)) == cb
             ]
             glued = {slots_a[ka] for ka, _ in pairs} | {slots_b[kb] for _, kb in pairs}
-            fn = _contract_refined if refined else _contract
-            new_val = fn(va, tuple(ka for ka, _ in pairs), vb, tuple(kb for _, kb in pairs))
+            new_val = _contract(va, tuple(ka for ka, _ in pairs), vb, tuple(kb for _, kb in pairs))
             new_slots = [s for s in slots_a + slots_b if s not in glued]
         for ref in glued:
             del owner[ref]
@@ -665,12 +543,21 @@ def evaluate_word(w: CobordismWord):
     return _unfold_all(next(iter(comps.values()))[0])
 
 
-def refined_scalar(cr: ClassRefined) -> PhiElem:
-    """Class-summed scalar value of a rank-0 refined tensor."""
-    total = PhiElem.zero()
-    for t in cr.pieces.values():
-        total = total + t.scalar()
-    return total
+def split_classes(t: RelTensor, level: int) -> dict[int, RelTensor]:
+    """The nonzero fiber classes of a cap/tube/pants tensor of total level
+    K = level, by n: class beta0 + n f is the phi^(K + 3n) part of every
+    entry.  A phi power m with m != K (mod 3) breaks that grading and raises
+    ReductionError."""
+    parts: dict[int, list[PhiElem]] = {}
+    for i, e in enumerate(t.entries):
+        for m, c in e.terms.items():
+            n, r = divmod(m - level, 3)
+            if r:
+                raise ReductionError(
+                    f"phi^{m} in a tensor of level {level} breaks the mod-3 class grading"
+                )
+            parts.setdefault(n, [PhiElem.zero()] * len(t.entries))[i] = PhiElem._raw({m: c})
+    return {n: RelTensor(t.variance, entries) for n, entries in sorted(parts.items())}
 
 
 def closed_surface_word(g: int, k1: int, k2: int) -> CobordismWord:

@@ -174,6 +174,59 @@ class TestRunner:
         (rep,) = run_checks("appendixB", g_max=0, k_max=0)
         assert rep.swept.startswith("0<=g<=0, |k|<=0;")
 
+    @pytest.mark.parametrize("suite, bounds, largest", [
+        # 3 must divide 2g - 2 - k: (102, 0) is not swept, (100, 0) and (99, 1) are
+        ("cy", {"g_max": 102, "k_max": 0}, 100),
+        ("cy", {"g_max": 103, "k_max": 0}, 103),
+        ("cy", {"g_max": 104, "k_max": 0}, 103),
+        ("cy", {"g_max": 101, "k_max": 1}, 100),
+        ("cy", {"g_max": 102, "k_max": 1}, 103),
+        ("cy", {"g_max": 0, "k_max": 0}, 0),  # no admissible pair
+        ("appendixB", {"g_max": 94, "k_max": 4}, 102),
+        ("appendixB", {"g_max": 95, "k_max": 4}, 103),
+        ("appendixB", {"k_max": 48}, 101),  # g_max defaults to 5
+        ("appendixB", {"g_max": 102, "k_max": 0}, 102),
+        ("appendixB", {}, 13),
+        ("all", {"g_max": 100, "k_max": 1}, 102),
+        ("all", {"g_max": 101, "k_max": 1}, 103),
+        ("semisimple", {"g_max": 500, "k_max": 500}, 0),
+    ])
+    def test_largest_request(self, suite, bounds, largest, monkeypatch):
+        assert checks.largest_request(suite, **bounds) == largest
+        if largest <= checks.MAX_REQUEST:
+            return
+
+        def boom(*args):
+            raise AssertionError("a suite ran")
+
+        for name in ("verify_calabi_yau", "verify_special_cases"):
+            monkeypatch.setattr(checks, name, boom)
+        with pytest.raises(ValueError, match=f"= {largest}, above the limit 102$"):
+            run_checks(suite, **bounds)
+
+    def test_largest_request_is_the_largest_key_requested(self, monkeypatch):
+        # every key the bounded suites pass to trace_formula, recorded
+        from gwtqft import gluing
+
+        keys = []
+
+        def record(g, k1, k2):
+            keys.append(g + abs(k1) + abs(k2))
+            return PhiElem.zero()
+
+        monkeypatch.setattr(gluing, "trace_formula", record)
+        for g_max in (None, 0, 1, 2, 3, 4):
+            for k_max in (None, 0, 1, 2, 3):
+                for suite, run in (
+                    ("cy", lambda: checks.verify_calabi_yau(*checks._cy_bounds(g_max, k_max))),
+                    ("appendixB", lambda: checks.verify_special_cases(
+                        *checks._special_bounds(g_max, k_max))),
+                ):
+                    keys.clear()
+                    run()
+                    want = max(keys, default=0)
+                    assert checks.largest_request(suite, g_max, k_max) == want, (suite, g_max, k_max)
+
     @pytest.mark.parametrize("bounds", [{"g_max": -3}, {"k_max": -1}])
     def test_negative_bounds_rejected(self, bounds):
         with pytest.raises(ValueError, match="must be nonnegative"):

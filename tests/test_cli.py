@@ -161,6 +161,25 @@ class TestWord:
         assert code == 2
         assert "position" in err
 
+    def test_phi_power_off_the_class_grading_is_exit_3(self, capsys, monkeypatch):
+        # a phi^1 term in a level-0 tensor belongs to no fiber class
+        from gwtqft import words
+
+        pants = words.build_pants()
+        bad = pants.entries[0] + PhiElem.term(1, 1)
+        doctored = words.RelTensor(pants.variance, (bad,) + pants.entries[1:])
+        monkeypatch.setattr(words, "build_pants", lambda: doctored)
+        words._folded.cache_clear()
+        try:
+            code, out, err = run_cli(capsys, "word", "cap(0,0) * pants")
+        finally:
+            monkeypatch.undo()
+            words._folded.cache_clear()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal consistency error: phi^1 in a tensor of level 0 ")
+        assert len(err.splitlines()) == 1
+
 
 class TestUsageErrors:
     def test_missing_genus(self, capsys):
@@ -208,6 +227,18 @@ class TestUsageErrors:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == f"error: g + |k1| + |k2| = {size} is above the limit 102\n"
+        assert cpu < 1.0, cpu
+
+    def test_oversized_verify_bounds_are_exit_2(self):
+        # rejected before any suite runs; the cy sweep up to g = 103 computed
+        # for 16 s before the request bound stopped it
+        proc, cpu = _fresh_cli_cpu("verify", "--suite", "cy", "--gmax", "103", "--kmax", "0")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: --gmax 103 --kmax 0 makes --suite cy request g + |k1| + |k2| = 103,"
+            " above the limit 102\n"
+        )
         assert cpu < 1.0, cpu
 
     def test_oversized_word_is_exit_2(self):

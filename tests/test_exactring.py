@@ -194,17 +194,15 @@ class TestEvaluate:
 class TestHomogeneousComponent:
     def test_split(self):
         a = TRat.from_poly(t0) + TRat.make(1, t0 - t1)
-        assert a.homogeneous_component(1) == TRat.from_poly(t0)
-        assert a.homogeneous_component(-1) == TRat.make(1, t0 - t1)
+        assert a.homogeneous_parts() == {1: TRat.from_poly(t0), -1: TRat.make(1, t0 - t1)}
 
     def test_absent_degree_is_zero(self):
         a = TRat.from_poly((t0 - t1) * (t0 - t2))
-        assert a.homogeneous_component(5).is_zero
+        assert a.homogeneous_parts() == {2: a}
 
     def test_numerator_decomposition(self):
         a = TRat.make(t0**3 + 5, t0 - t1)
-        assert a.homogeneous_component(2) == TRat.make(t0**3, t0 - t1)
-        assert a.homogeneous_component(-1) == TRat.make(5, t0 - t1)
+        assert a.homogeneous_parts() == {2: TRat.make(t0**3, t0 - t1), -1: TRat.make(5, t0 - t1)}
 
     def test_parts_sum_back(self):
         a = TRat.make(t0**3 + 5 * t1 + 7, t0 - t1)

@@ -19,6 +19,7 @@ from gwtqft.operators import (
 )
 from gwtqft.phicalc import laurent_divexact
 from gwtqft import cli, gluing, words
+from gwtqft.partition import SpaceParams, class_component
 from gwtqft.gluing import (
     mat_adjugate,
     mat_det,
@@ -31,7 +32,6 @@ from gwtqft.gluing import (
     trace_formula,
 )
 from gwtqft.words import (
-    ClassRefined,
     CobordismWord,
     RelTensor,
     build_cap,
@@ -39,37 +39,40 @@ from gwtqft.words import (
     build_tube,
     closed_surface_word,
     contract,
-    contract_refined,
     evaluate_word,
     parse_word,
-    refined_scalar,
     self_glue,
-    self_glue_refined,
+    split_classes,
 )
 
 t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
 
 
+def piece(t: RelTensor, level: int, n: int) -> RelTensor:
+    """Class n of a cap/tube/pants tensor of total level `level`."""
+    return split_classes(t, level)[n]
+
+
 class TestRaiseIndex:
     def test_level_zero_tube_becomes_identity(self):
-        tube = build_tube((0, 0)).piece(0)
+        tube = build_tube((0, 0))
         raised = tube.raise_slot(1)
         for a, b in product(LABELS, repeat=2):
             want = PhiElem.one() if a == b else PhiElem.zero()
             assert raised.entry(a, b) == want
 
     def test_raise_then_lower_is_identity(self):
-        pants1 = build_pants().piece(1)
+        pants1 = piece(build_pants(), 0, 1)
         assert pants1.raise_slot(2).lower_slot(2) == pants1
 
     def test_raised_pants_entry(self):
-        pants1 = build_pants().piece(1)
+        pants1 = piece(build_pants(), 0, 1)
         raised = pants1.raise_slot(2)
         want = PhiElem.term(TRat.make(t0 - t1, weight(2)), 3)
         assert raised.entry(0, 0, 2) == want
 
     def test_double_raise_rejected(self):
-        raised = build_tube((0, 0)).piece(0).raise_slot(0)
+        raised = build_tube((0, 0)).raise_slot(0)
         with pytest.raises(ValueError):
             raised.raise_slot(0)
 
@@ -77,8 +80,8 @@ class TestRaiseIndex:
 class TestContract:
     def test_cap_pants_rederives_annihilation_tube(self):
         # brute-force oracle: sum over the middle label explicitly
-        cap = build_cap((0, -1)).piece(0)
-        pants0 = build_pants().piece(0)
+        cap = build_cap((0, -1))
+        pants0 = piece(build_pants(), 0, 0)
         got = contract(cap, 0, pants0, 0)
         for a, b in product(LABELS, repeat=2):
             oracle = PhiElem.zero()
@@ -90,14 +93,14 @@ class TestContract:
         assert got.entry(0, 0) == PhiElem.term((t0 - t1) * (t0 - t2) ** 2, -1)
 
     def test_identity_tube_is_neutral(self):
-        tube = build_tube((0, 0)).piece(0)
-        pants1 = build_pants().piece(1)
+        tube = build_tube((0, 0))
+        pants1 = piece(build_pants(), 0, 1)
         assert contract(pants1, 2, tube, 0) == pants1
 
     def test_full_cap_tube_composite_is_level_cap(self):
         # class-summed: capping the creation tube gives the creation cap
-        got = contract(build_tube((0, 1)).total(), 1, build_cap((0, 0)).total(), 0)
-        assert got == build_cap((0, 1)).total()
+        got = contract(build_tube((0, 1)), 1, build_cap((0, 0)), 0)
+        assert got == build_cap((0, 1))
         assert got.entry(2) == PhiElem.term((t2 - t0) * (t2 - t1), -2)
 
     def test_rank_underflow(self):
@@ -106,7 +109,7 @@ class TestContract:
             contract(scalar, 0, scalar, 0)
 
 
-# every cap, tube and pants generator, class-refined
+# every cap, tube and pants generator
 GENERATORS = (
     [build_cap(lv) for lv in ((0, 0), (0, -1), (-1, 0), (0, 1), (1, 0))]
     + [build_tube(lv) for lv in ((0, 0), (0, -1), (-1, 0), (0, 1), (1, 0))]
@@ -114,15 +117,15 @@ GENERATORS = (
 )
 
 
-def _glue_pair_by_pair(a, slots_a, b, slots_b, one, itself):
+def _glue_pair_by_pair(a, slots_a, b, slots_b):
     """Contract the first slot pair, then self-glue the rest one by one."""
-    out = one(a, slots_a[0], b, slots_b[0])
+    out = contract(a, slots_a[0], b, slots_b[0])
     # the composite's slots: a's remaining then b's, named by (side, slot)
     names = [("a", s) for s in range(a.rank) if s != slots_a[0]]
     names += [("b", s) for s in range(b.rank) if s != slots_b[0]]
     for sa, sb in zip(slots_a[1:], slots_b[1:]):
         i, j = names.index(("a", sa)), names.index(("b", sb))
-        out = itself(out, i, j)
+        out = self_glue(out, i, j)
         names = [n for n in names if n not in (("a", sa), ("b", sb))]
     return out
 
@@ -134,54 +137,68 @@ def test_one_pass_glue_matches_pair_by_pair(a, b, data):
     m = data.draw(st.integers(min(2, a.rank, b.rank), min(a.rank, b.rank)))
     slots_a = tuple(data.draw(st.permutations(range(a.rank)))[:m])
     slots_b = tuple(data.draw(st.permutations(range(b.rank)))[:m])
-    want = _glue_pair_by_pair(a, slots_a, b, slots_b, contract_refined, self_glue_refined)
-    assert contract_refined(a, slots_a, b, slots_b) == want
-    ta, tb = a.total(), b.total()
-    want = _glue_pair_by_pair(ta, slots_a, tb, slots_b, contract, self_glue)
-    assert contract(ta, slots_a, tb, slots_b) == want
+    want = _glue_pair_by_pair(a, slots_a, b, slots_b)
+    assert contract(a, slots_a, b, slots_b) == want
 
 
 class TestContractSlotTuples:
     def test_handle_in_one_pass(self):
         pants = build_pants()
-        handle = self_glue_refined(contract_refined(pants, 2, pants, 0), 1, 2)
-        assert contract_refined(pants, (2, 1), pants, (0, 1)) == handle
+        handle = self_glue(contract(pants, 2, pants, 0), 1, 2)
+        assert contract(pants, (2, 1), pants, (0, 1)) == handle
 
     def test_slot_lists_must_match(self):
-        pants = build_pants().total()
+        pants = build_pants()
         with pytest.raises(ValueError, match="differ in length"):
             contract(pants, (1, 2), pants, (0,))
 
     def test_slot_named_twice_rejected(self):
-        pants = build_pants().total()
+        pants = build_pants()
         with pytest.raises(ValueError, match="twice"):
             contract(pants, (1, 1), pants, (0, 2))
 
     def test_slot_out_of_range(self):
-        tube = build_tube((0, 0)).total()
+        tube = build_tube((0, 0))
         with pytest.raises(ValueError, match="out of range"):
             contract(tube, (0, 2), tube, (0, 1))
 
 
-class TestContractRefined:
+class TestSplitClasses:
     def test_class_bookkeeping(self):
-        out = contract_refined(build_tube((0, -1)), 1, build_tube((0, 1)), 0)
-        assert out.classes() == [0]
+        out = contract(build_tube((0, -1)), 1, build_tube((0, 1)), 0)
+        assert list(split_classes(out, 0)) == [0]
 
     def test_annihilation_creation_is_level_zero_tube(self):
-        out = contract_refined(build_tube((0, -1)), 1, build_tube((0, 1)), 0)
-        assert out == build_tube((0, 0))
+        out = contract(build_tube((0, -1)), 1, build_tube((0, 1)), 0)
+        assert split_classes(out, 0) == {0: build_tube((0, 0))}
 
     def test_fiber_class_off_diagonal_vanishes(self):
-        out = contract_refined(build_tube((0, 1)), 1, build_tube((0, -1)), 0)
+        out = contract(build_tube((0, 1)), 1, build_tube((0, -1)), 0)
         assert out == build_tube((0, 0))
-        assert out.piece(1).is_zero if 1 in out.pieces else True
-        assert 1 not in out.pieces
+        assert 1 not in split_classes(out, 0)
+
+    def test_classes_are_phi_powers(self):
+        # tube(0,-1): class 0 is phi^-1 on the diagonal, class 1 phi^2 everywhere
+        tube = build_tube((0, -1))
+        classes = split_classes(tube, -1)
+        assert list(classes) == [0, 1]
+        assert classes[0].entry(0, 0) == tube.entry(0, 0) - PhiElem.term(1, 2)
+        assert classes[0].entry(0, 1).is_zero
+        assert classes[1].entry(0, 0) == classes[1].entry(0, 1) == PhiElem.term(1, 2)
+
+    def test_zero_tensor_has_no_classes(self):
+        assert split_classes(RelTensor((False,), [PhiElem.zero()] * 3), 0) == {}
+
+    @pytest.mark.parametrize("m", [1, 2, -1, -2])
+    def test_phi_power_off_the_grading_is_rejected(self, m):
+        bad = RelTensor((False,), [PhiElem.one(), PhiElem.term(1, m), PhiElem.zero()])
+        with pytest.raises(ReductionError, match=rf"phi\^{m} in a tensor of level 0 "):
+            split_classes(bad, 0)
 
 
 class TestSelfGlue:
     def test_two_pants_diagonal_rebuilds_base_genus_one(self):
-        pants0 = build_pants().piece(0)
+        pants0 = piece(build_pants(), 0, 0)
         four = contract(pants0, 2, pants0, 0)
         handle = self_glue(four, 1, 2)
         for a, b in product(LABELS, repeat=2):
@@ -189,13 +206,13 @@ class TestSelfGlue:
             assert handle.entry(a, b) == want
 
     def test_algebra_dimension(self):
-        tube = build_tube((0, 0)).piece(0)
+        tube = build_tube((0, 0))
         out = self_glue(tube, 0, 1)
         assert out.rank == 0
         assert out.scalar() == PhiElem.const(3)
 
     def test_pants_self_glue_oracle(self):
-        pants1 = build_pants().piece(1)
+        pants1 = piece(build_pants(), 0, 1)
         got = self_glue(pants1, 1, 2)
         for a in LABELS:
             oracle = PhiElem.zero()
@@ -204,7 +221,7 @@ class TestSelfGlue:
             assert got.entry(a) == oracle
 
     def test_same_slot_rejected(self):
-        tube = build_tube((0, 0)).piece(0)
+        tube = build_tube((0, 0))
         with pytest.raises(ValueError):
             self_glue(tube, 1, 1)
 
@@ -410,9 +427,9 @@ class TestFold:
             _clear_engine_caches()
 
     def test_every_generator_entry_round_trips(self):
-        tensors = [t for cr in GENERATORS for t in cr.pieces.values()]
+        tensors = list(GENERATORS)
         tensors += [words.matrix_to_tensor(build_operator(name)) for name in OPERATOR_NAMES]
-        assert len(tensors) == 16 + 15  # the 11 generators hold 16 pieces
+        assert len(tensors) == 11 + 15
         for t in tensors:
             for e in t.entries:
                 f = gluing._fold(e, None, "entry")
@@ -421,7 +438,7 @@ class TestFold:
 
     def test_fold_keeps_phi_and_the_denominator(self):
         # pants[0,0,0] fiber class: (2 t0 - t1 - t2) phi^3 is (2x - y) phi^3
-        f = gluing._fold(build_pants().piece(1).entry(0, 0, 0), None, "entry")
+        f = gluing._fold(piece(build_pants(), 0, 1).entry(0, 0, 0), None, "entry")
         assert f.terms == {3: XYRat({(1, 0): 2, (0, 1): -1})}
         # 1 / T(x_1) = -1 / ((t0 - t1)(t1 - t2)) is -1 / ((x - y) y)
         inv = PhiElem.term(TRat.make(1, weight(1)), -1)
@@ -430,11 +447,8 @@ class TestFold:
     def test_generator_breaking_translation_invariance_is_exit_3(self, monkeypatch, capsys):
         # t0 t1 phi^3 changes under t -> t + c, so the fold of pants must fail
         pants = build_pants()
-        p1 = pants.piece(1)
-        bad = p1.entries[0] + PhiElem.term(t0 * t1, 3)
-        doctored = ClassRefined({
-            0: pants.piece(0), 1: RelTensor(p1.variance, (bad,) + p1.entries[1:])
-        })
+        bad = pants.entries[0] + PhiElem.term(t0 * t1, 3)
+        doctored = RelTensor(pants.variance, (bad,) + pants.entries[1:])
         monkeypatch.setattr(words, "build_pants", lambda: doctored)
         words._folded.cache_clear()
         try:
@@ -473,10 +487,10 @@ class TestAssociativity:
     def test_contract_is_associative(self):
         rng = random.Random(11)
         gens = [
-            build_tube((0, 1)).total(),
-            build_tube((0, -1)).total(),
-            build_tube((1, 0)).total(),
-            build_pants().total(),
+            build_tube((0, 1)),
+            build_tube((0, -1)),
+            build_tube((1, 0)),
+            build_pants(),
         ]
         for _ in range(6):
             a, b, c = (rng.choice(gens) for _ in range(3))
@@ -488,9 +502,9 @@ class TestAssociativity:
 class TestWords:
     def test_single_cap(self):
         word = CobordismWord((("cap", (0, 0)),), ())
-        out = evaluate_word(word)
-        assert out.classes() == [0]
-        assert out.piece(0).entry(1) == PhiElem.one()
+        out = split_classes(evaluate_word(word), word.level)
+        assert list(out) == [0]
+        assert out[0].entry(1) == PhiElem.one()
 
     def test_cap_pants_chain(self):
         out = evaluate_word(parse_word("cap(0,-1) * pants"))
@@ -498,7 +512,7 @@ class TestWords:
 
     def test_trace_of_identity_tube(self):
         out = evaluate_word(parse_word("trace(tube(0,0))"))
-        assert refined_scalar(out) == PhiElem.const(3)
+        assert out.scalar() == PhiElem.const(3)
 
     def test_matrix_word_matches_trace_formula(self):
         out = evaluate_word(parse_word("trace(G^1 * U1^1)"))
@@ -509,15 +523,16 @@ class TestWords:
             for k1 in range(-2, 3):
                 for k2 in range(-2, 3):
                     word = closed_surface_word(g, k1, k2)
-                    got = refined_scalar(evaluate_word(word))
+                    got = evaluate_word(word).scalar()
                     assert got == trace_formula(g, k1, k2), (g, k1, k2)
 
     def test_class_refined_word_matches_class_sum(self):
         word = closed_surface_word(2, 1, 0)
-        refined = evaluate_word(word)
+        classes = split_classes(evaluate_word(word), word.level)
         summed = PhiElem.zero()
-        for n in refined.classes():
-            summed = summed + refined.piece(n).scalar()
+        for n, t in classes.items():
+            assert t.scalar() == class_component(SpaceParams(2, 1, 0), n), n
+            summed = summed + t.scalar()
         assert summed == trace_formula(2, 1, 0)
 
     def test_disconnected_word_rejected(self):
@@ -533,9 +548,7 @@ class TestWords:
         ],
     )
     def test_one_pass_words_match_trace_formula(self, word, key):
-        got = evaluate_word(word)
-        got = got.scalar() if isinstance(got, RelTensor) else refined_scalar(got)
-        assert got == trace_formula(*key)
+        assert evaluate_word(word).scalar() == trace_formula(*key)
 
     def test_slot_reused_after_a_grouped_pair_is_reported(self):
         # the third pair joins the same two tubes as the first, but the
@@ -551,7 +564,7 @@ class TestWords:
         # the second pair joins two components and takes the third along;
         # the free slots are the joining component's (1, 2), then U1's raised
         # (2, 0), as when the third pair is self-glued afterwards
-        pants, u1 = build_pants().total(), words.matrix_to_tensor(build_operator("U1"))
+        pants, u1 = build_pants(), words.matrix_to_tensor(build_operator("U1"))
         word = CobordismWord(
             (("pants",), ("pants",), ("op", "U1")),
             (((2, 1), (0, 0)), ((1, 0), (0, 1)), ((0, 2), (1, 1))),
@@ -598,12 +611,22 @@ class TestWordParsing:
 
 class TestRefinedAgainstSummed:
     def test_convolution_consistency(self):
-        # summing the refined convolution over classes equals contracting sums
+        # class n of a contraction is the sum, over n' + n'' = n, of the
+        # contractions of the factors' classes
         pairs = [
-            (build_tube((0, 1)), build_tube((0, -1))),
-            (build_pants(), build_tube((1, 0))),
-            (build_cap((0, -1)), build_pants()),
+            ((build_tube((0, 1)), 1), (build_tube((0, -1)), -1)),
+            ((build_pants(), 0), (build_tube((1, 0)), 1)),
+            ((build_cap((0, -1)), -1), (build_pants(), 0)),
         ]
-        for a, b in pairs:
-            refined = contract_refined(a, a.rank - 1, b, 0)
-            assert refined.total() == contract(a.total(), a.rank - 1, b.total(), 0)
+        for (a, ka), (b, kb) in pairs:
+            convolved: dict[int, list[PhiElem]] = {}
+            for na, pa in split_classes(a, ka).items():
+                for nb, pb in split_classes(b, kb).items():
+                    t = contract(pa, a.rank - 1, pb, 0)
+                    acc = convolved.setdefault(na + nb, [PhiElem.zero()] * len(t.entries))
+                    convolved[na + nb] = [x + y for x, y in zip(acc, t.entries)]
+            want = {
+                n: RelTensor(t.variance, entries)
+                for n, entries in sorted(convolved.items()) if any(entries)
+            }
+            assert split_classes(contract(a, a.rank - 1, b, 0), ka + kb) == want

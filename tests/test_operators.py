@@ -7,9 +7,16 @@ import pytest
 from gwtqft.exactring import TPoly, TRat
 from gwtqft.phicalc import PhiElem
 from gwtqft.operators import LABELS, build_operator, mat_identity, weight
-from gwtqft.words import build_cap, build_pants, build_tube, matrix_to_tensor
+from gwtqft.words import build_cap, build_pants, build_tube, matrix_to_tensor, split_classes
 
 t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
+
+LEVELS = ((0, 0), (0, -1), (-1, 0), (0, 1), (1, 0))
+
+
+def classes(gen, level=(0, 0)):
+    """The fiber classes of a generator at the given level."""
+    return split_classes(gen, sum(level))
 
 
 class TestWeight:
@@ -25,28 +32,28 @@ class TestWeight:
 
 class TestCaps:
     def test_level_zero(self):
-        cap = build_cap((0, 0))
-        assert cap.classes() == [0]
+        cap = classes(build_cap((0, 0)))
+        assert list(cap) == [0]
         for a in LABELS:
-            assert cap.piece(0).entry(a) == PhiElem.one()
+            assert cap[0].entry(a) == PhiElem.one()
 
     def test_second_annihilation(self):
-        cap = build_cap((0, -1))
-        assert cap.classes() == [0]
-        assert cap.piece(0).entry(0) == PhiElem.term(t0 - t2, -1)
-        assert cap.piece(0).entry(1) == PhiElem.term(t1 - t2, -1)
-        assert cap.piece(0).entry(2).is_zero
+        cap = classes(build_cap((0, -1)), (0, -1))
+        assert list(cap) == [0]
+        assert cap[0].entry(0) == PhiElem.term(t0 - t2, -1)
+        assert cap[0].entry(1) == PhiElem.term(t1 - t2, -1)
+        assert cap[0].entry(2).is_zero
 
     def test_second_creation(self):
-        cap = build_cap((0, 1))
-        assert cap.classes() == [-1]
-        assert cap.piece(-1).entry(0).is_zero
-        assert cap.piece(-1).entry(1).is_zero
-        assert cap.piece(-1).entry(2) == PhiElem.term((t2 - t0) * (t2 - t1), -2)
+        cap = classes(build_cap((0, 1)), (0, 1))
+        assert list(cap) == [-1]
+        assert cap[-1].entry(0).is_zero
+        assert cap[-1].entry(1).is_zero
+        assert cap[-1].entry(2) == PhiElem.term((t2 - t0) * (t2 - t1), -2)
 
     def test_first_creation(self):
-        cap = build_cap((1, 0))
-        assert cap.piece(-1).entry(1) == PhiElem.term((t1 - t0) * (t1 - t2), -2)
+        cap = classes(build_cap((1, 0)), (1, 0))
+        assert cap[-1].entry(1) == PhiElem.term((t1 - t0) * (t1 - t2), -2)
 
     def test_unsupported_level(self):
         with pytest.raises(ValueError):
@@ -55,64 +62,62 @@ class TestCaps:
 
 class TestTubes:
     def test_level_zero_diagonal(self):
-        tube = build_tube((0, 0))
-        assert tube.classes() == [0]
+        tube = classes(build_tube((0, 0)))
+        assert list(tube) == [0]
         for a, b in product(LABELS, repeat=2):
             want = PhiElem.term(weight(a), 0) if a == b else PhiElem.zero()
-            assert tube.piece(0).entry(a, b) == want
+            assert tube[0].entry(a, b) == want
 
     def test_second_annihilation_pieces(self):
-        tube = build_tube((0, -1))
-        assert tube.classes() == [0, 1]
-        piece0 = tube.piece(0)
+        tube = classes(build_tube((0, -1)), (0, -1))
+        assert list(tube) == [0, 1]
+        piece0 = tube[0]
         assert piece0.entry(0, 0) == PhiElem.term((t0 - t1) * (t0 - t2) ** 2, -1)
         assert piece0.entry(1, 1) == PhiElem.term((t1 - t0) * (t1 - t2) ** 2, -1)
         assert piece0.entry(2, 2).is_zero
         assert piece0.entry(0, 1).is_zero
         for a, b in product(LABELS, repeat=2):
-            assert tube.piece(1).entry(a, b) == PhiElem.term(1, 2)
+            assert tube[1].entry(a, b) == PhiElem.term(1, 2)
 
     def test_second_creation_pieces(self):
-        tube = build_tube((0, 1))
-        assert tube.classes() == [-1, 0]
-        assert tube.piece(-1).entry(2, 2) == PhiElem.term(
+        tube = classes(build_tube((0, 1)), (0, 1))
+        assert list(tube) == [-1, 0]
+        assert tube[-1].entry(2, 2) == PhiElem.term(
             (t2 - t0) ** 2 * (t2 - t1) ** 2, -2
         )
-        body = tube.piece(0)
+        body = tube[0]
         assert body.entry(0, 0) == PhiElem.term(t0 - t1, 1)
         assert body.entry(0, 1).is_zero
         assert body.entry(0, 2) == PhiElem.term(t2 - t1, 1)
         assert body.entry(2, 2) == PhiElem.term(2 * t2 - t0 - t1, 1)
 
     def test_first_creation_pieces(self):
-        tube = build_tube((1, 0))
-        assert tube.piece(-1).entry(1, 1) == PhiElem.term(
+        tube = classes(build_tube((1, 0)), (1, 0))
+        assert tube[-1].entry(1, 1) == PhiElem.term(
             (t1 - t0) ** 2 * (t1 - t2) ** 2, -2
         )
-        body = tube.piece(0)
+        body = tube[0]
         assert body.entry(0, 0) == PhiElem.term(t0 - t2, 1)
         assert body.entry(1, 1) == PhiElem.term(2 * t1 - t0 - t2, 1)
 
     def test_symmetry(self):
-        for level in ((0, 0), (0, -1), (-1, 0), (0, 1), (1, 0)):
-            tube = build_tube(level)
-            for n in tube.classes():
-                piece = tube.piece(n)
+        for level in LEVELS:
+            for piece in classes(build_tube(level), level).values():
                 for a, b in product(LABELS, repeat=2):
                     assert piece.entry(a, b) == piece.entry(b, a)
 
 
 class TestPants:
     def test_base_diagonal(self):
-        pants = build_pants()
-        assert pants.classes() == [0, 1]
-        p0 = pants.piece(0)
+        pants = classes(build_pants())
+        assert list(pants) == [0, 1]
+        p0 = pants[0]
         for a, b, c in product(LABELS, repeat=3):
             want = PhiElem.term(weight(a) ** 2, 0) if a == b == c else PhiElem.zero()
             assert p0.entry(a, b, c) == want
 
     def test_fiber_values(self):
-        p1 = build_pants().piece(1)
+        p1 = classes(build_pants())[1]
         assert p1.entry(0, 1, 2).is_zero
         assert p1.entry(2, 2, 2) == PhiElem.term(2 * t2 - t0 - t1, 3)
         assert p1.entry(0, 2, 2) == PhiElem.term(t2 - t1, 3)
@@ -123,9 +128,7 @@ class TestPants:
         assert p1.entry(1, 1, 1) == PhiElem.term(2 * t1 - t0 - t2, 3)
 
     def test_full_symmetry(self):
-        pants = build_pants()
-        for n in pants.classes():
-            piece = pants.piece(n)
+        for piece in classes(build_pants()).values():
             for a, b, c in product(LABELS, repeat=3):
                 for perm in permutations((a, b, c)):
                     assert piece.entry(a, b, c) == piece.entry(*perm)
@@ -192,11 +195,11 @@ class TestRaisedTubeConsistency:
         ]
         for name, level in pairs:
             lowered = matrix_to_tensor(build_operator(name)).lower_slot(0)
-            assert lowered == build_tube(level).total(), name
+            assert lowered == build_tube(level), name
 
     def test_level_zero_tube_raises_to_identity(self):
         lowered = matrix_to_tensor(mat_identity()).lower_slot(0)
-        assert lowered == build_tube((0, 0)).total()
+        assert lowered == build_tube((0, 0))
 
 
 def _permute_matrix(m, label_perm, var_perm):
@@ -218,21 +221,36 @@ class TestEquivariance:
             assert _permute_matrix(g, perm, perm) == g
 
 
+def _generators():
+    """Every cap, tube and pants generator with its level."""
+    yield build_pants(), (0, 0)
+    for level in LEVELS:
+        yield build_cap(level), level
+        yield build_tube(level), level
+
+
 class TestClassSupport:
     def test_generators_have_at_most_two_classes(self):
-        gens = [build_pants()]
-        for level in ((0, 0), (0, -1), (-1, 0), (0, 1), (1, 0)):
-            gens.append(build_cap(level))
-            gens.append(build_tube(level))
-        for gen in gens:
-            assert len(gen.classes()) <= 2
+        for gen, level in _generators():
+            assert len(classes(gen, level)) <= 2
 
     def test_refined_entries_are_phi_monomials(self):
-        for level in ((0, -1), (-1, 0), (0, 1), (1, 0)):
-            for gen in (build_cap(level), build_tube(level)):
-                for n in gen.classes():
-                    for e in gen.piece(n).entries:
-                        assert len(e.terms) <= 1
+        # every entry of class n is the phi^(k1 + k2 + 3n) term of the
+        # generator's entry, and the classes sum back to the generator
+        for gen, level in _generators():
+            total = [PhiElem.zero()] * len(gen.entries)
+            for n, piece in classes(gen, level).items():
+                for e, whole in zip(piece.entries, gen.entries):
+                    m = sum(level) + 3 * n
+                    assert e == PhiElem.term(whole.coeff(m), m)
+                total = [x + y for x, y in zip(total, piece.entries)]
+            assert total == list(gen.entries)
+
+    def test_phi_powers_follow_the_level(self):
+        # the phi-power law: every phi power of every entry is k1 + k2 (mod 3)
+        for gen, level in _generators():
+            for e in gen.entries:
+                assert all((m - sum(level)) % 3 == 0 for m in e.terms), (level, e)
 
 
 def test_operator_denominators_divide_linear_forms():

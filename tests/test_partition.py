@@ -23,6 +23,27 @@ from gwtqft.partition import (
 t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
 
 
+def _t_degrees(z: PhiElem) -> set[int]:
+    """All t-degrees carried by any coefficient of z."""
+    return {d for _, c in z.items() for d in c.homogeneous_parts()}
+
+
+def _reference_components(p: SpaceParams) -> dict[int, PhiElem]:
+    """Class n -> its component by t-degree: the t-degree class_degree(p, n)
+    part of every coefficient of Z, for every class whose part is nonzero."""
+    parts: dict[int, dict] = {}
+    for m, c in compute_Z(p).items():
+        for d, part in c.homogeneous_parts().items():
+            n, r = divmod(2 * p.g - 2 - p.k1 - p.k2 - d, 3)
+            assert r == 0, (p.g, p.k1, p.k2, d)
+            parts.setdefault(n, {})[m] = part
+    return {n: PhiElem(terms) for n, terms in parts.items()}
+
+
+# every key with g <= 6 and |k1|, |k2| <= 3
+GRID = [(g, k1, k2) for g in range(7) for k1 in range(-3, 4) for k2 in range(-3, 4)]
+
+
 class TestComputeZ:
     def test_genus_two(self):
         q = (t0 - t1) * (t0 - t2) + (t1 - t0) * (t1 - t2) + (t2 - t0) * (t2 - t1)
@@ -80,6 +101,29 @@ class TestClassComponent:
             for n in support(p):
                 total = total + class_component(p, n)
             assert total == compute_Z(p)
+
+
+class TestGradingLaw:
+    """Class n of Z(g | k1, k2) is its phi^(k1 + k2 + 3n) term: the same
+    component as the t-degree definition, on every key of GRID."""
+
+    def test_class_component_matches_t_degree_reference(self):
+        for g, k1, k2 in GRID:
+            p = SpaceParams(g, k1, k2)
+            ref = _reference_components(p)
+            for n in range(min(ref, default=0) - 2, max(ref, default=0) + 3):
+                assert class_component(p, n) == ref.get(n, PhiElem.zero()), (g, k1, k2, n)
+
+    def test_support_matches_t_degree_reference(self):
+        for g, k1, k2 in GRID:
+            p = SpaceParams(g, k1, k2)
+            assert support(p) == sorted(_reference_components(p)), (g, k1, k2)
+
+    def test_support_rejects_a_phi_power_off_the_grading(self, monkeypatch):
+        # Z(1 | 0, 0) = 3; a phi^1 term is no class of a level-0 space
+        monkeypatch.setattr(partition, "compute_Z", lambda p: PhiElem({0: 3, 1: 1}))
+        with pytest.raises(ArithmeticError, match=r"phi\^1 term violates the mod-3 grading"):
+            support(SpaceParams(1))
 
 
 class TestSupport:
@@ -171,7 +215,7 @@ class TestGradingProperties:
             z = compute_Z(p)
             base = 2 * g - 2 - k1 - k2
             # mod-3 purity
-            for d in z.t_degrees():
+            for d in _t_degrees(z):
                 assert (base - d) % 3 == 0, (g, k1, k2, d)
             # vanishing in negative degree
             for n in support(p):
