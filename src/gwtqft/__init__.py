@@ -15,10 +15,11 @@ _EXPORTS = {
     "exactring": "TPoly TRat parse_poly parse_rat",
     "phicalc": "PhiElem USeries phi_expansion phi_pow_series to_useries",
     "operators": "build_operator weight",
-    "gluing": "mat_power trace_formula",
+    "gluing": "trace_formula",
     "words": "build_cap build_tube build_pants CobordismWord closed_surface_word contract"
     " evaluate_word parse_word self_glue split_classes",
     "partition": "SpaceParams compute_Z virtual_dim class_component support genus_expansion",
+    "checks": "mat_power",
 }
 _SOURCE = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 

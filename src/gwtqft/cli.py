@@ -9,10 +9,13 @@ class by class, as its phi^(K + 3n) parts for its total level K.
 Exit codes: 0 success, 1 failed verification, 2 usage error (including a
 word of more than ``words.MAX_WORD_GENERATORS`` generators, a request with
 g + |k1| + |k2| above ``gluing.MAX_REQUEST``, or a ``genus --order`` or
-``--hmax`` above ``partition.MAX_ORDER``), 3 internal error (a quotient the
-theory guarantees failed to reduce, a denominator outside the products of
-ti - tj, a word tensor with a phi power outside its mod-3 class grading,
-or the interpreter ran out of recursion depth or memory), 141
+``--hmax`` above ``partition.MAX_ORDER``, or a ``verify --trials`` outside
+1..``checks.MAX_TRIALS``), 3 internal error (a quotient the theory
+guarantees failed to reduce, such as a genus-0 trace that does not divide
+by det G; a denominator outside the products of ti - tj; a matrix trace or
+coefficient of the trace engine that is not an integer polynomial of its
+weight; a word tensor with a phi power outside its mod-3 class grading; or
+the interpreter ran out of recursion depth or memory), 141
 (128 + SIGPIPE) when the reader of stdout went away before the output was
 written.
 
@@ -247,10 +250,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_word(args) -> int:
-    from .words import evaluate_word, parse_word, split_classes
+    from .gluing import _unfold
+    from .words import RelTensor, evaluate_word, parse_word, split_classes
 
     word = parse_word(args.text)
-    result = evaluate_word(word)
+    folded = evaluate_word(word)
+    result = RelTensor(folded.variance, [_unfold(e) for e in folded.entries])
     if word.level is None:
         # a word with an operator is printed summed over the classes
         if args.format == "json":

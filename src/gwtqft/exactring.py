@@ -13,11 +13,12 @@ linear forms t0 - t1, t0 - t2, t1 - t2, stored as an exponent triple; its
 canonical form makes structural equality coincide with mathematical equality.
 A denominator outside those products raises ReductionError.
 
-XYRat is the same fraction folded at t2 = 0 when it is translation
-invariant: a numerator in Z[x, y], x = t0 - t2 and y = t1 - t2, over
-(x - y)^a x^b y^c.  The gluing engine contracts tensors in this ring, and
-its trace engine shares the polynomial product.  All values are immutable
-after construction and safe to share between threads.
+XYRat is the same fraction folded at t2 = 0: a numerator in Z[x, y],
+x = t0 - t2 and y = t1 - t2, over (x - y)^a x^b y^c.  Every weight,
+operator, tensor and trace of the theory is translation invariant, so the
+generators are built, multiplied and glued in this ring alone; TRat holds
+the re-expanded outputs and the paper's closed forms in t.  All values are
+immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -91,10 +92,6 @@ class TPoly:
         e[i] = 1
         return cls._raw({tuple(e): 1})
 
-    @classmethod
-    def monomial(cls, exp: Exponent, coeff: Fraction | int = 1) -> "TPoly":
-        return cls({tuple(exp): coeff})
-
     # -- basic structure ---------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -118,14 +115,6 @@ class TPoly:
         if not self.terms:
             return -1
         return max(e[0] + e[1] + e[2] for e in self.terms)
-
-    def lead_exp(self) -> Exponent:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=_grlex)
-
-    def lead_coeff(self) -> Fraction:
-        return self.terms[self.lead_exp()]
 
     def scale(self, c: Fraction | int) -> "TPoly":
         c = _exact(c)
@@ -169,12 +158,6 @@ class TPoly:
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -221,10 +204,6 @@ class TPoly:
         for e, c in self.terms.items():
             parts.setdefault(e[0] + e[1] + e[2], {})[e] = c
         return {d: TPoly._raw(t) for d, t in parts.items()}
-
-    def is_homogeneous(self) -> bool:
-        degs = {e[0] + e[1] + e[2] for e in self.terms}
-        return len(degs) <= 1
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
         return self._value(tuple(Fraction(x) for x in point))
@@ -477,12 +456,6 @@ class TRat:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = _as_rat(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = _as_rat(other)
         if o is None:
@@ -505,12 +478,6 @@ class TRat:
         if o is None:
             return NotImplemented
         return self * o.reciprocal()
-
-    def __rtruediv__(self, other):
-        o = _as_rat(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def reciprocal(self) -> "TRat":
         """1 / self; ReductionError unless num is a product of the linear forms."""
@@ -549,9 +516,6 @@ class TRat:
             d - shift: TRat._reduced(part, self.dexp)
             for d, part in self.num.homogeneous_parts().items()
         }
-
-    def is_homogeneous(self) -> bool:
-        return self.num.is_homogeneous()
 
     def permute_vars(self, perm: Sequence[int]) -> "TRat":
         return TRat.make(self.num.permute_vars(perm), self.den.permute_vars(perm))
@@ -682,13 +646,15 @@ def _xy_times_forms(p: _XYPoly, dexp: Sequence[int]) -> _XYPoly:
 class XYRat:
     """Fraction num / ((x - y)^a x^b y^c) over Z[x, y] with ``dexp = (a, b, c)``.
 
-    It is the fold at t2 = 0 of a translation-invariant TRat, x = t0 - t2 and
-    y = t1 - t2.  The forms t0 - t1, t0 - t2, t1 - t2 fold to x - y, x, y, so
-    ``dexp`` is the TRat's exponent triple.  Canonical form as for TRat: no
+    x = t0 - t2 and y = t1 - t2.  Every weight T(x_a), generator entry and
+    trace of the theory depends on t only through these differences, so it
+    is held as its fold, its value at t2 = 0.  The forms t0 - t1, t0 - t2,
+    t1 - t2 fold to x - y, x, y, so ``dexp`` is the exponent triple of the
+    TRat it unfolds to (``gluing._unfold``).  Canonical form as for TRat: no
     form with a positive exponent divides num, and dexp = (0, 0, 0) when
-    num = 0.  The constructor trusts its arguments to be canonical; the
-    gluing engine builds every other value as a sum of products, reduced by
-    _xy_fraction_sum.
+    num = 0.  The constructor trusts its arguments to be canonical; +, - and
+    * reduce their result with _xy_fraction_sum, the one reduction routine,
+    and take an int as a constant.
     """
 
     __slots__ = ("num", "dexp")
@@ -697,16 +663,81 @@ class XYRat:
         self.num = num
         self.dexp = dexp
 
+    @classmethod
+    def const(cls, c: int) -> "XYRat":
+        return cls({(0, 0): c} if c else {})
+
     def __bool__(self) -> bool:
         return bool(self.num)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.num
 
     def __eq__(self, other):
         if not isinstance(other, XYRat):
             return NotImplemented
         return self.num == other.num and self.dexp == other.dexp
 
+    def __hash__(self):
+        return hash((frozenset(self.num.items()), self.dexp))
+
+    def __add__(self, other):
+        o = _as_xy(other)
+        if o is None:
+            return NotImplemented
+        return _xy_fraction_sum([(self.num, self.dexp), (o.num, o.dexp)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return XYRat({e: -c for e, c in self.num.items()}, self.dexp)
+
+    def __sub__(self, other):
+        o = _as_xy(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __mul__(self, other):
+        o = _as_xy(other)
+        if o is None:
+            return NotImplemented
+        if not self.num or not o.num:
+            return XYRat({})
+        d1, d2 = self.dexp, o.dexp
+        num = _xy_mul_into({}, self.num, o.num)
+        return _xy_fraction_sum([(num, (d1[0] + d2[0], d1[1] + d2[1], d1[2] + d2[2]))])
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("folded powers need a nonnegative integer")
+        result = XYRat.const(1)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def _value(self, pt: tuple[Fraction, Fraction, Fraction]) -> Fraction:
+        # the unfolded value at a point as _point returns it
+        x, y = pt[0] - pt[2], pt[1] - pt[2]
+        total = Fraction(0)
+        for (a, b), c in self.num.items():
+            total += c * x**a * y**b
+        d = self.dexp
+        return total / ((x - y) ** d[0] * x ** d[1] * y ** d[2])
+
     def __repr__(self) -> str:
         return f"XYRat({self.num!r}, {self.dexp!r})"
+
+
+def _as_xy(x) -> XYRat | None:
+    if isinstance(x, XYRat):
+        return x
+    if type(x) is int:
+        return XYRat.const(x)
+    return None
 
 
 def _xy_fraction_sum(items) -> XYRat:

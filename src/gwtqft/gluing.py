@@ -1,5 +1,6 @@
-"""The trace engine: 3x3 matrix algebra over phi-Laurent polynomials, the
-fold of an element into Z[x, y], and the closed-surface trace formula.
+"""The trace engine: 3x3 matrix algebra over folded phi-Laurent
+polynomials, their re-expansion in t0, t1, t2, and the closed-surface trace
+formula.
 
 ``compute``, ``extract`` and ``genus`` compile this module, ``operators``
 and the layers below them, and nothing else: the cap, tube and pants
@@ -10,10 +11,11 @@ The partition function of the closed genus-g, level-(k1, k2) space is
 Z = tr(G^(g-1) U1^k1 U2^k2), computed without forming a matrix power.  G, U1
 and U2 commute, their entries depend on t only through x = t0 - t2 and
 y = t1 - t2, and they are homogeneous for the weight that gives phi and
-each t weight 1: G has weight 2, U1 and U2 weight 0.  So the trace
-s_j(k1, k2) = tr(G^j U1^k1 U2^k2), of weight 2j, is fixed by its fold, the
-polynomial in Z[x, y] left by t2 = 0 and phi = 1: the monomial x^a y^b
-carries phi^(2j - a - b).  On folds:
+each t weight 1: G has weight 2, U1 and U2 weight 0.  The operators are
+built folded (see ``operators``), so every product here is one in Z[x, y].
+The trace s_j(k1, k2) = tr(G^j U1^k1 U2^k2), of weight 2j, is fixed by its
+value at phi = 1, a polynomial in Z[x, y]: the monomial x^a y^b carries
+phi^(2j - a - b).  At phi = 1:
 
 - the seeds s_j(a, b), 0 <= j <= 2 and a, b in {-1, 0, 1}, are traces of
   matrix products;
@@ -23,10 +25,10 @@ carries phi^(2j - a - b).  On folds:
 - genus follows from s_n = c1 s_(n-1) - c2 s_(n-2) + c3 s_(n-3) with the
   same coefficients of G, and g = 0 divides exactly by c3 = det G.
 
-Z is re-expanded from s_(g-1) by a Taylor shift in t2.  Every fold of a
-matrix trace or coefficient is re-expanded and compared with its source,
-so an operator that breaks these assumptions raises ReductionError
-instead of giving a wrong Z.
+Z is re-expanded from s_(g-1) by a Taylor shift in t2.  A matrix trace or
+coefficient is read at phi = 1 only when each phi^m coefficient is an
+integer polynomial of degree w - m for its weight w, so an operator that
+breaks the homogeneity raises ReductionError instead of giving a wrong Z.
 
 The bounded ``lru_cache`` on ``trace_formula`` is the one memo of results.
 Below it only generator data is cached: the 27 seeds and the coefficients
@@ -40,11 +42,11 @@ from __future__ import annotations
 
 from functools import cache, lru_cache, reduce
 
-from .exactring import ReductionError, TPoly, TRat, XYRat, _XYPoly, _xy_clean, _xy_mul_into
-from .phicalc import PhiElem, laurent_divexact
-from .operators import LABELS, Op3, build_operator, mat_identity
+from .exactring import ReductionError, TPoly, TRat, _XYPoly, _xy_clean, _xy_mul_into
+from .phicalc import PhiElem
+from .operators import LABELS, Op3, _phi, build_operator
 
-# -- 3x3 matrix algebra over phi-Laurent polynomials ---------------------------
+# -- 3x3 matrix algebra over folded phi-Laurent polynomials --------------------
 
 
 def mat_mul(a: Op3, b: Op3) -> Op3:
@@ -70,62 +72,12 @@ def mat_trace_mul(a: Op3, b: Op3) -> PhiElem:
     return total
 
 
-def mat_eq(a: Op3, b: Op3) -> bool:
-    return all(a[i][j] == b[i][j] for i in LABELS for j in LABELS)
-
-
-def mat_scale(m: Op3, c) -> Op3:
-    return tuple(tuple(e * c for e in row) for row in m)
-
-
 def mat_det(m: Op3) -> PhiElem:
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
-
-
-def mat_adjugate(m: Op3) -> Op3:
-    def cof(i: int, j: int) -> PhiElem:
-        rows = [r for r in LABELS if r != i]
-        cols = [c for c in LABELS if c != j]
-        minor = m[rows[0]][cols[0]] * m[rows[1]][cols[1]] - m[rows[0]][cols[1]] * m[rows[1]][cols[0]]
-        return minor if (i + j) % 2 == 0 else -minor
-
-    # adjugate = transpose of the cofactor matrix
-    return tuple(tuple(cof(j, i) for j in LABELS) for i in LABELS)
-
-
-def mat_inverse(m: Op3) -> Op3:
-    """Inverse with entries reduced back to Laurent polynomials in phi.
-
-    Raises ReductionError when an entry fails to reduce and ZeroDivisionError
-    when the matrix is singular.
-    """
-    det = mat_det(m)
-    if det.is_zero:
-        raise ZeroDivisionError("matrix is singular")
-    adj = mat_adjugate(m)
-    return tuple(
-        tuple(laurent_divexact(adj[i][j], det) for j in LABELS) for i in LABELS
-    )
-
-
-def mat_power(m: Op3, e: int) -> Op3:
-    """Exact matrix power by binary powering; a negative exponent powers the
-    inverse, whose entries mat_inverse reduces to Laurent polynomials in phi
-    (ReductionError when one does not reduce)."""
-    if e < 0:
-        return mat_power(mat_inverse(m), -e)
-    result = mat_identity()
-    base = m
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if e > 1 else base
-        e >>= 1
-    return result
 
 
 # -- the closed-surface trace formula ------------------------------------------
@@ -156,12 +108,12 @@ def _shift(num: _XYPoly) -> TPoly:
 
 
 def _unfold(f, weight: int | None = None) -> PhiElem:
-    """The element whose fold is f.
+    """The element whose fold, its value at t2 = 0, is f.
 
     f is a folded element: each phi^m coefficient num / ((x - y)^a x^b y^c)
     becomes num(t0 - t2, t1 - t2) / ((t0 - t1)^a (t0 - t2)^b (t1 - t2)^c),
     with the same exponents.  Given a weight, f is instead a polynomial in
-    x, y at phi = 1 (the trace engine's fold), and its degree-d part is the
+    x, y at phi = 1 (as _at_phi_one leaves it), and its degree-d part is the
     coefficient of phi^(weight - d).
     """
     if weight is None:
@@ -172,35 +124,23 @@ def _unfold(f, weight: int | None = None) -> PhiElem:
     return PhiElem._raw({m: TRat(_shift(h)) for m, h in parts.items()})
 
 
-def _fold(p: PhiElem, weight: int | None, what: str):
-    """p at t2 = 0: a folded element, or given a weight, an _XYPoly at phi = 1.
+def _at_phi_one(p: PhiElem, weight: int, what: str) -> _XYPoly:
+    """A folded element of the given weight at phi = 1, as a polynomial in
+    x, y whose degree-d part is the phi^(weight - d) coefficient.
 
-    The fold loses nothing only when every phi^m coefficient of p is
-    translation invariant: its numerator a polynomial in t0 - t2, t1 - t2.
-    At phi = 1 it must also be a polynomial, homogeneous of t-degree
-    weight - m.  Re-expanding the fold and comparing it with p checks
-    exactly that, so a broken assumption raises ReductionError instead of
-    giving a wrong result.  Integer coefficients keep every later division
-    exact.
+    That loses nothing only when every phi^m coefficient of p is a
+    polynomial with integer coefficients, homogeneous of degree weight - m;
+    anything else raises ReductionError instead of giving a wrong Z.
+    Integer coefficients keep every later division exact.
     """
-    terms = {}
+    f: _XYPoly = {}
     for m, c in p.terms.items():
-        num = {(a, b): v for (a, b, k), v in c.num.terms.items() if not k}
-        if num:
-            terms[m] = XYRat(num, c.dexp)
-    if weight is None:
-        f = PhiElem._raw(terms)
-        problem = "is not translation invariant with integer coefficients"
-    else:
-        acc: dict = {}
-        for c in terms.values():
-            for e, v in c.num.items():
-                acc[e] = acc.get(e, 0) + v
-        f = _xy_clean(acc)
-        problem = f"is not an integer polynomial in t0 - t2, t1 - t2 of weight {weight}"
-    integral = all(v.denominator == 1 for c in terms.values() for v in c.num.values())
-    if not integral or _unfold(f, weight) != p:
-        raise ReductionError(f"{what} {problem}")
+        d = weight - m
+        if any(c.dexp) or any(a + b != d or v.denominator != 1 for (a, b), v in c.num.items()):
+            raise ReductionError(
+                f"{what} is not an integer polynomial in t0 - t2, t1 - t2 of weight {weight}"
+            )
+        f.update(c.num)
     return f
 
 
@@ -250,9 +190,9 @@ def _char_poly(name: str, weight: int) -> tuple[_XYPoly, _XYPoly, _XYPoly]:
         PhiElem.zero(),
     )
     return (
-        _fold(mat_trace(m), weight, f"tr {name}"),
-        _fold(minors, 2 * weight, f"tr adj {name}"),
-        _fold(mat_det(m), 3 * weight, f"det {name}"),
+        _at_phi_one(mat_trace(m), weight, f"tr {name}"),
+        _at_phi_one(minors, 2 * weight, f"tr adj {name}"),
+        _at_phi_one(mat_det(m), 3 * weight, f"det {name}"),
     )
 
 
@@ -277,11 +217,11 @@ def _seed(j: int, k1: int, k2: int) -> _XYPoly:
         if k
     ] + [build_operator("G")] * j
     if not factors:
-        trace = PhiElem.const(3)
+        trace = _phi(3, 0)
     else:
         last = factors.pop()
         trace = mat_trace_mul(reduce(mat_mul, factors), last) if factors else mat_trace(last)
-    return _fold(trace, 2 * j, f"tr(G^{j} U1^{k1} U2^{k2})")
+    return _at_phi_one(trace, 2 * j, f"tr(G^{j} U1^{k1} U2^{k2})")
 
 
 def _recur(at, first: int, last: int, coeffs) -> _XYPoly:
@@ -330,8 +270,8 @@ def trace_formula(g: int, k1: int, k2: int) -> PhiElem:
     x = t0 - t2 and y = t1 - t2 (see the module docstring), as the value
     s_(g-1) of the recurrences from the seed traces, and re-expanded at
     weight 2g - 2.  A negative g or g + |k1| + |k2| > MAX_REQUEST is a
-    ValueError.  Raises ReductionError when an operator breaks an
-    assumption of the fold or the genus-0 quotient does not divide.
+    ValueError.  Raises ReductionError when a trace or coefficient of the
+    operators breaks its weight or the genus-0 quotient does not divide.
     """
     if g < 0:
         raise ValueError("genus must be nonnegative")

@@ -1,8 +1,14 @@
 """Closed-form TQFT generator data: fixed-point weights and the 3x3
 creation/annihilation/genus-adding matrices over Q((u))(t0, t1, t2).
 
+Every weight and matrix entry depends on t only through x = t0 - t2 and
+y = t1 - t2, so each is built folded: a PhiElem whose phi^m coefficients are
+XYRat, fractions over Z[x, y] with denominator (x - y)^a x^b y^c.  No
+three-variable arithmetic runs here; ``gluing._unfold`` re-expands a folded
+value in t0, t1, t2 at the output.
+
 Matrices are the row-raised forms of the generator tensors (entry (a, b) is
-the lowered (a, b) entry divided by the weight of x_a).  Every command
+the lowered (a, b) entry times the inverse weight of x_a).  Every command
 loads this module; the cap, tube and pants tensors that the matrices are
 re-derived from live in ``words``, which only ``word`` and ``verify`` load.
 """
@@ -12,7 +18,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Sequence
 
-from .exactring import TPoly, TRat
+from .exactring import XYRat
 from .phicalc import PhiElem
 
 #: basis labels for the three torus-fixed points x0, x1, x2 of the fiber
@@ -20,29 +26,43 @@ LABELS = (0, 1, 2)
 
 Op3 = tuple[tuple[PhiElem, ...], ...]
 
-_t = (TPoly.var(0), TPoly.var(1), TPoly.var(2))
+# t0, t1, t2 folded at t2 = 0: x, y and 0
+_t = (XYRat({(1, 0): 1}), XYRat({(0, 1): 1}), XYRat({}))
+_ZERO = XYRat({})
 
 
-def _d(i: int, j: int) -> TPoly:
+def _d(i: int, j: int) -> XYRat:
+    """t_i - t_j, folded."""
     return _t[i] - _t[j]
 
 
 @cache
-def weight(a: int) -> TPoly:
-    """Equivariant weight T(x_a) of the fixed point x_a."""
+def weight(a: int) -> XYRat:
+    """Equivariant weight T(x_a) of the fixed point x_a, folded."""
     if a not in LABELS:
         raise ValueError(f"basis label must be 0, 1 or 2, got {a}")
     i, j = [b for b in LABELS if b != a]
     return _d(a, i) * _d(a, j)
 
 
+#: the folded weights (x - y) x, -(x - y) y, x y, and their inverses
 WEIGHTS = tuple(weight(a) for a in LABELS)
-WEIGHT_RATS = tuple(TRat.from_poly(w) for w in WEIGHTS)
-INV_WEIGHTS = tuple(TRat.make(TPoly.one(), w) for w in WEIGHTS)
+INV_WEIGHTS = (
+    XYRat({(0, 0): 1}, (1, 1, 0)),
+    XYRat({(0, 0): -1}, (1, 0, 1)),
+    XYRat({(0, 0): 1}, (0, 1, 1)),
+)
 
 
-def _phi(coeff, m: int) -> PhiElem:
-    return PhiElem.term(coeff, m)
+def _phi(coeff: XYRat | int, m: int) -> PhiElem:
+    """coeff * phi^m, folded."""
+    if type(coeff) is int:
+        coeff = XYRat.const(coeff)
+    return PhiElem._raw({m: coeff} if coeff else {})
+
+
+#: the folded unit
+ONE = _phi(1, 0)
 
 
 # -- operator matrices ----------------------------------------------------------
@@ -57,22 +77,19 @@ def _mat(rows: Sequence[Sequence[PhiElem]]) -> Op3:
     return tuple(tuple(row) for row in rows)
 
 
-def _diag_phi(vals: Sequence[TPoly | TRat], m: int) -> Op3:
+def _diag_phi(vals: Sequence[XYRat], m: int) -> Op3:
     z = PhiElem.zero()
     return _mat([[_phi(vals[a], m) if a == b else z for b in LABELS] for a in LABELS])
 
 
-def _row_rat(num_rows: Sequence[Sequence[TPoly]], m: int) -> Op3:
+def _row_rat(num_rows: Sequence[Sequence[XYRat]], m: int) -> Op3:
     # entry (a, b) = num_rows[a][b] / T(x_a) at phi^m
-    return _mat([
-        [_phi(TRat.make(num_rows[a][b], weight(a)), m) for b in LABELS]
-        for a in LABELS
-    ])
+    return _mat([[_phi(num_rows[a][b] * INV_WEIGHTS[a], m) for b in LABELS] for a in LABELS])
 
 
 @cache
 def build_operator(name: str) -> Op3:
-    """One of the fifteen closed-form 3x3 operator matrices.
+    """One of the fifteen closed-form 3x3 operator matrices, folded.
 
     A/B are the two fiber-class pieces of the genus-adding operator G; C/E
     and N/M are the class pieces of the level creation operators U1, U2 and
@@ -89,29 +106,29 @@ def build_operator(name: str) -> Op3:
         ]
         return _row_rat(rows, 3)
     if name == "C1":
-        return _diag_phi([TPoly.zero(), weight(1), TPoly.zero()], -2)
+        return _diag_phi([_ZERO, weight(1), _ZERO], -2)
     if name == "C2":
-        return _diag_phi([TPoly.zero(), TPoly.zero(), weight(2)], -2)
+        return _diag_phi([_ZERO, _ZERO, weight(2)], -2)
     if name == "E1":
         rows = [
-            [_d(0, 2), _d(1, 2), TPoly.zero()],
+            [_d(0, 2), _d(1, 2), _ZERO],
             [_d(1, 2), _d(1, 0) + _d(1, 2), _d(1, 0)],
-            [TPoly.zero(), _d(1, 0), _d(2, 0)],
+            [_ZERO, _d(1, 0), _d(2, 0)],
         ]
         return _row_rat(rows, 1)
     if name == "E2":
         rows = [
-            [_d(0, 1), TPoly.zero(), _d(2, 1)],
-            [TPoly.zero(), _d(1, 0), _d(2, 0)],
+            [_d(0, 1), _ZERO, _d(2, 1)],
+            [_ZERO, _d(1, 0), _d(2, 0)],
             [_d(2, 1), _d(2, 0), _d(2, 0) + _d(2, 1)],
         ]
         return _row_rat(rows, 1)
     if name == "N1":
-        return _diag_phi([_d(0, 1), TPoly.zero(), _d(2, 1)], -1)
+        return _diag_phi([_d(0, 1), _ZERO, _d(2, 1)], -1)
     if name == "N2":
-        return _diag_phi([_d(0, 2), _d(1, 2), TPoly.zero()], -1)
+        return _diag_phi([_d(0, 2), _d(1, 2), _ZERO], -1)
     if name in ("M1", "M2"):
-        one = TPoly.one()
+        one = XYRat.const(1)
         return _row_rat([[one] * 3] * 3, 2)
     if name == "G":
         return mat_add(build_operator("A"), build_operator("B"))
@@ -135,5 +152,4 @@ def mat_add(a: Op3, b: Op3) -> Op3:
 
 def mat_identity() -> Op3:
     z = PhiElem.zero()
-    o = PhiElem.one()
-    return _mat([[o if i == j else z for j in LABELS] for i in LABELS])
+    return _mat([[ONE if i == j else z for j in LABELS] for i in LABELS])

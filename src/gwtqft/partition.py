@@ -5,7 +5,7 @@ bookkeeping, support computation, and genus-by-genus invariant tables.
 A class is one power of phi.  The class beta0 + n f part of Z has t-degree
 -D = 2g - 2 - k1 - k2 - 3n, and Z has weight 2g - 2, so that its phi^m
 coefficient has t-degree 2g - 2 - m (the trace engine checks this weight
-on every fold).  So class n is exactly the phi^(k1 + k2 + 3n) term of Z.
+on every trace it reads at phi = 1).  So class n is exactly the phi^(k1 + k2 + 3n) term of Z.
 
 Z is memoised once, by the bounded ``lru_cache`` on
 ``gluing.trace_formula``, which also rejects g + |k1| + |k2| above

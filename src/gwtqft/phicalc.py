@@ -26,9 +26,12 @@ class PhiElem:
     """Laurent polynomial in phi with TRat coefficients.
 
     ``terms`` maps integer phi-exponents (possibly negative) to nonzero TRat
-    coefficients.  Immutable by convention.  The word path (``words``) also
-    stores folded tensor entries as PhiElems with XYRat coefficients; it
-    reads their ``terms`` directly and does no PhiElem arithmetic on them.
+    coefficients.  Immutable by convention.  The generators, the trace
+    engine and the word path hold folded elements instead: PhiElems built
+    with ``_raw`` whose coefficients are XYRat (see ``operators``).  +, -
+    and * work on them coefficientwise as on TRat ones; a folded and a TRat
+    coefficient never mix, and ``gluing._unfold`` turns a folded element
+    into a TRat one for output.
     """
 
     __slots__ = ("terms",)
@@ -131,12 +134,6 @@ class PhiElem:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = _as_phi(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = _as_phi(other)
         if o is None:
@@ -160,23 +157,6 @@ class PhiElem:
         return PhiElem._raw(acc)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise ValueError("phi-polynomial powers need an integer")
-        if n < 0:
-            if len(self.terms) != 1:
-                raise ValueError("only phi-monomials have negative powers")
-            ((m, c),) = self.terms.items()
-            return PhiElem._raw({m * n: c ** n})
-        result = PhiElem.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     # -- coefficientwise maps --------------------------------------------------
 

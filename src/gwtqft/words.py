@@ -19,18 +19,18 @@ K = k1 + k2 is its phi^(K + 3n) part.  Each generator obeys this, and
 gluing adds the classes, the phi powers and the levels, so a word is glued
 class-summed and its classes are read off at the end (``split_classes``).
 
-Tensors are glued folded.  Every entry of the cap, tube and pants tensors
-and of the operators is translation invariant, so each phi^m coefficient
-is fixed by its value at t2 = 0: an XYRat, a fraction over Z[x, y] with
-x = t0 - t2, y = t1 - t2 and denominator (x - y)^a x^b y^c.  A pair of
-lowered slots is glued with the folded inverse weight as a factor of each
-product (a pair of raised ones with the weight), each coefficient of a
-glued entry is one sum of unreduced products reduced once, and only the
-result is unfolded, by the Taylor shift that the trace engine uses too
-(``gluing._fold`` / ``gluing._unfold``).  Each generator is folded once per
-process, at its first word, and every fold is re-expanded and compared with
-its source.  Words are still contracted one generator at a time, so a
-word's cost grows with its length (see MAX_WORD_GENERATORS).
+Tensors are built and glued folded.  Every entry of the cap, tube and
+pants tensors and of the operators is translation invariant, so each phi^m
+coefficient is fixed by its value at t2 = 0: an XYRat, a fraction over
+Z[x, y] with x = t0 - t2, y = t1 - t2 and denominator (x - y)^a x^b y^c.
+The generators are built in that ring (see ``operators``), and every
+function here takes and returns folded tensors; ``gluing._unfold``
+re-expands an entry in t0, t1, t2 for output.  A pair of lowered slots is
+glued with the folded inverse weight as a factor of each product (a pair
+of raised ones with the weight), and each coefficient of a glued entry is
+one sum of unreduced products reduced once.  Words are still contracted
+one generator at a time, so a word's cost grows with its length (see
+MAX_WORD_GENERATORS).
 """
 
 from __future__ import annotations
@@ -40,13 +40,15 @@ from functools import cache
 from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
-from .exactring import ReductionError, TPoly, TRat, XYRat, _xy_clean, _xy_fraction_sum, _xy_mul_into
-from .gluing import _ONE, _fold, _unfold
+from .exactring import ReductionError, XYRat, _xy_clean, _xy_fraction_sum, _xy_mul_into
+from .gluing import _ONE
 from .operators import (
     INV_WEIGHTS,
     LABELS,
+    ONE,
     OPERATOR_NAMES,
-    WEIGHT_RATS,
+    WEIGHTS,
+    _ZERO,
     Op3,
     _d,
     _phi,
@@ -108,7 +110,8 @@ class RelTensor:
     def __hash__(self):
         return hash((self.variance, self.entries))
 
-    def _rescale_slot(self, slot: int, factors: Sequence[TRat]) -> "RelTensor":
+    def _rescale_slot(self, slot: int, factors: Sequence[XYRat]) -> "RelTensor":
+        factors = [_phi(f, 0) for f in factors]
         new = []
         for labels in product(LABELS, repeat=self.rank):
             new.append(self.entries[self._index(labels)] * factors[labels[slot]])
@@ -130,7 +133,7 @@ class RelTensor:
             raise ValueError(f"slot {slot} out of range for rank {self.rank}")
         if not self.variance[slot]:
             raise ValueError(f"slot {slot} is already lowered")
-        out = self._rescale_slot(slot, WEIGHT_RATS)
+        out = self._rescale_slot(slot, WEIGHTS)
         variance = list(self.variance)
         variance[slot] = False
         return RelTensor(variance, out.entries)
@@ -165,7 +168,7 @@ def build_cap(level: Level) -> RelTensor:
         raise ValueError(f"level {level} cap is not a basic generator")
     z = PhiElem.zero()
     if level == (0, 0):
-        return _tensor1([PhiElem.one()] * 3)
+        return _tensor1([ONE] * 3)
     if level == (0, -1):
         # (t_a - t2) phi^-1, class 0
         return _tensor1([_phi(_d(a, 2), -1) if a != 2 else z for a in LABELS])
@@ -211,16 +214,16 @@ def build_tube(level: Level) -> RelTensor:
     # the creation tubes: class -1 on the diagonal, class 0 (phi^1) from body
     if level == (0, 1):
         body = [
-            [_d(0, 1), TPoly.zero(), _d(2, 1)],
-            [TPoly.zero(), _d(1, 0), _d(2, 0)],
+            [_d(0, 1), _ZERO, _d(2, 1)],
+            [_ZERO, _d(1, 0), _d(2, 0)],
             [_d(2, 1), _d(2, 0), _d(2, 0) + _d(2, 1)],
         ]
         return tube([z, z, _phi(weight(2) ** 2, -2)], lambda a, b: _phi(body[a][b], 1))
     # level (1, 0)
     body = [
-        [_d(0, 2), _d(1, 2), TPoly.zero()],
+        [_d(0, 2), _d(1, 2), _ZERO],
         [_d(1, 2), _d(1, 0) + _d(1, 2), _d(1, 0)],
-        [TPoly.zero(), _d(1, 0), _d(2, 0)],
+        [_ZERO, _d(1, 0), _d(2, 0)],
     ]
     return tube([z, _phi(weight(1) ** 2, -2), z], lambda a, b: _phi(body[a][b], 1))
 
@@ -239,7 +242,7 @@ _PANTS_F = {
     (0, 2, 2): _d(2, 1),
     (1, 1, 2): _d(1, 0),
     (1, 2, 2): _d(2, 0),
-    (0, 1, 2): TPoly.zero(),
+    (0, 1, 2): _ZERO,
 }
 
 
@@ -291,23 +294,7 @@ def _offsets(rank: int, glued: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return table(free), table(glued)
 
 
-# -- the folded ring --------------------------------------------------------------
-
-# The word path holds every tensor entry as its fold at t2 = 0 (see
-# gluing._fold): a PhiElem whose coefficients are XYRat.  T(x_0), T(x_1),
-# T(x_2) fold to (x - y) x, -(x - y) y and x y; their inverses, as
-# (sign, dexp), to sign / ((x - y)^a x^b y^c).
-_WEIGHTS = ({(2, 0): 1, (1, 1): -1}, {(1, 1): -1, (0, 2): 1}, {(1, 1): 1})
-_INV_WEIGHTS = ((1, (1, 1, 0)), (-1, (1, 0, 1)), (1, (0, 1, 1)))
-_PHI_ONE = PhiElem._raw({0: XYRat({(0, 0): 1})})
-
-
-def _fold_all(t: RelTensor, what: str = "a tensor entry") -> RelTensor:
-    return RelTensor(t.variance, [_fold(e, None, what) for e in t.entries])
-
-
-def _unfold_all(t: RelTensor) -> RelTensor:
-    return RelTensor(t.variance, [_unfold(e) for e in t.entries])
+# -- gluing -------------------------------------------------------------------------
 
 
 def _glue_factors(pairs) -> list[tuple]:
@@ -321,10 +308,11 @@ def _glue_factors(pairs) -> list[tuple]:
         sign, poly, dexp = 1, None, (0, 0, 0)
         for lam, (va, vb) in zip(labels, pairs):
             if va == vb and va:
-                poly = _xy_clean(_xy_mul_into({}, poly or _ONE, _WEIGHTS[lam]))
+                poly = _xy_clean(_xy_mul_into({}, poly or _ONE, WEIGHTS[lam].num))
             elif va == vb:
-                s, d = _INV_WEIGHTS[lam]
-                sign, dexp = sign * s, (dexp[0] + d[0], dexp[1] + d[1], dexp[2] + d[2])
+                inv = INV_WEIGHTS[lam]
+                d = inv.dexp
+                sign, dexp = sign * inv.num[0, 0], (dexp[0] + d[0], dexp[1] + d[1], dexp[2] + d[2])
         out.append((sign, poly, dexp))
     return out
 
@@ -352,7 +340,17 @@ def _dot(terms) -> PhiElem:
     return PhiElem._raw(total)
 
 
-def _contract(a: RelTensor, slot_a, b: RelTensor, slot_b) -> RelTensor:
+def contract(a: RelTensor, slot_a, b: RelTensor, slot_b) -> RelTensor:
+    """Glue slot_a of a to slot_b of b, summing over the basis.
+
+    slot_a and slot_b are single slots, or equal-length tuples of slots that
+    are glued pairwise (slot_a[i] to slot_b[i]) in one pass: every pair that
+    joins the same two tensors costs one sum over the glued labels, with no
+    intermediate tensor.  A pair of slots of the same variance is summed
+    with the weight or its inverse as a factor, so no slot is raised or
+    lowered first, and zero entries are skipped.  Result slots: a's
+    remaining slots then b's.
+    """
     slots_a, slots_b = _slots(a.rank, slot_a), _slots(b.rank, slot_b)
     if len(slots_a) != len(slots_b):
         raise ValueError("slot lists to glue differ in length")
@@ -371,7 +369,8 @@ def _contract(a: RelTensor, slot_a, b: RelTensor, slot_b) -> RelTensor:
     return RelTensor(variance, entries)
 
 
-def _self_glue(t: RelTensor, slot1: int, slot2: int) -> RelTensor:
+def self_glue(t: RelTensor, slot1: int, slot2: int) -> RelTensor:
+    """Glue two free slots of the same tensor to each other."""
     if slot1 == slot2:
         raise ValueError("cannot glue a slot to itself")
     if not (0 <= slot1 < t.rank and 0 <= slot2 < t.rank):
@@ -381,36 +380,10 @@ def _self_glue(t: RelTensor, slot1: int, slot2: int) -> RelTensor:
     step = 3 ** (t.rank - 1 - slot1) + 3 ** (t.rank - 1 - slot2)
     variance = [v for s, v in enumerate(t.variance) if s not in (slot1, slot2)]
     entries = [
-        _dot((x, _PHI_ONE, f) for lam, f in zip(LABELS, factors) if (x := t.entries[i + lam * step]))
+        _dot((x, ONE, f) for lam, f in zip(LABELS, factors) if (x := t.entries[i + lam * step]))
         for i in free
     ]
     return RelTensor(variance, entries)
-
-
-# -- gluing -------------------------------------------------------------------------
-#
-# Each public function folds its tensors, glues them in the folded ring and
-# unfolds the result.  A tensor with an entry that is not translation
-# invariant, with integer coefficients, raises ReductionError.
-
-
-def contract(a: RelTensor, slot_a, b: RelTensor, slot_b) -> RelTensor:
-    """Glue slot_a of a to slot_b of b, summing over the basis.
-
-    slot_a and slot_b are single slots, or equal-length tuples of slots that
-    are glued pairwise (slot_a[i] to slot_b[i]) in one pass: every pair that
-    joins the same two tensors costs one sum over the glued labels, with no
-    intermediate tensor.  A pair of slots of the same variance is summed
-    with the weight or its inverse as a factor, so no slot is raised or
-    lowered first, and zero entries are skipped.  Result slots: a's
-    remaining slots then b's.
-    """
-    return _unfold_all(_contract(_fold_all(a), slot_a, _fold_all(b), slot_b))
-
-
-def self_glue(t: RelTensor, slot1: int, slot2: int) -> RelTensor:
-    """Glue two free slots of the same tensor to each other."""
-    return _unfold_all(_self_glue(_fold_all(t), slot1, slot2))
 
 
 # -- cobordism words -------------------------------------------------------------
@@ -462,18 +435,12 @@ def _gen_rank(gen: GenRef) -> int:
     return {"cap": 1, "tube": 2, "pants": 3, "op": 2}[gen[0]]
 
 
-@cache
-def _folded(gen: GenRef) -> RelTensor:
-    """The generator's tensor in the folded ring.
-
-    Each generator is folded once per process, at its first word."""
+def _generator(gen: GenRef) -> RelTensor:
     if gen[0] == "op":
-        t = matrix_to_tensor(build_operator(gen[1]))
-    elif gen[0] == "pants":
-        t = build_pants()
-    else:
-        t = (build_cap if gen[0] == "cap" else build_tube)(gen[1])
-    return _fold_all(t, f"an entry of {_gen_name(gen)}")
+        return matrix_to_tensor(build_operator(gen[1]))
+    if gen[0] == "pants":
+        return build_pants()
+    return (build_cap if gen[0] == "cap" else build_tube)(gen[1])
 
 
 def evaluate_word(w: CobordismWord) -> RelTensor:
@@ -486,9 +453,6 @@ def evaluate_word(w: CobordismWord) -> RelTensor:
     the closing of a chain is one contraction pass (see contract).  The
     result is the same tensor, slots in the same order, as gluing pair by
     pair: a's remaining slots then b's at every join.
-
-    Every gluing runs in the folded ring (see gluing._fold), and only the
-    result is unfolded.
     """
     if not w.generators:
         raise ValueError("empty word")
@@ -509,7 +473,7 @@ def evaluate_word(w: CobordismWord) -> RelTensor:
     # component id -> (value, [slot ids]), a slot id being (gen index, slot);
     # owner maps every slot not yet glued to its component
     comps = {
-        i: (_folded(gen), [(i, s) for s in range(_gen_rank(gen))])
+        i: (_generator(gen), [(i, s) for s in range(_gen_rank(gen))])
         for i, gen in enumerate(w.generators)
     }
     owner = {ref: i for i, (_, slots) in comps.items() for ref in slots}
@@ -520,7 +484,7 @@ def evaluate_word(w: CobordismWord) -> RelTensor:
         va, slots_a = comps[ca]
         if ca == cb:
             glued = {ra, rb}
-            new_val = _self_glue(va, slots_a.index(ra), slots_a.index(rb))
+            new_val = self_glue(va, slots_a.index(ra), slots_a.index(rb))
             new_slots = [s for s in slots_a if s not in glued]
         else:
             vb, slots_b = comps.pop(cb)
@@ -530,7 +494,7 @@ def evaluate_word(w: CobordismWord) -> RelTensor:
                 if owner.get(partner.get(r)) == cb
             ]
             glued = {slots_a[ka] for ka, _ in pairs} | {slots_b[kb] for _, kb in pairs}
-            new_val = _contract(va, tuple(ka for ka, _ in pairs), vb, tuple(kb for _, kb in pairs))
+            new_val = contract(va, tuple(ka for ka, _ in pairs), vb, tuple(kb for _, kb in pairs))
             new_slots = [s for s in slots_a + slots_b if s not in glued]
         for ref in glued:
             del owner[ref]
@@ -540,7 +504,7 @@ def evaluate_word(w: CobordismWord) -> RelTensor:
 
     if len(comps) != 1:
         raise ValueError("word does not describe a connected cobordism")
-    return _unfold_all(next(iter(comps.values()))[0])
+    return next(iter(comps.values()))[0]
 
 
 def split_classes(t: RelTensor, level: int) -> dict[int, RelTensor]:

@@ -1,0 +1,173 @@
+"""The paper's generator data in t0, t1, t2: the reference that the folded
+generators are checked against, through ``gluing._unfold``.
+
+The library builds every weight, operator and tensor in Z[x, y] with
+x = t0 - t2 and y = t1 - t2 (see ``gwtqft.operators``).  Here the same
+closed forms are written in the three-variable TPoly / TRat ring.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+from gwtqft.exactring import TPoly, TRat
+from gwtqft.gluing import _unfold
+from gwtqft.phicalc import PhiElem
+from gwtqft.words import RelTensor
+
+LABELS = (0, 1, 2)
+
+t = (TPoly.var(0), TPoly.var(1), TPoly.var(2))
+ZERO = TPoly.zero()
+
+
+def d(i: int, j: int) -> TPoly:
+    return t[i] - t[j]
+
+
+def weight(a: int) -> TPoly:
+    """T(x_a) = (t_a - t_i)(t_a - t_j)."""
+    i, j = [b for b in LABELS if b != a]
+    return d(a, i) * d(a, j)
+
+
+def unfold_tensor(tensor: RelTensor) -> RelTensor:
+    """A folded tensor with every entry re-expanded in t."""
+    return RelTensor(tensor.variance, [_unfold(e) for e in tensor.entries])
+
+
+def unfold_matrix(m):
+    return tuple(tuple(_unfold(e) for e in row) for row in m)
+
+
+# -- operators ---------------------------------------------------------------------
+
+
+def _diag(vals, m):
+    return tuple(
+        tuple(PhiElem.term(vals[a], m) if a == b else PhiElem.zero() for b in LABELS)
+        for a in LABELS
+    )
+
+
+def _rows(num_rows, m):
+    # entry (a, b) = num_rows[a][b] / T(x_a) at phi^m
+    return tuple(
+        tuple(PhiElem.term(TRat.make(num_rows[a][b], weight(a)), m) for b in LABELS)
+        for a in LABELS
+    )
+
+
+def _add(a, b):
+    return tuple(tuple(a[i][j] + b[i][j] for j in LABELS) for i in LABELS)
+
+
+def operator(name: str):
+    """The operator matrix in t, as the paper writes it."""
+    if name == "A":
+        return _diag([weight(a) for a in LABELS], 0)
+    if name == "B":
+        return _rows([
+            [(d(0, 1) + d(0, 2)) * 2, d(0, 2) + d(1, 2), d(0, 1) + d(2, 1)],
+            [d(0, 2) + d(1, 2), (d(1, 0) + d(1, 2)) * 2, d(1, 0) + d(2, 0)],
+            [d(0, 1) + d(2, 1), d(1, 0) + d(2, 0), (d(2, 0) + d(2, 1)) * 2],
+        ], 3)
+    if name == "C1":
+        return _diag([ZERO, weight(1), ZERO], -2)
+    if name == "C2":
+        return _diag([ZERO, ZERO, weight(2)], -2)
+    if name == "E1":
+        return _rows([
+            [d(0, 2), d(1, 2), ZERO],
+            [d(1, 2), d(1, 0) + d(1, 2), d(1, 0)],
+            [ZERO, d(1, 0), d(2, 0)],
+        ], 1)
+    if name == "E2":
+        return _rows([
+            [d(0, 1), ZERO, d(2, 1)],
+            [ZERO, d(1, 0), d(2, 0)],
+            [d(2, 1), d(2, 0), d(2, 0) + d(2, 1)],
+        ], 1)
+    if name == "N1":
+        return _diag([d(0, 1), ZERO, d(2, 1)], -1)
+    if name == "N2":
+        return _diag([d(0, 2), d(1, 2), ZERO], -1)
+    if name in ("M1", "M2"):
+        return _rows([[TPoly.one()] * 3] * 3, 2)
+    pieces = {"G": ("A", "B"), "U1": ("C1", "E1"), "U2": ("C2", "E2"),
+              "U1inv": ("N1", "M1"), "U2inv": ("N2", "M2")}
+    first, second = pieces[name]
+    return _add(operator(first), operator(second))
+
+
+# -- caps, tubes and pants ----------------------------------------------------------
+
+
+def cap(level):
+    z = PhiElem.zero()
+    values = {
+        (0, 0): [PhiElem.one()] * 3,
+        (0, -1): [PhiElem.term(d(a, 2), -1) if a != 2 else z for a in LABELS],
+        (-1, 0): [PhiElem.term(d(a, 1), -1) if a != 1 else z for a in LABELS],
+        (0, 1): [z, z, PhiElem.term(weight(2), -2)],
+        (1, 0): [z, PhiElem.term(weight(1), -2), z],
+    }[level]
+    return RelTensor((False,), values)
+
+
+_CREATION_BODY = {
+    (0, 1): [
+        [d(0, 1), ZERO, d(2, 1)],
+        [ZERO, d(1, 0), d(2, 0)],
+        [d(2, 1), d(2, 0), d(2, 0) + d(2, 1)],
+    ],
+    (1, 0): [
+        [d(0, 2), d(1, 2), ZERO],
+        [d(1, 2), d(1, 0) + d(1, 2), d(1, 0)],
+        [ZERO, d(1, 0), d(2, 0)],
+    ],
+}
+
+
+def tube(level):
+    z = PhiElem.zero()
+    if level == (0, 0):
+        diagonal, rest = [PhiElem.term(weight(a), 0) for a in LABELS], lambda a, b: z
+    elif level == (0, -1):
+        diagonal = [PhiElem.term(d(0, 1) * d(0, 2) ** 2, -1),
+                    PhiElem.term(d(1, 0) * d(1, 2) ** 2, -1), z]
+        rest = lambda a, b: PhiElem.term(1, 2)  # noqa: E731
+    elif level == (-1, 0):
+        diagonal = [PhiElem.term(d(0, 2) * d(0, 1) ** 2, -1), z,
+                    PhiElem.term(d(2, 0) * d(2, 1) ** 2, -1)]
+        rest = lambda a, b: PhiElem.term(1, 2)  # noqa: E731
+    else:
+        body = _CREATION_BODY[level]
+        k = 2 if level == (0, 1) else 1
+        diagonal = [PhiElem.term(weight(k) ** 2, -2) if a == k else z for a in LABELS]
+        rest = lambda a, b: PhiElem.term(body[a][b], 1)  # noqa: E731
+    return RelTensor((False, False), [
+        rest(a, b) + diagonal[a] if a == b else rest(a, b) for a in LABELS for b in LABELS
+    ])
+
+
+_PANTS_F = {
+    (0, 0, 0): d(0, 1) + d(0, 2),
+    (1, 1, 1): d(1, 0) + d(1, 2),
+    (2, 2, 2): d(2, 0) + d(2, 1),
+    (0, 0, 1): d(0, 2),
+    (0, 1, 1): d(1, 2),
+    (0, 0, 2): d(0, 1),
+    (0, 2, 2): d(2, 1),
+    (1, 1, 2): d(1, 0),
+    (1, 2, 2): d(2, 0),
+    (0, 1, 2): ZERO,
+}
+
+
+def pants():
+    def entry(a, b, c):
+        fiber = PhiElem.term(_PANTS_F[tuple(sorted((a, b, c)))], 3)
+        return fiber + PhiElem.term(weight(a) ** 2, 0) if a == b == c else fiber
+
+    return RelTensor((False,) * 3, [entry(*labels) for labels in product(LABELS, repeat=3)])

@@ -17,9 +17,9 @@ from gwtqft.checks import (
     verify_semisimplicity,
     verify_special_cases,
 )
-from gwtqft.exactring import TPoly, TRat, parse_poly
+from gwtqft.exactring import XYRat
 from gwtqft.gluing import trace_formula
-from gwtqft.operators import build_operator
+from gwtqft.operators import _phi, build_operator
 from gwtqft.phicalc import PhiElem
 
 
@@ -53,11 +53,11 @@ class TestGluingDerivations:
         assert rep.passed, rep.failures[:1]
 
     def test_row_denominator_outside_weight_recorded(self, monkeypatch):
-        # row 0 may only divide by T(x_0) = (t0 - t1)(t0 - t2); (t0 - t1)^2 is
-        # still a product of linear forms, so only the row bound catches it
-        t0, t1 = TPoly.var(0), TPoly.var(1)
+        # row 0 may only divide by T(x_0) = (t0 - t1)(t0 - t2); (t0 - t1)^2,
+        # folded (x - y)^2, is still a product of linear forms, so only the
+        # row bound catches it
         g = build_operator("G")
-        bad = PhiElem.term(TRat.make(1, (t0 - t1) ** 2), 0)
+        bad = _phi(XYRat({(0, 0): 1}, (2, 0, 0)), 0)
         doctored = ((bad,) + g[0][1:],) + g[1:]
         monkeypatch.setattr(
             checks, "build_operator", lambda name: doctored if name == "G" else build_operator(name)
@@ -66,13 +66,14 @@ class TestGluingDerivations:
         checks._operator_identities(rep)
         assert any(f.startswith("G row 0 denominator") for f in rep.failures), rep.failures
 
+    # a term that is not translation invariant, such as t0*t1, has no fold,
+    # so only a break of the weight can be injected into a folded operator
     @pytest.mark.parametrize("extra, label", [
-        ("t0*t1", "(d0 + d1 + d2) num"),  # weight 2, but not translation invariant
         ("t0 - t2", "t-degrees"),  # translation invariant, but of weight 1
     ])
     def test_fold_assumption_break_recorded(self, monkeypatch, extra, label):
         g = build_operator("G")
-        bad = g[1][1] + PhiElem.const(parse_poly(extra))
+        bad = g[1][1] + _phi(XYRat({(1, 0): 1}), 0)  # x = t0 - t2
         doctored = (g[0], (g[1][0], bad, g[1][2]), g[2])
         monkeypatch.setattr(
             checks, "build_operator", lambda name: doctored if name == "G" else build_operator(name)
@@ -226,6 +227,26 @@ class TestRunner:
                     run()
                     want = max(keys, default=0)
                     assert checks.largest_request(suite, g_max, k_max) == want, (suite, g_max, k_max)
+
+    @pytest.mark.parametrize("trials", [0, -1, checks.MAX_TRIALS + 1, 10**9])
+    def test_trials_out_of_bounds_rejected_before_any_suite(self, trials, monkeypatch):
+        def boom(*args):
+            raise AssertionError("a suite ran")
+
+        for name in ("verify_calabi_yau", "verify_special_cases", "verify_gluing_derivations",
+                     "verify_semisimplicity", "verify_numeric_crosscheck"):
+            monkeypatch.setattr(checks, name, boom)
+        with pytest.raises(ValueError, match=rf"^--trials {trials} is outside 1\.\.1000$"):
+            run_checks("all", trials=trials)
+
+    def test_trials_bound_is_inclusive(self, monkeypatch):
+        def stub(seed, trials):
+            return CheckReport("numeric_crosscheck", f"trials={trials}")
+
+        monkeypatch.setattr(checks, "verify_numeric_crosscheck", stub)
+        for trials in (1, checks.MAX_TRIALS):
+            (rep,) = run_checks("numeric", trials=trials)
+            assert rep.swept == f"trials={trials}"
 
     @pytest.mark.parametrize("bounds", [{"g_max": -3}, {"k_max": -1}])
     def test_negative_bounds_rejected(self, bounds):

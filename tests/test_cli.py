@@ -164,17 +164,13 @@ class TestWord:
     def test_phi_power_off_the_class_grading_is_exit_3(self, capsys, monkeypatch):
         # a phi^1 term in a level-0 tensor belongs to no fiber class
         from gwtqft import words
+        from gwtqft.operators import _phi
 
         pants = words.build_pants()
-        bad = pants.entries[0] + PhiElem.term(1, 1)
+        bad = pants.entries[0] + _phi(1, 1)
         doctored = words.RelTensor(pants.variance, (bad,) + pants.entries[1:])
         monkeypatch.setattr(words, "build_pants", lambda: doctored)
-        words._folded.cache_clear()
-        try:
-            code, out, err = run_cli(capsys, "word", "cap(0,0) * pants")
-        finally:
-            monkeypatch.undo()
-            words._folded.cache_clear()
+        code, out, err = run_cli(capsys, "word", "cap(0,0) * pants")
         assert code == 3
         assert out == ""
         assert err.startswith("internal consistency error: phi^1 in a tensor of level 0 ")
@@ -239,6 +235,15 @@ class TestUsageErrors:
             "error: --gmax 103 --kmax 0 makes --suite cy request g + |k1| + |k2| = 103,"
             " above the limit 102\n"
         )
+        assert cpu < 1.0, cpu
+
+    def test_oversized_verify_trials_is_exit_2(self):
+        # rejected before any suite runs; at about 5 ms a trial, a billion
+        # trials would run for months
+        proc, cpu = _fresh_cli_cpu("verify", "--trials", "1000000000")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: --trials 1000000000 is outside 1..1000\n"
         assert cpu < 1.0, cpu
 
     def test_oversized_word_is_exit_2(self):

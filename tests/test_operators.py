@@ -1,13 +1,27 @@
-"""Closed-form generator data: weights, caps, tubes, pants, matrices."""
+"""Closed-form generator data: weights, caps, tubes, pants, matrices.
+
+The generators are built folded, in Z[x, y]; every assertion here about
+their values in t0, t1, t2 goes through ``gluing._unfold``."""
 
 from itertools import permutations, product
 
 import pytest
 
-from gwtqft.exactring import TPoly, TRat
+import reference
+from gwtqft.exactring import TPoly, TRat, XYRat
+from gwtqft.gluing import _unfold
 from gwtqft.phicalc import PhiElem
-from gwtqft.operators import LABELS, build_operator, mat_identity, weight
+from gwtqft.operators import (
+    INV_WEIGHTS,
+    LABELS,
+    OPERATOR_NAMES,
+    WEIGHTS,
+    build_operator,
+    mat_identity,
+)
+from gwtqft.operators import weight as folded_weight
 from gwtqft.words import build_cap, build_pants, build_tube, matrix_to_tensor, split_classes
+from reference import unfold_matrix, unfold_tensor, weight
 
 t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
 
@@ -15,19 +29,29 @@ LEVELS = ((0, 0), (0, -1), (-1, 0), (0, 1), (1, 0))
 
 
 def classes(gen, level=(0, 0)):
-    """The fiber classes of a generator at the given level."""
-    return split_classes(gen, sum(level))
+    """The fiber classes of a generator at the given level, in t."""
+    return split_classes(unfold_tensor(gen), sum(level))
+
+
+def unfold_rat(c: XYRat) -> TRat:
+    return _unfold(PhiElem._raw({0: c})).coeff(0)
 
 
 class TestWeight:
     def test_values(self):
-        assert weight(0) == (t0 - t1) * (t0 - t2)
-        assert weight(1) == (t1 - t0) * (t1 - t2)
-        assert weight(2) == (t2 - t0) * (t2 - t1)
+        assert unfold_rat(folded_weight(0)) == (t0 - t1) * (t0 - t2)
+        assert unfold_rat(folded_weight(1)) == (t1 - t0) * (t1 - t2)
+        assert unfold_rat(folded_weight(2)) == (t2 - t0) * (t2 - t1)
 
     def test_bad_label(self):
         with pytest.raises(ValueError):
-            weight(3)
+            folded_weight(3)
+
+    def test_one_table_of_weights_and_inverses(self):
+        for a in LABELS:
+            assert WEIGHTS[a] == folded_weight(a)
+            assert WEIGHTS[a] * INV_WEIGHTS[a] == XYRat.const(1)
+            assert unfold_rat(INV_WEIGHTS[a]) == TRat.make(1, weight(a))
 
 
 class TestCaps:
@@ -136,7 +160,7 @@ class TestPants:
 
 class TestOperators:
     def test_u1_entries(self):
-        u1 = build_operator("U1")
+        u1 = unfold_matrix(build_operator("U1"))
         assert u1[0][0] == PhiElem.term(TRat.make(1, t0 - t1), 1)
         assert u1[0][1] == PhiElem.term(TRat.make(t1 - t2, (t0 - t1) * (t0 - t2)), 1)
         assert u1[0][2].is_zero
@@ -146,7 +170,7 @@ class TestOperators:
         )
 
     def test_u2_entries(self):
-        u2 = build_operator("U2")
+        u2 = unfold_matrix(build_operator("U2"))
         assert u2[1][0].is_zero
         assert u2[0][1].is_zero
         assert u2[0][0] == PhiElem.term(TRat.make(1, t0 - t2), 1)
@@ -155,7 +179,7 @@ class TestOperators:
         )
 
     def test_g_entries(self):
-        g = build_operator("G")
+        g = unfold_matrix(build_operator("G"))
         assert g[0][0] == PhiElem.term((t0 - t1) * (t0 - t2), 0) + PhiElem.term(
             TRat.make(2 * (2 * t0 - t1 - t2), (t0 - t1) * (t0 - t2)), 3
         )
@@ -167,7 +191,7 @@ class TestOperators:
         )
 
     def test_annihilation_entries(self):
-        u2inv = build_operator("U2inv")
+        u2inv = unfold_matrix(build_operator("U2inv"))
         assert u2inv[0][0] == PhiElem.term(t0 - t2, -1) + PhiElem.term(
             TRat.make(1, (t0 - t1) * (t0 - t2)), 2
         )
@@ -213,33 +237,34 @@ class TestEquivariance:
     def test_u2_is_u1_conjugate(self):
         # swap t1 <-> t2 and the labels 1 <-> 2
         swap = (0, 2, 1)
-        assert _permute_matrix(build_operator("U1"), swap, swap) == build_operator("U2")
+        u1, u2 = (unfold_matrix(build_operator(name)) for name in ("U1", "U2"))
+        assert _permute_matrix(u1, swap, swap) == u2
 
     def test_g_is_fully_equivariant(self):
-        g = build_operator("G")
+        g = unfold_matrix(build_operator("G"))
         for perm in permutations(LABELS):
             assert _permute_matrix(g, perm, perm) == g
 
 
 def _generators():
-    """Every cap, tube and pants generator with its level."""
-    yield build_pants(), (0, 0)
+    """Every cap, tube and pants generator, in t, with its level."""
+    yield unfold_tensor(build_pants()), (0, 0)
     for level in LEVELS:
-        yield build_cap(level), level
-        yield build_tube(level), level
+        yield unfold_tensor(build_cap(level)), level
+        yield unfold_tensor(build_tube(level)), level
 
 
 class TestClassSupport:
     def test_generators_have_at_most_two_classes(self):
         for gen, level in _generators():
-            assert len(classes(gen, level)) <= 2
+            assert len(split_classes(gen, sum(level))) <= 2
 
     def test_refined_entries_are_phi_monomials(self):
         # every entry of class n is the phi^(k1 + k2 + 3n) term of the
         # generator's entry, and the classes sum back to the generator
         for gen, level in _generators():
             total = [PhiElem.zero()] * len(gen.entries)
-            for n, piece in classes(gen, level).items():
+            for n, piece in split_classes(gen, sum(level)).items():
                 for e, whole in zip(piece.entries, gen.entries):
                     m = sum(level) + 3 * n
                     assert e == PhiElem.term(whole.coeff(m), m)
@@ -255,8 +280,28 @@ class TestClassSupport:
 
 def test_operator_denominators_divide_linear_forms():
     for name in ("G", "U1", "U2", "U1inv", "U2inv"):
-        for row in build_operator(name):
+        for row in unfold_matrix(build_operator(name)):
             for entry in row:
                 for _, c in entry.items():
                     # make raises ReductionError unless den is a product of ti - tj
                     assert TRat.make(1, c.den).dexp == c.dexp
+
+
+class TestPaperFormulas:
+    """The one place where the paper's formulas in t enter: every generator,
+    built folded and unfolded, equals its closed form in TPoly / TRat."""
+
+    @pytest.mark.parametrize("name", OPERATOR_NAMES)
+    def test_operator(self, name):
+        assert unfold_matrix(build_operator(name)) == reference.operator(name)
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_cap_and_tube(self, level):
+        assert unfold_tensor(build_cap(level)) == reference.cap(level)
+        assert unfold_tensor(build_tube(level)) == reference.tube(level)
+
+    def test_pants(self):
+        assert unfold_tensor(build_pants()) == reference.pants()
+
+    def test_identity(self):
+        assert unfold_matrix(mat_identity()) == reference._diag([TPoly.one()] * 3, 0)
