@@ -13,7 +13,7 @@ SUITES = ("all", "cy", "appendixB", "gluing", "semisimple", "numeric")
 
 _EXPORTS = {
     "exactring": "TPoly TRat parse_poly parse_rat",
-    "phicalc": "PhiElem USeries phi_expansion phi_pow_series to_useries",
+    "phicalc": "PhiElem phi_pow_coeffs",
     "operators": "build_operator weight",
     "gluing": "trace_formula",
     "words": "build_cap build_tube build_pants CobordismWord closed_surface_word contract"

@@ -9,15 +9,20 @@ on every trace it reads at phi = 1).  So class n is exactly the phi^(k1 + k2 + 3
 
 Z is memoised once, by the bounded ``lru_cache`` on
 ``gluing.trace_formula``, which also rejects g + |k1| + |k2| above
-``gluing.MAX_REQUEST``; the u-series of each phi power is rebuilt per
-table.  ``gluing`` is imported inside ``compute_Z``, so importing this
-module loads no operator algebra.
+``gluing.MAX_REQUEST``.  A genus table expands the one phi power of its
+class in u, up to the u-power the table needs and no further.  ``gluing``
+is imported inside ``compute_Z``, so importing this module loads no
+operator algebra.
 """
 
 from __future__ import annotations
 
-from .exactring import TRat
-from .phicalc import PhiElem, to_useries
+from .exactring import RAT_ZERO, TRat
+from .phicalc import PhiElem, phi_pow_coeffs
+
+
+class PrecisionError(ValueError):
+    """A genus table needs a higher u-power than its truncation order."""
 
 
 class SpaceParams:
@@ -71,12 +76,13 @@ def support(p: SpaceParams) -> list[int]:
 
 
 # The largest u-series truncation order, and the largest h_max, that
-# genus_expansion accepts.  The series of every phi power is built up to the
-# order, and its cost grows about as the cube of the order: `genus -g 0
-# --level1 1 --n -1` took 0.17 s at order 50, 0.47 s at 200, 2.6 s at 400
-# and 27.9 s at 800 in a fresh process (CPython 3.11.7, 2 shared cores).
-# With D >= 0 an h_max above 101 already needs an order above 200; with
-# D < 0 the table costs a row per h, so h_max gets the same bound.
+# genus_expansion accepts.  The coefficients cost O(h_max^2) steps whatever
+# the order: the largest reachable expansion, phi^-204 up to u^196 for
+# `genus -g 0 --level1 102 --n -102 --hmax 200 --order 196`, takes 0.6 s.
+# That table took 59 s in a fresh process at 1.1 GB peak RSS and printed
+# 1.4 GB: 201 rows, each a polynomial of 10,404 terms (CPython 3.11.7, 2
+# shared cores).  So what the bound still limits is the row count of --hmax,
+# and with it the size of the output.
 MAX_ORDER = 200
 
 
@@ -84,23 +90,35 @@ def genus_expansion(p: SpaceParams, n: int, h_max: int, order: int | None = None
     """Fixed-genus invariants of the class beta0 + n f for 0 <= h <= h_max.
 
     The genus-h invariant is the u^(2h - 2 + D) coefficient of the class
-    component.  ``order`` may force a truncation horizon; it must cover the
-    requested range.  An order or an h_max above MAX_ORDER is a ValueError,
-    raised before any work.
+    component c * phi^m, which is c times a coefficient of
+    ``phi_pow_coeffs(m, ...)``; the coefficients are computed only up to the
+    u-power the table needs.  ``order`` only validates: an order below that
+    u-power is a PrecisionError, checked first.  An order or an h_max above
+    MAX_ORDER is a ValueError.  Every check runs before any work.
     """
+    d = virtual_dim(p, n)
+    needed = 2 * h_max - 2 + d
+    if order is not None and needed > order:
+        raise PrecisionError(
+            f"insufficient truncation order u^{order}; "
+            f"this table needs u^{needed} (raise --order)"
+        )
     if h_max < 0:
         raise ValueError("h_max must be nonnegative")
     if h_max > MAX_ORDER:
         raise ValueError(f"h_max {h_max} is above the limit {MAX_ORDER}")
-    d = virtual_dim(p, n)
-    needed = 2 * h_max - 2 + d
     if order is None:
         order = max(needed, 0)
     if order > MAX_ORDER:
         raise ValueError(f"truncation order u^{order} is above the limit u^{MAX_ORDER}")
-    comp = class_component(p, n)
-    series = to_useries(comp, order)
-    return [(h, series.coeff(2 * h - 2 + d)) for h in range(h_max + 1)]
+    rows = [(h, RAT_ZERO) for h in range(h_max + 1)]
+    for m, c in class_component(p, n).items():  # one term at most
+        f = phi_pow_coeffs(m, (needed - m) // 2 + 1)
+        for h in range(h_max + 1):
+            i, odd = divmod(2 * h - 2 + d - m, 2)
+            if i >= 0 and not odd:
+                rows[h] = (h, c * f[i])
+    return rows
 
 
 # The environment variable that earlier versions read for an on-disk cache

@@ -1,25 +1,20 @@
-"""Laurent polynomials in phi = 2 sin(u/2) over Q(t0, t1, t2), and the bridge
-to truncated Laurent series in the genus parameter u.
+"""Laurent polynomials in phi = 2 sin(u/2) over Q(t0, t1, t2), and the
+u-expansion of one phi power.
 
 Every partition function in this library is a PhiElem: finitely many powers
 of phi with TRat coefficients.  A fiber class of a partition function is one
 of its phi powers (see ``partition``), so classes are read off the phi
-grading.  Series in u are produced only on demand, for extracting
-fixed-genus invariants, and carry an explicit truncation order so that
-nothing is ever silently approximated.
+grading.  The fixed-genus invariants of a class are u-coefficients of that
+single term c * phi^m; ``phi_pow_coeffs`` gives exactly as many of them as
+a table asks for, so nothing is ever silently approximated.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .exactring import RAT_ZERO, ReductionError, TPoly, TRat, _point, as_rat
-
-
-class PrecisionError(ValueError):
-    """A series coefficient beyond the truncation horizon was requested."""
 
 
 class PhiElem:
@@ -198,7 +193,7 @@ class PhiElem:
             return "0"
         parts = []
         for m, c in self.items():
-            parts.append(_format_term(str(c), "phi", m))
+            parts.append(_format_term(str(c), m))
         return " + ".join(parts)
 
     def __repr__(self) -> str:
@@ -222,10 +217,10 @@ class PhiElem:
         return cls(acc)
 
 
-def _format_term(coeff_str: str, var: str, m: int) -> str:
+def _format_term(coeff_str: str, m: int) -> str:
     if m == 0:
         return coeff_str
-    head = var if m == 1 else f"{var}^{m}"
+    head = "phi" if m == 1 else f"phi^{m}"
     if coeff_str == "1":
         return head
     if coeff_str == "-1":
@@ -243,170 +238,25 @@ def _as_phi(x) -> PhiElem | None:
     return None
 
 
-# -- truncated Laurent series in u --------------------------------------------
+# -- the u-expansion of a phi power ---------------------------------------------
 
 
-class USeries:
-    """Truncated Laurent series in u with TRat coefficients.
+def phi_pow_coeffs(m: int, n: int) -> list[Fraction]:
+    """The coefficients of u^m, u^(m + 2), ..., u^(m + 2n - 2) in phi^m.
 
-    Coefficients are defined exactly for exponents min_exp..trunc and are
-    known to vanish below min_exp; beyond trunc they are undefined, and
-    asking for them raises PrecisionError rather than returning zero.
+    phi = 2 sin(u/2) = u a(w) with w = u^2 and a_j = (-1)^j / (4^j (2j + 1)!),
+    so phi^m = u^m a(w)^m and the odd offsets vanish.  The coefficients f of
+    a^m follow from J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2,
+    4.7), one O(n^2) pass for every sign of m:
+    k f_k = sum_{j=1..k} ((m + 1) j - k) a_j f_(k-j), with f_0 = 1.
     """
-
-    __slots__ = ("min_exp", "coeffs", "trunc")
-
-    def __init__(self, min_exp: int, coeffs: Sequence, trunc: int):
-        coeffs = [as_rat(c) for c in coeffs]
-        if len(coeffs) != max(trunc - min_exp + 1, 0):
-            raise ValueError("coefficient window does not match truncation order")
-        self.min_exp = min_exp
-        self.coeffs = coeffs
-        self.trunc = trunc
-
-    @classmethod
-    def zero(cls, trunc: int) -> "USeries":
-        return cls(trunc + 1, [], trunc)
-
-    def coeff(self, k: int) -> TRat:
-        if k > self.trunc:
-            raise PrecisionError(
-                f"coefficient of u^{k} requested beyond truncation order {self.trunc}"
-            )
-        if k < self.min_exp:
-            return RAT_ZERO
-        return self.coeffs[k - self.min_exp]
-
-    def __add__(self, other: "USeries") -> "USeries":
-        trunc = min(self.trunc, other.trunc)
-        lo = min(self.min_exp, other.min_exp)
-        if lo > trunc:
-            return USeries.zero(trunc)
-        coeffs = [self.coeff(k) + other.coeff(k) for k in range(lo, trunc + 1)]
-        return USeries(lo, coeffs, trunc)
-
-    def __mul__(self, other: "USeries") -> "USeries":
-        # truncation: unknown tails enter at a.trunc + b.min_exp and vice versa
-        trunc = min(self.trunc + other.min_exp, other.trunc + self.min_exp)
-        lo = self.min_exp + other.min_exp
-        if not self.coeffs or not other.coeffs:
-            return USeries.zero(min(self.trunc, other.trunc))
-        if lo > trunc:
-            return USeries.zero(trunc)
-        coeffs = [RAT_ZERO] * (trunc - lo + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                k = self.min_exp + i + other.min_exp + j
-                if k > trunc:
-                    break
-                coeffs[k - lo] = coeffs[k - lo] + a * b
-        return USeries(lo, coeffs, trunc)
-
-    def scale(self, c) -> "USeries":
-        c = as_rat(c)
-        return USeries(self.min_exp, [c * x for x in self.coeffs], self.trunc)
-
-    def __eq__(self, other):
-        if not isinstance(other, USeries):
-            return NotImplemented
-        if self.trunc != other.trunc:
-            return False
-        lo = min(self.min_exp, other.min_exp)
-        return all(self.coeff(k) == other.coeff(k) for k in range(lo, self.trunc + 1))
-
-    __hash__ = None
-
-    def __str__(self) -> str:
-        parts = []
-        for k in range(self.min_exp, self.trunc + 1):
-            c = self.coeff(k)
-            if c.is_zero:
-                continue
-            parts.append(_format_term(str(c), "u", k))
-        parts.append(f"O(u^{self.trunc + 1})")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"USeries({self})"
-
-
-# -- the expansion phi = 2 sin(u/2) --------------------------------------------
-
-
-def _phi_coeffs(order: int) -> list[Fraction]:
-    # coefficients of u^1..u^order in 2 sin(u/2); read from u^0, those of phi/u
-    return [
-        Fraction((-1) ** (k // 2), 4 ** (k // 2) * math.factorial(k)) if k % 2 else Fraction(0)
-        for k in range(1, order + 1)
-    ]
-
-
-def phi_expansion(order: int) -> USeries:
-    """Series of 2 sin(u/2) with exact coefficients up to u^order."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    return USeries(1, _phi_coeffs(order), order)
-
-
-def _series_mul(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        if not x or i >= n:
-            continue
-        for j, y in enumerate(b):
-            if i + j >= n:
-                break
-            if y:
-                out[i + j] += x * y
-    return out
-
-
-def _series_inv(a: list[Fraction], n: int) -> list[Fraction]:
-    # invert a power series with a[0] = 1
-    out = [Fraction(0)] * n
-    out[0] = Fraction(1)
+    a = [Fraction(1)]
+    for j in range(1, n):
+        a.append(a[-1] / (-8 * j * (2 * j + 1)))
+    f = [Fraction(1)] if n > 0 else []
     for k in range(1, n):
-        s = Fraction(0)
-        for j in range(1, min(k, len(a) - 1) + 1):
-            if a[j]:
-                s += a[j] * out[k - j]
-        out[k] = -s
-    return out
-
-
-def _series_pow(a: list[Fraction], e: int, n: int) -> list[Fraction]:
-    result = [Fraction(0)] * n
-    result[0] = Fraction(1)
-    base = a[:n] + [Fraction(0)] * max(0, n - len(a))
-    while e:
-        if e & 1:
-            result = _series_mul(result, base, n)
-        base = _series_mul(base, base, n)
-        e >>= 1
-    return result
-
-
-def phi_pow_series(m: int, order: int) -> USeries:
-    """Series of phi^m up to u^order; negative m via inversion of phi/u."""
-    if m > order:
-        return USeries.zero(order)
-    n = order - m + 1
-    unit = _phi_coeffs(n)  # phi/u, from u^0
-    if m >= 0:
-        coeffs = _series_pow(unit, m, n)
-    else:
-        coeffs = _series_pow(_series_inv(unit, n), -m, n)
-    return USeries(m, [TRat.const(c) for c in coeffs], order)
-
-
-def to_useries(e: PhiElem, order: int) -> USeries:
-    """Expand a phi-Laurent polynomial into a u-series, truncated at u^order."""
-    total = USeries.zero(order)
-    for m, c in e.items():
-        total = total + phi_pow_series(m, order).scale(c)
-    return total
+        f.append(sum(((m + 1) * j - k) * a[j] * f[k - j] for j in range(1, k + 1)) / k)
+    return f
 
 
 # -- exact division of phi-polynomials -------------------------------------------

@@ -4,10 +4,15 @@ generators are checked against, through ``gluing._unfold``.
 The library builds every weight, operator and tensor in Z[x, y] with
 x = t0 - t2 and y = t1 - t2 (see ``gwtqft.operators``).  Here the same
 closed forms are written in the three-variable TPoly / TRat ring.
+
+It also holds a naive oracle for the u-expansion of phi = 2 sin(u/2): the
+Taylor series, and schoolbook products and inverses of Fraction lists.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import product
 
 from gwtqft.exactring import TPoly, TRat
@@ -171,3 +176,49 @@ def pants():
         return fiber + PhiElem.term(weight(a) ** 2, 0) if a == b == c else fiber
 
     return RelTensor((False,) * 3, [entry(*labels) for labels in product(LABELS, repeat=3)])
+
+
+# -- the u-expansion of phi = 2 sin(u/2), by the schoolbook rule -----------------
+
+
+def sin_half_coeffs(n: int) -> list[Fraction]:
+    """The u^0 .. u^(n - 1) coefficients of 2 sin(u/2), from its Taylor series."""
+    return [
+        Fraction(2 * (-1) ** (k // 2), 2**k * math.factorial(k)) if k % 2 else Fraction(0)
+        for k in range(n)
+    ]
+
+
+def series_mul(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
+    """The first n coefficients of a * b."""
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i]):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def series_inv(a: list[Fraction], n: int) -> list[Fraction]:
+    """The first n coefficients of 1 / a, by long division; a[0] != 0."""
+    out: list[Fraction] = []
+    for k in range(n):
+        rest = sum((a[j] * out[k - j] for j in range(1, min(k + 1, len(a))) if a[j]), Fraction(0))
+        out.append((int(k == 0) - rest) / a[0])
+    return out
+
+
+def phi_power(m: int, n: int) -> list[Fraction]:
+    """The u^m .. u^(m + n - 1) coefficients of phi^m: the n-term series of
+    phi / u, or of its inverse for m < 0, raised to |m| by squaring."""
+    unit = sin_half_coeffs(n + 1)[1:]
+    base = unit if m >= 0 else series_inv(unit, n)
+    out = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    e = abs(m)
+    while e:
+        if e & 1:
+            out = series_mul(out, base, n)
+        base = series_mul(base, base, n)
+        e >>= 1
+    return out

@@ -193,8 +193,8 @@ class TestUsageErrors:
         assert code == 2
 
     def test_oversized_genus_order_is_exit_2(self):
-        # rejected before any series is built: the child spends well under
-        # a second of CPU time, where order 800 alone took 27.9 s
+        # rejected before any work: the child spends well under a second of
+        # CPU time
         proc, cpu = _fresh_cli_cpu("genus", "-g", "0", "--level1", "1", "--n", "-1",
                                    "--hmax", "2", "--order", "100000")
         assert proc.returncode == 2

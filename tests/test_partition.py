@@ -15,6 +15,7 @@ from gwtqft.partition import (
     class_component,
     class_degree,
     compute_Z,
+    PrecisionError,
     genus_expansion,
     support,
     virtual_dim,
@@ -172,6 +173,26 @@ class TestGenusExpansion:
             assert virtual_dim(p, n) == 0
             for _, inv in genus_expansion(p, n, 3):
                 assert inv.num.is_const and inv.den.is_const
+
+    def test_insufficient_order_is_rejected_first_and_before_any_work(self, monkeypatch):
+        def boom(p, n):
+            raise AssertionError("class_component was called")
+
+        monkeypatch.setattr(partition, "class_component", boom)
+        p = SpaceParams(1)
+        assert virtual_dim(p, 0) == 0
+        message = "insufficient truncation order u^4; this table needs u^16 (raise --order)"
+        with pytest.raises(PrecisionError) as exc:
+            genus_expansion(p, 0, 9, order=4)
+        assert str(exc.value) == message
+        # it comes ahead of the h_max checks, as the CLI has always reported
+        with pytest.raises(PrecisionError, match="needs u\\^-4 "):
+            genus_expansion(p, 0, -1, order=-10)
+        with pytest.raises(PrecisionError, match=f"needs u\\^{2 * MAX_ORDER} "):
+            genus_expansion(p, 0, MAX_ORDER + 1, order=MAX_ORDER)
+        # with an order that covers the table, it is not raised
+        monkeypatch.undo()
+        assert len(genus_expansion(p, 0, 9, order=16)) == 10
 
     def test_order_above_the_limit_is_rejected_before_any_work(self, monkeypatch):
         def boom(p, n):

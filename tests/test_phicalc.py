@@ -1,30 +1,24 @@
-"""Laurent calculus in phi = 2 sin(u/2) and truncated u-series."""
+"""Laurent calculus in phi = 2 sin(u/2), and the u-coefficients of one phi
+power checked against the schoolbook oracle in ``reference``."""
 
-import math
 from fractions import Fraction
 
 import pytest
 
+from gwtqft import partition
 from gwtqft.exactring import TPoly, TRat
-from gwtqft.phicalc import (
-    PhiElem,
-    PrecisionError,
-    ReductionError,
-    laurent_divexact,
-    phi_expansion,
-    phi_pow_series,
-    to_useries,
-)
+from gwtqft.partition import SpaceParams, genus_expansion
+from gwtqft.phicalc import PhiElem, ReductionError, laurent_divexact, phi_pow_coeffs
+from reference import phi_power, series_mul, sin_half_coeffs
 
 t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
 
 
-def sin_half_coeff(k: int) -> Fraction:
-    """Taylor oracle: the u^k coefficient of 2 sin(u/2)."""
-    if k % 2 == 0:
-        return Fraction(0)
-    j = (k - 1) // 2
-    return Fraction(2 * (-1) ** j, 2**k * math.factorial(k))
+def even(coeffs: list[Fraction]) -> list[Fraction]:
+    """The u^(m + 2i) entries of an oracle series read from u^m, once its
+    odd entries are seen to vanish."""
+    assert not any(coeffs[1::2])
+    return coeffs[::2]
 
 
 class TestPhiArith:
@@ -51,103 +45,95 @@ class TestPhiArith:
 
 class TestPhiExpansion:
     def test_leading_term(self):
-        s = phi_expansion(1)
-        assert s.coeff(1) == TRat.const(1)
+        assert phi_pow_coeffs(1, 1) == [1]
 
     def test_taylor_coefficients(self):
-        s = phi_expansion(9)
-        for k in range(1, 10):
-            assert s.coeff(k) == TRat.const(sin_half_coeff(k))
+        assert phi_pow_coeffs(1, 5) == even(sin_half_coeffs(10)[1:])
 
     def test_u3_and_u5(self):
-        s = phi_expansion(5)
-        assert s.coeff(3) == TRat.const(Fraction(-1, 24))
-        assert s.coeff(5) == TRat.const(Fraction(1, 1920))
+        assert phi_pow_coeffs(1, 3)[1:] == [Fraction(-1, 24), Fraction(1, 1920)]
 
     def test_order_validation(self):
-        with pytest.raises(ValueError):
-            phi_expansion(0)
+        # no coefficient asked for, none returned, for every sign of m
+        for m in (-3, 0, 1, 4):
+            assert phi_pow_coeffs(m, 0) == []
+            assert phi_pow_coeffs(m, -2) == []
 
 
 class TestPhiPowSeries:
     def test_square(self):
-        s = phi_pow_series(2, 8)
-        assert s.coeff(2) == TRat.const(1)
-        assert s.coeff(4) == TRat.const(Fraction(-1, 12))
-        assert s.coeff(6) == TRat.const(Fraction(1, 360))
+        assert phi_pow_coeffs(2, 4) == [1, Fraction(-1, 12), Fraction(1, 360), Fraction(-1, 20160)]
+        assert phi_pow_coeffs(2, 4) == even(phi_power(2, 7))
 
     def test_power_zero(self):
-        s = phi_pow_series(0, 4)
-        assert s.coeff(0) == TRat.const(1)
-        assert all(s.coeff(k).is_zero for k in range(1, 5))
+        assert phi_pow_coeffs(0, 5) == [1, 0, 0, 0, 0]
 
     def test_inverse_square(self):
-        s = phi_pow_series(-2, 2)
-        assert s.coeff(-2) == TRat.const(1)
-        assert s.coeff(0) == TRat.const(Fraction(1, 12))
-        assert s.coeff(2) == TRat.const(Fraction(1, 240))
+        assert phi_pow_coeffs(-2, 3) == [1, Fraction(1, 12), Fraction(1, 240)]
+        assert phi_pow_coeffs(-2, 3) == even(phi_power(-2, 5))
 
     def test_inverse_against_product_oracle(self):
-        # phi^m * phi^-m = 1 up to truncation
+        # phi^m * phi^-m = 1, as series in u^2
         for m in (1, 2, 3, 5):
-            prod = phi_pow_series(m, 8) * phi_pow_series(-m, 8)
-            assert prod.coeff(0) == TRat.const(1)
-            for k in range(1, prod.trunc + 1):
-                assert prod.coeff(k).is_zero
+            prod = series_mul(phi_pow_coeffs(m, 5), phi_pow_coeffs(-m, 5), 5)
+            assert prod == [1, 0, 0, 0, 0]
 
     def test_parity(self):
+        # the oracle's odd offsets vanish and its even ones are the coefficients
         for m in (-3, -2, 1, 4):
-            s = phi_pow_series(m, 9)
-            for k in range(s.min_exp, s.trunc + 1):
-                if (k - m) % 2 == 1:
-                    assert s.coeff(k).is_zero
+            assert phi_pow_coeffs(m, 5) == even(phi_power(m, 9))
+
+    def test_every_sign_against_the_oracle(self):
+        for m in range(-12, 13):
+            assert phi_pow_coeffs(m, 8) == even(phi_power(m, 15)), m
+
+    def test_largest_negative_power_to_order_200(self):
+        # u^-104 .. u^200, the deepest expansion a genus table reaches
+        assert phi_pow_coeffs(-104, 153) == even(phi_power(-104, 305))
 
 
 class TestToUseries:
+    """A class component c * phi^m: c times the coefficients of phi^m."""
+
     def test_constant(self):
-        s = to_useries(PhiElem.const(3), 4)
-        assert s.coeff(0) == TRat.const(3)
-        assert s.coeff(2).is_zero
+        rows = [TRat.const(3) * f for f in phi_pow_coeffs(0, 3)]
+        assert rows[0] == TRat.const(3)
+        assert rows[1].is_zero and rows[2].is_zero
 
     def test_nine_phi_square(self):
-        s = to_useries(PhiElem.term(9, 2), 6)
-        assert s.coeff(2) == TRat.const(9)
-        assert s.coeff(4) == TRat.const(Fraction(-3, 4))
+        rows = [TRat.const(9) * f for f in phi_pow_coeffs(2, 2)]
+        assert rows == [TRat.const(9), TRat.const(Fraction(-3, 4))]
 
     def test_inverse_square(self):
-        s = to_useries(PhiElem.term(1, -2), 2)
-        assert s.coeff(-2) == TRat.const(1)
-        assert s.coeff(0) == TRat.const(Fraction(1, 12))
+        c = TRat.make(t0 - t1, t1 - t2)
+        rows = [c * f for f in phi_pow_coeffs(-2, 2)]
+        assert rows == [c, TRat.make(t0 - t1, 12 * (t1 - t2))]
 
     def test_multiplicativity(self):
-        a = PhiElem.term(1, -2) + PhiElem.const(t0 - t1)
-        b = PhiElem.term(t1 - t2, 1) + PhiElem.term(1, 3)
-        order = 6
-        lhs = to_useries(a * b, order)
-        rhs = to_useries(a, order) * to_useries(b, order)
-        lo = min(lhs.min_exp, rhs.min_exp)
-        hi = min(lhs.trunc, rhs.trunc)
-        for k in range(lo, hi + 1):
-            assert lhs.coeff(k) == rhs.coeff(k)
+        # phi^a * phi^b = phi^(a + b), as series in u^2
+        for a, b in [(-2, 1), (-2, 3), (3, 1), (-5, -4), (7, -7)]:
+            prod = series_mul(phi_pow_coeffs(a, 6), phi_pow_coeffs(b, 6), 6)
+            assert prod == phi_pow_coeffs(a + b, 6), (a, b)
 
 
 class TestUseriesCoeff:
-    def test_below_min_exp_is_zero(self):
-        s = phi_pow_series(-2, 4)
-        assert s.coeff(-3).is_zero
+    """genus_expansion's rows for an injected class component c * phi^m:
+    SpaceParams(0) at n = 0 has D = 2, so row h is the u^(2h) coefficient."""
 
-    def test_beyond_truncation_raises(self):
-        s = phi_pow_series(2, 4)
-        with pytest.raises(PrecisionError):
-            s.coeff(5)
+    @staticmethod
+    def rows(monkeypatch, comp: PhiElem, h_max: int) -> list[TRat]:
+        monkeypatch.setattr(partition, "class_component", lambda p, n: comp)
+        return [inv for _, inv in genus_expansion(SpaceParams(0), 0, h_max)]
 
-    def test_leading_scaling(self):
-        s = to_useries(PhiElem.term(9, 2), 3)
-        assert s.coeff(2) == TRat.const(9)
+    def test_below_min_exp_is_zero(self, monkeypatch):
+        rows = self.rows(monkeypatch, PhiElem.term(5, 4), 3)
+        assert rows[0].is_zero and rows[1].is_zero
+        assert rows[2:] == [TRat.const(5), TRat.const(Fraction(-5, 6))]
+        # an odd phi power has only odd u-powers, so every even row is zero
+        assert all(inv.is_zero for inv in self.rows(monkeypatch, PhiElem.term(5, -3), 3))
 
-    def test_print_format(self):
-        s = phi_pow_series(-2, 3)
-        assert str(s) == "u^-2 + 1/12 + 1/240*u^2 + O(u^4)"
+    def test_leading_scaling(self, monkeypatch):
+        assert self.rows(monkeypatch, PhiElem.term(9, 2), 1)[1] == TRat.const(9)
 
 
 class TestLaurentDivision:
