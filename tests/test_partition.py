@@ -11,11 +11,11 @@ from gwtqft.phicalc import PhiElem
 from gwtqft import partition
 from gwtqft.partition import (
     MAX_ORDER,
+    PrecisionError,
     SpaceParams,
     class_component,
     class_degree,
     compute_Z,
-    PrecisionError,
     genus_expansion,
     support,
     virtual_dim,
