@@ -36,6 +36,7 @@ from .gluing import MAX_REQUEST, _unfold, mat_det, mat_mul, mat_trace, mat_trace
 from .partition import SpaceParams, class_component
 from .words import (
     build_cap,
+    build_handle,
     build_pants,
     build_tube,
     closed_surface_word,
@@ -321,8 +322,8 @@ def verify_gluing_derivations(word_g_max: int = 3, word_k_max: int = 2) -> Check
     lowered_b = matrix_to_tensor(build_operator("B")).lower_slot(0)
     rep.check("two-pants handle, section class", lowered_a, classes.get(0))
     rep.check("two-pants handle, fiber class", lowered_b, classes.get(1))
-    # the same handle glued along both fibers in one contraction pass
-    rep.check("two-pants handle, one pass", handle, contract(pants, (2, 1), pants, (0, 1)))
+    # the handle of closed_surface_word glues both fibers in one contraction pass
+    rep.check("two-pants handle, one pass", handle, build_handle())
 
     # the hand-encoded matrices, lowered, agree with the tubes
     for name, level in (("U1", (1, 0)), ("U2", (0, 1)), ("U1inv", (-1, 0)), ("U2inv", (0, -1))):

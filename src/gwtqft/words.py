@@ -13,6 +13,12 @@ Gluing two relative slots sums over the fixed-point basis with one slot
 raised.  Every slot pair between the same two tensors is glued in one pass
 over flat entry offsets.
 
+A word is a chain, as in the gluing picture of Bryan and Pandharipande
+("The local Gromov-Witten theory of curves", J. AMS 21, 2008): each
+generator's last slot is glued to the next one's first, and a traced chain
+closes into a ring.  A closed surface is the trace of a ring of handles
+(two pants glued along two fibers) and level tubes.
+
 Every tensor is summed over the fiber classes beta0 + n f, and each class
 is one power of phi: class n of a cap, tube or pants tensor of total level
 K = k1 + k2 is its phi^(K + 3n) part.  Each generator obeys this, and
@@ -28,8 +34,8 @@ function here takes and returns folded tensors; ``gluing._unfold``
 re-expands an entry in t0, t1, t2 for output.  A pair of lowered slots is
 glued with the folded inverse weight as a factor of each product (a pair
 of raised ones with the weight), and each coefficient of a glued entry is
-one sum of unreduced products reduced once.  Words are still contracted
-one generator at a time, so a word's cost grows with its length (see
+one sum of unreduced products reduced once.  Words are contracted one
+generator at a time, so a word's cost grows with its length (see
 MAX_WORD_GENERATORS).
 """
 
@@ -388,27 +394,16 @@ def self_glue(t: RelTensor, slot1: int, slot2: int) -> RelTensor:
 
 # -- cobordism words -------------------------------------------------------------
 
-GenRef = tuple  # ("cap", (k1, k2)) | ("tube", (k1, k2)) | ("pants",) | ("op", name)
+GenRef = tuple  # ("cap", (k1, k2)) | ("tube", (k1, k2)) | ("pants",) | ("handle",) | ("op", name)
 
 
 class CobordismWord(NamedTuple):
-    """A list of generators plus a gluing pattern.
-
-    Pattern entries are pairs of (generator index, slot index); the two named
-    slots are contracted (with automatic index raising).  Slots may be used
-    at most once; unused slots remain free in the composite.
-    """
+    """A chain of generators, each glued by its last slot to the next one's
+    first slot; a traced chain also glues the last generator's last slot to
+    the first one's first slot."""
 
     generators: tuple[GenRef, ...]
-    pattern: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-
-    def __str__(self) -> str:
-        names = [_gen_name(g) for g in self.generators]
-        glues = "; ".join(
-            f"glue({names[i]}[{i}].{si + 1}, {names[j]}[{j}].{sj + 1})"
-            for (i, si), (j, sj) in self.pattern
-        )
-        return glues if glues else " * ".join(names)
+    traced: bool = False
 
     @property
     def level(self) -> int | None:
@@ -417,22 +412,14 @@ class CobordismWord(NamedTuple):
         split into classes (see split_classes)."""
         if any(gen[0] == "op" for gen in self.generators):
             return None
-        return sum(sum(gen[1]) for gen in self.generators if gen[0] != "pants")
+        return sum(sum(gen[1]) for gen in self.generators if gen[0] not in ("pants", "handle"))
 
 
-def _gen_name(gen: GenRef) -> str:
-    kind = gen[0]
-    if kind == "cap":
-        return f"cap{gen[1]}"
-    if kind == "tube":
-        return f"tube{gen[1]}"
-    if kind == "pants":
-        return "pants"
-    return gen[1]
-
-
-def _gen_rank(gen: GenRef) -> int:
-    return {"cap": 1, "tube": 2, "pants": 3, "op": 2}[gen[0]]
+@cache
+def build_handle() -> RelTensor:
+    """Two pants glued along two fibers: the genus-adding block of a closed
+    surface, slots (in, out)."""
+    return contract(build_pants(), (1, 2), build_pants(), (0, 1))
 
 
 def _generator(gen: GenRef) -> RelTensor:
@@ -440,6 +427,8 @@ def _generator(gen: GenRef) -> RelTensor:
         return matrix_to_tensor(build_operator(gen[1]))
     if gen[0] == "pants":
         return build_pants()
+    if gen[0] == "handle":
+        return build_handle()
     return (build_cap if gen[0] == "cap" else build_tube)(gen[1])
 
 
@@ -448,63 +437,28 @@ def evaluate_word(w: CobordismWord) -> RelTensor:
     fiber classes; a fully glued word yields a rank-0 result.  The classes
     of a word without operators are its phi powers (see split_classes).
 
-    The pattern is glued in order, but a pair that joins two components also
-    takes every later pair between the same two components, so a handle or
-    the closing of a chain is one contraction pass (see contract).  The
-    result is the same tensor, slots in the same order, as gluing pair by
-    pair: a's remaining slots then b's at every join.
+    The chain is folded from the left, each join leaving the composite's
+    slots then the next generator's.  A traced chain glues its closing pair
+    in the same contraction pass as its last join (see contract).  A cap has
+    one slot, so it can only end an open chain.
     """
-    if not w.generators:
+    gens = w.generators
+    n = len(gens)
+    if not n:
         raise ValueError("empty word")
-
-    # the pattern is checked in order first, so the first unknown or reused
-    # slot is the one reported by gluing pair by pair
-    free = {(i, s) for i, gen in enumerate(w.generators) for s in range(_gen_rank(gen))}
-    partner: dict[tuple[int, int], tuple[int, int]] = {}
-    for ra, rb in w.pattern:
-        for ref in (ra, rb):
-            if ref not in free:
-                raise ValueError(f"slot {ref} is unknown or already glued")
-        if ra == rb:
-            raise ValueError("cannot glue a slot to itself")
-        free -= {ra, rb}
-        partner[ra], partner[rb] = rb, ra
-
-    # component id -> (value, [slot ids]), a slot id being (gen index, slot);
-    # owner maps every slot not yet glued to its component
-    comps = {
-        i: (_generator(gen), [(i, s) for s in range(_gen_rank(gen))])
-        for i, gen in enumerate(w.generators)
-    }
-    owner = {ref: i for i, (_, slots) in comps.items() for ref in slots}
-    for ra, rb in w.pattern:
-        if ra not in owner:
-            continue  # glued together with an earlier pair
-        ca, cb = owner[ra], owner[rb]
-        va, slots_a = comps[ca]
-        if ca == cb:
-            glued = {ra, rb}
-            new_val = self_glue(va, slots_a.index(ra), slots_a.index(rb))
-            new_slots = [s for s in slots_a if s not in glued]
-        else:
-            vb, slots_b = comps.pop(cb)
-            pairs = [
-                (ka, slots_b.index(partner[r]))
-                for ka, r in enumerate(slots_a)
-                if owner.get(partner.get(r)) == cb
-            ]
-            glued = {slots_a[ka] for ka, _ in pairs} | {slots_b[kb] for _, kb in pairs}
-            new_val = contract(va, tuple(ka for ka, _ in pairs), vb, tuple(kb for _, kb in pairs))
-            new_slots = [s for s in slots_a + slots_b if s not in glued]
-        for ref in glued:
-            del owner[ref]
-        for ref in new_slots:
-            owner[ref] = ca
-        comps[ca] = (new_val, new_slots)
-
-    if len(comps) != 1:
-        raise ValueError("word does not describe a connected cobordism")
-    return next(iter(comps.values()))[0]
+    ends = (n - 1, 0) if w.traced and n > 1 else ()
+    for i in (*range(1, n - 1), *ends):
+        if gens[i][0] == "cap":
+            raise ValueError(f"slot {(i, 0)} is unknown or already glued")
+    t = _generator(gens[0])
+    if n == 1:
+        return self_glue(t, 0, t.rank - 1) if w.traced else t
+    for gen in gens[1:-1]:
+        t = contract(t, t.rank - 1, _generator(gen), 0)
+    last = _generator(gens[-1])
+    if w.traced:
+        return contract(t, (0, t.rank - 1), last, (last.rank - 1, 0))
+    return contract(t, t.rank - 1, last, 0)
 
 
 def split_classes(t: RelTensor, level: int) -> dict[int, RelTensor]:
@@ -525,57 +479,23 @@ def split_classes(t: RelTensor, level: int) -> dict[int, RelTensor]:
 
 
 def closed_surface_word(g: int, k1: int, k2: int) -> CobordismWord:
-    """A pants/tube decomposition of the closed genus-g level-(k1, k2) space.
+    """A handle/tube decomposition of the closed genus-g level-(k1, k2) space.
 
-    Genus comes from g-1 two-pants handle blocks plus the closing of the
-    chain into a ring; levels come from |k1| + |k2| one-level tubes.  At
-    g = 0 the chain is capped on both ends instead of closed.
+    A ring of g-1 handles (see build_handle) and |k1| + |k2| one-level
+    tubes: a traced chain, whose closing adds the last genus.  At g = 0 the
+    chain is capped on both ends instead of closed.
     """
     if g < 0:
         raise ValueError("genus must be nonnegative")
-    gens: list[GenRef] = []
-    pattern: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    blocks: list[tuple[tuple[int, int], tuple[int, int]]] = []  # (in, out) slot refs
-
-    def add_handle():
-        i = len(gens)
-        gens.append(("pants",))
-        gens.append(("pants",))
-        pattern.append(((i, 1), (i + 1, 0)))
-        pattern.append(((i, 2), (i + 1, 1)))
-        blocks.append(((i, 0), (i + 1, 2)))
-
-    def add_tube(level):
-        i = len(gens)
-        gens.append(("tube", level))
-        blocks.append(((i, 0), (i, 1)))
-
-    for _ in range(max(g - 1, 0)):
-        add_handle()
-    step1 = 1 if k1 >= 0 else -1
-    for _ in range(abs(k1)):
-        add_tube((step1, 0))
-    step2 = 1 if k2 >= 0 else -1
-    for _ in range(abs(k2)):
-        add_tube((0, step2))
-
+    step1, step2 = (1 if k1 >= 0 else -1), (1 if k2 >= 0 else -1)
+    gens = (
+        [("handle",)] * max(g - 1, 0)
+        + [("tube", (step1, 0))] * abs(k1)
+        + [("tube", (0, step2))] * abs(k2)
+    )
     if g == 0:
-        i = len(gens)
-        gens.append(("cap", (0, 0)))
-        gens.append(("cap", (0, 0)))
-        chain = [((i, 0), (i, 0))] + blocks + [((i + 1, 0), (i + 1, 0))]
-    else:
-        if not blocks:
-            add_tube((0, 0))
-        chain = blocks
-
-    for (_, prev_out), (nxt_in, _) in zip(chain, chain[1:]):
-        pattern.append((prev_out, nxt_in))
-    if g >= 1:
-        # closing the ring adds the final handle
-        pattern.append((chain[-1][1], chain[0][0]))
-
-    return CobordismWord(tuple(gens), tuple(pattern))
+        return CobordismWord((("cap", (0, 0)), *gens, ("cap", (0, 0))))
+    return CobordismWord(tuple(gens) or (("tube", (0, 0)),), traced=True)
 
 
 # -- word text parsing ------------------------------------------------------------
@@ -664,15 +584,6 @@ def parse_word(text: str) -> CobordismWord:
     for gen, power in atoms:
         gens.extend([gen] * power)
 
-    def out_slot(i: int) -> tuple[int, int]:
-        return (i, _gen_rank(gens[i]) - 1)
-
-    def in_slot(i: int) -> tuple[int, int]:
-        return (i, 0)
-
-    pattern = [(out_slot(i), in_slot(i + 1)) for i in range(len(gens) - 1)]
-    if traced:
-        if len(gens) == 1 and _gen_rank(gens[0]) < 2:
-            raise ValueError("trace needs a two-slot composite")
-        pattern.append((out_slot(len(gens) - 1), in_slot(0)))
-    return CobordismWord(tuple(gens), tuple(pattern))
+    if traced and len(gens) == 1 and gens[0][0] == "cap":
+        raise ValueError("trace needs a two-slot composite")
+    return CobordismWord(tuple(gens), traced)

@@ -161,6 +161,20 @@ class TestWord:
         assert code == 2
         assert "position" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("tube(0,0) * cap(0,0) * tube(0,0)", "slot (1, 0) is unknown or already glued"),
+            ("trace(cap(0,0) * tube(0,0))", "slot (0, 0) is unknown or already glued"),
+            ("trace(tube(0,0) * cap(0,0))", "slot (1, 0) is unknown or already glued"),
+            ("trace(cap(0,0))", "trace needs a two-slot composite"),
+        ],
+    )
+    def test_cap_inside_a_chain_is_exit_2(self, capsys, text, message):
+        # a cap has one slot, so it can only end an open chain
+        code, out, err = run_cli(capsys, "word", text)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_phi_power_off_the_class_grading_is_exit_3(self, capsys, monkeypatch):
         # a phi^1 term in a level-0 tensor belongs to no fiber class
         from gwtqft import words

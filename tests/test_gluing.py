@@ -5,6 +5,7 @@ Tensors and matrices are folded, in Z[x, y]; a value in t0, t1, t2 is
 compared through ``gluing._unfold``."""
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -467,7 +468,8 @@ class TestOneCoefficientRing:
 
     @staticmethod
     def _clear():
-        for fn in (operators.weight, build_operator, build_cap, build_tube, build_pants):
+        for fn in (operators.weight, build_operator, build_cap, build_tube, build_pants,
+                   words.build_handle):
             fn.cache_clear()
         _clear_engine_caches()
 
@@ -536,7 +538,7 @@ class TestAssociativity:
 
 class TestWords:
     def test_single_cap(self):
-        word = CobordismWord((("cap", (0, 0)),), ())
+        word = CobordismWord((("cap", (0, 0)),))
         out = split_classes(evaluate_word(word), word.level)
         assert list(out) == [0]
         assert _unfold(out[0].entry(1)) == PhiElem.one()
@@ -570,10 +572,11 @@ class TestWords:
             summed = summed + _unfold(t.scalar())
         assert summed == trace_formula(2, 1, 0)
 
-    def test_disconnected_word_rejected(self):
-        word = CobordismWord((("cap", (0, 0)), ("cap", (0, 0))), ())
-        with pytest.raises(ValueError):
-            evaluate_word(word)
+    def test_empty_word_rejected(self):
+        with pytest.raises(ValueError, match="empty word"):
+            evaluate_word(CobordismWord(()))
+        with pytest.raises(ValueError, match="empty word"):
+            evaluate_word(CobordismWord((), traced=True))
 
     @pytest.mark.parametrize(
         "word, key",
@@ -585,38 +588,41 @@ class TestWords:
     def test_one_pass_words_match_trace_formula(self, word, key):
         assert _unfold(evaluate_word(word).scalar()) == trace_formula(*key)
 
-    def test_slot_reused_after_a_grouped_pair_is_reported(self):
-        # the third pair joins the same two tubes as the first, but the
-        # second pair has already glued its slot (1, 1) to the cap
-        word = CobordismWord(
-            (("tube", (0, 0)), ("tube", (0, 0)), ("cap", (0, 0))),
-            (((0, 1), (1, 0)), ((2, 0), (1, 1)), ((1, 1), (0, 0))),
-        )
-        with pytest.raises(ValueError, match=r"slot \(1, 1\) is unknown or already glued"):
-            evaluate_word(word)
+    @pytest.mark.parametrize(
+        "gens, open_rank, slot",
+        [
+            ((("tube", (0, 0)), ("tube", (0, 0)), ("cap", (0, 0))), 1, (2, 0)),
+            ((("cap", (0, 0)), ("tube", (0, 0)), ("tube", (0, 0))), 1, (0, 0)),
+            ((("cap", (0, 0)), ("tube", (0, 0)), ("cap", (0, 0))), 0, (2, 0)),
+        ],
+    )
+    def test_cap_closing_a_traced_chain_is_reported(self, gens, open_rank, slot):
+        # a cap may end an open chain, but its one slot cannot take both a
+        # join and the closing; the last generator is reported before the first
+        assert evaluate_word(CobordismWord(gens)).rank == open_rank
+        with pytest.raises(ValueError, match=re.escape(f"slot {slot} is unknown or already glued")):
+            evaluate_word(CobordismWord(gens, traced=True))
 
     def test_free_slot_order(self):
-        # the second pair joins two components and takes the third along;
-        # the free slots are the joining component's (1, 2), then U1's raised
-        # (2, 0), as when the third pair is self-glued afterwards
+        # each join leaves the composite's slots, then the next generator's
         pants, u1 = build_pants(), words.matrix_to_tensor(build_operator("U1"))
-        word = CobordismWord(
-            (("pants",), ("pants",), ("op", "U1")),
-            (((2, 1), (0, 0)), ((1, 0), (0, 1)), ((0, 2), (1, 1))),
-        )
-        first = contract(u1, 1, pants, 0)  # (2, 0), (0, 1), (0, 2)
-        joined = contract(pants, 0, first, 1)  # (1, 1), (1, 2), (2, 0), (0, 2)
-        want = self_glue(joined, 3, 0)
-        assert want.variance == (False, True)
-        assert evaluate_word(word) == want
+        assert evaluate_word(parse_word("U1 * pants")) == contract(u1, 1, pants, 0)
 
     def test_reused_slot_rejected(self):
+        # a middle cap would be glued on both sides through its one slot;
+        # the first middle cap is reported
         word = CobordismWord(
-            (("cap", (0, 0)), ("pants",), ("cap", (0, 0))),
-            ((((0, 0)), ((1, 0))), (((0, 0)), ((1, 1)))),
+            (("pants",), ("cap", (0, 0)), ("cap", (0, 0)), ("pants",)),
         )
-        with pytest.raises(ValueError):
-            evaluate_word(word)
+        for traced in (False, True):
+            with pytest.raises(ValueError, match=re.escape("slot (1, 0) is unknown or already glued")):
+                evaluate_word(word._replace(traced=traced))
+
+    def test_traced_single_generator_is_self_glued(self):
+        pants = build_pants()
+        assert evaluate_word(CobordismWord((("pants",),), traced=True)) == self_glue(pants, 0, 2)
+        with pytest.raises(ValueError, match="cannot glue a slot to itself"):
+            evaluate_word(CobordismWord((("cap", (0, 0)),), traced=True))
 
 
 class TestWordParsing:
@@ -638,10 +644,6 @@ class TestWordParsing:
     def test_negative_operator_powers(self):
         out = evaluate_word(parse_word("trace(G^2 * U1^-1)"))
         assert _unfold(out.scalar()) == trace_formula(3, -1, 0)
-
-    def test_rendering_mentions_glue(self):
-        word = closed_surface_word(1, 1, 0)
-        assert "glue(" in str(word)
 
 
 class TestRefinedAgainstSummed:
