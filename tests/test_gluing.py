@@ -611,9 +611,7 @@ class TestWords:
     def test_reused_slot_rejected(self):
         # a middle cap would be glued on both sides through its one slot;
         # the first middle cap is reported
-        word = CobordismWord(
-            (("pants",), ("cap", (0, 0)), ("cap", (0, 0)), ("pants",)),
-        )
+        word = CobordismWord((("pants",), ("cap", (0, 0)), ("cap", (0, 0)), ("pants",)))
         for traced in (False, True):
             with pytest.raises(ValueError, match=re.escape("slot (1, 0) is unknown or already glued")):
                 evaluate_word(word._replace(traced=traced))
