@@ -17,7 +17,7 @@ _EXPORTS = {
     "operators": "build_operator weight",
     "gluing": "trace_formula",
     "words": "build_cap build_tube build_pants CobordismWord closed_surface_word contract"
-    " evaluate_word parse_word self_glue split_classes",
+    " evaluate_word parse_word split_classes",
     "partition": "SpaceParams compute_Z virtual_dim class_component support genus_expansion",
     "checks": "mat_power",
 }

@@ -265,52 +265,24 @@ _LINEAR_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def _div_linear(p: TPoly, a: int, b: int) -> TPoly | None:
-    """Exact quotient p / (t_a - t_b) by synthetic division in t_a.
+    """Exact quotient p / (t_a - t_b), or None when the form does not divide p.
 
-    One pass over the terms, much faster than generic long division; returns
-    None when the form does not divide p.
+    Each slice of p by the power of the third variable is a polynomial in
+    x = t_a, y = t_b, divided by x - y with _div_diff.
     """
-    if not p.terms:
-        return TPoly._raw({})
-    slices: dict[int, dict[Exponent, Fraction]] = {}
-    for e, c in p.terms.items():
-        e0 = list(e)
-        k = e0[a]
-        e0[a] = 0
-        slices.setdefault(k, {})[tuple(e0)] = c
-    d = max(slices)
-    if d == 0:
-        return None
+    c = 3 - a - b
+    slices: dict[int, dict] = {}
+    for e, v in p.terms.items():
+        slices.setdefault(e[c], {})[e[a], e[b]] = v
     quot: dict[Exponent, Fraction] = {}
-    carry: dict[Exponent, Fraction] = {}
-    for k in range(d, 0, -1):
-        cur = dict(slices.get(k, {}))
-        for e, c in carry.items():
-            eb = list(e)
-            eb[b] += 1
-            eb = tuple(eb)
-            v = cur.get(eb, 0) + c
-            if v:
-                cur[eb] = v
-            else:
-                cur.pop(eb, None)
-        for e, c in cur.items():
-            eq = list(e)
-            eq[a] = k - 1
-            quot[tuple(eq)] = c
-        carry = cur
-    rem = dict(slices.get(0, {}))
-    for e, c in carry.items():
-        eb = list(e)
-        eb[b] += 1
-        eb = tuple(eb)
-        v = rem.get(eb, 0) + c
-        if v:
-            rem[eb] = v
-        else:
-            rem.pop(eb, None)
-    if rem:
-        return None
+    e = [0, 0, 0]
+    for k, part in slices.items():
+        q = _div_diff(part)
+        if q is None:
+            return None
+        for (i, j), v in q.items():
+            e[a], e[b], e[c] = i, j, k
+            quot[tuple(e)] = v
     return TPoly._raw(quot)
 
 

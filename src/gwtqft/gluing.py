@@ -72,12 +72,22 @@ def mat_trace_mul(a: Op3, b: Op3) -> PhiElem:
     return total
 
 
+def mat_adjugate(m: Op3) -> Op3:
+    """The transposed cofactor matrix.  The (i, j) cofactor of a 3x3 matrix,
+    sign included, is the minor on rows i + 1, i + 2 and columns j + 1, j + 2
+    mod 3."""
+
+    def cof(i: int, j: int) -> PhiElem:
+        i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+        return m[i1][j1] * m[i2][j2] - m[i1][j2] * m[i2][j1]
+
+    return tuple(tuple(cof(j, i) for j in LABELS) for i in LABELS)
+
+
 def mat_det(m: Op3) -> PhiElem:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+    """det m, by the cofactors of row 0: row 0 of m times column 0 of adj m."""
+    adj = mat_adjugate(m)
+    return m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]
 
 
 # -- the closed-surface trace formula ------------------------------------------
@@ -182,16 +192,12 @@ def _divexact(num: _XYPoly, den: _XYPoly) -> _XYPoly:
 @cache
 def _char_poly(name: str, weight: int) -> tuple[_XYPoly, _XYPoly, _XYPoly]:
     """Folded (e1, e2, e3) of an operator of the given weight, so that
-    M^3 = e1 M^2 - e2 M + e3 I: its trace, the sum of its principal 2x2
-    minors and its determinant."""
+    M^3 = e1 M^2 - e2 M + e3 I: its trace, the trace of its adjugate (the
+    sum of its principal 2x2 minors) and its determinant."""
     m = build_operator(name)
-    minors = sum(
-        (m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2))),
-        PhiElem.zero(),
-    )
     return (
         _at_phi_one(mat_trace(m), weight, f"tr {name}"),
-        _at_phi_one(minors, 2 * weight, f"tr adj {name}"),
+        _at_phi_one(mat_trace(mat_adjugate(m)), 2 * weight, f"tr adj {name}"),
         _at_phi_one(mat_det(m), 3 * weight, f"det {name}"),
     )
 

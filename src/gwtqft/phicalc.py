@@ -23,10 +23,11 @@ class PhiElem:
     ``terms`` maps integer phi-exponents (possibly negative) to nonzero TRat
     coefficients.  Immutable by convention.  The generators, the trace
     engine and the word path hold folded elements instead: PhiElems built
-    with ``_raw`` whose coefficients are XYRat (see ``operators``).  +, -
-    and * work on them coefficientwise as on TRat ones; a folded and a TRat
-    coefficient never mix, and ``gluing._unfold`` turns a folded element
-    into a TRat one for output.
+    with ``_raw`` whose coefficients are XYRat (see ``operators``), and the
+    numeric cross-check holds ones with plain Fraction coefficients.  +, -
+    and * work on them coefficientwise as on TRat ones; coefficients of two
+    kinds never mix, and ``gluing._unfold`` turns a folded element into a
+    TRat one for output.
     """
 
     __slots__ = ("terms",)
@@ -112,10 +113,10 @@ class PhiElem:
                 acc[m] = c
             else:
                 v = v + c
-                if v.is_zero:
-                    del acc[m]
-                else:
+                if v:
                     acc[m] = v
+                else:
+                    del acc[m]
         return PhiElem._raw(acc)
 
     __radd__ = __add__
@@ -145,10 +146,10 @@ class PhiElem:
                     acc[m] = p
                 else:
                     v = v + p
-                    if v.is_zero:
-                        del acc[m]
-                    else:
+                    if v:
                         acc[m] = v
+                    else:
+                        del acc[m]
         return PhiElem._raw(acc)
 
     __rmul__ = __mul__
@@ -159,7 +160,7 @@ class PhiElem:
         acc: dict[int, TRat] = {}
         for m, c in self.terms.items():
             v = fn(c)
-            if not v.is_zero:
+            if v:
                 acc[m] = v
         return PhiElem._raw(acc)
 
@@ -263,7 +264,8 @@ def phi_pow_coeffs(m: int, n: int) -> list[Fraction]:
 
 
 def laurent_divexact(num: PhiElem, den: PhiElem) -> PhiElem:
-    """Exact quotient num/den in the Laurent-polynomial ring over Q(t).
+    """Exact quotient num/den in the Laurent-polynomial ring over Q(t), or
+    over Q when both have Fraction coefficients.
 
     Raises ReductionError when den does not divide num.
     """
@@ -282,5 +284,5 @@ def laurent_divexact(num: PhiElem, den: PhiElem) -> PhiElem:
             raise ReductionError("phi-polynomial quotient does not reduce")
         c = rem.coeff(rem.min_exp()) / dlead
         quot[m] = c
-        rem = rem - den * PhiElem.term(c, m)
+        rem = rem - den * PhiElem._raw({m: c})
     return PhiElem._raw(quot)

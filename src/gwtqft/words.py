@@ -11,7 +11,8 @@ from them by gluing.  Entries are stored with all slots lowered.
 
 Gluing two relative slots sums over the fixed-point basis with one slot
 raised.  Every slot pair between the same two tensors is glued in one pass
-over flat entry offsets.
+over flat entry offsets.  Two slots of one tensor are glued by contracting
+both with the level (0,0) tube, the identity cylinder.
 
 A word is a chain, as in the gluing picture of Bryan and Pandharipande
 ("The local Gromov-Witten theory of curves", J. AMS 21, 2008): each
@@ -46,7 +47,7 @@ from functools import cache
 from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
-from .exactring import ReductionError, XYRat, _xy_clean, _xy_fraction_sum, _xy_mul_into
+from .exactring import ReductionError, _xy_clean, _xy_fraction_sum, _xy_mul_into
 from .gluing import _ONE
 from .operators import (
     INV_WEIGHTS,
@@ -97,16 +98,13 @@ class RelTensor:
     def rank(self) -> int:
         return len(self.variance)
 
-    def _index(self, labels: Sequence[int]) -> int:
-        idx = 0
-        for a in labels:
-            idx = idx * 3 + a
-        return idx
-
     def entry(self, *labels: int) -> PhiElem:
         if len(labels) != self.rank:
             raise ValueError(f"expected {self.rank} labels, got {len(labels)}")
-        return self.entries[self._index(labels)]
+        idx = 0
+        for a in labels:
+            idx = idx * 3 + a
+        return self.entries[idx]
 
     def __eq__(self, other):
         if not isinstance(other, RelTensor):
@@ -116,33 +114,27 @@ class RelTensor:
     def __hash__(self):
         return hash((self.variance, self.entries))
 
-    def _rescale_slot(self, slot: int, factors: Sequence[XYRat]) -> "RelTensor":
-        factors = [_phi(f, 0) for f in factors]
-        new = []
-        for labels in product(LABELS, repeat=self.rank):
-            new.append(self.entries[self._index(labels)] * factors[labels[slot]])
-        return RelTensor(self.variance, new)
+    def _rescale_slot(self, slot: int, raised: bool) -> "RelTensor":
+        """Turn one slot raised or lowered: entries are divided by T(x_a)
+        along it to raise it and multiplied by T(x_a) to lower it."""
+        if not 0 <= slot < self.rank:
+            raise ValueError(f"slot {slot} out of range for rank {self.rank}")
+        if self.variance[slot] == raised:
+            raise ValueError(f"slot {slot} is already {'raised' if raised else 'lowered'}")
+        factors = [_phi(f, 0) for f in (INV_WEIGHTS if raised else WEIGHTS)]
+        variance = list(self.variance)
+        variance[slot] = raised
+        return RelTensor(variance, [
+            e * factors[labels[slot]]
+            for e, labels in zip(self.entries, product(LABELS, repeat=self.rank))
+        ])
 
     def raise_slot(self, slot: int) -> "RelTensor":
         """Divide entries by T(x_a) along one slot, turning it contravariant."""
-        if not 0 <= slot < self.rank:
-            raise ValueError(f"slot {slot} out of range for rank {self.rank}")
-        if self.variance[slot]:
-            raise ValueError(f"slot {slot} is already raised")
-        out = self._rescale_slot(slot, INV_WEIGHTS)
-        variance = list(self.variance)
-        variance[slot] = True
-        return RelTensor(variance, out.entries)
+        return self._rescale_slot(slot, True)
 
     def lower_slot(self, slot: int) -> "RelTensor":
-        if not 0 <= slot < self.rank:
-            raise ValueError(f"slot {slot} out of range for rank {self.rank}")
-        if not self.variance[slot]:
-            raise ValueError(f"slot {slot} is already lowered")
-        out = self._rescale_slot(slot, WEIGHTS)
-        variance = list(self.variance)
-        variance[slot] = False
-        return RelTensor(variance, out.entries)
+        return self._rescale_slot(slot, False)
 
     def scalar(self) -> PhiElem:
         if self.rank != 0:
@@ -164,13 +156,13 @@ def _tensor2(rows: Sequence[Sequence[PhiElem]]) -> RelTensor:
     return RelTensor((False, False), [rows[a][b] for a in LABELS for b in LABELS])
 
 
-_SUPPORTED_CAPS = {(0, 0), (0, -1), (-1, 0), (0, 1), (1, 0)}
+_BASIC_LEVELS = {(0, 0), (0, -1), (-1, 0), (0, 1), (1, 0)}
 
 
 @cache
 def build_cap(level: Level) -> RelTensor:
     """One-holed genus-0 generator at the given level."""
-    if level not in _SUPPORTED_CAPS:
+    if level not in _BASIC_LEVELS:
         raise ValueError(f"level {level} cap is not a basic generator")
     z = PhiElem.zero()
     if level == (0, 0):
@@ -188,13 +180,10 @@ def build_cap(level: Level) -> RelTensor:
     return _tensor1([z, _phi(weight(1), -2), z])
 
 
-_SUPPORTED_TUBES = {(0, 0), (0, -1), (-1, 0), (0, 1), (1, 0)}
-
-
 @cache
 def build_tube(level: Level) -> RelTensor:
     """Two-holed genus-0 generator at the given level, both slots lowered."""
-    if level not in _SUPPORTED_TUBES:
+    if level not in _BASIC_LEVELS:
         raise ValueError(f"level {level} tube is not a basic generator")
     z = PhiElem.zero()
 
@@ -375,23 +364,6 @@ def contract(a: RelTensor, slot_a, b: RelTensor, slot_b) -> RelTensor:
     return RelTensor(variance, entries)
 
 
-def self_glue(t: RelTensor, slot1: int, slot2: int) -> RelTensor:
-    """Glue two free slots of the same tensor to each other."""
-    if slot1 == slot2:
-        raise ValueError("cannot glue a slot to itself")
-    if not (0 <= slot1 < t.rank and 0 <= slot2 < t.rank):
-        raise ValueError("slot out of range")
-    factors = _glue_factors([(t.variance[slot1], t.variance[slot2])])
-    free, _ = _offsets(t.rank, (slot1, slot2))
-    step = 3 ** (t.rank - 1 - slot1) + 3 ** (t.rank - 1 - slot2)
-    variance = [v for s, v in enumerate(t.variance) if s not in (slot1, slot2)]
-    entries = [
-        _dot((x, ONE, f) for lam, f in zip(LABELS, factors) if (x := t.entries[i + lam * step]))
-        for i in free
-    ]
-    return RelTensor(variance, entries)
-
-
 # -- cobordism words -------------------------------------------------------------
 
 GenRef = tuple  # ("cap", (k1, k2)) | ("tube", (k1, k2)) | ("pants",) | ("handle",) | ("op", name)
@@ -439,20 +411,22 @@ def evaluate_word(w: CobordismWord) -> RelTensor:
 
     The chain is folded from the left, each join leaving the composite's
     slots then the next generator's.  A traced chain glues its closing pair
-    in the same contraction pass as its last join (see contract).  A cap has
-    one slot, so it can only end an open chain.
+    in the same contraction pass as its last join (see contract); a traced
+    single generator glues its two ends to the level (0,0) tube, the
+    identity cylinder.  A cap has one slot, so it can only end an open
+    chain.
     """
     gens = w.generators
     n = len(gens)
     if not n:
         raise ValueError("empty word")
-    ends = (n - 1, 0) if w.traced and n > 1 else ()
+    ends = (n - 1, 0) if w.traced else ()
     for i in (*range(1, n - 1), *ends):
         if gens[i][0] == "cap":
             raise ValueError(f"slot {(i, 0)} is unknown or already glued")
     t = _generator(gens[0])
     if n == 1:
-        return self_glue(t, 0, t.rank - 1) if w.traced else t
+        return contract(t, (0, t.rank - 1), build_tube((0, 0)), (0, 1)) if w.traced else t
     for gen in gens[1:-1]:
         t = contract(t, t.rank - 1, _generator(gen), 0)
     last = _generator(gens[-1])

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from gwtqft.exactring import (
     LINEAR_FORMS,
+    _LINEAR_PAIRS,
     ReductionError,
     TPoly,
     TRat,
+    _div_linear,
     parse_poly,
     parse_rat,
 )
@@ -305,3 +307,75 @@ def test_evaluation_is_ring_homomorphism(p, q):
 
 def test_linear_forms_are_the_three_differences():
     assert LINEAR_FORMS == (t0 - t1, t0 - t2, t1 - t2)
+
+
+# -- division by one linear form, with Fraction coefficients ---------------------
+
+frac_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+
+
+def frac_polys(max_degree: int):
+    exp = st.tuples(*[st.integers(min_value=0, max_value=max_degree)] * 3)
+    return st.dictionaries(exp.filter(lambda e: sum(e) <= max_degree), frac_coeffs, max_size=6).map(
+        TPoly
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(frac_polys(5), st.integers(min_value=0, max_value=2))
+def test_div_linear_divisible(q, i):
+    # q * (t_a - t_b) has degree at most 6
+    (a, b), form = _LINEAR_PAIRS[i], LINEAR_FORMS[i]
+    p = q * form
+    got = _div_linear(p, a, b)
+    assert got == q
+    assert got * form == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    frac_polys(5),
+    st.integers(min_value=0, max_value=2),
+    frac_coeffs,
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=6),
+)
+def test_div_linear_not_divisible(q, i, c, j, k):
+    # adding c t_b^j t_c^k, which does not vanish at t_a = t_b, breaks divisibility
+    (a, b), form = _LINEAR_PAIRS[i], LINEAR_FORMS[i]
+    rest = TPoly.const(c) * TPoly.var(b) ** j * TPoly.var(3 - a - b) ** k
+    assert _div_linear(q * form + rest, a, b) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(frac_polys(6), st.integers(min_value=0, max_value=2))
+def test_div_linear_agrees_with_restriction(p, i):
+    # t_a - t_b divides p exactly when p vanishes at t_a = t_b
+    (a, b), form = _LINEAR_PAIRS[i], LINEAR_FORMS[i]
+    restricted: dict = {}
+    for e, c in p.terms.items():
+        e = list(e)
+        e[b] += e[a]
+        e[a] = 0
+        restricted[tuple(e)] = restricted.get(tuple(e), 0) + c
+    got = _div_linear(p, a, b)
+    if any(restricted.values()):
+        assert got is None
+    else:
+        assert got * form == p
+
+
+frac_form_products = st.builds(
+    lambda c, e: c * LINEAR_FORMS[0] ** e[0] * LINEAR_FORMS[1] ** e[1] * LINEAR_FORMS[2] ** e[2],
+    frac_coeffs,
+    st.tuples(*[st.integers(min_value=0, max_value=2)] * 3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frac_polys(6), frac_form_products, frac_form_products)
+def test_make_with_fraction_coefficients(p, q, r):
+    got = TRat.make(p * r, q * r)
+    assert got == TRat.make(p, q)
+    # multiplied back: num / den = p / q
+    assert got.num * q == p * got.den

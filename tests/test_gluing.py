@@ -1,5 +1,5 @@
-"""Gluing engine: contraction, self-gluing, matrix powers, trace formula,
-and cobordism-word evaluation.
+"""Gluing engine: contraction, gluing two slots of one tensor, matrix
+powers, trace formula, and cobordism-word evaluation.
 
 Tensors and matrices are folded, in Z[x, y]; a value in t0, t1, t2 is
 compared through ``gluing._unfold``."""
@@ -26,8 +26,16 @@ from gwtqft.operators import (
 from gwtqft.phicalc import laurent_divexact
 from gwtqft import cli, gluing, operators, words
 from gwtqft.partition import SpaceParams, class_component
-from gwtqft.checks import mat_adjugate, mat_eq, mat_power, mat_scale
-from gwtqft.gluing import _unfold, mat_det, mat_mul, mat_trace, mat_trace_mul, trace_formula
+from gwtqft.checks import mat_eq, mat_power, mat_scale
+from gwtqft.gluing import (
+    _unfold,
+    mat_adjugate,
+    mat_det,
+    mat_mul,
+    mat_trace,
+    mat_trace_mul,
+    trace_formula,
+)
 from gwtqft.words import (
     CobordismWord,
     RelTensor,
@@ -37,8 +45,8 @@ from gwtqft.words import (
     closed_surface_word,
     contract,
     evaluate_word,
+    matrix_to_tensor,
     parse_word,
-    self_glue,
     split_classes,
 )
 from reference import unfold_tensor, weight
@@ -49,6 +57,12 @@ t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
 def piece(t: RelTensor, level: int, n: int) -> RelTensor:
     """Class n of a cap/tube/pants tensor of total level `level`."""
     return split_classes(t, level)[n]
+
+
+def glue_slots(t: RelTensor, i: int, j: int) -> RelTensor:
+    """Glue slots i and j of t to each other: contract both with the level
+    (0,0) tube, the identity cylinder."""
+    return contract(t, (i, j), build_tube((0, 0)), (0, 1))
 
 
 class TestRaiseIndex:
@@ -117,14 +131,14 @@ GENERATORS = (
 
 
 def _glue_pair_by_pair(a, slots_a, b, slots_b):
-    """Contract the first slot pair, then self-glue the rest one by one."""
+    """Contract the first slot pair, then glue the rest one by one."""
     out = contract(a, slots_a[0], b, slots_b[0])
     # the composite's slots: a's remaining then b's, named by (side, slot)
     names = [("a", s) for s in range(a.rank) if s != slots_a[0]]
     names += [("b", s) for s in range(b.rank) if s != slots_b[0]]
     for sa, sb in zip(slots_a[1:], slots_b[1:]):
         i, j = names.index(("a", sa)), names.index(("b", sb))
-        out = self_glue(out, i, j)
+        out = glue_slots(out, i, j)
         names = [n for n in names if n not in (("a", sa), ("b", sb))]
     return out
 
@@ -143,7 +157,7 @@ def test_one_pass_glue_matches_pair_by_pair(a, b, data):
 class TestContractSlotTuples:
     def test_handle_in_one_pass(self):
         pants = build_pants()
-        handle = self_glue(contract(pants, 2, pants, 0), 1, 2)
+        handle = glue_slots(contract(pants, 2, pants, 0), 1, 2)
         assert contract(pants, (2, 1), pants, (0, 1)) == handle
 
     def test_slot_lists_must_match(self):
@@ -199,20 +213,29 @@ class TestSelfGlue:
     def test_two_pants_diagonal_rebuilds_base_genus_one(self):
         pants0 = piece(build_pants(), 0, 0)
         four = contract(pants0, 2, pants0, 0)
-        handle = unfold_tensor(self_glue(four, 1, 2))
+        handle = unfold_tensor(glue_slots(four, 1, 2))
         for a, b in product(LABELS, repeat=2):
             want = PhiElem.term(weight(a) ** 2, 0) if a == b else PhiElem.zero()
             assert handle.entry(a, b) == want
 
     def test_algebra_dimension(self):
         tube = build_tube((0, 0))
-        out = self_glue(tube, 0, 1)
+        out = glue_slots(tube, 0, 1)
         assert out.rank == 0
         assert _unfold(out.scalar()) == PhiElem.const(3)
+        # both slots raised: entries 1 / T(x_a), each summed with T(x_a)
+        raised = glue_slots(tube.raise_slot(0).raise_slot(1), 0, 1)
+        assert _unfold(raised.scalar()) == PhiElem.const(3)
+
+    @pytest.mark.parametrize("name", OPERATOR_NAMES)
+    def test_operator_trace(self, name):
+        # a (raised, lowered) matrix glued to itself is its trace
+        m = build_operator(name)
+        assert glue_slots(matrix_to_tensor(m), 0, 1).scalar() == mat_trace(m)
 
     def test_pants_self_glue_oracle(self):
         pants1 = piece(build_pants(), 0, 1)
-        got = unfold_tensor(self_glue(pants1, 1, 2))
+        got = unfold_tensor(glue_slots(pants1, 1, 2))
         pants1 = unfold_tensor(pants1)
         for a in LABELS:
             oracle = PhiElem.zero()
@@ -222,8 +245,8 @@ class TestSelfGlue:
 
     def test_same_slot_rejected(self):
         tube = build_tube((0, 0))
-        with pytest.raises(ValueError):
-            self_glue(tube, 1, 1)
+        with pytest.raises(ValueError, match="name one slot twice"):
+            contract(tube, (1, 1), build_tube((0, 0)), (0, 1))
 
 
 class TestMatPower:
@@ -617,9 +640,16 @@ class TestWords:
                 evaluate_word(word._replace(traced=traced))
 
     def test_traced_single_generator_is_self_glued(self):
-        pants = build_pants()
-        assert evaluate_word(CobordismWord((("pants",),), traced=True)) == self_glue(pants, 0, 2)
-        with pytest.raises(ValueError, match="cannot glue a slot to itself"):
+        # brute-force oracle: sum pants[lam, a, lam] / T(x_lam) over lam
+        got = unfold_tensor(evaluate_word(CobordismWord((("pants",),), traced=True)))
+        pants = unfold_tensor(build_pants())
+        for a in LABELS:
+            oracle = PhiElem.zero()
+            for lam in LABELS:
+                oracle = oracle + pants.entry(lam, a, lam) * TRat.make(1, weight(lam))
+            assert got.entry(a) == oracle
+        # a cap's one slot cannot be both ends of the ring
+        with pytest.raises(ValueError, match=re.escape("slot (0, 0) is unknown or already glued")):
             evaluate_word(CobordismWord((("cap", (0, 0)),), traced=True))
 
 
