@@ -479,7 +479,8 @@ def _operator_identities(rep: CheckReport) -> None:
                     rep.check(f"{cell} (d0 + d1 + d2) num", TPoly.zero(), _shift_derivative(coeff.num))
                     rep.check(f"{cell} t-degrees", [w - m], sorted(coeff.homogeneous_parts()))
     for name in ("U1", "U2"):
-        rep.check(f"det {name} = 1", ONE, mat_det(build_operator(name)))
+        u = build_operator(name)
+        rep.check(f"det {name} = 1", ONE, mat_det(u, mat_adjugate(u)))
 
 
 def _shift_derivative(p: TPoly) -> TPoly:
@@ -554,8 +555,8 @@ def numeric_trace(g: int, k1: int, k2: int, point) -> dict[int, Fraction]:
     gm = _numeric_operator("G", point)
     if g >= 1:
         return _chain_trace(levels + [gm] * (g - 1)).terms
-    numerator = _chain_trace(levels + [mat_adjugate(gm)])
-    return laurent_divexact(numerator, mat_det(gm)).terms
+    adj = mat_adjugate(gm)
+    return laurent_divexact(_chain_trace(levels + [adj]), mat_det(gm, adj)).terms
 
 
 def _random_point(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:

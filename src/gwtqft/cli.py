@@ -11,11 +11,11 @@ word of more than ``words.MAX_WORD_GENERATORS`` generators, a request with
 g + |k1| + |k2| above ``gluing.MAX_REQUEST``, or a ``genus --order`` or
 ``--hmax`` above ``partition.MAX_ORDER``, or a ``verify --trials`` outside
 1..``checks.MAX_TRIALS``), 3 internal error (a quotient the theory
-guarantees failed to reduce, such as a genus-0 trace that does not divide
-by det G; a denominator outside the products of ti - tj; a matrix trace or
-coefficient of the trace engine that is not an integer polynomial of its
-weight; a word tensor with a phi power outside its mod-3 class grading; or
-the interpreter ran out of recursion depth or memory), 141
+guarantees failed to reduce, such as a denominator outside the products of
+ti - tj; a matrix trace or coefficient of the trace engine that is not an
+integer polynomial of its weight; a word tensor with a phi power outside
+its mod-3 class grading; or the interpreter ran out of recursion depth or
+memory), 141
 (128 + SIGPIPE) when the reader of stdout went away before the output was
 written.
 

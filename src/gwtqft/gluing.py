@@ -17,13 +17,16 @@ The trace s_j(k1, k2) = tr(G^j U1^k1 U2^k2), of weight 2j, is fixed by its
 value at phi = 1, a polynomial in Z[x, y]: the monomial x^a y^b carries
 phi^(2j - a - b).  At phi = 1:
 
-- the seeds s_j(a, b), 0 <= j <= 2 and a, b in {-1, 0, 1}, are traces of
-  matrix products;
+- the seeds s_j(a, b), -1 <= j <= 1 and a, b in {-1, 0, 1}, are capped
+  chains: the genus-0 surface is two caps with the level tubes between
+  them, and each G adds a handle, so s_j = 1^T G^(j+1) U1^a U2^b w with
+  w_a = 1 / T(x_a) (the Frobenius identity tr(X) = eps(G X), eps the
+  counit).  Genus 0 is the seed s_-1 itself and needs no division;
 - levels |k| >= 2 follow from s(k) = e1 s(k-1) - e2 s(k-2) + s(k-3), where
   e1, e2 are the trace and the sum of principal 2x2 minors of U1 (or U2);
   det U = 1, so the recurrence runs downwards without a division;
-- genus follows from s_n = c1 s_(n-1) - c2 s_(n-2) + c3 s_(n-3) with the
-  same coefficients of G, and g = 0 divides exactly by c3 = det G.
+- genus j >= 2 follows from s_n = c1 s_(n-1) - c2 s_(n-2) + c3 s_(n-3)
+  with the same coefficients of G.
 
 Z is re-expanded from s_(g-1) by a Taylor shift in t2.  A matrix trace or
 coefficient is read at phi = 1 only when each phi^m coefficient is an
@@ -35,16 +38,16 @@ Below it only generator data is cached: the 27 seeds and the coefficients
 of G, U1 and U2.  A request keeps the last three values of each recurrence,
 so a sweep pays again for the steps its requests share: a loop over
 g = 1..N at one level takes O(N^2) steps instead of O(N), and ``verify
---suite all`` takes 3,978 recurrence steps where sharing took 425.
+--suite all`` takes 4,106 recurrence steps where sharing took 427.
 """
 
 from __future__ import annotations
 
-from functools import cache, lru_cache, reduce
+from functools import cache, lru_cache
 
 from .exactring import ReductionError, TPoly, TRat, _XYPoly, _xy_clean, _xy_mul_into
 from .phicalc import PhiElem
-from .operators import LABELS, Op3, _phi, build_operator
+from .operators import INV_WEIGHTS, LABELS, Op3, _phi, build_operator
 
 # -- 3x3 matrix algebra over folded phi-Laurent polynomials --------------------
 
@@ -84,9 +87,9 @@ def mat_adjugate(m: Op3) -> Op3:
     return tuple(tuple(cof(j, i) for j in LABELS) for i in LABELS)
 
 
-def mat_det(m: Op3) -> PhiElem:
-    """det m, by the cofactors of row 0: row 0 of m times column 0 of adj m."""
-    adj = mat_adjugate(m)
+def mat_det(m: Op3, adj: Op3) -> PhiElem:
+    """det m, by the cofactors of row 0: row 0 of m times column 0 of
+    adj = mat_adjugate(m), which the caller has already formed."""
     return m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]
 
 
@@ -166,39 +169,17 @@ def _combine(pairs) -> _XYPoly:
     return _xy_clean(acc)
 
 
-def _divexact(num: _XYPoly, den: _XYPoly) -> _XYPoly:
-    """num / den by long division in lex order; ReductionError on a remainder."""
-    lead = max(den)
-    lc = den[lead]
-    rem = dict(num)
-    quot: _XYPoly = {}
-    while rem:
-        top = max(rem)
-        q, r = divmod(rem[top], lc)
-        if r or top[0] < lead[0] or top[1] < lead[1]:
-            raise ReductionError("genus-0 trace does not divide by det G")
-        shift = (top[0] - lead[0], top[1] - lead[1])
-        quot[shift] = q
-        for (a, b), c in den.items():
-            e = (a + shift[0], b + shift[1])
-            v = rem.get(e, 0) - q * c
-            if v:
-                rem[e] = v
-            else:
-                del rem[e]
-    return quot
-
-
 @cache
 def _char_poly(name: str, weight: int) -> tuple[_XYPoly, _XYPoly, _XYPoly]:
     """Folded (e1, e2, e3) of an operator of the given weight, so that
     M^3 = e1 M^2 - e2 M + e3 I: its trace, the trace of its adjugate (the
     sum of its principal 2x2 minors) and its determinant."""
     m = build_operator(name)
+    adj = mat_adjugate(m)
     return (
         _at_phi_one(mat_trace(m), weight, f"tr {name}"),
-        _at_phi_one(mat_trace(mat_adjugate(m)), 2 * weight, f"tr adj {name}"),
-        _at_phi_one(mat_det(m), 3 * weight, f"det {name}"),
+        _at_phi_one(mat_trace(adj), 2 * weight, f"tr adj {name}"),
+        _at_phi_one(mat_det(m, adj), 3 * weight, f"det {name}"),
     )
 
 
@@ -214,20 +195,18 @@ def _level_coeffs(name: str, up: bool) -> tuple[_XYPoly, _XYPoly, _XYPoly]:
 
 @cache
 def _seed(j: int, k1: int, k2: int) -> _XYPoly:
-    """Folded tr(G^j U1^k1 U2^k2) for 0 <= j <= 2 and |k1|, |k2| <= 1,
-    straight from the matrices."""
-    # the level factors first: their products are the cheaper ones
-    factors = [
+    """Folded tr(G^j U1^k1 U2^k2) for -1 <= j <= 1 and |k1|, |k2| <= 1, as
+    the capped chain 1^T G^(j+1) U1^k1 U2^k2 w with w_a = 1 / T(x_a): one
+    matrix-vector product per factor, applied to w from the right."""
+    levels = [
         build_operator(name if k > 0 else name + "inv")
-        for name, k in (("U1", k1), ("U2", k2))
+        for name, k in (("U2", k2), ("U1", k1))
         if k
-    ] + [build_operator("G")] * j
-    if not factors:
-        trace = _phi(3, 0)
-    else:
-        last = factors.pop()
-        trace = mat_trace_mul(reduce(mat_mul, factors), last) if factors else mat_trace(last)
-    return _at_phi_one(trace, 2 * j, f"tr(G^{j} U1^{k1} U2^{k2})")
+    ]
+    v = tuple(_phi(c, 0) for c in INV_WEIGHTS)
+    for m in levels + [build_operator("G")] * (j + 1):
+        v = tuple(m[i][0] * v[0] + m[i][1] * v[1] + m[i][2] * v[2] for i in LABELS)
+    return _at_phi_one(v[0] + v[1] + v[2], 2 * j, f"tr(G^{j} U1^{k1} U2^{k2})")
 
 
 def _recur(at, first: int, last: int, coeffs) -> _XYPoly:
@@ -242,17 +221,12 @@ def _recur(at, first: int, last: int, coeffs) -> _XYPoly:
 
 
 def _trace(j: int, k1: int, k2: int) -> _XYPoly:
-    """Folded tr(G^j U1^k1 U2^k2) for j >= -1, from the cached seeds alone
-    (see the module docstring for the cost of a sweep)."""
-    if j >= 3:
+    """Folded tr(G^j U1^k1 U2^k2) for j >= -1: a seed, or the genus
+    recurrence from the seeds at j = -1, 0, 1 and the level recurrences
+    from |k| <= 1 (see the module docstring for the cost of a sweep)."""
+    if j >= 2:
         c1, c2, c3 = _char_poly("G", 2)
-        return _recur(lambda n: (n, k1, k2), 3, j, (c1, _neg(c2), c3))
-    if j == -1:
-        # G^-1 = (G^2 - c1 G + c2 I) / c3; the lex-leading term of the
-        # folded c3 = det G is -x^4 y^2, so the quotient stays integral
-        c1, c2, c3 = _char_poly("G", 2)
-        near = (_trace(2, k1, k2), _trace(1, k1, k2), _trace(0, k1, k2))
-        return _divexact(_combine(zip((_ONE, _neg(c1), c2), near)), c3)
+        return _recur(lambda n: (n, k1, k2), 2, j, (c1, _neg(c2), c3))
     if abs(k1) >= 2:
         return _recur(lambda n: (j, n, k2), 2 if k1 > 0 else -2, k1, _level_coeffs("U1", k1 > 0))
     if abs(k2) >= 2:
@@ -277,7 +251,7 @@ def trace_formula(g: int, k1: int, k2: int) -> PhiElem:
     s_(g-1) of the recurrences from the seed traces, and re-expanded at
     weight 2g - 2.  A negative g or g + |k1| + |k2| > MAX_REQUEST is a
     ValueError.  Raises ReductionError when a trace or coefficient of the
-    operators breaks its weight or the genus-0 quotient does not divide.
+    operators breaks its weight, or det U1 or det U2 is not 1.
     """
     if g < 0:
         raise ValueError("genus must be nonnegative")

@@ -256,8 +256,10 @@ class TestMatPower:
         )
         # det U = 1, so the adjugate is the inverse
         for name in ("U1", "U2"):
-            assert mat_det(build_operator(name)) == ONE
-            assert mat_eq(mat_adjugate(build_operator(name)), build_operator(name + "inv"))
+            u = build_operator(name)
+            adj = mat_adjugate(u)
+            assert mat_det(u, adj) == ONE
+            assert mat_eq(adj, build_operator(name + "inv"))
 
     def test_power_zero(self):
         assert mat_eq(mat_power(build_operator("G"), 0), mat_identity())
@@ -287,7 +289,7 @@ class TestMatPower:
         # B is singular, and mat_power takes no inverse: a negative power is
         # rejected
         b = build_operator("B")
-        assert mat_det(b).is_zero
+        assert mat_det(b, mat_adjugate(b)).is_zero
         with pytest.raises(ValueError, match="nonnegative"):
             mat_power(b, -1)
 
@@ -398,7 +400,8 @@ class TestCayleyHamilton:
 
     def test_characteristic_polynomial(self):
         gmat = build_operator("G")
-        c1, c2, c3 = mat_trace(gmat), mat_trace(mat_adjugate(gmat)), mat_det(gmat)
+        adj = mat_adjugate(gmat)
+        c1, c2, c3 = mat_trace(gmat), mat_trace(adj), mat_det(gmat, adj)
         folded = gluing._char_poly("G", 2)
         assert tuple(map(_unfold, folded, (2, 4, 6))) == tuple(map(_unfold, (c1, c2, c3)))
         rhs = mat_add(
@@ -416,9 +419,22 @@ class TestCayleyHamilton:
                 want = _unfold(mat_trace_mul(gpowers[g - 1], w))
                 assert trace_formula(g, k1, k2) == want, (g, k1, k2)
 
+    def test_every_seed_is_its_trace(self, level_words):
+        gmat = build_operator("G")
+        adj = mat_adjugate(gmat)
+        det = _unfold(mat_det(gmat, adj))
+        for a, b in product((-1, 0, 1), repeat=2):
+            w = level_words[a, b]
+            for j, gpow in ((0, mat_identity()), (1, gmat)):
+                want = gluing._at_phi_one(mat_trace_mul(gpow, w), 2 * j, "seed")
+                assert gluing._seed(j, a, b) == want, (j, a, b)
+            want = laurent_divexact(_unfold(mat_trace_mul(adj, w)), det)
+            assert gluing._unfold(gluing._seed(-1, a, b), -2) == want, (a, b)
+
     def test_genus_zero_matches_adjugate_quotient(self, level_words):
         gmat = build_operator("G")
-        adj, det = mat_adjugate(gmat), mat_det(gmat)
+        adj = mat_adjugate(gmat)
+        det = mat_det(gmat, adj)
         for (k1, k2), w in level_words.items():
             want = laurent_divexact(_unfold(mat_trace_mul(adj, w)), _unfold(det))
             assert trace_formula(0, k1, k2) == want, (k1, k2)
@@ -441,26 +457,39 @@ class TestFold:
         assert gluing._at_phi_one(folded, 4, "x y^2") == {(1, 2): 1}
         assert _unfold(folded) == got
 
-    def test_operator_breaking_the_weight_is_exit_3(self, monkeypatch, capsys):
-        # x phi^0 has weight 1, and G has weight 2: the trace of G is not
-        # homogeneous, so reading it at phi = 1 would lose its phi powers
-        gmat = build_operator("G")
-        bad = gmat[0][0] + _phi(XYRat({(1, 0): 1}), 0)
-        doctored = ((bad,) + gmat[0][1:],) + gmat[1:]
+    @staticmethod
+    def _assert_exit_3(monkeypatch, capsys, name, key, weight):
+        """Add x phi^0, of weight 1, to entry (0, 0) of the named operator:
+        the trace at key is then not homogeneous of its weight, so reading
+        it at phi = 1 would lose its phi powers."""
+        m = build_operator(name)
+        bad = m[0][0] + _phi(XYRat({(1, 0): 1}), 0)
+        doctored = ((bad,) + m[0][1:],) + m[1:]
         monkeypatch.setattr(
-            gluing, "build_operator", lambda name: doctored if name == "G" else build_operator(name)
+            gluing, "build_operator", lambda n: doctored if n == name else build_operator(n)
         )
         _clear_engine_caches()
+        g, k1, k2 = key
         try:
-            with pytest.raises(ReductionError, match="of weight 2$"):
-                trace_formula(2, 0, 0)
-            assert cli.main(["compute", "-g", "2"]) == 3
+            with pytest.raises(ReductionError, match=f"of weight {weight}$"):
+                trace_formula(*key)
+            argv = ["compute", "-g", str(g), "--level1", str(k1), "--level2", str(k2)]
+            assert cli.main(argv) == 3
             err = capsys.readouterr().err
             assert err.startswith("internal consistency error: ")
             assert len(err.splitlines()) == 1
         finally:
             monkeypatch.undo()
             _clear_engine_caches()
+
+    def test_operator_breaking_the_weight_is_exit_3(self, monkeypatch, capsys):
+        # G has weight 2, and the genus-2 trace runs through it
+        self._assert_exit_3(monkeypatch, capsys, "G", (2, 0, 0), 2)
+
+    def test_genus_zero_with_a_broken_level_operator_is_exit_3(self, monkeypatch, capsys):
+        # the genus-0 seed is the capped chain 1^T U1 w, of weight -2: it
+        # runs through U1 and never through G
+        self._assert_exit_3(monkeypatch, capsys, "U1", (0, 1, 0), -2)
 
     def test_every_generator_entry_round_trips(self):
         # every coefficient is an XYRat, and the unfolded entry at t2 = 0 is
@@ -514,11 +543,13 @@ class TestOneCoefficientRing:
             entries += [e for t in tensors for e in t.entries]
             assert all(isinstance(c, XYRat) for e in entries for c in e.terms.values())
             folded = gluing._trace(9, 2, -1)
+            genus_zero = gluing._trace(-1, 2, -1)
             scalar = evaluate_word(closed_surface_word(2, 1, -1)).scalar()
         finally:
             monkeypatch.undo()
             self._clear()
         assert gluing._unfold(folded, 18) == trace_formula(10, 2, -1)
+        assert gluing._unfold(genus_zero, -2) == trace_formula(0, 2, -1)
         assert _unfold(scalar) == trace_formula(2, 1, -1)
 
 
