@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import product
 
 from . import SUITES
-from .exactring import TPoly, TRat, XYRat
+from .exactring import TPoly, XYRat, _xy_times_forms
 from .phicalc import PhiElem, laurent_divexact
 from .operators import (
     INV_WEIGHTS,
@@ -34,6 +33,7 @@ from .operators import (
 )
 from .gluing import (
     MAX_REQUEST,
+    _reader,
     _unfold,
     mat_adjugate,
     mat_det,
@@ -42,7 +42,6 @@ from .gluing import (
     mat_trace_mul,
     trace_formula,
 )
-from .partition import SpaceParams, class_component
 from .words import (
     build_cap,
     build_handle,
@@ -56,17 +55,8 @@ from .words import (
     split_classes,
 )
 
-# The paper's closed forms are checked in t0, t1, t2 against the re-expanded
-# Z; the generator identities are checked folded, in Z[x, y] (see operators).
-_T = (TPoly.var(0), TPoly.var(1), TPoly.var(2))
-
-
-def _td(i: int, j: int) -> TPoly:
-    """t_i - t_j, in t."""
-    return _T[i] - _T[j]
-
-
-_Q = _td(0, 1) * _td(0, 2) + _td(1, 0) * _td(1, 2) + _td(2, 0) * _td(2, 1)
+# The paper's closed forms and the generator identities are checked folded,
+# in Z[x, y] (see operators); a failure is reported in t0, t1, t2.
 
 
 def _coeff(e: PhiElem, m: int) -> XYRat:
@@ -99,16 +89,14 @@ def mat_power(m: Op3, e: int) -> Op3:
     return result
 
 
-@dataclass
 class CheckReport:
     """Outcome of one verification sweep."""
 
-    check_id: str
-    swept: str
-    passed: bool = True
-    failures: list[str] = field(default_factory=list)
-    cases: int = 0
-    elapsed: float = 0.0
+    __slots__ = ("check_id", "swept", "passed", "failures", "cases", "elapsed")
+
+    def __init__(self, check_id: str, swept: str):
+        self.check_id, self.swept = check_id, swept
+        self.passed, self.failures, self.cases, self.elapsed = True, [], 0, 0.0
 
     def record(self, params: str, expected, got) -> None:
         self.passed = False
@@ -117,10 +105,11 @@ class CheckReport:
     def ok(self) -> None:
         self.cases += 1
 
-    def check(self, params: str, expected, got) -> None:
+    def check(self, params: str, expected, got, show=str) -> None:
+        """Count a case; a failure records both sides as show writes them."""
         self.cases += 1
         if expected != got:
-            self.record(params, expected, got)
+            self.record(params, show(expected), show(got))
 
     def summary(self) -> str:
         state = "pass" if self.passed else "FAIL"
@@ -152,22 +141,28 @@ def verify_calabi_yau(g_max: int = 6, k_max: int = 6) -> CheckReport:
     """Z restricted to a Calabi-Yau section class equals 3^g phi^(2g-2)."""
     t0 = time.monotonic()
     rep = CheckReport("calabi_yau", f"0<=g<={g_max}, 0<=k<={k_max}, 3 | 2g-2-k")
+    read = _reader()
     for g in range(g_max + 1):
         for k in range(k_max + 1):
             if (2 * g - 2 - k) % 3 != 0:
                 continue
             n = (2 * g - 2 - k) // 3
-            got = class_component(SpaceParams(g, 0, k), n)
-            expected = PhiElem.term(3 ** g, 2 * g - 2)
-            rep.check(f"g={g}, k={k}, n={n}", expected, got)
+            m = 2 * g - 2  # = k + 3n, the class of Calabi-Yau degree 0
+            got = _phi(_coeff(read(g, 0, k), m), m)
+            rep.check(f"g={g}, k={k}, n={n}", _phi(3 ** g, m), got, _unfold)
     return _timed(rep, t0)
 
 
 # -- extreme-class closed forms ------------------------------------------------
 
 
-def _pow(p: TPoly, e: int) -> TRat:
-    return TRat.from_poly(p) ** e
+def _dpow(i: int, j: int, e: int) -> XYRat:
+    """(t_i - t_j)^e, folded: t0 - t1, t0 - t2 and t1 - t2 fold to x - y, x
+    and y, and a negative e (at g = 0) puts the form in the denominator."""
+    forms = [0, 0, 0]
+    forms[i + j - 1] = abs(e)
+    num = {(0, 0): -1 if i > j and e % 2 else 1}
+    return XYRat(num, tuple(forms)) if e < 0 else XYRat(_xy_times_forms(num, forms))
 
 
 def verify_special_cases(g_max: int = 5, k_max: int = 4, g_max_level0: int = 8) -> CheckReport:
@@ -185,75 +180,59 @@ def verify_special_cases(g_max: int = 5, k_max: int = 4, g_max_level0: int = 8) 
         "special_cases",
         f"0<=g<={g_max}, |k|<={k_max}; level-(0,0) family up to g={g_max_level0}",
     )
+    read = _reader()
+
+    def check(params: str, g: int, k1: int, k2: int, n: int, expected: XYRat | int) -> None:
+        # the class n of Z(g | k1, k2) is its phi^(k1 + k2 + 3n) coefficient
+        m = k1 + k2 + 3 * n
+        rep.check(params, _phi(expected, m), _phi(_coeff(read(g, k1, k2), m), m), _unfold)
 
     # creation on the first factor, annihilation on the second
     for g in range(g_max + 1):
         for k1 in range(1, k_max + 1):
             for k2 in range(0, k_max + 1):
-                expected = PhiElem.term(
-                    _pow(_td(1, 0), g + k1 - 1) * _pow(_td(1, 2), g + k1 + k2 - 1),
-                    -2 * k1 - k2,
-                )
-                got = class_component(SpaceParams(g, k1, -k2), -k1)
-                rep.check(f"first-creation g={g}, k1={k1}, k2={k2}", expected, got)
+                expected = _dpow(1, 0, g + k1 - 1) * _dpow(1, 2, g + k1 + k2 - 1)
+                check(f"first-creation g={g}, k1={k1}, k2={k2}", g, k1, -k2, -k1, expected)
 
     # creation on the second factor, annihilation on the first
     for g in range(g_max + 1):
         for k2 in range(1, k_max + 1):
             for k1 in range(0, k_max + 1):
-                expected = PhiElem.term(
-                    _pow(_td(2, 0), g + k2 - 1) * _pow(_td(2, 1), g + k1 + k2 - 1),
-                    -2 * k2 - k1,
-                )
-                got = class_component(SpaceParams(g, -k1, k2), -k2)
-                rep.check(f"second-creation g={g}, k1={k1}, k2={k2}", expected, got)
+                expected = _dpow(2, 0, g + k2 - 1) * _dpow(2, 1, g + k1 + k2 - 1)
+                check(f"second-creation g={g}, k1={k1}, k2={k2}", g, -k1, k2, -k2, expected)
 
     # equal creation on both factors
     for g in range(g_max + 1):
         for k in range(1, k_max + 1):
-            expected = PhiElem.term(
-                _pow(_td(1, 0), g + k - 1) * _pow(_td(1, 2), g - 1)
-                + _pow(_td(2, 0), g + k - 1) * _pow(_td(2, 1), g - 1),
-                -k,
-            )
-            got = class_component(SpaceParams(g, k, k), -k)
-            rep.check(f"balanced-creation g={g}, k={k}", expected, got)
+            expected = (_dpow(1, 0, g + k - 1) * _dpow(1, 2, g - 1)
+                        + _dpow(2, 0, g + k - 1) * _dpow(2, 1, g - 1))
+            check(f"balanced-creation g={g}, k={k}", g, k, k, -k, expected)
 
     # pure annihilation, distinguished-section class
     for g in range(g_max + 1):
         for k1 in range(0, k_max + 1):
             for k2 in range(0, k_max + 1):
                 if k1 > 0 and k2 > 0:
-                    val = _pow(_td(0, 1), g + k1 - 1) * _pow(_td(0, 2), g + k2 - 1)
+                    expected = _dpow(0, 1, g + k1 - 1) * _dpow(0, 2, g + k2 - 1)
                 elif k1 > 0:
-                    val = _pow(_td(0, 1), g + k1 - 1) * _pow(_td(0, 2), g - 1) + _pow(
-                        _td(2, 0), g - 1
-                    ) * _pow(_td(2, 1), g + k1 - 1)
+                    expected = (_dpow(0, 1, g + k1 - 1) * _dpow(0, 2, g - 1)
+                                + _dpow(2, 0, g - 1) * _dpow(2, 1, g + k1 - 1))
                 elif k2 > 0:
-                    val = _pow(_td(0, 1), g - 1) * _pow(_td(0, 2), g + k2 - 1) + _pow(
-                        _td(1, 0), g - 1
-                    ) * _pow(_td(1, 2), g + k2 - 1)
+                    expected = (_dpow(0, 1, g - 1) * _dpow(0, 2, g + k2 - 1)
+                                + _dpow(1, 0, g - 1) * _dpow(1, 2, g + k2 - 1))
                 else:
-                    val = (
-                        _pow(_td(0, 1), g - 1) * _pow(_td(0, 2), g - 1)
-                        + _pow(_td(1, 0), g - 1) * _pow(_td(1, 2), g - 1)
-                        + _pow(_td(2, 0), g - 1) * _pow(_td(2, 1), g - 1)
-                    )
-                expected = PhiElem.term(val, -(k1 + k2))
-                got = class_component(SpaceParams(g, -k1, -k2), 0)
-                rep.check(f"annihilation g={g}, k1={k1}, k2={k2}", expected, got)
+                    expected = (_dpow(0, 1, g - 1) * _dpow(0, 2, g - 1)
+                                + _dpow(1, 0, g - 1) * _dpow(1, 2, g - 1)
+                                + _dpow(2, 0, g - 1) * _dpow(2, 1, g - 1))
+                check(f"annihilation g={g}, k1={k1}, k2={k2}", g, -k1, -k2, 0, expected)
 
-    # level (0,0), largest class with 3n <= 2g-2
+    # level (0,0), largest class with 3n <= 2g-2; sum(WEIGHTS) is the
+    # folded Q = sum over i of (t_i - t_j)(t_i - t_k)
     for g in range(1, g_max_level0 + 1):
         n = (2 * g - 2) // 3
-        if g % 3 == 0:
-            expected = PhiElem.zero()
-        elif g % 3 == 1:
-            expected = PhiElem.term(3 ** g, 2 * g - 2)
-        else:
-            expected = PhiElem.term(TRat.from_poly(_Q.scale(3 ** (g - 2) * (g - 1))), 2 * g - 4)
-        got = class_component(SpaceParams(g, 0, 0), n)
-        rep.check(f"top-class g={g}, n={n}", expected, got)
+        # by g mod 3: 0, 3^g phi^(2g - 2) and 3^(g - 2) (g - 1) Q phi^(2g - 4)
+        expected = (0, 3 ** g, sum(WEIGHTS) * (3 ** g // 9 * (g - 1)))[g % 3]
+        check(f"top-class g={g}, n={n}", g, 0, 0, n, expected)
 
     return _timed(rep, t0)
 
@@ -330,12 +309,12 @@ def verify_gluing_derivations(word_g_max: int = 3, word_k_max: int = 2) -> Check
     _operator_identities(rep)
 
     # closed-surface words reproduce the trace formula
+    read = _reader()
     for g in range(word_g_max + 1):
         for k1 in range(-word_k_max, word_k_max + 1):
             for k2 in range(-word_k_max, word_k_max + 1):
-                word = closed_surface_word(g, k1, k2)
-                got = _unfold(evaluate_word(word).scalar())
-                rep.check(f"word g={g}, k1={k1}, k2={k2}", trace_formula(g, k1, k2), got)
+                got = evaluate_word(closed_surface_word(g, k1, k2)).scalar()
+                rep.check(f"word g={g}, k1={k1}, k2={k2}", read(g, k1, k2), got, _unfold)
 
     return _timed(rep, t0)
 
@@ -606,10 +585,10 @@ def _special_bounds(g_max: int | None, k_max: int | None) -> tuple[int, int, int
 
 
 def largest_request(suite: str, g_max: int | None = None, k_max: int | None = None) -> int:
-    """The largest g + |k1| + |k2| that the selected suites pass to
-    trace_formula when run_checks runs them with these bounds, or 0 when
-    they request none that grows with the bounds.  The gluing and numeric
-    suites request fixed keys, all of size at most 10."""
+    """The largest g + |k1| + |k2| that the selected suites request (the
+    folded ones through gluing._reader) when run_checks runs them with these
+    bounds, or 0 when they request none that grows with the bounds.  The
+    gluing and numeric suites request fixed keys, all of size at most 10."""
     largest = 0
     if suite in ("all", "cy"):
         gm, km = _cy_bounds(g_max, k_max)

@@ -124,6 +124,99 @@ class TestNumericCrosscheck:
             assert numeric_trace(12, k1, k2, point) == sym, (k1, k2)
 
 
+@pytest.fixture
+def break_engine(monkeypatch):
+    """break_engine(name, wrap) replaces gluing.<name> by wrap(original),
+    with the memo of results cleared before and after the test."""
+    from gwtqft import gluing
+
+    def patch(name, wrap):
+        monkeypatch.setattr(gluing, name, wrap(getattr(gluing, name)))
+        trace_formula.cache_clear()
+
+    yield patch
+    monkeypatch.undo()
+    trace_formula.cache_clear()
+
+
+def _seed_off_by_one(seed):
+    # the x^2 coefficient of tr(G) = x^2 - x y + y^2 plus 1
+    def broken(*key):
+        s = seed(*key)
+        return {**s, (2, 0): s[2, 0] + 1} if key == (1, 0, 0) else s
+
+    return broken
+
+
+def _shift_with_t2_flipped(shift):
+    # num(t0 + t2, t1 + t2) instead of num(t0 - t2, t1 - t2)
+    from gwtqft.exactring import TPoly
+
+    return lambda num: TPoly({e: -c if e[2] % 2 else c for e, c in shift(num).terms.items()})
+
+
+class TestFaultInjection:
+    def test_broken_seed_fails_the_closed_forms_in_t(self, break_engine):
+        break_engine("_seed", _seed_off_by_one)
+        rep = verify_special_cases()
+        assert rep.cases == 422
+        assert len(rep.failures) == 79
+        # the folded comparison reports both sides re-expanded in t0, t1, t2
+        assert rep.failures[0] == (
+            "balanced-creation g=2, k=2: expected (3*t0^2*t1^2 - 6*t0^2*t1*t2 + 3*t0^2*t2^2"
+            " - 3*t0*t1^3 + 3*t0*t1^2*t2 + 3*t0*t1*t2^2 - 3*t0*t2^3 + t1^4 - t1^3*t2"
+            " - t1*t2^3 + t2^4)*phi^-2, got (t0^4 - t0^3*t1 - 3*t0^3*t2 + t0^2*t1^2"
+            " + t0^2*t1*t2 + 4*t0^2*t2^2 - 3*t0*t1^3 + 7*t0*t1^2*t2 - 8*t0*t1*t2^2 + t1^4"
+            " - t1^3*t2 - 2*t1^2*t2^2 + 4*t1*t2^3 - t2^4)*phi^-2"
+        )
+        assert not any("XYRat" in f for f in rep.failures)
+
+    def test_broken_seed_fails_the_words(self, break_engine):
+        break_engine("_seed", _seed_off_by_one)
+        rep = verify_gluing_derivations()
+        assert not rep.passed
+        assert rep.failures[0].startswith("word g=2, k1=-2, k2=-2: expected (")
+        assert not any("XYRat" in f for f in rep.failures)
+
+    def test_broken_shift_fails_the_numeric_suite(self, break_engine):
+        # the folded suites never re-expand a passing case; the numeric one
+        # compares the re-expanded Z, so it is the check of _unfold
+        break_engine("_shift", _shift_with_t2_flipped)
+        assert verify_calabi_yau().passed
+        assert verify_special_cases().passed
+        (rep,) = run_checks("numeric")
+        assert not rep.passed
+
+
+class TestSweepReads:
+    @pytest.mark.parametrize("suite", [verify_calabi_yau, verify_special_cases])
+    def test_direct_call_above_the_limit_is_rejected(self, suite, monkeypatch):
+        from gwtqft import gluing
+
+        monkeypatch.setattr(gluing, "MAX_REQUEST", 4)
+        with pytest.raises(ValueError, match="above the limit 4$"):
+            suite()
+
+    @pytest.mark.parametrize("suite", [
+        verify_calabi_yau, verify_special_cases, verify_gluing_derivations,
+    ])
+    def test_a_suite_walks_each_line_once(self, suite, monkeypatch):
+        from collections import Counter
+
+        from gwtqft import gluing
+
+        walked = Counter()
+        line = gluing._line
+
+        def counted(k1, k2):
+            walked[k1, k2] += 1
+            return line(k1, k2)
+
+        monkeypatch.setattr(gluing, "_line", counted)
+        suite()
+        assert walked and set(walked.values()) == {1}
+
+
 class TestOverlapConsistency:
     def test_annihilation_family_agrees_with_calabi_yau(self):
         # wherever the pure-annihilation family hits virtual dimension zero,
@@ -206,16 +299,14 @@ class TestRunner:
             run_checks(suite, **bounds)
 
     def test_largest_request_is_the_largest_key_requested(self, monkeypatch):
-        # every key the bounded suites pass to trace_formula, recorded
-        from gwtqft import gluing
-
+        # every key the bounded suites read from their folded-trace reader, recorded
         keys = []
 
         def record(g, k1, k2):
             keys.append(g + abs(k1) + abs(k2))
             return PhiElem.zero()
 
-        monkeypatch.setattr(gluing, "trace_formula", record)
+        monkeypatch.setattr(checks, "_reader", lambda: record)
         for g_max in (None, 0, 1, 2, 3, 4):
             for k_max in (None, 0, 1, 2, 3):
                 for suite, run in (

@@ -137,6 +137,27 @@ class TestVerify:
         assert code == 0
         assert "semisimplicity: pass" in out
 
+    def test_all_suites_json_is_pinned(self, capsys):
+        # every field but the timing
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "1",
+                               "--format", "json")
+        assert code == 0
+        docs = [json.loads(line) for line in out.splitlines()]
+        for doc in docs:
+            del doc["elapsed"]
+        assert docs == [
+            {"cases": 16, "check_id": "calabi_yau", "failures": [], "passed": True,
+             "swept": "0<=g<=6, 0<=k<=6, 3 | 2g-2-k"},
+            {"cases": 323, "check_id": "gluing_derivations", "failures": [], "passed": True,
+             "swept": "generator identities; words g<=3, |k|<=2"},
+            {"cases": 20, "check_id": "numeric_crosscheck", "failures": [], "passed": True,
+             "swept": "seed=1, trials=20"},
+            {"cases": 54, "check_id": "semisimplicity", "failures": [], "passed": True,
+             "swept": "structure constants at u = 0"},
+            {"cases": 422, "check_id": "special_cases", "failures": [], "passed": True,
+             "swept": "0<=g<=5, |k|<=4; level-(0,0) family up to g=8"},
+        ]
+
 
 class TestWord:
     def test_scalar_word(self, capsys):
@@ -501,6 +522,12 @@ class TestStartup:
     ], ids=["word", "verify"])
     def test_word_and_verify_load_word_code(self, argv):
         assert "gwtqft.words" in _loaded_modules(argv)
+
+    def test_verify_loads_no_dataclasses(self):
+        # dataclasses imports inspect, which costs milliseconds per process
+        loaded = _loaded_modules(("verify", "--suite", "cy", "--gmax", "0", "--kmax", "0"))
+        assert "gwtqft.checks" in loaded
+        assert "dataclasses" not in loaded
 
 
 class TestLatex:
