@@ -509,7 +509,7 @@ def _numeric_operator(name: str, point) -> Op3:
     """The operator with every coefficient evaluated at a t-point: Fraction
     coefficients, phi formal."""
     return tuple(
-        tuple(PhiElem._raw(e.evaluate_t(point)) for e in row) for row in build_operator(name)
+        tuple(PhiElem(e.evaluate_t(point)) for e in row) for row in build_operator(name)
     )
 
 
@@ -517,7 +517,7 @@ def _chain_trace(factors: list[Op3]) -> PhiElem:
     """Trace of the product of the factors, one multiplication per factor
     (never mat_power's binary powering)."""
     if not factors:
-        return PhiElem._raw({0: Fraction(3)})
+        return PhiElem({0: Fraction(3)})
     *head, last = factors
     return mat_trace_mul(reduce(mat_mul, head), last) if head else mat_trace(last)
 

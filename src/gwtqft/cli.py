@@ -34,8 +34,8 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import SUITES, __version__
-from .exactring import TPoly, TRat
-from .phicalc import PhiElem, ReductionError
+from .exactring import ReductionError, TPoly, TRat
+from .phicalc import PhiElem
 from .partition import (
     MAX_ORDER,
     SpaceParams,

@@ -16,9 +16,11 @@ A denominator outside those products raises ReductionError.
 XYRat is the same fraction folded at t2 = 0: a numerator in Z[x, y],
 x = t0 - t2 and y = t1 - t2, over (x - y)^a x^b y^c.  Every weight,
 operator, tensor and trace of the theory is translation invariant, so the
-generators are built, multiplied and glued in this ring alone; TRat holds
-the re-expanded outputs and the paper's closed forms in t.  All values are
-immutable after construction and safe to share between threads.
+generators are built, multiplied and glued in this ring alone, and the
+paper's closed forms are checked in it.  TRat only holds the re-expanded
+outputs and the fractions parsed from JSON input; it adds and multiplies
+another TRat and has no division.  All values are immutable after construction and safe to
+share between threads.
 """
 
 from __future__ import annotations
@@ -322,8 +324,9 @@ def _point(point: Sequence[Fraction | int]) -> tuple[Fraction, Fraction, Fractio
 
 class ReductionError(ArithmeticError):
     """A quotient that the theory guarantees to reduce did not: a denominator
-    outside the products of (ti - tj), or a phi-polynomial quotient that is
-    not a Laurent polynomial.  Signals a bug or a misuse of the genus-0 path."""
+    outside the products of (ti - tj), a trace of the engine that is not an
+    integer polynomial of its weight, or a phi-polynomial quotient that is
+    not a Laurent polynomial.  Signals a bug, never a bad request."""
 
 
 class TRat:
@@ -369,14 +372,6 @@ class TRat:
             num = num.scale(Fraction(1) / lc)
         return cls._reduced(num, dexp)
 
-    @classmethod
-    def const(cls, c) -> "TRat":
-        return cls(TPoly.const(c))
-
-    @classmethod
-    def from_poly(cls, p: TPoly) -> "TRat":
-        return cls(p)
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -396,10 +391,9 @@ class TRat:
         return not any(self.dexp)
 
     def __eq__(self, other):
-        o = _as_rat(other)
-        if o is None:
+        if not isinstance(other, TRat):
             return NotImplemented
-        return self.num == o.num and self.dexp == o.dexp
+        return self.num == other.num and self.dexp == other.dexp
 
     def __hash__(self):
         return hash((self.num, self.dexp))
@@ -407,65 +401,36 @@ class TRat:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        o = _as_rat(other)
-        if o is None:
+        if not isinstance(other, TRat):
             return NotImplemented
-        if self.dexp == o.dexp:
-            return TRat._reduced(self.num + o.num, self.dexp)
-        dexp = tuple(map(max, self.dexp, o.dexp))
+        if self.dexp == other.dexp:
+            return TRat._reduced(self.num + other.num, self.dexp)
+        dexp = tuple(map(max, self.dexp, other.dexp))
         n1 = _times_forms(self.num, [m - k for m, k in zip(dexp, self.dexp)])
-        n2 = _times_forms(o.num, [m - k for m, k in zip(dexp, o.dexp)])
+        n2 = _times_forms(other.num, [m - k for m, k in zip(dexp, other.dexp)])
         return TRat._reduced(n1 + n2, dexp)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return TRat(-self.num, self.dexp)
 
     def __sub__(self, other):
-        o = _as_rat(other)
-        if o is None:
+        if not isinstance(other, TRat):
             return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __mul__(self, other):
-        o = _as_rat(other)
-        if o is None:
+        if not isinstance(other, TRat):
             return NotImplemented
-        if not self.num or not o.num:
+        if not self.num or not other.num:
             return RAT_ZERO
         # each numerator is already coprime to its own denominator, so
         # cancelling it against the other denominator gives canonical form
-        n1, k2 = _cancel_forms(self.num, o.dexp)
-        n2, k1 = _cancel_forms(o.num, self.dexp)
+        n1, k2 = _cancel_forms(self.num, other.dexp)
+        n2, k1 = _cancel_forms(other.num, self.dexp)
         return TRat(
             n1 * n2,
-            tuple(a - i + b - j for a, i, b, j in zip(self.dexp, k1, o.dexp, k2)),
+            tuple(a - i + b - j for a, i, b, j in zip(self.dexp, k1, other.dexp, k2)),
         )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _as_rat(other)
-        if o is None:
-            return NotImplemented
-        return self * o.reciprocal()
-
-    def reciprocal(self) -> "TRat":
-        """1 / self; ReductionError unless num is a product of the linear forms."""
-        if not self.num:
-            raise ZeroDivisionError("zero has no reciprocal")
-        return TRat.make(self.den, self.num)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise ValueError("rational function powers need an integer")
-        if n == 0:
-            return RAT_ONE
-        if n < 0:
-            return self.reciprocal() ** (-n)
-        # canonical form is preserved by termwise powers
-        return TRat(self.num**n, tuple(n * k for k in self.dexp))
 
     # -- evaluation and grading ----------------------------------------------
 
@@ -504,7 +469,6 @@ class TRat:
 
 
 RAT_ZERO = TRat(TPoly.zero())
-RAT_ONE = TRat(TPoly.one())
 
 
 def _as_poly(x) -> TPoly:
@@ -513,23 +477,6 @@ def _as_poly(x) -> TPoly:
     if isinstance(x, (int, Fraction)):
         return TPoly.const(x)
     raise TypeError(f"cannot interpret {x!r} as a polynomial")
-
-
-def _as_rat(x) -> TRat | None:
-    if isinstance(x, TRat):
-        return x
-    if isinstance(x, TPoly):
-        return TRat.from_poly(x)
-    if isinstance(x, (int, Fraction)):
-        return TRat.const(x)
-    return None
-
-
-def as_rat(x) -> TRat:
-    r = _as_rat(x)
-    if r is None:
-        raise TypeError(f"cannot interpret {x!r} as a rational function")
-    return r
 
 
 # -- folded fractions over Z[x, y] ---------------------------------------------
@@ -804,7 +751,7 @@ def parse_rat(s: str) -> TRat:
     """Parse the canonical fraction string form "num / den"."""
     parts = s.split(" / ")
     if len(parts) == 1:
-        return TRat.from_poly(parse_poly(parts[0]))
+        return TRat(parse_poly(parts[0]))
     if len(parts) == 2:
         return TRat.make(parse_poly(parts[0]), parse_poly(parts[1]))
     raise ValueError("malformed fraction string")

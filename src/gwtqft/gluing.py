@@ -131,7 +131,7 @@ def _unfold(f, weight: int | None = None) -> PhiElem:
     """
     if weight is not None:
         f = _graded(f, weight)
-    return PhiElem._raw({m: TRat(_shift(c.num), c.dexp) for m, c in f.terms.items()})
+    return PhiElem({m: TRat(_shift(c.num), c.dexp) for m, c in f.terms.items()})
 
 
 def _graded(f: _XYPoly, weight: int) -> PhiElem:
@@ -140,7 +140,7 @@ def _graded(f: _XYPoly, weight: int) -> PhiElem:
     parts: dict[int, _XYPoly] = {}
     for (a, b), c in f.items():
         parts.setdefault(weight - a - b, {})[a, b] = c
-    return PhiElem._raw({m: XYRat(h) for m, h in parts.items()})
+    return PhiElem({m: XYRat(h) for m, h in parts.items()})
 
 
 def _at_phi_one(p: PhiElem, weight: int, what: str) -> _XYPoly:

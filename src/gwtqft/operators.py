@@ -58,7 +58,7 @@ def _phi(coeff: XYRat | int, m: int) -> PhiElem:
     """coeff * phi^m, folded."""
     if type(coeff) is int:
         coeff = XYRat.const(coeff)
-    return PhiElem._raw({m: coeff} if coeff else {})
+    return PhiElem.term(coeff, m)
 
 
 #: the folded unit

@@ -58,7 +58,7 @@ def class_degree(p: SpaceParams, n: int) -> int:
 def class_component(p: SpaceParams, n: int) -> PhiElem:
     """The class beta0 + n f part of Z: its phi^(k1 + k2 + 3n) term."""
     m = p.k1 + p.k2 + 3 * n
-    return PhiElem.term(compute_Z(p).coeff(m), m)
+    return PhiElem.term(compute_Z(p).terms.get(m), m)
 
 
 def support(p: SpaceParams) -> list[int]:
@@ -117,7 +117,8 @@ def genus_expansion(p: SpaceParams, n: int, h_max: int, order: int | None = None
         for h in range(h_max + 1):
             i, odd = divmod(2 * h - 2 + d - m, 2)
             if i >= 0 and not odd:
-                rows[h] = (h, c * f[i])
+                # a nonzero rational scale keeps c canonical
+                rows[h] = (h, TRat(c.num.scale(f[i]), c.dexp) if f[i] else RAT_ZERO)
     return rows
 
 

@@ -1,70 +1,47 @@
-"""Laurent polynomials in phi = 2 sin(u/2) over Q(t0, t1, t2), and the
-u-expansion of one phi power.
+"""Laurent polynomials in phi = 2 sin(u/2), and the u-expansion of one phi
+power.
 
 Every partition function in this library is a PhiElem: finitely many powers
-of phi with TRat coefficients.  A fiber class of a partition function is one
-of its phi powers (see ``partition``), so classes are read off the phi
-grading.  The fixed-genus invariants of a class are u-coefficients of that
-single term c * phi^m; ``phi_pow_coeffs`` gives exactly as many of them as
-a table asks for, so nothing is ever silently approximated.
+of phi with coefficients in one ring.  A fiber class of a partition function
+is one of its phi powers (see ``partition``), so classes are read off the
+phi grading.  The fixed-genus invariants of a class are u-coefficients of
+that single term c * phi^m; ``phi_pow_coeffs`` gives exactly as many of them
+as a table asks for, so nothing is ever silently approximated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
-from .exactring import RAT_ZERO, ReductionError, TPoly, TRat, _point, as_rat
+from .exactring import ReductionError, TRat, _point, parse_poly
 
 
 class PhiElem:
-    """Laurent polynomial in phi with TRat coefficients.
+    """Laurent polynomial in phi: ``terms`` maps integer phi-exponents
+    (possibly negative) to nonzero coefficients of one kind.
 
-    ``terms`` maps integer phi-exponents (possibly negative) to nonzero TRat
-    coefficients.  Immutable by convention.  The generators, the trace
-    engine and the word path hold folded elements instead: PhiElems built
-    with ``_raw`` whose coefficients are XYRat (see ``operators``), and the
-    numeric cross-check holds ones with plain Fraction coefficients.  +, -
-    and * work on them coefficientwise as on TRat ones; coefficients of two
-    kinds never mix, and ``gluing._unfold`` turns a folded element into a
-    TRat one for output.
+    The generators, the trace engine and the word path hold XYRat
+    coefficients, folded at t2 = 0 (see ``operators``); ``gluing._unfold``
+    re-expands them into TRat coefficients in t0, t1, t2 for output; and the
+    numeric cross-check holds plain Fractions.  The constructor trusts its
+    terms, and +, - and * work coefficientwise the same way on every kind;
+    coefficients of two kinds never mix.  Immutable by convention.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[int, TRat] | None = None):
-        clean: dict[int, TRat] = {}
-        if terms:
-            for m, c in terms.items():
-                c = as_rat(c)
-                if not c.is_zero:
-                    clean[m] = c
-        self.terms = clean
-
-    @classmethod
-    def _raw(cls, terms: dict[int, TRat]) -> "PhiElem":
-        e = object.__new__(cls)
-        e.terms = terms
-        return e
+    def __init__(self, terms: dict):
+        self.terms = terms
 
     @classmethod
     def zero(cls) -> "PhiElem":
-        return cls._raw({})
+        return cls({})
 
     @classmethod
-    def const(cls, c) -> "PhiElem":
-        c = as_rat(c)
-        return cls._raw({0: c} if not c.is_zero else {})
-
-    @classmethod
-    def one(cls) -> "PhiElem":
-        return cls.const(1)
-
-    @classmethod
-    def term(cls, coeff, m: int = 0) -> "PhiElem":
-        """coeff * phi^m"""
-        c = as_rat(coeff)
-        return cls._raw({m: c} if not c.is_zero else {})
+    def term(cls, c, m: int = 0) -> "PhiElem":
+        """c * phi^m"""
+        return cls({m: c} if c else {})
 
     # -- structure -----------------------------------------------------------
 
@@ -75,10 +52,7 @@ class PhiElem:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, m: int) -> TRat:
-        return self.terms.get(m, RAT_ZERO)
-
-    def items(self) -> list[tuple[int, TRat]]:
+    def items(self) -> list[tuple[int, object]]:
         return sorted(self.terms.items())
 
     def min_exp(self) -> int:
@@ -92,10 +66,9 @@ class PhiElem:
         return max(self.terms)
 
     def __eq__(self, other):
-        o = _as_phi(other)
-        if o is None:
+        if not isinstance(other, PhiElem):
             return NotImplemented
-        return self.terms == o.terms
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -103,11 +76,10 @@ class PhiElem:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        o = _as_phi(other)
-        if o is None:
+        if not isinstance(other, PhiElem):
             return NotImplemented
         acc = dict(self.terms)
-        for m, c in o.terms.items():
+        for m, c in other.terms.items():
             v = acc.get(m)
             if v is None:
                 acc[m] = c
@@ -117,28 +89,24 @@ class PhiElem:
                     acc[m] = v
                 else:
                     del acc[m]
-        return PhiElem._raw(acc)
-
-    __radd__ = __add__
+        return PhiElem(acc)
 
     def __neg__(self):
-        return PhiElem._raw({m: -c for m, c in self.terms.items()})
+        return PhiElem({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        o = _as_phi(other)
-        if o is None:
+        if not isinstance(other, PhiElem):
             return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __mul__(self, other):
-        o = _as_phi(other)
-        if o is None:
+        if not isinstance(other, PhiElem):
             return NotImplemented
-        if not self.terms or not o.terms:
-            return PhiElem._raw({})
-        acc: dict[int, TRat] = {}
+        if not self.terms or not other.terms:
+            return PhiElem({})
+        acc = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
+            for m2, c2 in other.terms.items():
                 m = m1 + m2
                 p = c1 * c2
                 v = acc.get(m)
@@ -150,22 +118,13 @@ class PhiElem:
                         acc[m] = v
                     else:
                         del acc[m]
-        return PhiElem._raw(acc)
-
-    __rmul__ = __mul__
+        return PhiElem(acc)
 
     # -- coefficientwise maps --------------------------------------------------
 
-    def map_coeffs(self, fn: Callable[[TRat], TRat]) -> "PhiElem":
-        acc: dict[int, TRat] = {}
-        for m, c in self.terms.items():
-            v = fn(c)
-            if v:
-                acc[m] = v
-        return PhiElem._raw(acc)
-
     def permute_vars(self, perm: Sequence[int]) -> "PhiElem":
-        return self.map_coeffs(lambda c: c.permute_vars(perm))
+        """Apply t_i -> t_perm[i] to every (TRat) coefficient."""
+        return PhiElem({m: c.permute_vars(perm) for m, c in self.terms.items()})
 
     def evaluate_t(self, point) -> dict[int, Fraction]:
         """Nonzero numeric coefficient values at a t-point; phi stays formal.
@@ -178,14 +137,6 @@ class PhiElem:
             if v:
                 out[m] = v
         return out
-
-    def scalar(self) -> TRat:
-        """The phi^0 coefficient of a phi-free element."""
-        if not self.terms:
-            return RAT_ZERO
-        if set(self.terms) != {0}:
-            raise ValueError("element is not phi-free")
-        return self.terms[0]
 
     # -- printing ----------------------------------------------------------------
 
@@ -210,11 +161,11 @@ class PhiElem:
 
     @classmethod
     def from_json_terms(cls, terms: list[dict]) -> "PhiElem":
-        from .exactring import parse_poly
-
-        acc: dict[int, TRat] = {}
+        acc = {}
         for t in terms:
-            acc[int(t["phi_exp"])] = TRat.make(parse_poly(t["num"]), parse_poly(t["den"]))
+            c = TRat.make(parse_poly(t["num"]), parse_poly(t["den"]))
+            if c:
+                acc[int(t["phi_exp"])] = c
         return cls(acc)
 
 
@@ -229,14 +180,6 @@ def _format_term(coeff_str: str, m: int) -> str:
     if " " in coeff_str:
         coeff_str = f"({coeff_str})"
     return f"{coeff_str}*{head}"
-
-
-def _as_phi(x) -> PhiElem | None:
-    if isinstance(x, PhiElem):
-        return x
-    if isinstance(x, (int, Fraction, TPoly, TRat)):
-        return PhiElem.const(x)
-    return None
 
 
 # -- the u-expansion of a phi power ---------------------------------------------
@@ -264,25 +207,26 @@ def phi_pow_coeffs(m: int, n: int) -> list[Fraction]:
 
 
 def laurent_divexact(num: PhiElem, den: PhiElem) -> PhiElem:
-    """Exact quotient num/den in the Laurent-polynomial ring over Q(t), or
-    over Q when both have Fraction coefficients.
+    """Exact quotient num/den of Laurent polynomials over Q, both with
+    Fraction coefficients: the numeric cross-check's genus-0 division.
 
     Raises ReductionError when den does not divide num.
     """
     if den.is_zero:
         raise ZeroDivisionError("division by zero phi-polynomial")
     if num.is_zero:
-        return PhiElem.zero()
+        return PhiElem({})
     dmin = den.min_exp()
-    dlead = den.coeff(dmin)
+    dlead = den.terms[dmin]
     max_q = num.max_exp() - den.max_exp()
-    quot: dict[int, TRat] = {}
+    quot: dict[int, Fraction] = {}
     rem = num
     while not rem.is_zero:
-        m = rem.min_exp() - dmin
+        low = rem.min_exp()
+        m = low - dmin
         if m > max_q:
             raise ReductionError("phi-polynomial quotient does not reduce")
-        c = rem.coeff(rem.min_exp()) / dlead
+        c = rem.terms[low] / dlead
         quot[m] = c
-        rem = rem - den * PhiElem._raw({m: c})
-    return PhiElem._raw(quot)
+        rem = rem - den * PhiElem({m: c})
+    return PhiElem(quot)

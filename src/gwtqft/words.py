@@ -332,7 +332,7 @@ def _dot(terms) -> PhiElem:
         c = _xy_fraction_sum(items)
         if c:
             total[m] = c
-    return PhiElem._raw(total)
+    return PhiElem(total)
 
 
 def contract(a: RelTensor, slot_a, b: RelTensor, slot_b) -> RelTensor:
@@ -448,7 +448,7 @@ def split_classes(t: RelTensor, level: int) -> dict[int, RelTensor]:
                 raise ReductionError(
                     f"phi^{m} in a tensor of level {level} breaks the mod-3 class grading"
                 )
-            parts.setdefault(n, [PhiElem.zero()] * len(t.entries))[i] = PhiElem._raw({m: c})
+            parts.setdefault(n, [PhiElem.zero()] * len(t.entries))[i] = PhiElem({m: c})
     return {n: RelTensor(t.variance, entries) for n, entries in sorted(parts.items())}
 
 

@@ -36,6 +36,12 @@ def weight(a: int) -> TPoly:
     return d(a, i) * d(a, j)
 
 
+def phi(c, m: int = 0) -> PhiElem:
+    """c * phi^m with a TRat coefficient: c is a TRat, or a TPoly, int or
+    Fraction read as a fraction over 1."""
+    return PhiElem.term(c if isinstance(c, TRat) else TRat.make(c), m)
+
+
 def unfold_tensor(tensor: RelTensor) -> RelTensor:
     """A folded tensor with every entry re-expanded in t."""
     return RelTensor(tensor.variance, [_unfold(e) for e in tensor.entries])
@@ -50,7 +56,7 @@ def unfold_matrix(m):
 
 def _diag(vals, m):
     return tuple(
-        tuple(PhiElem.term(vals[a], m) if a == b else PhiElem.zero() for b in LABELS)
+        tuple(phi(vals[a], m) if a == b else PhiElem.zero() for b in LABELS)
         for a in LABELS
     )
 
@@ -58,7 +64,7 @@ def _diag(vals, m):
 def _rows(num_rows, m):
     # entry (a, b) = num_rows[a][b] / T(x_a) at phi^m
     return tuple(
-        tuple(PhiElem.term(TRat.make(num_rows[a][b], weight(a)), m) for b in LABELS)
+        tuple(phi(TRat.make(num_rows[a][b], weight(a)), m) for b in LABELS)
         for a in LABELS
     )
 
@@ -111,11 +117,11 @@ def operator(name: str):
 def cap(level):
     z = PhiElem.zero()
     values = {
-        (0, 0): [PhiElem.one()] * 3,
-        (0, -1): [PhiElem.term(d(a, 2), -1) if a != 2 else z for a in LABELS],
-        (-1, 0): [PhiElem.term(d(a, 1), -1) if a != 1 else z for a in LABELS],
-        (0, 1): [z, z, PhiElem.term(weight(2), -2)],
-        (1, 0): [z, PhiElem.term(weight(1), -2), z],
+        (0, 0): [phi(1)] * 3,
+        (0, -1): [phi(d(a, 2), -1) if a != 2 else z for a in LABELS],
+        (-1, 0): [phi(d(a, 1), -1) if a != 1 else z for a in LABELS],
+        (0, 1): [z, z, phi(weight(2), -2)],
+        (1, 0): [z, phi(weight(1), -2), z],
     }[level]
     return RelTensor((False,), values)
 
@@ -137,20 +143,20 @@ _CREATION_BODY = {
 def tube(level):
     z = PhiElem.zero()
     if level == (0, 0):
-        diagonal, rest = [PhiElem.term(weight(a), 0) for a in LABELS], lambda a, b: z
+        diagonal, rest = [phi(weight(a), 0) for a in LABELS], lambda a, b: z
     elif level == (0, -1):
-        diagonal = [PhiElem.term(d(0, 1) * d(0, 2) ** 2, -1),
-                    PhiElem.term(d(1, 0) * d(1, 2) ** 2, -1), z]
-        rest = lambda a, b: PhiElem.term(1, 2)  # noqa: E731
+        diagonal = [phi(d(0, 1) * d(0, 2) ** 2, -1),
+                    phi(d(1, 0) * d(1, 2) ** 2, -1), z]
+        rest = lambda a, b: phi(1, 2)  # noqa: E731
     elif level == (-1, 0):
-        diagonal = [PhiElem.term(d(0, 2) * d(0, 1) ** 2, -1), z,
-                    PhiElem.term(d(2, 0) * d(2, 1) ** 2, -1)]
-        rest = lambda a, b: PhiElem.term(1, 2)  # noqa: E731
+        diagonal = [phi(d(0, 2) * d(0, 1) ** 2, -1), z,
+                    phi(d(2, 0) * d(2, 1) ** 2, -1)]
+        rest = lambda a, b: phi(1, 2)  # noqa: E731
     else:
         body = _CREATION_BODY[level]
         k = 2 if level == (0, 1) else 1
-        diagonal = [PhiElem.term(weight(k) ** 2, -2) if a == k else z for a in LABELS]
-        rest = lambda a, b: PhiElem.term(body[a][b], 1)  # noqa: E731
+        diagonal = [phi(weight(k) ** 2, -2) if a == k else z for a in LABELS]
+        rest = lambda a, b: phi(body[a][b], 1)  # noqa: E731
     return RelTensor((False, False), [
         rest(a, b) + diagonal[a] if a == b else rest(a, b) for a in LABELS for b in LABELS
     ])
@@ -172,8 +178,8 @@ _PANTS_F = {
 
 def pants():
     def entry(a, b, c):
-        fiber = PhiElem.term(_PANTS_F[tuple(sorted((a, b, c)))], 3)
-        return fiber + PhiElem.term(weight(a) ** 2, 0) if a == b == c else fiber
+        fiber = phi(_PANTS_F[tuple(sorted((a, b, c)))], 3)
+        return fiber + phi(weight(a) ** 2, 0) if a == b == c else fiber
 
     return RelTensor((False,) * 3, [entry(*labels) for labels in product(LABELS, repeat=3)])
 

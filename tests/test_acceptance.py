@@ -33,7 +33,7 @@ from gwtqft.checks import (
     verify_semisimplicity,
     verify_special_cases,
 )
-from reference import phi_power
+from reference import phi, phi_power
 
 t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
 
@@ -63,9 +63,9 @@ def test_criterion_2_special_case_sweeps():
     spot = (
         class_component(SpaceParams(3), 1).is_zero
         and class_component(SpaceParams(6), 3).is_zero
-        and class_component(SpaceParams(2), 0) == PhiElem.const(q)
-        and class_component(SpaceParams(5), 2) == PhiElem.term(TRat.from_poly(q.scale(27 * 4)), 6)
-        and class_component(SpaceParams(8), 4) == PhiElem.term(TRat.from_poly(q.scale(3**6 * 7)), 12)
+        and class_component(SpaceParams(2), 0) == phi(q)
+        and class_component(SpaceParams(5), 2) == phi(q.scale(27 * 4), 6)
+        and class_component(SpaceParams(8), 4) == phi(q.scale(3**6 * 7), 12)
     )
     ok = rep.passed and spot and elapsed < 60.0
     report(2, "special-case closed forms, g<=5, |k|<=4, level-(0,0) g<=8",
@@ -121,7 +121,7 @@ def test_criterion_6_genus_zero_path():
         trace_formula(0, k1, k2)  # reduction must succeed for every pair
     z10 = trace_formula(0, 1, 0)
     z00 = trace_formula(0, 0, 0)
-    ok = z10 == PhiElem.term(1, -2) and z00.is_zero
+    ok = z10 == phi(1, -2) and z00.is_zero
     report(6, "genus-0 traces reduce for |k|<=3; Z(0|1,0) = phi^-2, Z(0|0,0) = 0", ok)
     assert ok
 
@@ -131,9 +131,9 @@ def test_criterion_7_genus_tables():
     # independent oracle: the schoolbook inverse square of the Taylor series,
     # read at u^(2h - 2)
     oracle = phi_power(-2, 9)
-    want = [TRat.const(oracle[2 * h]) for h in range(5)]
+    want = [TRat.make(oracle[2 * h]) for h in range(5)]
     ok = [inv for _, inv in rows] == want
-    assert want[:3] == [TRat.const(1), TRat.const(Fraction(1, 12)), TRat.const(Fraction(1, 240))]
+    assert want[:3] == [TRat.make(1), TRat.make(Fraction(1, 12)), TRat.make(Fraction(1, 240))]
     # D = 0 classes give plain rational numbers
     for (g, k, n) in [(1, 0, 0), (2, 2, 0), (4, 0, 2), (0, 4, -2)]:
         p = SpaceParams(g, 0, k)

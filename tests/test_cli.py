@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from gwtqft import __version__
 from gwtqft.cli import dumps_canonical, main, phi_latex
 from gwtqft.exactring import TPoly, parse_poly
 from gwtqft.phicalc import PhiElem
+from reference import phi
 
 t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
 
@@ -58,7 +60,7 @@ class TestCompute:
         assert dumps_canonical(doc) == out.strip()
         # numbers parse back into the exact symbolic value
         got = PhiElem.from_json_terms(doc["terms"])
-        assert got == PhiElem.term((t1 - t0) * (t1 - t2), -2)
+        assert got == phi((t1 - t0) * (t1 - t2), -2)
 
 
 class TestExtract:
@@ -408,6 +410,45 @@ class TestWordGolden:
             assert hashlib.sha256(out).hexdigest() == digest, key
 
 
+class TestNoRationalArithmeticInT:
+    """Every user-facing request computes in the folded ring and only
+    re-expands and prints in t: no TRat is added or multiplied."""
+
+    WORDS = ("trace(G^2)", "trace(G * U1)", "A * B", "cap(0,-1) * pants",
+             "tube(0,1) * tube(0,-1)", "trace(U1inv * U2)")
+
+    @staticmethod
+    def _requests():
+        for g, k1, k2 in product(range(4), (-1, 0, 2), (-2, 0, 1)):
+            key = ["-g", str(g), "--level1", str(k1), "--level2", str(k2)]
+            top = (2 * g - 2 - k1 - k2) // 3
+            for fmt in ("text", "json", "latex"):
+                yield ["compute", *key, "--format", fmt]
+                for n in (top, top - 1):
+                    yield ["extract", *key, "--n", str(n), "--format", fmt]
+                    yield ["genus", *key, "--n", str(n), "--hmax", "3", "--format", fmt]
+        for text in TestNoRationalArithmeticInT.WORDS:
+            for fmt in ("text", "json"):
+                yield ["word", text, "--format", fmt]
+
+    def test_requests_never_add_or_multiply_fractions_in_t(self, monkeypatch, capsys):
+        from gwtqft import gluing
+        from gwtqft.exactring import TRat
+
+        def boom(*args):
+            raise AssertionError("rational arithmetic in t0, t1, t2")
+
+        monkeypatch.setattr(TRat, "__add__", boom)
+        monkeypatch.setattr(TRat, "__mul__", boom)
+        gluing.trace_formula.cache_clear()
+        try:
+            for argv in self._requests():
+                assert main(argv) == 0, argv
+                assert capsys.readouterr().out, argv
+        finally:
+            gluing.trace_formula.cache_clear()
+
+
 class TestLeftoverCache:
     """Earlier versions kept Z in ``$GWTQFT_CACHE_DIR/zcache.json``; the
     variable and the file are now ignored."""
@@ -532,8 +573,8 @@ class TestStartup:
 
 class TestLatex:
     def test_phi_latex_forms(self):
-        assert phi_latex(PhiElem.term(81, 6)) == "81\\phi^{6}"
-        assert phi_latex(PhiElem.term(1, -2)) == "\\phi^{-2}"
+        assert phi_latex(phi(81, 6)) == "81\\phi^{6}"
+        assert phi_latex(phi(1, -2)) == "\\phi^{-2}"
         assert phi_latex(PhiElem.zero()) == "0"
-        e = PhiElem.term((t1 - t0) * (t1 - t2), -2)
+        e = phi((t1 - t0) * (t1 - t2), -2)
         assert phi_latex(e).endswith("\\phi^{-2}")

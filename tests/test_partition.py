@@ -21,6 +21,8 @@ from gwtqft.partition import (
     virtual_dim,
 )
 
+from reference import phi
+
 t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
 
 
@@ -48,13 +50,13 @@ GRID = [(g, k1, k2) for g in range(7) for k1 in range(-3, 4) for k2 in range(-3,
 class TestComputeZ:
     def test_genus_two(self):
         q = (t0 - t1) * (t0 - t2) + (t1 - t0) * (t1 - t2) + (t2 - t0) * (t2 - t1)
-        assert compute_Z(SpaceParams(2)) == PhiElem.const(q)
+        assert compute_Z(SpaceParams(2)) == phi(q)
 
     def test_genus_zero(self):
         assert compute_Z(SpaceParams(0)).is_zero
 
     def test_balanced_levels_genus_one(self):
-        want = PhiElem.term(t1 + t2 - 2 * t0, -1)
+        want = phi(t1 + t2 - 2 * t0, -1)
         assert compute_Z(SpaceParams(1, 1, 1)) == want
 
     def test_memoized(self):
@@ -80,13 +82,13 @@ class TestVirtualDim:
 
 class TestClassComponent:
     def test_calabi_yau_genus_four(self):
-        assert class_component(SpaceParams(4), 2) == PhiElem.term(81, 6)
+        assert class_component(SpaceParams(4), 2) == phi(81, 6)
 
     def test_genus_three_top_class_vanishes(self):
         assert class_component(SpaceParams(3), 1).is_zero
 
     def test_first_level_genus_one(self):
-        want = PhiElem.term((t1 - t0) * (t1 - t2), -2)
+        want = phi((t1 - t0) * (t1 - t2), -2)
         assert class_component(SpaceParams(1, 1, 0), -1) == want
 
     def test_negative_degree_vanishes(self):
@@ -147,7 +149,7 @@ class TestSupport:
 class TestGenusExpansion:
     def test_constant_class(self):
         rows = genus_expansion(SpaceParams(1), 0, 4)
-        assert rows[1] == (1, TRat.const(3))
+        assert rows[1] == (1, TRat.make(3))
         for h, inv in rows:
             if h != 1:
                 assert inv.is_zero
@@ -155,15 +157,15 @@ class TestGenusExpansion:
     def test_creation_cap_series(self):
         rows = genus_expansion(SpaceParams(0, 1, 0), -1, 2)
         assert [inv for _, inv in rows] == [
-            TRat.const(1),
-            TRat.const(Fraction(1, 12)),
-            TRat.const(Fraction(1, 240)),
+            TRat.make(1),
+            TRat.make(Fraction(1, 12)),
+            TRat.make(Fraction(1, 240)),
         ]
 
     def test_calabi_yau_genus_two_level_two(self):
         rows = genus_expansion(SpaceParams(2, 0, 2), 0, 3)
-        assert rows[2] == (2, TRat.const(9))
-        assert rows[3] == (3, TRat.const(Fraction(-3, 4)))
+        assert rows[2] == (2, TRat.make(9))
+        assert rows[3] == (3, TRat.make(Fraction(-3, 4)))
         assert rows[0][1].is_zero and rows[1][1].is_zero
 
     def test_calabi_yau_invariants_are_rational(self):

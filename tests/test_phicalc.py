@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from gwtqft import partition
-from gwtqft.exactring import TPoly, TRat
+from gwtqft.exactring import TPoly, TRat, XYRat
+from gwtqft.operators import build_operator
 from gwtqft.partition import SpaceParams, genus_expansion
 from gwtqft.phicalc import PhiElem, ReductionError, laurent_divexact, phi_pow_coeffs
-from reference import phi_power, series_mul, sin_half_coeffs
+from reference import phi, phi_power, series_mul, sin_half_coeffs
 
 t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
+F = Fraction
 
 
 def even(coeffs: list[Fraction]) -> list[Fraction]:
@@ -23,24 +25,41 @@ def even(coeffs: list[Fraction]) -> list[Fraction]:
 
 class TestPhiArith:
     def test_monomial_inverse(self):
-        phi2 = PhiElem.term(1, 2)
-        assert phi2 * PhiElem.term(1, -2) == PhiElem.one()
+        phi2 = phi(1, 2)
+        assert phi2 * phi(1, -2) == phi(1)
 
     def test_cancellation(self):
-        a = PhiElem.term(t0 - t2, -1)
-        b = PhiElem.term(t2 - t0, -1)
+        a = phi(t0 - t2, -1)
+        b = phi(t2 - t0, -1)
         assert (a + b).is_zero
 
     def test_weight_shift(self):
         w2 = (t2 - t0) * (t2 - t1)
-        a = PhiElem.term(w2, -2)
-        b = PhiElem.term(1, 2)
-        assert a * b == PhiElem.term(w2, 0)
+        a = phi(w2, -2)
+        b = phi(1, 2)
+        assert a * b == phi(w2, 0)
 
     def test_mixed_product(self):
-        a = PhiElem.term(1, -1) + PhiElem.term(t0, 1)
-        b = PhiElem.term(1, 1)
-        assert a * b == PhiElem.one() + PhiElem.term(t0, 2)
+        a = phi(1, -1) + phi(t0, 1)
+        b = phi(1, 1)
+        assert a * b == phi(1) + phi(t0, 2)
+
+
+class TestOneContainer:
+    """PhiElem holds XYRat (folded), TRat (re-expanded) and Fraction
+    (numeric) coefficients alike, and coerces none of them."""
+
+    def test_term_keeps_its_coefficient(self):
+        for c in (XYRat({(1, 0): 2, (0, 1): -1}, (1, 0, 0)), TRat.make(t0, t0 - t1), F(-3, 7)):
+            e = PhiElem.term(c, -2)
+            assert e.terms == {-2: c}
+            assert e.terms[-2] is c
+        assert PhiElem.term(XYRat({}), 1).is_zero
+        assert PhiElem.term(F(0), 1).is_zero
+
+    def test_folded_unit_is_neutral(self):
+        g00 = build_operator("G")[0][0]
+        assert g00 * PhiElem.term(XYRat.const(1), 0) == g00
 
 
 class TestPhiExpansion:
@@ -95,18 +114,22 @@ class TestPhiPowSeries:
 class TestToUseries:
     """A class component c * phi^m: c times the coefficients of phi^m."""
 
+    @staticmethod
+    def times(c: TRat, f: Fraction) -> TRat:
+        return TRat.make(c.num * f, c.den)
+
     def test_constant(self):
-        rows = [TRat.const(3) * f for f in phi_pow_coeffs(0, 3)]
-        assert rows[0] == TRat.const(3)
+        rows = [self.times(TRat.make(3), f) for f in phi_pow_coeffs(0, 3)]
+        assert rows[0] == TRat.make(3)
         assert rows[1].is_zero and rows[2].is_zero
 
     def test_nine_phi_square(self):
-        rows = [TRat.const(9) * f for f in phi_pow_coeffs(2, 2)]
-        assert rows == [TRat.const(9), TRat.const(Fraction(-3, 4))]
+        rows = [self.times(TRat.make(9), f) for f in phi_pow_coeffs(2, 2)]
+        assert rows == [TRat.make(9), TRat.make(Fraction(-3, 4))]
 
     def test_inverse_square(self):
         c = TRat.make(t0 - t1, t1 - t2)
-        rows = [c * f for f in phi_pow_coeffs(-2, 2)]
+        rows = [self.times(c, f) for f in phi_pow_coeffs(-2, 2)]
         assert rows == [c, TRat.make(t0 - t1, 12 * (t1 - t2))]
 
     def test_multiplicativity(self):
@@ -126,47 +149,49 @@ class TestUseriesCoeff:
         return [inv for _, inv in genus_expansion(SpaceParams(0), 0, h_max)]
 
     def test_below_min_exp_is_zero(self, monkeypatch):
-        rows = self.rows(monkeypatch, PhiElem.term(5, 4), 3)
+        rows = self.rows(monkeypatch, phi(5, 4), 3)
         assert rows[0].is_zero and rows[1].is_zero
-        assert rows[2:] == [TRat.const(5), TRat.const(Fraction(-5, 6))]
+        assert rows[2:] == [TRat.make(5), TRat.make(Fraction(-5, 6))]
         # an odd phi power has only odd u-powers, so every even row is zero
-        assert all(inv.is_zero for inv in self.rows(monkeypatch, PhiElem.term(5, -3), 3))
+        assert all(inv.is_zero for inv in self.rows(monkeypatch, phi(5, -3), 3))
 
     def test_leading_scaling(self, monkeypatch):
-        assert self.rows(monkeypatch, PhiElem.term(9, 2), 1)[1] == TRat.const(9)
+        assert self.rows(monkeypatch, phi(9, 2), 1)[1] == TRat.make(9)
 
 
 class TestLaurentDivision:
+    """Over Q: the numeric cross-check divides Fraction coefficients."""
+
     def test_monomial_quotient(self):
-        c = PhiElem.term(t0 - t1, 0)
-        num = PhiElem.term(t0 - t1, 3)
-        assert laurent_divexact(num, c) == PhiElem.term(1, 3)
+        c = PhiElem.term(F(-2, 3), 0)
+        num = PhiElem.term(F(4, 9), 3)
+        assert laurent_divexact(num, c) == PhiElem.term(F(-2, 3), 3)
 
     def test_identity_division(self):
-        x = PhiElem.term(t0, -1) + PhiElem.term(5, 2)
-        assert laurent_divexact(x, PhiElem.one()) == x
+        x = PhiElem.term(F(7, 2), -1) + PhiElem.term(F(5), 2)
+        assert laurent_divexact(x, PhiElem.term(F(1))) == x
 
     def test_polynomial_division(self):
-        den = PhiElem.term(1, -1) + PhiElem.term(t0, 1)
-        quot = PhiElem.term(t1, 0) + PhiElem.term(1, 2)
+        den = PhiElem.term(F(1), -1) + PhiElem.term(F(3, 2), 1)
+        quot = PhiElem.term(F(-5, 4), 0) + PhiElem.term(F(1), 2)
         assert laurent_divexact(den * quot, den) == quot
 
     def test_irreducible_raises(self):
-        num = PhiElem.one()
-        den = PhiElem.one() + PhiElem.term(1, 1)
+        num = PhiElem.term(F(1))
+        den = PhiElem.term(F(1)) + PhiElem.term(F(1), 1)
         with pytest.raises(ReductionError):
             laurent_divexact(num, den)
 
 
 class TestStrings:
     def test_phi_formatting(self):
-        e = PhiElem.term(81, 6)
+        e = phi(81, 6)
         assert str(e) == "81*phi^6"
-        w = PhiElem.term((t1 - t0) * (t1 - t2), -2)
+        w = phi((t1 - t0) * (t1 - t2), -2)
         assert str(w) == "(-t0*t1 + t0*t2 + t1^2 - t1*t2)*phi^-2"
         assert str(PhiElem.zero()) == "0"
-        assert str(PhiElem.const(3)) == "3"
+        assert str(phi(3)) == "3"
 
     def test_json_roundtrip(self):
-        e = PhiElem.term(TRat.make(t0 + t1, t0 - t1), -1) + PhiElem.term(3, 2)
+        e = phi(TRat.make(t0 + t1, t0 - t1), -1) + phi(3, 2)
         assert PhiElem.from_json_terms(e.to_json_terms()) == e
