@@ -207,15 +207,6 @@ class TPoly:
             parts.setdefault(e[0] + e[1] + e[2], {})[e] = c
         return {d: TPoly._raw(t) for d, t in parts.items()}
 
-    def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
-        return self._value(tuple(Fraction(x) for x in point))
-
-    def _value(self, pt: tuple[Fraction, ...]) -> Fraction:
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            total += c * pt[0] ** e[0] * pt[1] ** e[1] * pt[2] ** e[2]
-        return total
-
     def permute_vars(self, perm: Sequence[int]) -> "TPoly":
         """Apply the substitution t_i -> t_perm[i]."""
         acc: dict[Exponent, Fraction] = {}
@@ -313,20 +304,11 @@ def _times_forms(p: TPoly, dexp: Sequence[int]) -> TPoly:
 # -- rational functions ------------------------------------------------------
 
 
-def _point(point: Sequence[Fraction | int]) -> tuple[Fraction, Fraction, Fraction]:
-    """An evaluation point as Fractions; ValueError unless it has three
-    pairwise distinct coordinates."""
-    pt = tuple(Fraction(x) for x in point)
-    if len(pt) != 3 or len(set(pt)) != 3:
-        raise ValueError("evaluation point must have three pairwise distinct coordinates")
-    return pt
-
-
 class ReductionError(ArithmeticError):
     """A quotient that the theory guarantees to reduce did not: a denominator
-    outside the products of (ti - tj), a trace of the engine that is not an
-    integer polynomial of its weight, or a phi-polynomial quotient that is
-    not a Laurent polynomial.  Signals a bug, never a bad request."""
+    outside the products of (ti - tj), or a trace of the engine that is not
+    an integer polynomial of its weight.  Signals a bug, never a bad
+    request."""
 
 
 class TRat:
@@ -432,18 +414,7 @@ class TRat:
             tuple(a - i + b - j for a, i, b, j in zip(self.dexp, k1, other.dexp, k2)),
         )
 
-    # -- evaluation and grading ----------------------------------------------
-
-    def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
-        """Exact value at a point with pairwise distinct coordinates."""
-        return self._value(_point(point))
-
-    def _value(self, pt: tuple[Fraction, Fraction, Fraction]) -> Fraction:
-        # pt as _point returns it
-        dv = Fraction(1)
-        for (a, b), k in zip(_LINEAR_PAIRS, self.dexp):
-            dv *= (pt[a] - pt[b]) ** k
-        return self.num._value(pt) / dv
+    # -- grading and substitution --------------------------------------------
 
     def homogeneous_parts(self) -> dict[int, "TRat"]:
         """Split into homogeneous components (degree -> part), a part's
@@ -637,15 +608,6 @@ class XYRat:
         for _ in range(n):
             result = result * self
         return result
-
-    def _value(self, pt: tuple[Fraction, Fraction, Fraction]) -> Fraction:
-        # the unfolded value at a point as _point returns it
-        x, y = pt[0] - pt[2], pt[1] - pt[2]
-        total = Fraction(0)
-        for (a, b), c in self.num.items():
-            total += c * x**a * y**b
-        d = self.dexp
-        return total / ((x - y) ** d[0] * x ** d[1] * y ** d[2])
 
     def __repr__(self) -> str:
         return f"XYRat({self.num!r}, {self.dexp!r})"

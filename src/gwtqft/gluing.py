@@ -66,15 +66,6 @@ def mat_trace(m: Op3) -> PhiElem:
     return m[0][0] + m[1][1] + m[2][2]
 
 
-def mat_trace_mul(a: Op3, b: Op3) -> PhiElem:
-    """tr(a b) without forming the product matrix."""
-    total = PhiElem.zero()
-    for i in LABELS:
-        for j in LABELS:
-            total = total + a[i][j] * b[j][i]
-    return total
-
-
 def mat_adjugate(m: Op3) -> Op3:
     """The transposed cofactor matrix.  The (i, j) cofactor of a 3x3 matrix,
     sign included, is the minor on rows i + 1, i + 2 and columns j + 1, j + 2
@@ -268,7 +259,7 @@ def _trace(j: int, k1: int, k2: int) -> _XYPoly:
 MAX_REQUEST = 102
 
 
-# holds all 432 keys of ``verify --suite all`` at its default bounds
+# only compute_Z and the numeric suite, which draws from 245 keys, call it
 @lru_cache(maxsize=1024)
 def trace_formula(g: int, k1: int, k2: int) -> PhiElem:
     """Section-class partition function of the closed genus-g, level

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .exactring import ReductionError, TRat, _point, parse_poly
+from .exactring import TRat, parse_poly
 
 
 class PhiElem:
@@ -22,11 +22,11 @@ class PhiElem:
     (possibly negative) to nonzero coefficients of one kind.
 
     The generators, the trace engine and the word path hold XYRat
-    coefficients, folded at t2 = 0 (see ``operators``); ``gluing._unfold``
-    re-expands them into TRat coefficients in t0, t1, t2 for output; and the
-    numeric cross-check holds plain Fractions.  The constructor trusts its
-    terms, and +, - and * work coefficientwise the same way on every kind;
-    coefficients of two kinds never mix.  Immutable by convention.
+    coefficients, folded at t2 = 0 (see ``operators``), and
+    ``gluing._unfold`` re-expands them into TRat coefficients in t0, t1, t2
+    for output.  The constructor trusts its terms, and +, - and * work
+    coefficientwise the same way on either kind; coefficients of two kinds
+    never mix.  Immutable by convention.
     """
 
     __slots__ = ("terms",)
@@ -59,11 +59,6 @@ class PhiElem:
         if not self.terms:
             raise ValueError("zero element has no minimal exponent")
         return min(self.terms)
-
-    def max_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("zero element has no maximal exponent")
-        return max(self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, PhiElem):
@@ -125,18 +120,6 @@ class PhiElem:
     def permute_vars(self, perm: Sequence[int]) -> "PhiElem":
         """Apply t_i -> t_perm[i] to every (TRat) coefficient."""
         return PhiElem({m: c.permute_vars(perm) for m, c in self.terms.items()})
-
-    def evaluate_t(self, point) -> dict[int, Fraction]:
-        """Nonzero numeric coefficient values at a t-point; phi stays formal.
-
-        The point is converted and checked once, as TRat.evaluate does."""
-        pt = _point(point)
-        out = {}
-        for m, c in self.terms.items():
-            v = c._value(pt)
-            if v:
-                out[m] = v
-        return out
 
     # -- printing ----------------------------------------------------------------
 
@@ -201,32 +184,3 @@ def phi_pow_coeffs(m: int, n: int) -> list[Fraction]:
     for k in range(1, n):
         f.append(sum(((m + 1) * j - k) * a[j] * f[k - j] for j in range(1, k + 1)) / k)
     return f
-
-
-# -- exact division of phi-polynomials -------------------------------------------
-
-
-def laurent_divexact(num: PhiElem, den: PhiElem) -> PhiElem:
-    """Exact quotient num/den of Laurent polynomials over Q, both with
-    Fraction coefficients: the numeric cross-check's genus-0 division.
-
-    Raises ReductionError when den does not divide num.
-    """
-    if den.is_zero:
-        raise ZeroDivisionError("division by zero phi-polynomial")
-    if num.is_zero:
-        return PhiElem({})
-    dmin = den.min_exp()
-    dlead = den.terms[dmin]
-    max_q = num.max_exp() - den.max_exp()
-    quot: dict[int, Fraction] = {}
-    rem = num
-    while not rem.is_zero:
-        low = rem.min_exp()
-        m = low - dmin
-        if m > max_q:
-            raise ReductionError("phi-polynomial quotient does not reduce")
-        c = rem.terms[low] / dlead
-        quot[m] = c
-        rem = rem - den * PhiElem({m: c})
-    return PhiElem(quot)

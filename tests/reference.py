@@ -6,7 +6,9 @@ x = t0 - t2 and y = t1 - t2 (see ``gwtqft.operators``).  Here the same
 closed forms are written in the three-variable TPoly / TRat ring.
 
 It also holds a naive oracle for the u-expansion of phi = 2 sin(u/2): the
-Taylor series, and schoolbook products and inverses of Fraction lists.
+Taylor series, and schoolbook products and inverses of Fraction lists; and
+a plain evaluator of polynomials and partition functions mod the prime of
+the numeric cross-check.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+from gwtqft.checks import PRIME
 from gwtqft.exactring import TPoly, TRat
 from gwtqft.gluing import _unfold
 from gwtqft.phicalc import PhiElem
@@ -228,3 +231,39 @@ def phi_power(m: int, n: int) -> list[Fraction]:
         base = series_mul(base, base, n)
         e >>= 1
     return out
+
+
+# -- values mod PRIME ----------------------------------------------------------------
+
+
+def poly_mod(terms: dict, values) -> int:
+    """The polynomial {exponents: coefficient} at the values, mod PRIME; a
+    Fraction coefficient counts as its numerator over its denominator."""
+    total = 0
+    for e, c in terms.items():
+        c = Fraction(c)
+        v = c.numerator * pow(c.denominator, -1, PRIME)
+        for x, k in zip(values, e):
+            v *= pow(x, k, PRIME)
+        total += v
+    return total % PRIME
+
+
+def value_mod(z: PhiElem, point) -> int:
+    """A partition function with TRat coefficients in t0, t1, t2 at
+    point = (t0, t1, t2, phi), mod PRIME, through the expanded denominators."""
+    t, phi = point[:3], point[3]
+    total = 0
+    for m, c in z.terms.items():
+        den = poly_mod(c.den.terms, t)
+        total += poly_mod(c.num.terms, t) * pow(den, -1, PRIME) * pow(phi, m, PRIME)
+    return total % PRIME
+
+
+def folded_mod(f: dict, weight: int, point) -> int:
+    """A folded trace at phi = 1, a polynomial {(a, b): c} in x, y whose
+    x^a y^b term carries phi^(weight - a - b), at point = (t0, t1, t2, phi)
+    with x = t0 - t2, y = t1 - t2, mod PRIME: phi^weight f(x / phi, y / phi)."""
+    t0, t1, t2, phi = point
+    inv = pow(phi, -1, PRIME)
+    return poly_mod(f, ((t0 - t2) * inv, (t1 - t2) * inv)) * pow(phi, weight, PRIME) % PRIME

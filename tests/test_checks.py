@@ -2,13 +2,15 @@
 failing inputs must produce counterexamples rather than exceptions."""
 
 import json
-from fractions import Fraction
+import random
 
 import pytest
 
-from gwtqft import checks
+from gwtqft import checks, gluing
 from gwtqft.checks import (
+    PRIME,
     CheckReport,
+    _random_residues,
     numeric_trace,
     run_checks,
     verify_calabi_yau,
@@ -21,7 +23,7 @@ from gwtqft.exactring import XYRat
 from gwtqft.gluing import trace_formula
 from gwtqft.operators import _phi, build_operator
 from gwtqft.phicalc import PhiElem
-from reference import phi
+from reference import folded_mod, phi, value_mod
 
 
 class TestCalabiYau:
@@ -108,21 +110,51 @@ class TestNumericCrosscheck:
             verify_numeric_crosscheck(seed=1, trials=0)
 
     def test_numeric_matches_symbolic_at_point(self):
-        point = (Fraction(0), Fraction(1), Fraction(2))
-        sym = trace_formula(2, 0, 0).evaluate_t(point)
+        # at t = (0, 1, 2) every phi power of Z(2 | 0, 0) but phi^0 vanishes
+        point = (0, 1, 2, 5)
+        sym = value_mod(trace_formula(2, 0, 0), point)
         assert numeric_trace(2, 0, 0, point) == sym
-        assert sym == {0: Fraction(3)}
+        assert sym == 3
 
     def test_genus_zero_numeric_path(self):
-        point = (Fraction(1, 2), Fraction(-1), Fraction(3))
-        assert numeric_trace(0, 1, 0, point) == {-2: Fraction(1)}
+        # Z(0 | 1, 0) = phi^-2, at t = (1/2, -1, 3) and phi = 7
+        point = (pow(2, -1, PRIME), PRIME - 1, 3, 7)
+        assert numeric_trace(0, 1, 0, point) == pow(7, -2, PRIME)
 
     def test_high_genus_numeric_path(self):
-        # numeric_trace powers G linearly, independent of the symbolic recurrence
-        point = (Fraction(3, 2), Fraction(-2), Fraction(5, 3))
+        # numeric_trace powers G by squaring, independent of the symbolic recurrence
+        point = (3 * pow(2, -1, PRIME) % PRIME, PRIME - 2, 5 * pow(3, -1, PRIME) % PRIME, 11)
         for k1, k2 in ((0, 0), (2, -1)):
-            sym = trace_formula(12, k1, k2).evaluate_t(point)
+            sym = value_mod(trace_formula(12, k1, k2), point)
             assert numeric_trace(12, k1, k2, point) == sym, (k1, k2)
+
+    @pytest.mark.parametrize(
+        "key", [(81, 0, 0), (2, 100, 0), (40, 20, -20), (1, -50, 51), (0, -3, 2), (0, -50, -50)]
+    )
+    def test_reference_at_the_request_bound(self, key):
+        # the engine's folded s_(g-1), read without re-expansion, against the
+        # reference at a random point
+        g, k1, k2 = key
+        point = _random_residues(random.Random(sum(key)), g)
+        folded = folded_mod(gluing._trace(g - 1, k1, k2), 2 * g - 2, point)
+        assert numeric_trace(g, k1, k2, point) == folded
+
+    def test_a_pole_is_redrawn(self, monkeypatch):
+        class Scripted:
+            def __init__(self, *values):
+                self.values = iter(values)
+
+            def randrange(self, n):
+                return next(self.values)
+
+        with pytest.raises(ValueError):
+            numeric_trace(2, 0, 0, (1, 1, 2, 5))
+        # a repeated t (a zero weight), then phi = 0, then a point that is kept
+        assert _random_residues(Scripted(1, 1, 2, 5, 1, 2, 3, 0, 1, 2, 3, 5), 1) == (1, 2, 3, 5)
+        # at g = 0 a zero det G is redrawn as well
+        dets = iter([0, 1])
+        monkeypatch.setattr(checks, "_det_mod", lambda m: next(dets))
+        assert _random_residues(Scripted(1, 2, 3, 5, 4, 5, 6, 7), 0) == (4, 5, 6, 7)
 
 
 @pytest.fixture
@@ -145,6 +177,15 @@ def _seed_off_by_one(seed):
     def broken(*key):
         s = seed(*key)
         return {**s, (2, 0): s[2, 0] + 1} if key == (1, 0, 0) else s
+
+    return broken
+
+
+def _char_poly_off_by_one(char_poly):
+    # the x^2 coefficient of c1 = tr(G) = x^2 - x y + y^2 plus 1
+    def broken(name, weight):
+        c1, c2, c3 = char_poly(name, weight)
+        return ({**c1, (2, 0): c1[2, 0] + 1}, c2, c3) if name == "G" else (c1, c2, c3)
 
     return broken
 
@@ -178,6 +219,14 @@ class TestFaultInjection:
         assert not rep.passed
         assert rep.failures[0].startswith("word g=2, k1=-2, k2=-2: expected (")
         assert not any("XYRat" in f for f in rep.failures)
+
+    @pytest.mark.parametrize(
+        "name, wrap", [("_seed", _seed_off_by_one), ("_char_poly", _char_poly_off_by_one)]
+    )
+    def test_broken_engine_fails_the_numeric_suite(self, break_engine, name, wrap):
+        break_engine(name, wrap)
+        (rep,) = run_checks("numeric")
+        assert not rep.passed
 
     def test_broken_shift_fails_the_numeric_suite(self, break_engine):
         # the folded suites never re-expand a passing case; the numeric one

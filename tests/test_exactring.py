@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gwtqft.checks import PRIME, _elem_mod
 from gwtqft.exactring import (
     LINEAR_FORMS,
     _LINEAR_PAIRS,
@@ -16,6 +17,8 @@ from gwtqft.exactring import (
     parse_poly,
     parse_rat,
 )
+from gwtqft.phicalc import PhiElem
+from reference import poly_mod
 
 t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
 ONE = TRat(TPoly.one())
@@ -175,21 +178,27 @@ class TestFieldArith:
 
 
 class TestEvaluate:
+    """TRat values mod PRIME, as the numeric cross-check reads the printed Z."""
+
+    @staticmethod
+    def value(c: TRat, point) -> int:
+        return _elem_mod(PhiElem.term(c, 0), (*point, 1), False)
+
     def test_weight_at_point(self):
         w = (t0 - t1) * (t0 - t2)
-        assert TRat(w).evaluate((0, 1, 2)) == Fraction(2)
-        assert TRat.make(1, w).evaluate((0, 1, 2)) == Fraction(1, 2)
+        assert self.value(TRat(w), (0, 1, 2)) == 2
+        assert self.value(TRat.make(1, w), (0, 1, 2)) == pow(2, -1, PRIME)
 
     def test_constant(self):
-        assert ONE.evaluate((Fraction(1, 2), 3, -4)) == 1
+        assert self.value(ONE, (pow(2, -1, PRIME), 3, PRIME - 4)) == 1
 
     def test_trace_coefficient_at_point(self):
         r = TRat((t1 - t0) * (t1 - t2))
-        assert r.evaluate((0, 1, 2)) == Fraction(-1)
+        assert self.value(r, (0, 1, 2)) == PRIME - 1
 
     def test_repeated_coordinates_rejected(self):
         with pytest.raises(ValueError):
-            ONE.evaluate((1, 1, 2))
+            self.value(TRat.make(1, t0 - t1), (1, 1, 2))
 
     def test_pole(self):
         with pytest.raises(ReductionError):
@@ -298,9 +307,14 @@ def test_homogeneous_parts_decompose(p):
 @settings(max_examples=40, deadline=None)
 @given(polys, polys)
 def test_evaluation_is_ring_homomorphism(p, q):
-    point = (Fraction(1, 3), Fraction(-2), Fraction(5, 2))
-    assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
-    assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
+    # the point (1/3, -2, 5/2), mod PRIME
+    point = (pow(3, -1, PRIME), PRIME - 2, 5 * pow(2, -1, PRIME) % PRIME)
+
+    def value(f):
+        return poly_mod(f.terms, point)
+
+    assert value(p * q) == value(p) * value(q) % PRIME
+    assert value(p + q) == (value(p) + value(q)) % PRIME
 
 
 def test_linear_forms_are_the_three_differences():

@@ -11,8 +11,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwtqft.exactring import TPoly, TRat, XYRat
-from gwtqft.phicalc import PhiElem, ReductionError
+from gwtqft.exactring import ReductionError, TPoly, TRat, XYRat
+from gwtqft.phicalc import PhiElem
 from gwtqft.operators import (
     INV_WEIGHTS,
     LABELS,
@@ -32,7 +32,6 @@ from gwtqft.gluing import (
     mat_det,
     mat_mul,
     mat_trace,
-    mat_trace_mul,
     trace_formula,
 )
 from gwtqft.words import (
@@ -415,7 +414,7 @@ class TestCayleyHamilton:
             gpowers.append(mat_mul(gpowers[-1], build_operator("G")))
         for (k1, k2), w in level_words.items():
             for g in range(1, 8):
-                want = _unfold(mat_trace_mul(gpowers[g - 1], w))
+                want = _unfold(mat_trace(mat_mul(gpowers[g - 1], w)))
                 assert trace_formula(g, k1, k2) == want, (g, k1, k2)
 
     def test_every_seed_is_its_trace(self, level_words):
@@ -425,11 +424,11 @@ class TestCayleyHamilton:
         for a, b in product((-1, 0, 1), repeat=2):
             w = level_words[a, b]
             for j, gpow in ((0, mat_identity()), (1, gmat)):
-                want = gluing._at_phi_one(mat_trace_mul(gpow, w), 2 * j, "seed")
+                want = gluing._at_phi_one(mat_trace(mat_mul(gpow, w)), 2 * j, "seed")
                 assert gluing._seed(j, a, b) == want, (j, a, b)
             # s_-1 det G = tr(adj G w); the folded ring has no zero divisors
             s = gluing._graded(gluing._seed(-1, a, b), -2)
-            assert s * det == mat_trace_mul(adj, w), (a, b)
+            assert s * det == mat_trace(mat_mul(adj, w)), (a, b)
 
     def test_genus_zero_matches_adjugate_quotient(self, level_words):
         # the quotient tr(adj G w) / det G, as the product identity
@@ -439,7 +438,7 @@ class TestCayleyHamilton:
         det = mat_det(gmat, adj)
         for (k1, k2), w in level_words.items():
             s = gluing._graded(gluing._trace(-1, k1, k2), -2)
-            assert s * det == mat_trace_mul(adj, w), (k1, k2)
+            assert s * det == mat_trace(mat_mul(adj, w)), (k1, k2)
             assert trace_formula(0, k1, k2) == _unfold(s), (k1, k2)
 
     def test_high_genus_mixed_level(self, level_words):
@@ -447,8 +446,8 @@ class TestCayleyHamilton:
         g8 = mat_mul(g4, g4)
         g11 = mat_mul(g8, mat_power(build_operator("G"), 3))
         w = level_words[2, -1]
-        assert trace_formula(12, 2, -1) == _unfold(mat_trace_mul(g11, w))
-        assert trace_formula(20, 2, -1) == _unfold(mat_trace_mul(g11, mat_mul(g8, w)))
+        assert trace_formula(12, 2, -1) == _unfold(mat_trace(mat_mul(g11, w)))
+        assert trace_formula(20, 2, -1) == _unfold(mat_trace(mat_mul(g11, mat_mul(g8, w))))
 
 
 class TestFold:

@@ -3,13 +3,11 @@ power checked against the schoolbook oracle in ``reference``."""
 
 from fractions import Fraction
 
-import pytest
-
 from gwtqft import partition
 from gwtqft.exactring import TPoly, TRat, XYRat
 from gwtqft.operators import build_operator
 from gwtqft.partition import SpaceParams, genus_expansion
-from gwtqft.phicalc import PhiElem, ReductionError, laurent_divexact, phi_pow_coeffs
+from gwtqft.phicalc import PhiElem, phi_pow_coeffs
 from reference import phi, phi_power, series_mul, sin_half_coeffs
 
 t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
@@ -157,30 +155,6 @@ class TestUseriesCoeff:
 
     def test_leading_scaling(self, monkeypatch):
         assert self.rows(monkeypatch, phi(9, 2), 1)[1] == TRat.make(9)
-
-
-class TestLaurentDivision:
-    """Over Q: the numeric cross-check divides Fraction coefficients."""
-
-    def test_monomial_quotient(self):
-        c = PhiElem.term(F(-2, 3), 0)
-        num = PhiElem.term(F(4, 9), 3)
-        assert laurent_divexact(num, c) == PhiElem.term(F(-2, 3), 3)
-
-    def test_identity_division(self):
-        x = PhiElem.term(F(7, 2), -1) + PhiElem.term(F(5), 2)
-        assert laurent_divexact(x, PhiElem.term(F(1))) == x
-
-    def test_polynomial_division(self):
-        den = PhiElem.term(F(1), -1) + PhiElem.term(F(3, 2), 1)
-        quot = PhiElem.term(F(-5, 4), 0) + PhiElem.term(F(1), 2)
-        assert laurent_divexact(den * quot, den) == quot
-
-    def test_irreducible_raises(self):
-        num = PhiElem.term(F(1))
-        den = PhiElem.term(F(1)) + PhiElem.term(F(1), 1)
-        with pytest.raises(ReductionError):
-            laurent_divexact(num, den)
 
 
 class TestStrings:
