@@ -262,6 +262,11 @@ def verify_gluing_derivations(word_g_max: int = 3, word_k_max: int = 2) -> Check
     def chain(text: str):
         return evaluate_word(parse_word(text))
 
+    def lowered(name: str):
+        """The operator glued to the level (0,0) tube, the identity cylinder:
+        its (lowered, lowered) tensor."""
+        return contract(build_tube((0, 0)), 1, matrix_to_tensor(build_operator(name)), 0)
+
     # caps attached to pants produce the level tubes
     for level in ((0, -1), (-1, 0), (0, 1), (1, 0)):
         rep.check(f"cap{level} * pants", build_tube(level), chain(f"cap{level} * pants"))
@@ -289,17 +294,14 @@ def verify_gluing_derivations(word_g_max: int = 3, word_k_max: int = 2) -> Check
     # two pants glued along two fibers assemble the genus-adding pieces
     handle = contract(contract(pants, 2, pants, 0), (1, 2), build_tube((0, 0)), (0, 1))
     classes = split_classes(handle, 0)
-    lowered_a = matrix_to_tensor(build_operator("A")).lower_slot(0)
-    lowered_b = matrix_to_tensor(build_operator("B")).lower_slot(0)
-    rep.check("two-pants handle, section class", lowered_a, classes.get(0))
-    rep.check("two-pants handle, fiber class", lowered_b, classes.get(1))
+    rep.check("two-pants handle, section class", lowered("A"), classes.get(0))
+    rep.check("two-pants handle, fiber class", lowered("B"), classes.get(1))
     # the handle of closed_surface_word glues both fibers in one contraction pass
     rep.check("two-pants handle, one pass", handle, build_handle())
 
-    # the hand-encoded matrices, lowered, agree with the tubes
+    # the hand-encoded matrices glued to the identity cylinder are the tubes
     for name, level in (("U1", (1, 0)), ("U2", (0, 1)), ("U1inv", (-1, 0)), ("U2inv", (0, -1))):
-        lowered = matrix_to_tensor(build_operator(name)).lower_slot(0)
-        rep.check(f"raised tube {level} = {name}", build_tube(level), lowered)
+        rep.check(f"raised tube {level} = {name}", build_tube(level), lowered(name))
 
     _operator_identities(rep)
 
@@ -383,18 +385,8 @@ def _operator_identities(rep: CheckReport) -> None:
     for e in (1, 2):
         chk(f"A E^2 (C E^2)^{e}", mat_mul(ae2, mat_power(ce2, e)), ae2)
 
-    mixed = tuple(
-        tuple(
-            _phi(_d(1, 0), -1) if (i, j) == (1, 1)
-            else _phi(_d(2, 0), -1) if (i, j) == (2, 2)
-            else PhiElem.zero()
-            for j in LABELS
-        )
-        for i in LABELS
-    )
     c1e2_e1c2 = mat_add(mat_mul(c1, e2), mat_mul(e1, c2))
-    chk("C1 E2 + E1 C2 diagonal", c1e2_e1c2, mixed)
-    for e in (2, 3):
+    for e in (1, 2, 3):
         powered = tuple(
             tuple(
                 _phi(_d(1, 0) ** e, -e) if (i, j) == (1, 1)
@@ -404,7 +396,8 @@ def _operator_identities(rep: CheckReport) -> None:
             )
             for i in LABELS
         )
-        chk(f"(C1 E2 + E1 C2)^{e}", mat_power(c1e2_e1c2, e), powered)
+        name = "C1 E2 + E1 C2 diagonal" if e == 1 else f"(C1 E2 + E1 C2)^{e}"
+        chk(name, mat_power(c1e2_e1c2, e), powered)
 
     for mgen, ngen, tag in ((m2, n2, "2"), ((m1), (n1), "1")):
         chk(f"M{tag}^3 = 0", mat_power(mgen, 3), zero)
@@ -476,10 +469,11 @@ def verify_semisimplicity() -> CheckReport:
     so the weight-rescaled fixed-point basis is idempotent."""
     t0 = time.monotonic()
     rep = CheckReport("semisimplicity", "structure constants at u = 0")
-    struct = build_pants().raise_slot(2)
+    pants = build_pants()
 
     for a, b, k in product(LABELS, repeat=3):
-        entry = struct.entry(a, b, k)
+        # the structure constant c[ab]^k: the pants entry with slot k raised
+        entry = pants.entry(a, b, k) * _phi(INV_WEIGHTS[k], 0)
         if not entry.is_zero and entry.min_exp() < 0:
             rep.record(f"c[{a}{b}]^{k}", "no negative phi powers", str(_unfold(entry)))
             continue
@@ -487,11 +481,11 @@ def verify_semisimplicity() -> CheckReport:
         expected = WEIGHTS[a] if a == b == k else _ZERO
         rep.check(f"c[{a}{b}]^{k} at u=0", expected, u0)
 
-    # idempotency of e_{x_i} / T(x_i) in the u = 0 algebra: multiplied by
-    # the folded inverse weights
+    # idempotency of e_{x_i} / T(x_i) in the u = 0 algebra: the lowered
+    # pants entries multiplied by the folded inverse weights
     for i, j in product(LABELS, repeat=2):
         for k in LABELS:
-            coeff = _coeff(struct.entry(i, j, k), 0) * WEIGHTS[k] * INV_WEIGHTS[i] * INV_WEIGHTS[j]
+            coeff = _coeff(pants.entry(i, j, k), 0) * INV_WEIGHTS[i] * INV_WEIGHTS[j]
             expected = XYRat.const(1) if i == j == k else _ZERO
             rep.check(f"idempotent ({i},{j}) -> {k}", expected, coeff)
     return _timed(rep, t0)

@@ -247,32 +247,24 @@ def cmd_word(args) -> int:
     word = parse_word(args.text)
     folded = evaluate_word(word)
     result = RelTensor(folded.variance, [_unfold(e) for e in folded.entries])
-    if word.level is None:
-        # a word with an operator is printed summed over the classes
-        if args.format == "json":
-            doc = {"word": args.text, "tensor": _tensor_json(result), "version": __version__}
-            print(dumps_canonical(doc))
-        else:
-            for line in _tensor_lines(result):
-                print(line)
-        return EXIT_OK
-    classes = split_classes(result, word.level)
+    # a word with an operator is not split into classes
+    classes = None if word.level is None else split_classes(result, word.level)
     if args.format == "json":
-        doc = {
-            "word": args.text,
-            "classes": [{"n": n, "tensor": _tensor_json(t)} for n, t in classes.items()],
-            "version": __version__,
-        }
+        doc = {"word": args.text, "version": __version__}
+        if classes is None:
+            doc["tensor"] = _tensor_json(result)
+        else:
+            doc["classes"] = [{"n": n, "tensor": _tensor_json(t)} for n, t in classes.items()]
         print(dumps_canonical(doc))
-    elif not classes:
-        print("0")
-    elif result.rank == 0:
-        print(result.scalar())
-    else:
+    elif classes and result.rank:
         for n, t in classes.items():
             print(f"class beta0{n:+d}f:" if n else "class beta0:")
             for line in _tensor_lines(t):
                 print("  " + line)
+    else:
+        # an operator word, a scalar or zero is printed summed over the classes
+        for line in _tensor_lines(result):
+            print(line)
     return EXIT_OK
 
 

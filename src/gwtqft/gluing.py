@@ -111,17 +111,14 @@ def _shift(num: _XYPoly) -> TPoly:
     return TPoly(poly)
 
 
-def _unfold(f, weight: int | None = None) -> PhiElem:
+def _unfold(f: PhiElem) -> PhiElem:
     """The element whose fold, its value at t2 = 0, is f.
 
     f is a folded element: each phi^m coefficient num / ((x - y)^a x^b y^c)
     becomes num(t0 - t2, t1 - t2) / ((t0 - t1)^a (t0 - t2)^b (t1 - t2)^c),
-    with the same exponents.  Given a weight, f is instead a polynomial in
-    x, y at phi = 1 (as _at_phi_one leaves it), and its degree-d part is the
-    coefficient of phi^(weight - d).
+    with the same exponents.  A polynomial in x, y at phi = 1 (as
+    _at_phi_one leaves it) is unfolded as _unfold(_graded(f, weight)).
     """
-    if weight is not None:
-        f = _graded(f, weight)
     return PhiElem({m: TRat(_shift(c.num), c.dexp) for m, c in f.terms.items()})
 
 
@@ -273,7 +270,7 @@ def trace_formula(g: int, k1: int, k2: int) -> PhiElem:
     operators breaks its weight, or det U1 or det U2 is not 1.
     """
     _check_request(g, k1, k2)
-    return _unfold(_trace(g - 1, k1, k2), 2 * g - 2)
+    return _unfold(_graded(_trace(g - 1, k1, k2), 2 * g - 2))
 
 
 def _check_request(g: int, k1: int, k2: int) -> None:

@@ -12,7 +12,8 @@ from them by gluing.  Entries are stored with all slots lowered.
 Gluing two relative slots sums over the fixed-point basis with one slot
 raised.  Every slot pair between the same two tensors is glued in one pass
 over flat entry offsets.  Two slots of one tensor are glued by contracting
-both with the level (0,0) tube, the identity cylinder.
+both with the level (0,0) tube, the identity cylinder, and a raised slot is
+lowered by gluing it to that tube.
 
 A word is a chain, as in the gluing picture of Bryan and Pandharipande
 ("The local Gromov-Witten theory of curves", J. AMS 21, 2008): each
@@ -45,7 +46,7 @@ from __future__ import annotations
 import re
 from functools import cache
 from itertools import product
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .exactring import ReductionError, _xy_clean, _xy_fraction_sum, _xy_mul_into
 from .gluing import _ONE
@@ -86,14 +87,6 @@ class RelTensor:
         self.variance = variance
         self.entries = entries
 
-    @classmethod
-    def from_function(
-        cls, rank: int, fn: Callable[..., PhiElem], variance: Sequence[bool] | None = None
-    ) -> "RelTensor":
-        if variance is None:
-            variance = (False,) * rank
-        return cls(variance, [fn(*labels) for labels in product(LABELS, repeat=rank)])
-
     @property
     def rank(self) -> int:
         return len(self.variance)
@@ -113,28 +106,6 @@ class RelTensor:
 
     def __hash__(self):
         return hash((self.variance, self.entries))
-
-    def _rescale_slot(self, slot: int, raised: bool) -> "RelTensor":
-        """Turn one slot raised or lowered: entries are divided by T(x_a)
-        along it to raise it and multiplied by T(x_a) to lower it."""
-        if not 0 <= slot < self.rank:
-            raise ValueError(f"slot {slot} out of range for rank {self.rank}")
-        if self.variance[slot] == raised:
-            raise ValueError(f"slot {slot} is already {'raised' if raised else 'lowered'}")
-        factors = [_phi(f, 0) for f in (INV_WEIGHTS if raised else WEIGHTS)]
-        variance = list(self.variance)
-        variance[slot] = raised
-        return RelTensor(variance, [
-            e * factors[labels[slot]]
-            for e, labels in zip(self.entries, product(LABELS, repeat=self.rank))
-        ])
-
-    def raise_slot(self, slot: int) -> "RelTensor":
-        """Divide entries by T(x_a) along one slot, turning it contravariant."""
-        return self._rescale_slot(slot, True)
-
-    def lower_slot(self, slot: int) -> "RelTensor":
-        return self._rescale_slot(slot, False)
 
     def scalar(self) -> PhiElem:
         if self.rank != 0:
@@ -245,12 +216,11 @@ _PANTS_F = {
 def build_pants() -> RelTensor:
     """Three-holed genus-0 level (0,0) generator: class 0 (phi^0) on the
     diagonal a = b = c, class 1 (phi^3) from _PANTS_F."""
-
-    def entry(a: int, b: int, c: int) -> PhiElem:
-        fiber = _phi(_PANTS_F[tuple(sorted((a, b, c)))], 3)
-        return fiber + _phi(weight(a) ** 2, 0) if a == b == c else fiber
-
-    return RelTensor.from_function(3, entry)
+    z = PhiElem.zero()
+    return RelTensor((False,) * 3, [
+        _phi(_PANTS_F[tuple(sorted((a, b, c)))], 3) + (_phi(weight(a) ** 2, 0) if a == b == c else z)
+        for a, b, c in product(LABELS, repeat=3)
+    ])
 
 
 def matrix_to_tensor(m: Op3) -> RelTensor:
@@ -489,6 +459,16 @@ _INVERTIBLE = {"U1": "U1inv", "U2": "U2inv", "U1inv": "U1", "U2inv": "U2"}
 MAX_WORD_GENERATORS = 32
 
 
+def _closing(text: str, i: int) -> int:
+    """The offset of the parenthesis that closes the one at offset i, or -1."""
+    depth = 0
+    for j in range(i, len(text)):
+        depth += (text[j] == "(") - (text[j] == ")")
+        if not depth:
+            return j
+    return -1
+
+
 def parse_word(text: str) -> CobordismWord:
     """Parse the CLI chain syntax into a CobordismWord.
 
@@ -497,55 +477,57 @@ def parse_word(text: str) -> CobordismWord:
     integer power.  A chain contracts each atom's outgoing slot with the next
     atom's incoming slot; trace(...) closes the two ends of the chain.  A
     word of more than MAX_WORD_GENERATORS generators, counting powers, is
-    a ValueError.
+    a ValueError.  An error's position is the 0-based offset, in text as
+    given, of the atom or character at fault.
     """
-    s = text.strip()
-    traced = False
-    if s.startswith("trace"):
-        rest = s[len("trace"):].lstrip()
-        if not rest.startswith("(") or not rest.endswith(")"):
-            raise ValueError("malformed trace(...) at position 0")
-        s = rest[1:-1]
-        traced = True
+    lo, hi = len(text) - len(text.lstrip()), len(text.rstrip())
+    traced = text.startswith("trace", lo)
+    if traced:
+        opening = len(text) - len(text[lo + len("trace"):].lstrip())
+        if text[opening:opening + 1] != "(" or _closing(text, opening) != hi - 1:
+            raise ValueError(f"malformed trace(...) at position {lo}")
+        lo, hi = opening + 1, hi - 1
 
     atoms: list[tuple[GenRef, int]] = []
-    pos = 0
+    pos = lo
     while True:
-        m = _ATOM_RE.match(s, pos)
+        m = _ATOM_RE.match(text, pos, hi)
         if not m or not m.group("name"):
-            raise ValueError(f"expected a generator at position {pos}")
+            at = len(text) - len(text[pos:].lstrip())
+            raise ValueError(f"expected a generator at position {at}")
         name = m.group("name")
+        at = m.start("name")
         level = None
         if m.group("a") is not None:
             level = (int(m.group("a")), int(m.group("b")))
         power = int(m.group("pow")) if m.group("pow") else 1
         if name in ("cap", "tube"):
             if level is None:
-                raise ValueError(f"{name} needs a level at position {pos}")
+                raise ValueError(f"{name} needs a level at position {at}")
             gen: GenRef = (name, level)
         elif name == "pants":
             if level is not None:
-                raise ValueError(f"pants takes no level at position {pos}")
+                raise ValueError(f"pants takes no level at position {at}")
             gen = ("pants",)
         elif name in OPERATOR_NAMES:
             if level is not None:
-                raise ValueError(f"operator {name} takes no level at position {pos}")
+                raise ValueError(f"operator {name} takes no level at position {at}")
             gen = ("op", name)
         else:
-            raise ValueError(f"unknown generator {name!r} at position {pos}")
+            raise ValueError(f"unknown generator {name!r} at position {at}")
         if power < 0:
             if gen[0] == "op" and gen[1] in _INVERTIBLE:
                 gen = ("op", _INVERTIBLE[gen[1]])
                 power = -power
             else:
-                raise ValueError(f"negative power at position {pos}")
+                raise ValueError(f"negative power at position {at}")
         if power < 1:
-            raise ValueError(f"power must be at least 1 at position {pos}")
+            raise ValueError(f"power must be at least 1 at position {at}")
         atoms.append((gen, power))
         pos = m.end()
-        if pos >= len(s):
+        if pos >= hi:
             break
-        if s[pos] != "*":
+        if text[pos] != "*":
             raise ValueError(f"expected '*' at position {pos}")
         pos += 1
 

@@ -197,6 +197,20 @@ class TestWord:
         code, out, err = run_cli(capsys, "word", text)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("G * X", "unknown generator 'X' at position 4"),
+            ("  G * X", "unknown generator 'X' at position 6"),
+            ("trace(G * X)", "unknown generator 'X' at position 10"),
+            # the closing parenthesis is the tube's, so trace( is never closed
+            ("trace(tube(0,0)", "malformed trace(...) at position 0"),
+        ],
+    )
+    def test_parse_error_position_is_an_offset_in_the_typed_text(self, capsys, text, message):
+        code, out, err = run_cli(capsys, "word", text)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_phi_power_off_the_class_grading_is_exit_3(self, capsys, monkeypatch):
         # a phi^1 term in a level-0 tensor belongs to no fiber class
         from gwtqft import words
@@ -211,6 +225,100 @@ class TestWord:
         assert out == ""
         assert err.startswith("internal consistency error: phi^1 in a tensor of level 0 ")
         assert len(err.splitlines()) == 1
+
+
+def _terms(*terms):
+    return [{"den": den, "num": num, "phi_exp": m} for num, den, m in terms]
+
+
+def _entry(slots, *terms):
+    return {"slots": list(slots), "terms": _terms(*terms)}
+
+
+def _tensor(variance, *entries):
+    return {"entries": list(entries), "rank": len(variance), "variance": list(variance)}
+
+
+# (t0 - t1)(t0 - t2)^2 and (t1 - t0)(t1 - t2)^2, expanded
+_CUBICS = (
+    "t0^3 - t0^2*t1 - 2*t0^2*t2 + 2*t0*t1*t2 + t0*t2^2 - t1*t2^2",
+    "-t0*t1^2 + 2*t0*t1*t2 - t0*t2^2 + t1^3 - 2*t1^2*t2 + t1*t2^2",
+)
+
+#: word -> (text output, JSON document), recorded before the four shapes
+#: below shared one printing path: zero, a scalar, two classes, and an
+#: operator word whose entries carry denominators
+WORD_SHAPES = {
+    "cap(0,0) * cap(0,0)": ("0\n", {"classes": []}),
+    "cap(0,1) * cap(0,0)": (
+        "phi^-2\n",
+        {"classes": [{"n": -1, "tensor": _tensor([], _entry([], ("1", "1", -2)))}]},
+    ),
+    "cap(0,-1) * pants": (
+        "class beta0:\n"
+        f"  Z_x0_x0 = ({_CUBICS[0]})*phi^-1\n"
+        f"  Z_x1_x1 = ({_CUBICS[1]})*phi^-1\n"
+        "class beta0+1f:\n"
+        + "".join(f"  Z_x{a}_x{b} = phi^2\n" for a, b in product(range(3), repeat=2)),
+        {
+            "classes": [
+                {
+                    "n": 0,
+                    "tensor": _tensor(
+                        ["lowered", "lowered"],
+                        _entry([0, 0], (_CUBICS[0], "1", -1)),
+                        _entry([1, 1], (_CUBICS[1], "1", -1)),
+                    ),
+                },
+                {
+                    "n": 1,
+                    "tensor": _tensor(
+                        ["lowered", "lowered"],
+                        *(_entry(ab, ("1", "1", 2)) for ab in product(range(3), repeat=2)),
+                    ),
+                },
+            ]
+        },
+    ),
+    "U1 * U2inv": (
+        "Z^x0_x0 = t0 - t2 / t0 - t1\n"
+        "Z^x0_x1 = t1^2 - 2*t1*t2 + t2^2 / t0^2 - t0*t1 - t0*t2 + t1*t2\n"
+        "Z^x1_x0 = -t1 + t2 / t0 - t1\n"
+        f"Z^x1_x1 = ({_CUBICS[1]})*phi^-3 + 2*t0 - 3*t1 + t2 / t0 - t1\n"
+        "Z^x1_x2 = 1\n"
+        "Z^x2_x1 = -t0 + t1 / t0 - t2\n",
+        {
+            "tensor": _tensor(
+                ["raised", "lowered"],
+                _entry([0, 0], ("t0 - t2", "t0 - t1", 0)),
+                _entry([0, 1], ("t1^2 - 2*t1*t2 + t2^2", "t0^2 - t0*t1 - t0*t2 + t1*t2", 0)),
+                _entry([1, 0], ("-t1 + t2", "t0 - t1", 0)),
+                _entry(
+                    [1, 1],
+                    (_CUBICS[1], "1", -3),
+                    ("2*t0 - 3*t1 + t2", "t0 - t1", 0),
+                ),
+                _entry([1, 2], ("1", "1", 0)),
+                _entry([2, 1], ("-t0 + t1", "t0 - t2", 0)),
+            )
+        },
+    ),
+}
+
+
+class TestWordShapes:
+    """The printed forms of a word: zero, a scalar, split classes and an
+    operator word with denominators, in text and JSON."""
+
+    @pytest.mark.parametrize("text", WORD_SHAPES)
+    def test_text(self, capsys, text):
+        assert run_cli(capsys, "word", text) == (0, WORD_SHAPES[text][0], "")
+
+    @pytest.mark.parametrize("text", WORD_SHAPES)
+    def test_json(self, capsys, text):
+        doc = dict(WORD_SHAPES[text][1], word=text, version=__version__)
+        want = dumps_canonical(doc) + "\n"
+        assert run_cli(capsys, "word", text, "--format", "json") == (0, want, "")
 
 
 class TestUsageErrors:

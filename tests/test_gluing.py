@@ -63,28 +63,36 @@ def glue_slots(t: RelTensor, i: int, j: int) -> RelTensor:
     return contract(t, (i, j), build_tube((0, 0)), (0, 1))
 
 
+def inverse_tube() -> RelTensor:
+    """The inverse of the level (0,0) tube, both slots raised: 1 / T(x_a) on
+    the diagonal.  A lowered slot glued to it is raised."""
+    return RelTensor((True, True), [
+        _phi(INV_WEIGHTS[a], 0) if a == b else PhiElem.zero() for a, b in product(LABELS, repeat=2)
+    ])
+
+
 class TestRaiseIndex:
+    """A slot changes variance only by gluing: the level (0,0) tube, the
+    identity cylinder, lowers a raised slot, and its inverse raises a
+    lowered one."""
+
     def test_level_zero_tube_becomes_identity(self):
-        tube = build_tube((0, 0))
-        raised = unfold_tensor(tube.raise_slot(1))
+        raised = unfold_tensor(contract(build_tube((0, 0)), 1, inverse_tube(), 0))
+        assert raised.variance == (False, True)
         for a, b in product(LABELS, repeat=2):
             want = phi(1) if a == b else PhiElem.zero()
             assert raised.entry(a, b) == want
 
     def test_raise_then_lower_is_identity(self):
         pants1 = piece(build_pants(), 0, 1)
-        assert pants1.raise_slot(2).lower_slot(2) == pants1
+        raised = contract(pants1, 2, inverse_tube(), 0)
+        assert contract(raised, 2, build_tube((0, 0)), 0) == pants1
 
     def test_raised_pants_entry(self):
         pants1 = piece(build_pants(), 0, 1)
-        raised = unfold_tensor(pants1.raise_slot(2))
+        raised = unfold_tensor(contract(pants1, 2, inverse_tube(), 0))
         want = phi(TRat.make(t0 - t1, weight(2)), 3)
         assert raised.entry(0, 0, 2) == want
-
-    def test_double_raise_rejected(self):
-        raised = build_tube((0, 0)).raise_slot(0)
-        with pytest.raises(ValueError):
-            raised.raise_slot(0)
 
 
 class TestContract:
@@ -222,8 +230,10 @@ class TestSelfGlue:
         assert out.rank == 0
         assert _unfold(out.scalar()) == phi(3)
         # both slots raised: entries 1 / T(x_a), each summed with T(x_a)
-        raised = glue_slots(tube.raise_slot(0).raise_slot(1), 0, 1)
-        assert _unfold(raised.scalar()) == phi(3)
+        raised = inverse_tube()
+        assert _unfold(glue_slots(raised, 0, 1).scalar()) == phi(3)
+        # two pairs of raised slots, each summed with the glue factor T(x_a)
+        assert _unfold(contract(raised, (0, 1), raised, (0, 1)).scalar()) == phi(3)
 
     @pytest.mark.parametrize("name", OPERATOR_NAMES)
     def test_operator_trace(self, name):
@@ -401,7 +411,8 @@ class TestCayleyHamilton:
         adj = mat_adjugate(gmat)
         c1, c2, c3 = mat_trace(gmat), mat_trace(adj), mat_det(gmat, adj)
         folded = gluing._char_poly("G", 2)
-        assert tuple(map(_unfold, folded, (2, 4, 6))) == tuple(map(_unfold, (c1, c2, c3)))
+        unfolded = tuple(_unfold(gluing._graded(c, w)) for c, w in zip(folded, (2, 4, 6)))
+        assert unfolded == tuple(map(_unfold, (c1, c2, c3)))
         rhs = mat_add(
             mat_add(mat_scale(mat_power(gmat, 2), c1), mat_scale(gmat, -c2)),
             mat_scale(mat_identity(), c3),
@@ -453,7 +464,7 @@ class TestCayleyHamilton:
 class TestFold:
     def test_unfold_is_a_taylor_shift(self):
         # x y^2 at weight 4 is (t0 - t2)(t1 - t2)^2 phi
-        got = gluing._unfold({(1, 2): 1}, 4)
+        got = _unfold(gluing._graded({(1, 2): 1}, 4))
         assert got == phi((t0 - t2) * (t1 - t2) ** 2, 1)
         folded = _phi(XYRat({(1, 2): 1}), 1)
         assert gluing._at_phi_one(folded, 4, "x y^2") == {(1, 2): 1}
@@ -549,8 +560,8 @@ class TestOneCoefficientRing:
         finally:
             monkeypatch.undo()
             self._clear()
-        assert gluing._unfold(folded, 18) == trace_formula(10, 2, -1)
-        assert gluing._unfold(genus_zero, -2) == trace_formula(0, 2, -1)
+        assert _unfold(gluing._graded(folded, 18)) == trace_formula(10, 2, -1)
+        assert _unfold(gluing._graded(genus_zero, -2)) == trace_formula(0, 2, -1)
         assert _unfold(scalar) == trace_formula(2, 1, -1)
 
 

@@ -20,7 +20,14 @@ from gwtqft.operators import (
     mat_identity,
 )
 from gwtqft.operators import weight as folded_weight
-from gwtqft.words import build_cap, build_pants, build_tube, matrix_to_tensor, split_classes
+from gwtqft.words import (
+    build_cap,
+    build_pants,
+    build_tube,
+    contract,
+    matrix_to_tensor,
+    split_classes,
+)
 from reference import phi, unfold_matrix, unfold_tensor, weight
 
 t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
@@ -210,6 +217,13 @@ class TestOperators:
 
 
 class TestRaisedTubeConsistency:
+    """Each operator glued to the level (0,0) tube, the identity cylinder,
+    is the paper's tube of its level."""
+
+    @staticmethod
+    def lowered(m):
+        return contract(build_tube((0, 0)), 1, matrix_to_tensor(m), 0)
+
     def test_matrices_match_raised_tubes(self):
         pairs = [
             ("U1", (1, 0)),
@@ -218,12 +232,10 @@ class TestRaisedTubeConsistency:
             ("U2inv", (0, -1)),
         ]
         for name, level in pairs:
-            lowered = matrix_to_tensor(build_operator(name)).lower_slot(0)
-            assert lowered == build_tube(level), name
+            assert self.lowered(build_operator(name)) == build_tube(level), name
 
     def test_level_zero_tube_raises_to_identity(self):
-        lowered = matrix_to_tensor(mat_identity()).lower_slot(0)
-        assert lowered == build_tube((0, 0))
+        assert self.lowered(mat_identity()) == build_tube((0, 0))
 
 
 def _permute_matrix(m, label_perm, var_perm):
