@@ -13,11 +13,11 @@ g + |k1| + |k2| above ``gluing.MAX_REQUEST``, or a ``genus --order`` or
 1..``checks.MAX_TRIALS``), 3 internal error (a quotient the theory
 guarantees failed to reduce, such as a denominator outside the products of
 ti - tj; a matrix trace or coefficient of the trace engine that is not an
-integer polynomial of its weight; a word tensor with a phi power outside
-its mod-3 class grading; or the interpreter ran out of recursion depth or
-memory), 141
-(128 + SIGPIPE) when the reader of stdout went away before the output was
-written.
+integer polynomial of its weight; a level operator whose det is not 1; a
+word tensor with a phi power outside its mod-3 class grading; a division
+by zero, which no input can cause; or the interpreter ran out of recursion
+depth or memory), 141 (128 + SIGPIPE) when the reader of stdout went away
+before the output was written.
 
 Each command compiles only what it runs: ``compute``, ``extract`` and
 ``genus`` load ``operators`` and the trace engine in ``gluing``; ``word``
@@ -135,38 +135,37 @@ def _emit_phi(e: PhiElem, fmt: str, meta: dict) -> str:
 # -- tensor rendering -----------------------------------------------------------
 
 
-def _tensor_lines(t: RelTensor) -> list[str]:
-    from itertools import product as iproduct
+def _nonzero_entries(t: RelTensor):
+    """(labels, entry) for each nonzero entry of t, in label order."""
+    from itertools import product
 
     from .operators import LABELS
 
+    for labels in product(LABELS, repeat=t.rank):
+        val = t.entry(*labels)
+        if not val.is_zero:
+            yield labels, val
+
+
+def _tensor_lines(t: RelTensor) -> list[str]:
     if t.rank == 0:
         return [str(t.scalar())]
     marks = ["^" if up else "_" for up in t.variance]
     lines = []
-    for labels in iproduct(LABELS, repeat=t.rank):
-        val = t.entry(*labels)
-        if val.is_zero:
-            continue
+    for labels, val in _nonzero_entries(t):
         idx = "".join(f"{m}x{a}" for m, a in zip(marks, labels))
         lines.append(f"Z{idx} = {val}")
     return lines or ["0"]
 
 
 def _tensor_json(t: RelTensor) -> dict:
-    from itertools import product as iproduct
-
-    from .operators import LABELS
-
-    entries = []
-    for labels in iproduct(LABELS, repeat=t.rank):
-        val = t.entry(*labels)
-        if not val.is_zero:
-            entries.append({"slots": list(labels), "terms": val.to_json_terms()})
     return {
         "rank": t.rank,
         "variance": ["raised" if up else "lowered" for up in t.variance],
-        "entries": entries,
+        "entries": [
+            {"slots": list(labels), "terms": val.to_json_terms()}
+            for labels, val in _nonzero_entries(t)
+        ],
     }
 
 
@@ -338,11 +337,11 @@ def main(argv=None) -> int:
     except ReductionError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (RecursionError, MemoryError) as exc:
+    except (RecursionError, MemoryError, ZeroDivisionError) as exc:
         detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
         print(f"internal error: {detail}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code

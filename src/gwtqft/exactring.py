@@ -207,16 +207,6 @@ class TPoly:
             parts.setdefault(e[0] + e[1] + e[2], {})[e] = c
         return {d: TPoly._raw(t) for d, t in parts.items()}
 
-    def permute_vars(self, perm: Sequence[int]) -> "TPoly":
-        """Apply the substitution t_i -> t_perm[i]."""
-        acc: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            ne = [0, 0, 0]
-            for i in range(3):
-                ne[perm[i]] = e[i]
-            acc[tuple(ne)] = c
-        return TPoly._raw(acc)
-
     # -- printing ------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -413,20 +403,6 @@ class TRat:
             n1 * n2,
             tuple(a - i + b - j for a, i, b, j in zip(self.dexp, k1, other.dexp, k2)),
         )
-
-    # -- grading and substitution --------------------------------------------
-
-    def homogeneous_parts(self) -> dict[int, "TRat"]:
-        """Split into homogeneous components (degree -> part), a part's
-        degree being its numerator's minus sum(dexp)."""
-        shift = sum(self.dexp)
-        return {
-            d - shift: TRat._reduced(part, self.dexp)
-            for d, part in self.num.homogeneous_parts().items()
-        }
-
-    def permute_vars(self, perm: Sequence[int]) -> "TRat":
-        return TRat.make(self.num.permute_vars(perm), self.den.permute_vars(perm))
 
     # -- printing --------------------------------------------------------------
 

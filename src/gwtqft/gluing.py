@@ -22,11 +22,12 @@ phi^(2j - a - b).  At phi = 1:
   them, and each G adds a handle, so s_j = 1^T G^(j+1) U1^a U2^b w with
   w_a = 1 / T(x_a) (the Frobenius identity tr(X) = eps(G X), eps the
   counit).  Genus 0 is the seed s_-1 itself and needs no division;
-- levels |k| >= 2 follow from s(k) = e1 s(k-1) - e2 s(k-2) + s(k-3), where
-  e1, e2 are the trace and the sum of principal 2x2 minors of U1 (or U2);
-  det U = 1, so the recurrence runs downwards without a division;
-- genus j >= 2 follows from s_n = c1 s_(n-1) - c2 s_(n-2) + c3 s_(n-3)
-  with the same coefficients of G.
+- every walk steps by the characteristic polynomial of the operator M it
+  applies: x_n = c1 x_(n-1) - c2 x_(n-2) + c3 x_(n-3) for the traces x_n
+  of M^n X, with c1 = tr M, c2 = tr adj M and c3 = det M.  Genus j >= 2
+  walks G, a level k >= 2 walks U1 (or U2), and a level k <= -2 walks the
+  explicit inverse U1inv = N1 + M1 (or U2inv = N2 + M2) up from the seeds.
+  A level operator has det 1, so no walk divides.
 
 Z is re-expanded from s_(g-1) by a Taylor shift in t2.  A matrix trace or
 coefficient is read at phi = 1 only when each phi^m coefficient is an
@@ -35,10 +36,10 @@ breaks the homogeneity raises ReductionError instead of giving a wrong Z.
 
 The bounded ``lru_cache`` on ``trace_formula`` is the one memo of results.
 Below it only generator data is cached: the 27 seeds and the coefficients
-of G, U1 and U2.  A request keeps the last three values of each walk, so a
-loop of requests over g = 1..N takes O(N^2) steps.  A sweep reads its lines
-from a ``_reader`` instead: ``verify --suite all`` takes 1,363 recurrence
-steps, against 4,106 when each key walks alone.
+of G, U1, U2, U1inv and U2inv.  A request keeps the last three values of
+each walk, so a loop of requests over g = 1..N takes O(N^2) steps.  A sweep
+reads its lines from a ``_reader`` instead: ``verify --suite all`` takes
+1,363 recurrence steps, against 4,106 when each key walks alone.
 """
 
 from __future__ import annotations
@@ -151,10 +152,6 @@ def _at_phi_one(p: PhiElem, weight: int, what: str) -> _XYPoly:
     return f
 
 
-def _neg(f: _XYPoly) -> _XYPoly:
-    return {e: -c for e, c in f.items()}
-
-
 def _combine(pairs) -> _XYPoly:
     """The sum of f * p over the (f, p) pairs."""
     acc: dict = {}
@@ -177,18 +174,15 @@ def _char_poly(name: str, weight: int) -> tuple[_XYPoly, _XYPoly, _XYPoly]:
     )
 
 
-def _step(name: str, up: bool = True) -> tuple[_XYPoly, _XYPoly, _XYPoly]:
-    """(f1, f2, f3) with x_n = f1 x_(n-1) + f2 x_(n-2) + f3 x_(n-3) for the
-    traces x_n of M^n X, M = G, U1 or U2, stepping n up or down.  Only a level
-    steps down: det U = 1, so neither way divides."""
-    if name == "G":
-        c1, c2, c3 = _char_poly(name, 2)
-        return c1, _neg(c2), c3
-    e1, e2, e3 = _char_poly(name, 0)
-    if e3 != _ONE:
+def _step(name: str) -> tuple[_XYPoly, _XYPoly, _XYPoly]:
+    """(c1, -c2, c3) of the operator M = G, U1, U2, U1inv or U2inv, so that
+    the traces x_n of M^n X obey x_n = c1 x_(n-1) - c2 x_(n-2) + c3 x_(n-3).
+    A level operator must have det 1, or it raises ReductionError."""
+    weight = 2 if name == "G" else 0
+    c1, c2, c3 = _char_poly(name, weight)
+    if weight == 0 and c3 != _ONE:
         raise ReductionError(f"det {name} is not 1")
-    # U^3 = e1 U^2 - e2 U + I, and U^-1 = U^2 - e1 U + e2 I
-    return (e1, _neg(e2), _ONE) if up else (e2, _neg(e1), _ONE)
+    return c1, {e: -c for e, c in c2.items()}, c3
 
 
 @cache
@@ -207,12 +201,12 @@ def _seed(j: int, k1: int, k2: int) -> _XYPoly:
     return _at_phi_one(v[0] + v[1] + v[2], 2 * j, f"tr(G^{j} U1^{k1} U2^{k2})")
 
 
-def _walk(start: list[_XYPoly], name: str, up: bool = True):
-    """The three values of start, then the recurrence of _step(name, up)
-    run from them, one value at a time, keeping only the last three."""
+def _walk(start: list[_XYPoly], name: str):
+    """The three values of start, then the recurrence of _step(name) run
+    from them, one value at a time, keeping only the last three."""
     yield from start
     x3, x2, x1 = start
-    f1, f2, f3 = _step(name, up)
+    f1, f2, f3 = _step(name)
     while True:
         x3, x2, x1 = x2, x1, _combine(((f1, x1), (f2, x2), (f3, x3)))
         yield x1
@@ -225,12 +219,12 @@ def _nth(values, n: int):
 
 
 def _level(name: str, k: int, at) -> _XYPoly:
-    """The folded trace at level k of U = U1 or U2, walked from its values
-    at(n) at the levels n = -1, 0, 1."""
+    """The folded trace at level k of U = U1 or U2, from its values at(n)
+    at the levels n = -1, 0, 1: a walk of U for k > 0, of U^-1 for k < 0."""
     if -1 <= k <= 1:
         return at(k)
-    levels = (-1, 0, 1) if k > 0 else (1, 0, -1)
-    return _nth(_walk([at(n) for n in levels], name, k > 0), abs(k) + 1)
+    s = 1 if k > 0 else -1
+    return _nth(_walk([at(-s), at(0), at(s)], name if s > 0 else name + "inv"), abs(k) + 1)
 
 
 def _first(j: int, k1: int, k2: int) -> _XYPoly:
@@ -267,7 +261,7 @@ def trace_formula(g: int, k1: int, k2: int) -> PhiElem:
     s_(g-1) of the recurrences from the seed traces, and re-expanded at
     weight 2g - 2.  A negative g or g + |k1| + |k2| > MAX_REQUEST is a
     ValueError.  Raises ReductionError when a trace or coefficient of the
-    operators breaks its weight, or det U1 or det U2 is not 1.
+    operators breaks its weight, or a walked level operator's det is not 1.
     """
     _check_request(g, k1, k2)
     return _unfold(_graded(_trace(g - 1, k1, k2), 2 * g - 2))

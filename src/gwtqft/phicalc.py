@@ -12,7 +12,6 @@ as a table asks for, so nothing is ever silently approximated.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from .exactring import TRat, parse_poly
 
@@ -114,12 +113,6 @@ class PhiElem:
                     else:
                         del acc[m]
         return PhiElem(acc)
-
-    # -- coefficientwise maps --------------------------------------------------
-
-    def permute_vars(self, perm: Sequence[int]) -> "PhiElem":
-        """Apply t_i -> t_perm[i] to every (TRat) coefficient."""
-        return PhiElem({m: c.permute_vars(perm) for m, c in self.terms.items()})
 
     # -- printing ----------------------------------------------------------------
 

@@ -481,10 +481,11 @@ def parse_word(text: str) -> CobordismWord:
     given, of the atom or character at fault.
     """
     lo, hi = len(text) - len(text.lstrip()), len(text.rstrip())
-    traced = text.startswith("trace", lo)
+    # traced only when the name trace is followed by optional spaces and "("
+    opening = len(text) - len(text[lo + len("trace"):].lstrip())
+    traced = text.startswith("trace", lo) and text[opening:opening + 1] == "("
     if traced:
-        opening = len(text) - len(text[lo + len("trace"):].lstrip())
-        if text[opening:opening + 1] != "(" or _closing(text, opening) != hi - 1:
+        if _closing(text, opening) != hi - 1:
             raise ValueError(f"malformed trace(...) at position {lo}")
         lo, hi = opening + 1, hi - 1
 

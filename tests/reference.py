@@ -54,6 +54,25 @@ def unfold_matrix(m):
     return tuple(tuple(_unfold(e) for e in row) for row in m)
 
 
+def _permute_poly(p: TPoly, perm) -> TPoly:
+    terms = {}
+    for e, c in p.terms.items():
+        moved = [0, 0, 0]
+        for i, k in zip(perm, e):
+            moved[i] = k
+        terms[tuple(moved)] = c
+    return TPoly(terms)
+
+
+def permute_vars(z: PhiElem, perm) -> PhiElem:
+    """z with t_i -> t_perm[i] in every TRat coefficient, each fraction
+    rebuilt by TRat.make from its permuted numerator and denominator."""
+    return PhiElem({
+        m: TRat.make(_permute_poly(c.num, perm), _permute_poly(c.den, perm))
+        for m, c in z.terms.items()
+    })
+
+
 # -- operators ---------------------------------------------------------------------
 
 

@@ -205,11 +205,21 @@ class TestWord:
             ("trace(G * X)", "unknown generator 'X' at position 10"),
             # the closing parenthesis is the tube's, so trace( is never closed
             ("trace(tube(0,0)", "malformed trace(...) at position 0"),
+            # a word is traced only when the name trace is followed by "("
+            ("traceG", "unknown generator 'traceG' at position 0"),
+            ("tracer * G", "unknown generator 'tracer' at position 0"),
+            ("trace", "unknown generator 'trace' at position 0"),
+            ("  traceG(", "unknown generator 'traceG' at position 2"),
+            ("trace (G", "malformed trace(...) at position 0"),
         ],
     )
     def test_parse_error_position_is_an_offset_in_the_typed_text(self, capsys, text, message):
         code, out, err = run_cli(capsys, "word", text)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_trace_then_spaces_then_a_parenthesis_is_traced(self, capsys):
+        assert run_cli(capsys, "word", "trace (G)") == run_cli(capsys, "word", "trace(G)")
+        assert run_cli(capsys, "word", "trace(G)")[:2] == (0, "t0^2 - t0*t1 - t0*t2 + t1^2 - t1*t2 + t2^2\n")
 
     def test_phi_power_off_the_class_grading_is_exit_3(self, capsys, monkeypatch):
         # a phi^1 term in a level-0 tensor belongs to no fiber class
@@ -431,6 +441,9 @@ class TestExitCodes:
             (RecursionError("maximum recursion depth exceeded"),
              "internal error: RecursionError: maximum recursion depth exceeded\n"),
             (MemoryError(), "internal error: MemoryError\n"),
+            # no input can divide by zero, so a division by zero is an internal fault
+            (ZeroDivisionError("denominator is zero"),
+             "internal error: ZeroDivisionError: denominator is zero\n"),
         ],
     )
     def test_interpreter_limit_is_exit_3(self, capsys, monkeypatch, error, line):
@@ -446,6 +459,29 @@ class TestExitCodes:
         assert code == 3
         assert err == line
         assert "Traceback" not in err
+
+    def test_level_operator_with_det_other_than_1_is_exit_3(self, capsys, monkeypatch):
+        # a level k <= -2 walks U1inv, whose det must be 1
+        from gwtqft import gluing
+        from gwtqft.operators import _phi
+
+        build, two = gluing.build_operator, _phi(2, 0)
+
+        def doubled(name):
+            m = build(name)
+            return tuple(tuple(e * two for e in row) for row in m) if name == "U1inv" else m
+
+        caches = (gluing._seed, gluing._char_poly, gluing.trace_formula)
+        monkeypatch.setattr(gluing, "build_operator", doubled)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            result = run_cli(capsys, "compute", "-g", "2", "--level1", "-3")
+        finally:
+            monkeypatch.undo()
+            for cache in caches:
+                cache.cache_clear()
+        assert result == (3, "", "internal consistency error: det U1inv is not 1\n")
 
     def test_failed_check_is_exit_1(self, capsys, monkeypatch):
         from gwtqft import checks, cli
@@ -474,6 +510,27 @@ class TestNumericReEvaluation:
         for _ in range(5):
             pt = _random_residues(rng, 2)
             assert value_mod(parsed, pt) == numeric_trace(2, 1, 0, pt)
+
+    @pytest.mark.parametrize("key", [(2, 1, 0), (3, -2, 1), (1, 0, -3), (0, -2, 2), (1, -2, -2)])
+    def test_printed_z_matches_numeric_trace_and_a_changed_digit_does_not(self, capsys, key):
+        import random
+        import re
+
+        from gwtqft.checks import _elem_mod, _random_residues, numeric_trace
+
+        g, k1, k2 = key
+        code, out, _ = run_cli(capsys, "compute", "-g", str(g), "--level1", str(k1),
+                               "--level2", str(k2), "--format", "json")
+        assert code == 0
+        terms = json.loads(out)["terms"]
+        point = _random_residues(random.Random(sum(key)), g)
+        want = numeric_trace(g, k1, k2, point)
+        assert _elem_mod(PhiElem.from_json_terms(terms), point, False) == want
+        # the first digit of the last numerator that is no variable's index
+        num = terms[-1]["num"]
+        i = re.search(r"(?<!t)\d", num).start()
+        terms[-1] = {**terms[-1], "num": num[:i] + str(int(num[i]) % 9 + 1) + num[i + 1:]}
+        assert _elem_mod(PhiElem.from_json_terms(terms), point, False) != want
 
 
 class TestWordGolden:

@@ -9,7 +9,6 @@ from gwtqft.checks import PRIME, _elem_mod
 from gwtqft.exactring import (
     LINEAR_FORMS,
     _LINEAR_PAIRS,
-    RAT_ZERO,
     ReductionError,
     TPoly,
     TRat,
@@ -206,25 +205,6 @@ class TestEvaluate:
 
 
 class TestHomogeneousComponent:
-    def test_split(self):
-        a = TRat(t0) + TRat.make(1, t0 - t1)
-        assert a.homogeneous_parts() == {1: TRat(t0), -1: TRat.make(1, t0 - t1)}
-
-    def test_absent_degree_is_zero(self):
-        a = TRat((t0 - t1) * (t0 - t2))
-        assert a.homogeneous_parts() == {2: a}
-
-    def test_numerator_decomposition(self):
-        a = TRat.make(t0**3 + 5, t0 - t1)
-        assert a.homogeneous_parts() == {2: TRat.make(t0**3, t0 - t1), -1: TRat.make(5, t0 - t1)}
-
-    def test_parts_sum_back(self):
-        a = TRat.make(t0**3 + 5 * t1 + 7, t0 - t1)
-        total = RAT_ZERO
-        for part in a.homogeneous_parts().values():
-            total = total + part
-        assert total == a
-
     def test_non_homogeneous_denominator_rejected(self):
         with pytest.raises(ReductionError):
             TRat.make(t0, t0 - t1 + 1)

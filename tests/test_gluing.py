@@ -25,7 +25,7 @@ from gwtqft.operators import (
 )
 from gwtqft import cli, gluing, operators, words
 from gwtqft.partition import SpaceParams, class_component
-from gwtqft.checks import mat_eq, mat_power, mat_scale
+from gwtqft.checks import mat_power, mat_scale
 from gwtqft.gluing import (
     _unfold,
     mat_adjugate,
@@ -259,18 +259,16 @@ class TestSelfGlue:
 
 class TestMatPower:
     def test_inverse_pairs(self):
-        assert mat_eq(
-            mat_mul(build_operator("U1"), build_operator("U1inv")), mat_identity()
-        )
+        assert mat_mul(build_operator("U1"), build_operator("U1inv")) == mat_identity()
         # det U = 1, so the adjugate is the inverse
         for name in ("U1", "U2"):
             u = build_operator(name)
             adj = mat_adjugate(u)
             assert mat_det(u, adj) == ONE
-            assert mat_eq(adj, build_operator(name + "inv"))
+            assert adj == build_operator(name + "inv")
 
     def test_power_zero(self):
-        assert mat_eq(mat_power(build_operator("G"), 0), mat_identity())
+        assert mat_power(build_operator("G"), 0) == mat_identity()
 
     def test_mixed_creation_powers(self):
         c1, c2 = build_operator("C1"), build_operator("C2")
@@ -303,7 +301,7 @@ class TestMatPower:
 
     def test_mat_power_large_exponent_without_recursion(self):
         zero = tuple(tuple(PhiElem.zero() for _ in LABELS) for _ in LABELS)
-        assert mat_eq(mat_power(build_operator("M1"), 3000), zero)  # M1^3 = 0
+        assert mat_power(build_operator("M1"), 3000) == zero  # M1^3 = 0
 
 
 class TestTraceFormula:
@@ -417,7 +415,7 @@ class TestCayleyHamilton:
             mat_add(mat_scale(mat_power(gmat, 2), c1), mat_scale(gmat, -c2)),
             mat_scale(mat_identity(), c3),
         )
-        assert mat_eq(mat_power(gmat, 3), rhs)
+        assert mat_power(gmat, 3) == rhs
 
     def test_trace_formula_matches_matrix_power(self, level_words):
         gpowers = [mat_identity()]
@@ -568,9 +566,9 @@ class TestOneCoefficientRing:
 class TestCommutation:
     def test_pairwise(self):
         g, u1, u2 = (build_operator(n) for n in ("G", "U1", "U2"))
-        assert mat_eq(mat_mul(g, u1), mat_mul(u1, g))
-        assert mat_eq(mat_mul(g, u2), mat_mul(u2, g))
-        assert mat_eq(mat_mul(u1, u2), mat_mul(u2, u1))
+        assert mat_mul(g, u1) == mat_mul(u1, g)
+        assert mat_mul(g, u2) == mat_mul(u2, g)
+        assert mat_mul(u1, u2) == mat_mul(u2, u1)
 
     def test_trace_cyclicity_on_random_words(self):
         rng = random.Random(7)

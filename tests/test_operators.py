@@ -28,7 +28,7 @@ from gwtqft.words import (
     matrix_to_tensor,
     split_classes,
 )
-from reference import phi, unfold_matrix, unfold_tensor, weight
+from reference import permute_vars, phi, unfold_matrix, unfold_tensor, weight
 
 t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
 
@@ -241,7 +241,7 @@ class TestRaisedTubeConsistency:
 def _permute_matrix(m, label_perm, var_perm):
     out = [[None] * 3 for _ in range(3)]
     for a, b in product(LABELS, repeat=2):
-        out[label_perm[a]][label_perm[b]] = m[a][b].permute_vars(var_perm)
+        out[label_perm[a]][label_perm[b]] = permute_vars(m[a][b], var_perm)
     return tuple(tuple(row) for row in out)
 
 

@@ -21,14 +21,15 @@ from gwtqft.partition import (
     virtual_dim,
 )
 
-from reference import phi
+from reference import permute_vars, phi
 
 t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
 
 
 def _t_degrees(z: PhiElem) -> set[int]:
-    """All t-degrees carried by any coefficient of z."""
-    return {d for _, c in z.items() for d in c.homogeneous_parts()}
+    """All t-degrees carried by any coefficient of z, a polynomial in t."""
+    assert all(c.is_poly for _, c in z.items())
+    return {d for _, c in z.items() for d in c.num.homogeneous_parts()}
 
 
 def _reference_components(p: SpaceParams) -> dict[int, PhiElem]:
@@ -36,10 +37,11 @@ def _reference_components(p: SpaceParams) -> dict[int, PhiElem]:
     part of every coefficient of Z, for every class whose part is nonzero."""
     parts: dict[int, dict] = {}
     for m, c in compute_Z(p).items():
-        for d, part in c.homogeneous_parts().items():
+        assert c.is_poly, (p, m)
+        for d, part in c.num.homogeneous_parts().items():
             n, r = divmod(2 * p.g - 2 - p.k1 - p.k2 - d, 3)
             assert r == 0, (p.g, p.k1, p.k2, d)
-            parts.setdefault(n, {})[m] = part
+            parts.setdefault(n, {})[m] = TRat(part)
     return {n: PhiElem(terms) for n, terms in parts.items()}
 
 
@@ -244,7 +246,7 @@ class TestGradingProperties:
             for n in support(p):
                 assert class_degree(p, n) >= 0
             # swap symmetry: exchanging the two levels mirrors t1 <-> t2
-            swapped = compute_Z(SpaceParams(g, k2, k1)).permute_vars((0, 2, 1))
+            swapped = permute_vars(compute_Z(SpaceParams(g, k2, k1)), (0, 2, 1))
             assert swapped == z, (g, k1, k2)
 
     def test_cy_component_is_t_free(self):
