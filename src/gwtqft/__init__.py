@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 SUITES = ("all", "cy", "appendixB", "gluing", "semisimple", "numeric")
 
 _EXPORTS = {
-    "exactring": "TPoly TRat parse_poly parse_rat",
+    "exactring": "TPoly TRat",
     "phicalc": "PhiElem phi_pow_coeffs",
     "operators": "build_operator weight",
     "gluing": "trace_formula",

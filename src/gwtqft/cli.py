@@ -16,8 +16,11 @@ ti - tj; a matrix trace or coefficient of the trace engine that is not an
 integer polynomial of its weight; a level operator whose det is not 1; a
 word tensor with a phi power outside its mod-3 class grading; a division
 by zero, which no input can cause; or the interpreter ran out of recursion
-depth or memory), 141 (128 + SIGPIPE) when the reader of stdout went away
-before the output was written.
+depth or memory), 130 (128 + SIGINT) when the command was interrupted, as
+by Ctrl-C, with one ``interrupted`` line on stderr, and 141 (128 + SIGPIPE)
+when the reader of stdout went away before the output was written.  An
+interrupt while the interpreter is still starting, before ``main`` runs,
+is outside this mapping.
 
 Each command compiles only what it runs: ``compute``, ``extract`` and
 ``genus`` load ``operators`` and the trace engine in ``gluing``; ``word``
@@ -51,6 +54,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_INTERRUPTED = 130
 EXIT_BROKEN_PIPE = 141
 
 DEFAULT_ORDER = 10
@@ -311,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--jobs", type=int, default=1, help="ignored; the suites run one after another")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(fn=cmd_verify)
 
@@ -324,9 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.fn(args)
         # a closed stdout shows here rather than in the flush at exit
         sys.stdout.flush()
@@ -334,6 +336,9 @@ def main(argv=None) -> int:
         # send the rest nowhere, so that the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except ReductionError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -18,9 +18,10 @@ x = t0 - t2 and y = t1 - t2, over (x - y)^a x^b y^c.  Every weight,
 operator, tensor and trace of the theory is translation invariant, so the
 generators are built, multiplied and glued in this ring alone, and the
 paper's closed forms are checked in it.  TRat only holds the re-expanded
-outputs and the fractions parsed from JSON input; it adds and multiplies
-another TRat and has no division.  All values are immutable after construction and safe to
-share between threads.
+outputs; it adds and multiplies another TRat and has no division.  Every
+product of the three linear forms is expanded one way, as the Taylor shift
+_shift of its fold.  All values are immutable after construction and safe
+to share between threads.
 """
 
 from __future__ import annotations
@@ -198,15 +199,6 @@ class TPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    # -- structure operations ----------------------------------------------
-
-    def homogeneous_parts(self) -> dict[int, "TPoly"]:
-        """Split into total-degree homogeneous components (degree -> part)."""
-        parts: dict[int, dict[Exponent, Fraction]] = {}
-        for e, c in self.terms.items():
-            parts.setdefault(e[0] + e[1] + e[2], {})[e] = c
-        return {d: TPoly._raw(t) for d, t in parts.items()}
-
     # -- printing ------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -237,13 +229,7 @@ class TPoly:
         return f"TPoly({self})"
 
 
-T0 = TPoly.var(0)
-T1 = TPoly.var(1)
-T2 = TPoly.var(2)
-
-#: the three pairwise differences; every denominator in the theory divides a
-#: product of powers of these
-LINEAR_FORMS = (T0 - T1, T0 - T2, T1 - T2)
+#: the linear forms t0 - t1, t0 - t2, t1 - t2, as index pairs (a, b) of t_a - t_b
 _LINEAR_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
@@ -284,11 +270,8 @@ def _cancel_forms(p: TPoly, limit: Sequence[int]) -> tuple[TPoly, list[int]]:
 
 
 def _times_forms(p: TPoly, dexp: Sequence[int]) -> TPoly:
-    """p times the product of the linear forms raised to dexp."""
-    for form, k in zip(LINEAR_FORMS, dexp):
-        if k:
-            p = p * form**k
-    return p
+    """p times (t0 - t1)^a (t0 - t2)^b (t1 - t2)^c for dexp = (a, b, c)."""
+    return p * _shift(_xy_times_forms({(0, 0): 1}, dexp))
 
 
 # -- rational functions ------------------------------------------------------
@@ -348,8 +331,9 @@ class TRat:
 
     @property
     def den(self) -> TPoly:
-        """The expanded denominator (t0-t1)^a (t0-t2)^b (t1-t2)^c."""
-        return _times_forms(TPoly.one(), self.dexp)
+        """The expanded denominator (t0-t1)^a (t0-t2)^b (t1-t2)^c, the
+        Taylor shift of its fold (x - y)^a x^b y^c."""
+        return _shift(_xy_times_forms({(0, 0): 1}, self.dexp))
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -509,6 +493,28 @@ def _xy_times_forms(p: _XYPoly, dexp: Sequence[int]) -> _XYPoly:
     return p
 
 
+def _shift(num: _XYPoly) -> TPoly:
+    """num(t0 - t2, t1 - t2), by a Taylor shift in t2:
+    num(t0 - t2, t1 - t2) = sum over k of h_k(t0, t1) (-t2)^k, where
+    h_0 = num and h_k = (d/dx + d/dy) h_(k-1) / k, each division exact."""
+    poly = {}
+    h = num
+    k = 0
+    while h:
+        sign = -1 if k & 1 else 1
+        for (a, b), c in h.items():
+            poly[a, b, k] = sign * c
+        k += 1
+        dh: _XYPoly = {}
+        for (a, b), c in h.items():
+            if a:
+                dh[a - 1, b] = dh.get((a - 1, b), 0) + a * c
+            if b:
+                dh[a, b - 1] = dh.get((a, b - 1), 0) + b * c
+        h = {e: c // k for e, c in dh.items() if c}
+    return TPoly(poly)
+
+
 class XYRat:
     """Fraction num / ((x - y)^a x^b y^c) over Z[x, y] with ``dexp = (a, b, c)``.
 
@@ -618,78 +624,3 @@ def _xy_fraction_sum(items) -> XYRat:
         return XYRat(num)
     num, k = _xy_cancel(num, dexp)
     return XYRat(num, (dexp[0] - k[0], dexp[1] - k[1], dexp[2] - k[2]))
-
-
-# -- canonical string parsing -------------------------------------------------
-
-
-def _parse_term(tok: str, pos: int) -> tuple[Exponent, Fraction]:
-    coeff = Fraction(1)
-    exp = [0, 0, 0]
-    saw_var = False
-    for piece in tok.split("*"):
-        if piece.startswith("t"):
-            if "^" in piece:
-                name, _, power = piece.partition("^")
-                k = int(power)
-            else:
-                name, k = piece, 1
-            if name not in VAR_NAMES:
-                raise ValueError(f"bad variable {name!r} near position {pos}")
-            exp[VAR_NAMES.index(name)] += k
-            saw_var = True
-        else:
-            try:
-                coeff *= Fraction(piece)
-            except ValueError:
-                raise ValueError(f"bad coefficient {piece!r} near position {pos}") from None
-    if not saw_var and tok.startswith("t"):
-        raise ValueError(f"bad term {tok!r} near position {pos}")
-    return tuple(exp), coeff
-
-
-def parse_poly(s: str) -> TPoly:
-    """Parse the canonical polynomial string form (inverse of str)."""
-    s = s.strip()
-    if not s:
-        raise ValueError("empty polynomial string")
-    if s == "0":
-        return TPoly.zero()
-    terms: dict[Exponent, Fraction] = {}
-    i = 0
-    sign = 1
-    if s.startswith("-"):
-        sign = -1
-        i = 1
-    while i < len(s):
-        j = s.find(" ", i)
-        if j == -1:
-            j = len(s)
-        exp, coeff = _parse_term(s[i:j], i)
-        coeff *= sign
-        prev = terms.get(exp, Fraction(0)) + coeff
-        if prev:
-            terms[exp] = prev
-        else:
-            terms.pop(exp, None)
-        if j == len(s):
-            break
-        sep = s[j:j + 3]
-        if sep == " + ":
-            sign = 1
-        elif sep == " - ":
-            sign = -1
-        else:
-            raise ValueError(f"bad separator at position {j}")
-        i = j + 3
-    return TPoly(terms)
-
-
-def parse_rat(s: str) -> TRat:
-    """Parse the canonical fraction string form "num / den"."""
-    parts = s.split(" / ")
-    if len(parts) == 1:
-        return TRat(parse_poly(parts[0]))
-    if len(parts) == 2:
-        return TRat.make(parse_poly(parts[0]), parse_poly(parts[1]))
-    raise ValueError("malformed fraction string")

@@ -29,7 +29,8 @@ phi^(2j - a - b).  At phi = 1:
   explicit inverse U1inv = N1 + M1 (or U2inv = N2 + M2) up from the seeds.
   A level operator has det 1, so no walk divides.
 
-Z is re-expanded from s_(g-1) by a Taylor shift in t2.  A matrix trace or
+Z is re-expanded from s_(g-1) by the Taylor shift in t2, ``exactring._shift``,
+which also expands every printed denominator.  A matrix trace or
 coefficient is read at phi = 1 only when each phi^m coefficient is an
 integer polynomial of degree w - m for its weight w, so an operator that
 breaks the homogeneity raises ReductionError instead of giving a wrong Z.
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 
-from .exactring import ReductionError, TPoly, TRat, XYRat, _XYPoly, _xy_clean, _xy_mul_into
+from .exactring import ReductionError, TRat, XYRat, _XYPoly, _shift, _xy_clean, _xy_mul_into
 from .phicalc import PhiElem
 from .operators import INV_WEIGHTS, LABELS, Op3, _phi, build_operator
 
@@ -88,28 +89,6 @@ def mat_det(m: Op3, adj: Op3) -> PhiElem:
 # -- the closed-surface trace formula ------------------------------------------
 
 _ONE: _XYPoly = {(0, 0): 1}
-
-
-def _shift(num: _XYPoly) -> TPoly:
-    """num(t0 - t2, t1 - t2), by a Taylor shift in t2:
-    num(t0 - t2, t1 - t2) = sum over k of h_k(t0, t1) (-t2)^k, where
-    h_0 = num and h_k = (d/dx + d/dy) h_(k-1) / k, each division exact."""
-    poly = {}
-    h = num
-    k = 0
-    while h:
-        sign = -1 if k & 1 else 1
-        for (a, b), c in h.items():
-            poly[a, b, k] = sign * c
-        k += 1
-        dh: _XYPoly = {}
-        for (a, b), c in h.items():
-            if a:
-                dh[a - 1, b] = dh.get((a - 1, b), 0) + a * c
-            if b:
-                dh[a, b - 1] = dh.get((a, b - 1), 0) + b * c
-        h = {e: c // k for e, c in dh.items() if c}
-    return TPoly(poly)
 
 
 def _unfold(f: PhiElem) -> PhiElem:

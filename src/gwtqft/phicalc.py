@@ -6,14 +6,13 @@ of phi with coefficients in one ring.  A fiber class of a partition function
 is one of its phi powers (see ``partition``), so classes are read off the
 phi grading.  The fixed-genus invariants of a class are u-coefficients of
 that single term c * phi^m; ``phi_pow_coeffs`` gives exactly as many of them
-as a table asks for, so nothing is ever silently approximated.
+as a table asks for, so nothing is ever silently approximated.  JSON is
+written only, never read back, so this module imports no coefficient ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .exactring import TRat, parse_poly
 
 
 class PhiElem:
@@ -134,15 +133,6 @@ class PhiElem:
             {"phi_exp": m, "num": str(c.num), "den": str(c.den)}
             for m, c in self.items()
         ]
-
-    @classmethod
-    def from_json_terms(cls, terms: list[dict]) -> "PhiElem":
-        acc = {}
-        for t in terms:
-            c = TRat.make(parse_poly(t["num"]), parse_poly(t["den"]))
-            if c:
-                acc[int(t["phi_exp"])] = c
-        return cls(acc)
 
 
 def _format_term(coeff_str: str, m: int) -> str:

@@ -6,9 +6,10 @@ x = t0 - t2 and y = t1 - t2 (see ``gwtqft.operators``).  Here the same
 closed forms are written in the three-variable TPoly / TRat ring.
 
 It also holds a naive oracle for the u-expansion of phi = 2 sin(u/2): the
-Taylor series, and schoolbook products and inverses of Fraction lists; and
-a plain evaluator of polynomials and partition functions mod the prime of
-the numeric cross-check.
+Taylor series, and schoolbook products and inverses of Fraction lists; a
+plain evaluator of polynomials and partition functions mod the prime of
+the numeric cross-check; and a reader of the printed polynomials and JSON
+terms, which the library only writes.
 """
 
 from __future__ import annotations
@@ -43,6 +44,38 @@ def phi(c, m: int = 0) -> PhiElem:
     """c * phi^m with a TRat coefficient: c is a TRat, or a TPoly, int or
     Fraction read as a fraction over 1."""
     return PhiElem.term(c if isinstance(c, TRat) else TRat.make(c), m)
+
+
+def parse_poly(s: str) -> TPoly:
+    """The polynomial whose canonical text, str(TPoly), is s."""
+    words = s.split(" ")
+    assert all(op in ("+", "-") for op in words[1::2]), s
+    terms: dict = {}
+    for op, tok in zip(["+", *words[1::2]], words[::2]):
+        c = Fraction(-1 if op == "-" else 1)
+        if tok.startswith("-"):
+            c, tok = -c, tok[1:]
+        e = [0, 0, 0]
+        for piece in tok.split("*"):
+            if piece.startswith("t"):
+                name, _, k = piece.partition("^")
+                e[("t0", "t1", "t2").index(name)] += int(k or 1)
+            else:
+                c *= Fraction(piece)
+        terms[tuple(e)] = terms.get(tuple(e), 0) + c
+    return TPoly(terms)
+
+
+def phi_from_json(terms: list[dict]) -> PhiElem:
+    """The partition function whose ``to_json_terms`` are the given terms."""
+    return PhiElem({
+        t["phi_exp"]: TRat.make(parse_poly(t["num"]), parse_poly(t["den"])) for t in terms
+    })
+
+
+def t_degrees(p: TPoly) -> set[int]:
+    """The total t-degrees of the terms of p."""
+    return {sum(e) for e in p.terms}
 
 
 def unfold_tensor(tensor: RelTensor) -> RelTensor:

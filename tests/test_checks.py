@@ -1,7 +1,6 @@
 """The verification suites themselves: every default check must pass, and
 failing inputs must produce counterexamples rather than exceptions."""
 
-import json
 import random
 
 import pytest
@@ -86,11 +85,12 @@ class TestGluingDerivations:
         assert any(f.startswith(f"G[1][1] phi^0 {label}") for f in rep.failures), rep.failures
 
     def test_case_count(self):
-        # 121 generator and operator cases (the two-pants handle three
+        # 71 generator and operator cases (the two-pants handle three
         # times: section class, fiber class, one pass) and one closed word;
-        # the fold invariants add 2 cases per coefficient of G, U1, U2,
-        # U1inv and U2inv (50 of them) and the two determinants, 122 -> 224
-        assert verify_gluing_derivations(word_g_max=0, word_k_max=0).cases == 224
+        # the folded row-denominator and t-degree checks add 2 cases per
+        # coefficient of G, U1, U2, U1inv and U2inv (50 of them), and the
+        # two determinants 2 more: 72 + 100 + 2 = 174
+        assert verify_gluing_derivations(word_g_max=0, word_k_max=0).cases == 174
 
 
 class TestSemisimplicity:
@@ -398,14 +398,3 @@ class TestRunner:
         assert [r.check_id for r in reports] == ["semisimplicity"]
         assert all(r.passed for r in reports)
 
-    def test_parallel_matches_serial(self, capsys):
-        # verify --jobs is still accepted, and ignored: the suites run serially
-        from gwtqft.cli import main
-
-        runs = []
-        for extra in ([], ["--jobs", "2"]):
-            argv = ["verify", "--suite", "numeric", "--seed", "5", "--trials", "4", "--format", "json"]
-            assert main(argv + extra) == 0
-            docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-            runs.append([(d["check_id"], d["passed"], d["cases"]) for d in docs])
-        assert runs[0] == runs[1] == [("numeric_crosscheck", True, 4)]

@@ -16,9 +16,9 @@ import pytest
 import gwtqft
 from gwtqft import __version__
 from gwtqft.cli import dumps_canonical, main, phi_latex
-from gwtqft.exactring import TPoly, parse_poly
+from gwtqft.exactring import TPoly
 from gwtqft.phicalc import PhiElem
-from reference import phi, value_mod
+from reference import parse_poly, phi, phi_from_json, value_mod
 
 t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
 
@@ -58,7 +58,7 @@ class TestCompute:
         # byte-identical reserialization
         assert dumps_canonical(doc) == out.strip()
         # numbers parse back into the exact symbolic value
-        got = PhiElem.from_json_terms(doc["terms"])
+        got = phi_from_json(doc["terms"])
         assert got == phi((t1 - t0) * (t1 - t2), -2)
 
 
@@ -149,7 +149,7 @@ class TestVerify:
         assert docs == [
             {"cases": 16, "check_id": "calabi_yau", "failures": [], "passed": True,
              "swept": "0<=g<=6, 0<=k<=6, 3 | 2g-2-k"},
-            {"cases": 323, "check_id": "gluing_derivations", "failures": [], "passed": True,
+            {"cases": 273, "check_id": "gluing_derivations", "failures": [], "passed": True,
              "swept": "generator identities; words g<=3, |k|<=2"},
             {"cases": 20, "check_id": "numeric_crosscheck", "failures": [], "passed": True,
              "swept": "seed=1, trials=20"},
@@ -460,6 +460,20 @@ class TestExitCodes:
         assert err == line
         assert "Traceback" not in err
 
+    def test_interrupt_is_exit_130(self, capsys, monkeypatch):
+        # Ctrl-C raises KeyboardInterrupt wherever the command happens to be
+        from gwtqft import cli
+
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_compute", interrupted)
+        code = cli.main(["compute", "-g", "1"])
+        err = capsys.readouterr().err
+        assert code == 130
+        assert err == "interrupted\n"
+        assert "Traceback" not in err
+
     def test_level_operator_with_det_other_than_1_is_exit_3(self, capsys, monkeypatch):
         # a level k <= -2 walks U1inv, whose det must be 1
         from gwtqft import gluing
@@ -505,7 +519,7 @@ class TestNumericReEvaluation:
         code, out, _ = run_cli(capsys, "compute", "-g", "2", "--level1", "1",
                                "--format", "json")
         assert code == 0
-        parsed = PhiElem.from_json_terms(json.loads(out)["terms"])
+        parsed = phi_from_json(json.loads(out)["terms"])
         rng = random.Random(17)
         for _ in range(5):
             pt = _random_residues(rng, 2)
@@ -525,12 +539,12 @@ class TestNumericReEvaluation:
         terms = json.loads(out)["terms"]
         point = _random_residues(random.Random(sum(key)), g)
         want = numeric_trace(g, k1, k2, point)
-        assert _elem_mod(PhiElem.from_json_terms(terms), point, False) == want
+        assert _elem_mod(phi_from_json(terms), point, False) == want
         # the first digit of the last numerator that is no variable's index
         num = terms[-1]["num"]
         i = re.search(r"(?<!t)\d", num).start()
         terms[-1] = {**terms[-1], "num": num[:i] + str(int(num[i]) % 9 + 1) + num[i + 1:]}
-        assert _elem_mod(PhiElem.from_json_terms(terms), point, False) != want
+        assert _elem_mod(phi_from_json(terms), point, False) != want
 
 
 class TestWordGolden:

@@ -1,25 +1,19 @@
 """Exact polynomial and rational-function arithmetic."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwtqft.checks import PRIME, _elem_mod
-from gwtqft.exactring import (
-    LINEAR_FORMS,
-    _LINEAR_PAIRS,
-    ReductionError,
-    TPoly,
-    TRat,
-    _div_linear,
-    parse_poly,
-    parse_rat,
-)
+from gwtqft.exactring import _LINEAR_PAIRS, ReductionError, TPoly, TRat, _div_linear
 from gwtqft.phicalc import PhiElem
-from reference import poly_mod
+from reference import parse_poly, poly_mod
 
 t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
+#: the linear forms in the order of _LINEAR_PAIRS and of a TRat's dexp
+FORMS = (t0 - t1, t0 - t2, t1 - t2)
 ONE = TRat(TPoly.one())
 
 
@@ -78,23 +72,6 @@ class TestPolyGcd:
         r = TRat.make((t0 - t1) ** 2, (t0 - t1) * (t0 - t2))
         assert (r.num, r.den) == (t0 - t1, t0 - t2)
         assert r.dexp == (0, 1, 0)
-
-
-class TestHomogeneousParts:
-    def test_mixed(self):
-        p = t0**2 + t1
-        parts = p.homogeneous_parts()
-        assert parts == {2: t0**2, 1: t1}
-
-    def test_zero(self):
-        assert TPoly.zero().homogeneous_parts() == {}
-
-    def test_weight_plus_constant(self):
-        p = (t0 - t1) * (t0 - t2) + 5
-        parts = p.homogeneous_parts()
-        assert parts[2] == (t0 - t1) * (t0 - t2)
-        assert parts[0] == TPoly.const(5)
-        assert set(parts) == {0, 2}
 
 
 class TestNormalize:
@@ -218,7 +195,8 @@ class TestStrings:
     def test_fraction_form(self):
         r = TRat.make(t0**2 + t1, t0 - t1)
         assert str(r) == "t0^2 + t1 / t0 - t1"
-        assert parse_rat(str(r)) == r
+        num, den = str(r).split(" / ")
+        assert TRat.make(parse_poly(num), parse_poly(den)) == r
 
     def test_roundtrip(self):
         polys = [
@@ -237,6 +215,13 @@ class TestStrings:
         assert parse_poly(str(p)) == p
 
 
+def test_denominator_is_the_product_of_the_forms():
+    # TRat.den expands the product by the Taylor shift of its fold
+    for dexp in product(range(5), repeat=3):
+        want = FORMS[0] ** dexp[0] * FORMS[1] ** dexp[1] * FORMS[2] ** dexp[2]
+        assert TRat(TPoly.one(), dexp).den == want, dexp
+
+
 # -- property tests --------------------------------------------------------------
 
 coeffs = st.integers(min_value=-9, max_value=9)
@@ -249,7 +234,7 @@ polys = st.dictionaries(exps, coeffs, max_size=4).map(TPoly)
 # a nonzero constant times (t0-t1)^a (t0-t2)^b (t1-t2)^c: the denominators
 # the theory produces
 form_products = st.builds(
-    lambda c, e: c * LINEAR_FORMS[0] ** e[0] * LINEAR_FORMS[1] ** e[1] * LINEAR_FORMS[2] ** e[2],
+    lambda c, e: c * FORMS[0] ** e[0] * FORMS[1] ** e[1] * FORMS[2] ** e[2],
     coeffs.filter(bool),
     exps,
 )
@@ -273,18 +258,6 @@ def test_field_axioms(p, q, r):
 
 
 @settings(max_examples=40, deadline=None)
-@given(polys)
-def test_homogeneous_parts_decompose(p):
-    parts = p.homogeneous_parts()
-    total = TPoly.zero()
-    for d, part in parts.items():
-        assert {sum(e) for e in part.terms} == {d}
-        assert part.degree() == d
-        total = total + part
-    assert total == p
-
-
-@settings(max_examples=40, deadline=None)
 @given(polys, polys)
 def test_evaluation_is_ring_homomorphism(p, q):
     # the point (1/3, -2, 5/2), mod PRIME
@@ -295,10 +268,6 @@ def test_evaluation_is_ring_homomorphism(p, q):
 
     assert value(p * q) == value(p) * value(q) % PRIME
     assert value(p + q) == (value(p) + value(q)) % PRIME
-
-
-def test_linear_forms_are_the_three_differences():
-    assert LINEAR_FORMS == (t0 - t1, t0 - t2, t1 - t2)
 
 
 # -- division by one linear form, with Fraction coefficients ---------------------
@@ -317,7 +286,7 @@ def frac_polys(max_degree: int):
 @given(frac_polys(5), st.integers(min_value=0, max_value=2))
 def test_div_linear_divisible(q, i):
     # q * (t_a - t_b) has degree at most 6
-    (a, b), form = _LINEAR_PAIRS[i], LINEAR_FORMS[i]
+    (a, b), form = _LINEAR_PAIRS[i], FORMS[i]
     p = q * form
     got = _div_linear(p, a, b)
     assert got == q
@@ -334,7 +303,7 @@ def test_div_linear_divisible(q, i):
 )
 def test_div_linear_not_divisible(q, i, c, j, k):
     # adding c t_b^j t_c^k, which does not vanish at t_a = t_b, breaks divisibility
-    (a, b), form = _LINEAR_PAIRS[i], LINEAR_FORMS[i]
+    (a, b), form = _LINEAR_PAIRS[i], FORMS[i]
     rest = TPoly.const(c) * TPoly.var(b) ** j * TPoly.var(3 - a - b) ** k
     assert _div_linear(q * form + rest, a, b) is None
 
@@ -343,7 +312,7 @@ def test_div_linear_not_divisible(q, i, c, j, k):
 @given(frac_polys(6), st.integers(min_value=0, max_value=2))
 def test_div_linear_agrees_with_restriction(p, i):
     # t_a - t_b divides p exactly when p vanishes at t_a = t_b
-    (a, b), form = _LINEAR_PAIRS[i], LINEAR_FORMS[i]
+    (a, b), form = _LINEAR_PAIRS[i], FORMS[i]
     restricted: dict = {}
     for e, c in p.terms.items():
         e = list(e)
@@ -358,7 +327,7 @@ def test_div_linear_agrees_with_restriction(p, i):
 
 
 frac_form_products = st.builds(
-    lambda c, e: c * LINEAR_FORMS[0] ** e[0] * LINEAR_FORMS[1] ** e[1] * LINEAR_FORMS[2] ** e[2],
+    lambda c, e: c * FORMS[0] ** e[0] * FORMS[1] ** e[1] * FORMS[2] ** e[2],
     frac_coeffs,
     st.tuples(*[st.integers(min_value=0, max_value=2)] * 3),
 )

@@ -21,7 +21,7 @@ from gwtqft.partition import (
     virtual_dim,
 )
 
-from reference import permute_vars, phi
+from reference import permute_vars, phi, t_degrees
 
 t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
 
@@ -29,7 +29,7 @@ t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
 def _t_degrees(z: PhiElem) -> set[int]:
     """All t-degrees carried by any coefficient of z, a polynomial in t."""
     assert all(c.is_poly for _, c in z.items())
-    return {d for _, c in z.items() for d in c.num.homogeneous_parts()}
+    return {d for _, c in z.items() for d in t_degrees(c.num)}
 
 
 def _reference_components(p: SpaceParams) -> dict[int, PhiElem]:
@@ -38,9 +38,10 @@ def _reference_components(p: SpaceParams) -> dict[int, PhiElem]:
     parts: dict[int, dict] = {}
     for m, c in compute_Z(p).items():
         assert c.is_poly, (p, m)
-        for d, part in c.num.homogeneous_parts().items():
+        for d in t_degrees(c.num):
             n, r = divmod(2 * p.g - 2 - p.k1 - p.k2 - d, 3)
             assert r == 0, (p.g, p.k1, p.k2, d)
+            part = TPoly({e: v for e, v in c.num.terms.items() if sum(e) == d})
             parts.setdefault(n, {})[m] = TRat(part)
     return {n: PhiElem(terms) for n, terms in parts.items()}
 

@@ -8,7 +8,7 @@ from gwtqft.exactring import TPoly, TRat, XYRat
 from gwtqft.operators import build_operator
 from gwtqft.partition import SpaceParams, genus_expansion
 from gwtqft.phicalc import PhiElem, phi_pow_coeffs
-from reference import phi, phi_power, series_mul, sin_half_coeffs
+from reference import phi, phi_from_json, phi_power, series_mul, sin_half_coeffs
 
 t0, t1, t2 = TPoly.var(0), TPoly.var(1), TPoly.var(2)
 F = Fraction
@@ -168,4 +168,4 @@ class TestStrings:
 
     def test_json_roundtrip(self):
         e = phi(TRat.make(t0 + t1, t0 - t1), -1) + phi(3, 2)
-        assert PhiElem.from_json_terms(e.to_json_terms()) == e
+        assert phi_from_json(e.to_json_terms()) == e
