@@ -26,7 +26,9 @@ Each command compiles only what it runs: ``compute``, ``extract`` and
 ``genus`` load ``operators`` and the trace engine in ``gluing``; ``word``
 and ``verify`` also load ``words`` (the tensors, their gluing and the word
 parser); only ``verify`` loads ``checks``; and ``json`` is imported only
-for JSON output.  Nothing is read from or written to disk.
+for JSON output.  Nothing is read from or written to disk.  This module
+only picks a printing style (``exactring.TEXT`` or ``LATEX``); the walks
+that print live in ``exactring`` and ``phicalc``.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import SUITES, __version__
-from .exactring import ReductionError, TPoly, TRat
-from .phicalc import PhiElem
+from .exactring import LATEX, TEXT, ReductionError
 from .partition import (
     MAX_ORDER,
     SpaceParams,
@@ -59,6 +60,10 @@ EXIT_BROKEN_PIPE = 141
 
 DEFAULT_ORDER = 10
 
+# the printing style of each non-JSON format, and the line of a genus table
+STYLES = {"text": TEXT, "latex": LATEX}
+_GENUS_ROWS = {"text": "h={}: {}", "latex": "Z^{{{}}} &= {} \\\\"}
+
 
 def dumps_canonical(doc: dict) -> str:
     """The byte-stable JSON serialization used by every command."""
@@ -68,72 +73,13 @@ def dumps_canonical(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-# -- LaTeX rendering ----------------------------------------------------------
-
-
-def _poly_latex(p: TPoly) -> str:
-    if not p.terms:
-        return "0"
-    from .exactring import _grlex  # canonical term order
-
-    out = []
-    for e in sorted(p.terms, key=_grlex, reverse=True):
-        c = p.terms[e]
-        mono = "".join(
-            f"t_{i}^{e[i]}" if e[i] > 1 else f"t_{i}" for i in range(3) if e[i]
-        )
-        ac = abs(c)
-        coeff = "" if (ac == 1 and mono) else _frac_latex(ac)
-        body = coeff + mono
-        if not out:
-            out.append(body if c > 0 else "-" + body)
-        else:
-            out.append(("+" if c > 0 else "-") + body)
-    return "".join(out)
-
-
-def _frac_latex(c) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
-
-
-def _rat_latex(r: TRat) -> str:
-    if r.den.is_const:
-        return _poly_latex(r.num)
-    return f"\\frac{{{_poly_latex(r.num)}}}{{{_poly_latex(r.den)}}}"
-
-
-def phi_latex(e: PhiElem) -> str:
-    if e.is_zero:
-        return "0"
-    parts = []
-    for m, c in e.items():
-        coeff = _rat_latex(c)
-        if m == 0:
-            parts.append(coeff)
-            continue
-        head = "\\phi" if m == 1 else f"\\phi^{{{m}}}"
-        if coeff == "1":
-            parts.append(head)
-        elif coeff == "-1":
-            parts.append("-" + head)
-        elif "+" in coeff[1:] or "-" in coeff[1:]:
-            parts.append(f"({coeff}){head}")
-        else:
-            parts.append(coeff + head)
-    return "+".join(parts).replace("+-", "-")
-
-
-def _emit_phi(e: PhiElem, fmt: str, meta: dict) -> str:
-    if fmt == "text":
-        return str(e)
-    if fmt == "latex":
-        return phi_latex(e)
-    doc = dict(meta)
-    doc["terms"] = e.to_json_terms()
-    doc["version"] = __version__
-    return dumps_canonical(doc)
+def _document(args, **fields) -> str:
+    """The JSON answer of compute, extract or genus: the request's key (g,
+    k1, k2, and n if it names a class), the version and fields."""
+    doc = {"g": args.genus, "k1": args.level1, "k2": args.level2, "version": __version__}
+    if "n" in args:
+        doc["n"] = args.n
+    return dumps_canonical({**doc, **fields})
 
 
 # -- tensor rendering -----------------------------------------------------------
@@ -181,41 +127,24 @@ def _params(args) -> SpaceParams:
 
 
 def cmd_compute(args) -> int:
-    z = compute_Z(_params(args))
-    meta = {"g": args.genus, "k1": args.level1, "k2": args.level2}
-    print(_emit_phi(z, args.format, meta))
-    return EXIT_OK
-
-
-def cmd_extract(args) -> int:
-    comp = class_component(_params(args), args.n)
-    meta = {"g": args.genus, "k1": args.level1, "k2": args.level2, "n": args.n}
-    print(_emit_phi(comp, args.format, meta))
+    """compute, and extract: compute's answer read at the class n."""
+    p = _params(args)
+    z = class_component(p, args.n) if "n" in args else compute_Z(p)
+    if args.format == "json":
+        print(_document(args, terms=z.to_json_terms()))
+    else:
+        print(z.render(STYLES[args.format]))
     return EXIT_OK
 
 
 def cmd_genus(args) -> int:
-    p = _params(args)
-    rows = genus_expansion(p, args.n, args.hmax, order=args.order)
-    if args.format == "text":
-        for h, inv in rows:
-            print(f"h={h}: {inv}")
-    elif args.format == "latex":
-        for h, inv in rows:
-            print(f"Z^{{{h}}} &= {_rat_latex(inv)} \\\\")
+    rows = genus_expansion(_params(args), args.n, args.hmax, order=args.order)
+    if args.format == "json":
+        print(_document(args, hmax=args.hmax, rows=[{"h": h, **inv.to_json()} for h, inv in rows]))
     else:
-        doc = {
-            "g": p.g,
-            "k1": p.k1,
-            "k2": p.k2,
-            "n": args.n,
-            "hmax": args.hmax,
-            "rows": [
-                {"h": h, "num": str(inv.num), "den": str(inv.den)} for h, inv in rows
-            ],
-            "version": __version__,
-        }
-        print(dumps_canonical(doc))
+        style, row = STYLES[args.format], _GENUS_ROWS[args.format]
+        for h, inv in rows:
+            print(row.format(h, inv.render(style)))
     return EXIT_OK
 
 
@@ -299,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="single class component of the partition function")
     add_common(p, with_n=True)
-    p.set_defaults(fn=cmd_extract)
+    p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("genus", help="fixed-genus invariants of one class")
     add_common(p, with_n=True)

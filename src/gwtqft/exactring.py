@@ -22,17 +22,46 @@ outputs; it adds and multiplies another TRat and has no division.  Every
 product of the three linear forms is expanded one way, as the Taylor shift
 _shift of its fold.  All values are immutable after construction and safe
 to share between threads.
+
+All printing lives here and in ``PhiElem.render``: each of TPoly, TRat and
+PhiElem has one walk, ``render``, that decides term order, signs, unit
+coefficients and parentheses for every format, and a ``Style`` (TEXT or
+LATEX) holds the only tokens in which the formats differ.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 Exponent = tuple[int, int, int]
 
-VAR_NAMES = ("t0", "t1", "t2")
 _ZERO_EXP: Exponent = (0, 0, 0)
+
+
+# -- printing ------------------------------------------------------------------
+
+
+class Style(NamedTuple):
+    """The tokens of one output format; the walks read all else off the value."""
+
+    names: tuple[str, str, str]  # t0, t1, t2
+    times: str  # between the factors of a term
+    signs: tuple[str, str]  # before a positive and a negative term after the first
+    ratio: str  # a coefficient n/d with d > 1, from n and d
+    fraction: str  # a fraction, from its numerator and denominator
+    group: str  # a numerator or denominator of more than one term
+    phi: tuple[str, str]  # phi, and phi^m from m
+    phi_signs: tuple[str, str]  # signs, between the terms of a PhiElem
+
+
+TEXT = Style(("t0", "t1", "t2"), "*", (" + ", " - "), "{}/{}", "{} / {}", "{}",
+             ("phi", "phi^{}"), (" + ", " + -"))
+LATEX = Style(("t_0", "t_1", "t_2"), "", ("+", "-"), r"\frac{{{}}}{{{}}}", r"\frac{{{}}}{{{}}}",
+              "{}", (r"\phi", r"\phi^{{{}}}"), ("+", "-"))
+
+#: the signs before a positive and a negative first term
+FIRST = ("", "-")
 
 
 def _exact(c) -> int | Fraction:
@@ -201,29 +230,34 @@ class TPoly:
 
     # -- printing ------------------------------------------------------------
 
-    def __str__(self) -> str:
-        if not self.terms:
+    def render(self, style: Style = TEXT, tail: str = "", lead: tuple[str, str] = FIRST) -> str:
+        """The polynomial in graded lex order with t0 > t1 > t2: the one walk
+        that writes the terms of a sum.  Each term is written after the sign
+        pair lead (for the first term) or style.signs, indexed by whether it
+        is negative; tail is one more factor of every term (a phi head), and
+        a coefficient 1 is written only in a term with no other factor."""
+        terms = self.terms
+        if not terms:
             return "0"
-        out: list[str] = []
-        for e in sorted(self.terms, key=_grlex, reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                f"{VAR_NAMES[i]}^{e[i]}" if e[i] > 1 else VAR_NAMES[i]
-                for i in range(3)
-                if e[i]
-            )
-            ac = abs(c)
-            if mono and ac == 1:
-                body = mono
-            elif mono:
-                body = f"{ac}*{mono}"
-            else:
-                body = str(ac)
-            if not out:
-                out.append(body if c > 0 else "-" + body)
-            else:
-                out.append((" + " if c > 0 else " - ") + body)
+        names, times, ratio, later = style.names, style.times, style.ratio, style.signs
+        order = sorted(terms, key=_grlex, reverse=True)
+        # the powers of each variable, as printed, up to the top degree
+        p0, p1, p2 = ([""] + [v] + [f"{v}^{k}" for k in range(2, sum(order[0]) + 1)] for v in names)
+        out, signs = [], lead
+        for e in order:
+            c = terms[e]
+            mono = times.join([s for s in (p0[e[0]], p1[e[1]], p2[e[2]]) if s])
+            if tail:
+                mono = f"{mono}{times}{tail}" if mono else tail
+            ac = -c if c < 0 else c
+            if ac != 1 or not mono:
+                n = str(ac) if ac.denominator == 1 else ratio.format(ac.numerator, ac.denominator)
+                mono = f"{n}{times}{mono}" if mono else n
+            out.append(signs[c < 0] + mono)
+            signs = later
         return "".join(out)
+
+    __str__ = render
 
     def __repr__(self) -> str:
         return f"TPoly({self})"
@@ -390,10 +424,29 @@ class TRat:
 
     # -- printing --------------------------------------------------------------
 
-    def __str__(self) -> str:
+    def render(self, style: Style = TEXT, tail: str = "", lead: tuple[str, str] = FIRST) -> str:
+        """The fraction, then a tail factor (a phi head) if given, after the
+        signs lead.  Before a tail the fraction is parenthesised when it has
+        more than one term or a denominator; a numerator or denominator of
+        more than one term is written as style.group says."""
+        num = self.num
         if self.is_poly:
-            return str(self.num)
-        return f"{self.num} / {self.den}"
+            if len(num.terms) < 2 or not tail:
+                return num.render(style, tail, lead)
+            body = num.render(style)
+        else:
+            sides = []
+            for p in (num, self.den):
+                text = p.render(style)
+                sides.append(style.group.format(text) if len(p.terms) > 1 else text)
+            body = style.fraction.format(*sides)
+        return lead[0] + (f"({body}){style.times}{tail}" if tail else body)
+
+    __str__ = render
+
+    def to_json(self) -> dict:
+        """The JSON fields of the fraction: "num" and "den" as text."""
+        return {"num": str(self.num), "den": str(self.den)}
 
     def __repr__(self) -> str:
         return f"TRat({self})"

@@ -51,10 +51,6 @@ def virtual_dim(p: SpaceParams, n: int) -> int:
     return 3 * n - 2 * p.g + 2 + p.k1 + p.k2
 
 
-def class_degree(p: SpaceParams, n: int) -> int:
-    return -virtual_dim(p, n)
-
-
 def class_component(p: SpaceParams, n: int) -> PhiElem:
     """The class beta0 + n f part of Z: its phi^(k1 + k2 + 3n) term."""
     m = p.k1 + p.k2 + 3 * n

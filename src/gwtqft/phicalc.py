@@ -7,12 +7,15 @@ is one of its phi powers (see ``partition``), so classes are read off the
 phi grading.  The fixed-genus invariants of a class are u-coefficients of
 that single term c * phi^m; ``phi_pow_coeffs`` gives exactly as many of them
 as a table asks for, so nothing is ever silently approximated.  JSON is
-written only, never read back, so this module imports no coefficient ring.
+written only, never read back.  ``PhiElem.render`` joins the printing
+walks of its TRat coefficients in one ``exactring.Style``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .exactring import FIRST, TEXT, Style
 
 
 class PhiElem:
@@ -115,37 +118,29 @@ class PhiElem:
 
     # -- printing ----------------------------------------------------------------
 
-    def __str__(self) -> str:
+    def render(self, style: Style = TEXT) -> str:
+        """The element in one output format, its phi powers in increasing
+        order: each is its TRat coefficient's walk with the phi head as tail,
+        phi^0 without one, and every term after the first joined by
+        style.phi_signs."""
         if not self.terms:
             return "0"
-        parts = []
+        one, power = style.phi
+        out, lead = [], FIRST
         for m, c in self.items():
-            parts.append(_format_term(str(c), m))
-        return " + ".join(parts)
+            out.append(c.render(style, "" if m == 0 else one if m == 1 else power.format(m), lead))
+            lead = style.phi_signs
+        return "".join(out)
+
+    __str__ = render
 
     def __repr__(self) -> str:
-        return f"PhiElem({self})"
+        return f"PhiElem({self.terms!r})"
 
     # -- serialization -------------------------------------------------------------
 
     def to_json_terms(self) -> list[dict]:
-        return [
-            {"phi_exp": m, "num": str(c.num), "den": str(c.den)}
-            for m, c in self.items()
-        ]
-
-
-def _format_term(coeff_str: str, m: int) -> str:
-    if m == 0:
-        return coeff_str
-    head = "phi" if m == 1 else f"phi^{m}"
-    if coeff_str == "1":
-        return head
-    if coeff_str == "-1":
-        return "-" + head
-    if " " in coeff_str:
-        coeff_str = f"({coeff_str})"
-    return f"{coeff_str}*{head}"
+        return [{"phi_exp": m, **c.to_json()} for m, c in self.items()]
 
 
 # -- the u-expansion of a phi power ---------------------------------------------

@@ -17,7 +17,6 @@ from gwtqft.gluing import mat_mul, mat_trace, trace_formula
 from gwtqft.partition import (
     SpaceParams,
     class_component,
-    class_degree,
     compute_Z,
     genus_expansion,
     support,
@@ -155,7 +154,7 @@ def test_criterion_8_grading_suite():
         if any((base - d) % 3 for _, c in z.items() for d in t_degrees(c.num)):
             failures.append(f"purity {p}")
         sup = support(p)
-        if any(class_degree(p, n) < 0 for n in sup):
+        if any(-virtual_dim(p, n) < 0 for n in sup):
             failures.append(f"negative degree {p}")
         total = PhiElem.zero()
         for n in sup:

@@ -15,8 +15,8 @@ import pytest
 
 import gwtqft
 from gwtqft import __version__
-from gwtqft.cli import dumps_canonical, main, phi_latex
-from gwtqft.exactring import TPoly
+from gwtqft.cli import dumps_canonical, main
+from gwtqft.exactring import LATEX, TPoly
 from gwtqft.phicalc import PhiElem
 from reference import parse_poly, phi, phi_from_json, value_mod
 
@@ -747,8 +747,8 @@ class TestStartup:
 
 class TestLatex:
     def test_phi_latex_forms(self):
-        assert phi_latex(phi(81, 6)) == "81\\phi^{6}"
-        assert phi_latex(phi(1, -2)) == "\\phi^{-2}"
-        assert phi_latex(PhiElem.zero()) == "0"
+        assert phi(81, 6).render(LATEX) == "81\\phi^{6}"
+        assert phi(1, -2).render(LATEX) == "\\phi^{-2}"
+        assert PhiElem.zero().render(LATEX) == "0"
         e = phi((t1 - t0) * (t1 - t2), -2)
-        assert phi_latex(e).endswith("\\phi^{-2}")
+        assert e.render(LATEX).endswith("\\phi^{-2}")

@@ -14,7 +14,6 @@ from gwtqft.partition import (
     PrecisionError,
     SpaceParams,
     class_component,
-    class_degree,
     compute_Z,
     genus_expansion,
     support,
@@ -33,7 +32,7 @@ def _t_degrees(z: PhiElem) -> set[int]:
 
 
 def _reference_components(p: SpaceParams) -> dict[int, PhiElem]:
-    """Class n -> its component by t-degree: the t-degree class_degree(p, n)
+    """Class n -> its component by t-degree: the t-degree -virtual_dim(p, n)
     part of every coefficient of Z, for every class whose part is nonzero."""
     parts: dict[int, dict] = {}
     for m, c in compute_Z(p).items():
@@ -79,8 +78,8 @@ class TestVirtualDim:
     def test_degree_relation(self):
         p = SpaceParams(3, 2, -1)
         for n in range(-3, 3):
-            assert class_degree(p, n) == 2 * p.g - 2 - p.k1 - p.k2 - 3 * n
-            assert virtual_dim(p, n) == -class_degree(p, n)
+            assert -virtual_dim(p, n) == 2 * p.g - 2 - p.k1 - p.k2 - 3 * n
+            assert virtual_dim(p, n) == 3 * n - 2 * p.g + 2 + p.k1 + p.k2
 
 
 class TestClassComponent:
@@ -97,7 +96,7 @@ class TestClassComponent:
     def test_negative_degree_vanishes(self):
         p = SpaceParams(1, 0, 0)
         for n in (1, 2, 3):
-            assert class_degree(p, n) < 0
+            assert -virtual_dim(p, n) < 0
             assert class_component(p, n).is_zero
 
     def test_reconstruction(self):
@@ -146,7 +145,7 @@ class TestSupport:
         # classes from beta0 - 2f upward appear at (g, k, k) = (2, 2, 2)
         sup = support(SpaceParams(2, 2, 2))
         assert sup[0] == -2
-        assert all(class_degree(SpaceParams(2, 2, 2), n) >= 0 for n in sup)
+        assert all(-virtual_dim(SpaceParams(2, 2, 2), n) >= 0 for n in sup)
 
 
 class TestGenusExpansion:
@@ -245,7 +244,7 @@ class TestGradingProperties:
                 assert (base - d) % 3 == 0, (g, k1, k2, d)
             # vanishing in negative degree
             for n in support(p):
-                assert class_degree(p, n) >= 0
+                assert -virtual_dim(p, n) >= 0
             # swap symmetry: exchanging the two levels mirrors t1 <-> t2
             swapped = permute_vars(compute_Z(SpaceParams(g, k2, k1)), (0, 2, 1))
             assert swapped == z, (g, k1, k2)
