@@ -55,7 +55,7 @@ class Style(NamedTuple):
     phi_signs: tuple[str, str]  # signs, between the terms of a PhiElem
 
 
-TEXT = Style(("t0", "t1", "t2"), "*", (" + ", " - "), "{}/{}", "{} / {}", "{}",
+TEXT = Style(("t0", "t1", "t2"), "*", (" + ", " - "), "{}/{}", "{} / {}", "({})",
              ("phi", "phi^{}"), (" + ", " + -"))
 LATEX = Style(("t_0", "t_1", "t_2"), "", ("+", "-"), r"\frac{{{}}}{{{}}}", r"\frac{{{}}}{{{}}}",
               "{}", (r"\phi", r"\phi^{{{}}}"), ("+", "-"))

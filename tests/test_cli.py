@@ -291,12 +291,12 @@ WORD_SHAPES = {
         },
     ),
     "U1 * U2inv": (
-        "Z^x0_x0 = t0 - t2 / t0 - t1\n"
-        "Z^x0_x1 = t1^2 - 2*t1*t2 + t2^2 / t0^2 - t0*t1 - t0*t2 + t1*t2\n"
-        "Z^x1_x0 = -t1 + t2 / t0 - t1\n"
-        f"Z^x1_x1 = ({_CUBICS[1]})*phi^-3 + 2*t0 - 3*t1 + t2 / t0 - t1\n"
+        "Z^x0_x0 = (t0 - t2) / (t0 - t1)\n"
+        "Z^x0_x1 = (t1^2 - 2*t1*t2 + t2^2) / (t0^2 - t0*t1 - t0*t2 + t1*t2)\n"
+        "Z^x1_x0 = (-t1 + t2) / (t0 - t1)\n"
+        f"Z^x1_x1 = ({_CUBICS[1]})*phi^-3 + (2*t0 - 3*t1 + t2) / (t0 - t1)\n"
         "Z^x1_x2 = 1\n"
-        "Z^x2_x1 = -t0 + t1 / t0 - t2\n",
+        "Z^x2_x1 = (-t0 + t1) / (t0 - t2)\n",
         {
             "tensor": _tensor(
                 ["raised", "lowered"],

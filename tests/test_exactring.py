@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwtqft.checks import PRIME, _elem_mod
-from gwtqft.exactring import _LINEAR_PAIRS, ReductionError, TPoly, TRat, _div_linear
+from gwtqft.exactring import _LINEAR_PAIRS, LATEX, ReductionError, TPoly, TRat, _div_linear
 from gwtqft.phicalc import PhiElem
 from reference import parse_poly, poly_mod
 
@@ -194,9 +194,12 @@ class TestStrings:
 
     def test_fraction_form(self):
         r = TRat.make(t0**2 + t1, t0 - t1)
-        assert str(r) == "t0^2 + t1 / t0 - t1"
-        num, den = str(r).split(" / ")
+        assert str(r) == "(t0^2 + t1) / (t0 - t1)"
+        num, den = str(r)[1:-1].split(") / (")
         assert TRat.make(parse_poly(num), parse_poly(den)) == r
+        # only a side of more than one term is parenthesised, and only in text
+        assert str(TRat.make(-2 * t1, t0 - t1)) == "-2*t1 / (t0 - t1)"
+        assert r.render(LATEX) == "\\frac{t_0^2+t_1}{t_0-t_1}"
 
     def test_roundtrip(self):
         polys = [
