@@ -27,6 +27,8 @@ import shlex
 import sys
 from pathlib import Path
 
+from gwtqft.cli import main as cli_main
+
 CORPUS = Path(__file__).with_name("corpus.json")
 
 ATOMS = (
@@ -59,12 +61,10 @@ def requests() -> list[list[str]]:
 
 def run(argv: list[str]) -> str:
     """The SHA-256 of json.dumps([exit code, stdout, stderr]) of one request."""
-    from gwtqft.cli import main
-
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(argv)
+            code = cli_main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
     blob = json.dumps([code, out.getvalue(), err.getvalue()])
@@ -92,7 +92,7 @@ def main(argv: list[str]) -> int:
         for key in moved:
             print(key)
         return 1 if moved else 0
-    print(__doc__.split("\n\n")[1], file=sys.stderr)
+    print("usage: corpus.py --record | --check", file=sys.stderr)
     return 2
 
 
