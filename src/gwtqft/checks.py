@@ -466,7 +466,7 @@ def verify_semisimplicity() -> CheckReport:
             continue
         u0 = _coeff(entry, 0)
         expected = WEIGHTS[a] if a == b == k else _ZERO
-        rep.check(f"c[{a}{b}]^{k} at u=0", expected, u0)
+        rep.check(f"c[{a}{b}]^{k} at u=0", _phi(expected, 0), _phi(u0, 0), _unfold)
 
     # idempotency of e_{x_i} / T(x_i) in the u = 0 algebra: the lowered
     # pants entries multiplied by the folded inverse weights
@@ -474,7 +474,7 @@ def verify_semisimplicity() -> CheckReport:
         for k in LABELS:
             coeff = _coeff(pants.entry(i, j, k), 0) * INV_WEIGHTS[i] * INV_WEIGHTS[j]
             expected = XYRat.const(1) if i == j == k else _ZERO
-            rep.check(f"idempotent ({i},{j}) -> {k}", expected, coeff)
+            rep.check(f"idempotent ({i},{j}) -> {k}", _phi(expected, 0), _phi(coeff, 0), _unfold)
     return _timed(rep, t0)
 
 
