@@ -136,7 +136,8 @@ class TestNumericCrosscheck:
         # reference at a random point
         g, k1, k2 = key
         point = _random_residues(random.Random(sum(key)), g)
-        folded = folded_mod(gluing._trace(g - 1, k1, k2), 2 * g - 2, point)
+        z = gluing._reader()(g, k1, k2)
+        folded = folded_mod(gluing._at_phi_one(z, 2 * g - 2, "Z"), 2 * g - 2, point)
         assert numeric_trace(g, k1, k2, point) == folded
 
     def test_a_pole_is_redrawn(self, monkeypatch):
@@ -247,24 +248,38 @@ class TestSweepReads:
         with pytest.raises(ValueError, match="above the limit 4$"):
             suite()
 
-    @pytest.mark.parametrize("suite", [
-        verify_calabi_yau, verify_special_cases, verify_gluing_derivations,
-    ])
-    def test_a_suite_walks_each_line_once(self, suite, monkeypatch):
-        from collections import Counter
+    @pytest.mark.parametrize("sweep, steps", [
+        (verify_calabi_yau, 35),
+        (verify_special_cases, 408),
+        (verify_gluing_derivations, 73),
+        (lambda: run_checks("all"), 604),
+        (lambda: run_checks("all", g_max=20, k_max=10), 7853),
+        # a single key takes as many steps as its walks are long
+        (lambda: gluing._reader()(102, 0, 0), 100),
+        (lambda: gluing._reader()(2, -100, 0), 99),
+        (lambda: gluing._reader()(11, 2, -1), 3 + 9),
+    ], ids=["cy", "appendixB", "gluing", "all", "all-wide", "g102", "k-100", "mixed"])
+    def test_a_sweep_takes_each_recurrence_step_once(self, sweep, steps, monkeypatch):
+        # each step is one _combine and leaves one memo key outside the seed
+        # window -1..1, so a step taken twice would count twice
+        memos, taken = [], []
+        fill, combine = gluing._fill, gluing._combine
 
-        from gwtqft import gluing
+        def spied(memo, key):
+            if not any(m is memo for m in memos):
+                memos.append(memo)
+            return fill(memo, key)
 
-        walked = Counter()
-        line = gluing._line
+        def counted(pairs):
+            taken.append(pairs)
+            return combine(pairs)
 
-        def counted(k1, k2):
-            walked[k1, k2] += 1
-            return line(k1, k2)
-
-        monkeypatch.setattr(gluing, "_line", counted)
-        suite()
-        assert walked and set(walked.values()) == {1}
+        monkeypatch.setattr(gluing, "_fill", spied)
+        monkeypatch.setattr(gluing, "_combine", counted)
+        trace_formula.cache_clear()
+        sweep()
+        walked = sum(any(abs(c) > 1 for c in key) for memo in memos for key in memo)
+        assert len(taken) == walked == steps
 
 
 class TestOverlapConsistency:

@@ -6,6 +6,7 @@ compared through ``gluing._unfold``."""
 
 import random
 import re
+import sys
 from itertools import product
 
 import pytest
@@ -365,6 +366,21 @@ class TestEngineState:
     def test_the_memo_of_results_is_bounded(self):
         assert isinstance(trace_formula.cache_info().maxsize, int)
 
+    def test_the_stack_depth_does_not_grow_with_the_key(self):
+        # the walks recurse across the three axes, never once per step: the
+        # 58 genus steps and 39 level steps of this key fit in 60 frames
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        trace_formula.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            z = trace_formula(60, 2, -40)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert z.terms
+
     @pytest.mark.parametrize("key", [
         (gluing.MAX_REQUEST + 1, 0, 0),
         (2, gluing.MAX_REQUEST, 0),
@@ -375,7 +391,7 @@ class TestEngineState:
         def boom(*args):
             raise AssertionError("the trace engine ran")
 
-        monkeypatch.setattr(gluing, "_trace", boom)
+        monkeypatch.setattr(gluing, "_fill", boom)
         with pytest.raises(ValueError, match=f"above the limit {gluing.MAX_REQUEST}$"):
             trace_formula(*key)
 
@@ -445,8 +461,9 @@ class TestCayleyHamilton:
         gmat = build_operator("G")
         adj = mat_adjugate(gmat)
         det = mat_det(gmat, adj)
+        read = gluing._reader()
         for (k1, k2), w in level_words.items():
-            s = gluing._graded(gluing._trace(-1, k1, k2), -2)
+            s = read(0, k1, k2)
             assert s * det == mat_trace(mat_mul(adj, w)), (k1, k2)
             assert trace_formula(0, k1, k2) == _unfold(s), (k1, k2)
 
@@ -552,14 +569,15 @@ class TestOneCoefficientRing:
             entries = [e for m in ops for row in m for e in row]
             entries += [e for t in tensors for e in t.entries]
             assert all(isinstance(c, XYRat) for e in entries for c in e.terms.values())
-            folded = gluing._trace(9, 2, -1)
-            genus_zero = gluing._trace(-1, 2, -1)
+            read = gluing._reader()
+            folded = read(10, 2, -1)
+            genus_zero = read(0, 2, -1)
             scalar = evaluate_word(closed_surface_word(2, 1, -1)).scalar()
         finally:
             monkeypatch.undo()
             self._clear()
-        assert _unfold(gluing._graded(folded, 18)) == trace_formula(10, 2, -1)
-        assert _unfold(gluing._graded(genus_zero, -2)) == trace_formula(0, 2, -1)
+        assert _unfold(folded) == trace_formula(10, 2, -1)
+        assert _unfold(genus_zero) == trace_formula(0, 2, -1)
         assert _unfold(scalar) == trace_formula(2, 1, -1)
 
 
