@@ -15,17 +15,20 @@ CHANGES.md.  The requests cover every printing rule of all three formats:
   top class, the largest n of nonnegative t-degree, with ``--hmax 2``, and
   the class below it with ``--hmax 4 --order 20``, whose rows past h = g
   carry Fraction coefficients;
-- ``word`` in text and JSON: every atom alone and traced, and chains whose
-  entries have denominators;
+- ``word`` in text and JSON: every atom of the grammar (the fifteen
+  operators, ``pants``, and the cap and tube at each of the five basic
+  levels) alone and traced, and chains whose entries have denominators;
 - what the trace engine reads by its recurrences: ``verify --suite all
   --format json`` at three seeds, and ``compute`` in all three formats at
   (3, -40, 5) and (0, -50, -50);
 - the program's own usage errors, but none of argparse's, whose wording
   differs between Python versions.
 
-The slow part (about a minute) adds ``compute`` in all three formats at the
-request bound, (102, 0, 0), (2, 100, 0), (2, -100, 0) and (1, -50, 51), and
-the wide sweep ``verify --suite all --gmax 20 --kmax 10 --format json``.
+The slow part (about 20 s) adds ``compute`` in all three formats at the
+request bound, (102, 0, 0), (2, 100, 0), (2, -100, 0) and (1, -50, 51), the
+wide sweep ``verify --suite all --gmax 20 --kmax 10 --format json``, and
+every 2-atom ``word`` chain, plain and traced, in text and JSON: 2,704
+requests, of which the 470 traced chains with a cap are usage errors.
 A ``verify`` report's ``elapsed`` is a timing, so it is dropped before
 hashing.
 """
@@ -48,7 +51,8 @@ CORPUS = Path(__file__).with_name("corpus.json")
 ATOMS = (
     "A", "B", "C1", "C2", "E1", "E2", "N1", "N2", "M1", "M2",
     "G", "U1", "U2", "U1inv", "U2inv", "pants",
-    "cap(0,0)", "cap(1,0)", "cap(0,-1)", "tube(0,0)", "tube(1,0)", "tube(0,-1)",
+    "cap(0,0)", "cap(1,0)", "cap(0,1)", "cap(-1,0)", "cap(0,-1)",
+    "tube(0,0)", "tube(1,0)", "tube(0,1)", "tube(-1,0)", "tube(0,-1)",
 )
 CHAINS = ("U1 * U2inv", "N1 * E1", "cap(0,-1) * pants", "A * B", "trace(G * U2inv)")
 FORMATS = ("text", "json", "latex")
@@ -79,15 +83,20 @@ def requests(slow: bool = False) -> list[list[str]]:
                     out.append(["genus", *key, "--n", str(top), "--hmax", "2", *tail])
                     out.append(["genus", *key, "--n", str(top - 1), "--hmax", "4",
                                 "--order", "20", *tail])
-    for text in (*ATOMS, *(f"trace({a})" for a in ATOMS), *CHAINS):
-        out += [["word", text, "--format", fmt] for fmt in ("text", "json")]
+    out += _words((*ATOMS, *(f"trace({a})" for a in ATOMS), *CHAINS))
     out += [["verify", "--suite", "all", "--format", "json", "--seed", str(s)] for s in (1, 42, 97)]
     out += _compute_all_formats(((3, -40, 5), (0, -50, -50)))
     out += [shlex.split(text) for text in USAGE_ERRORS]
     if slow:
         out += _compute_all_formats(((102, 0, 0), (2, 100, 0), (2, -100, 0), (1, -50, 51)))
         out.append(["verify", "--suite", "all", "--gmax", "20", "--kmax", "10", "--format", "json"])
+        chains = [f"{a} * {b}" for a in ATOMS for b in ATOMS]
+        out += _words(w for chain in chains for w in (chain, f"trace({chain})"))
     return out
+
+
+def _words(texts) -> list[list[str]]:
+    return [["word", text, "--format", fmt] for text in texts for fmt in ("text", "json")]
 
 
 def _compute_all_formats(keys) -> list[list[str]]:
