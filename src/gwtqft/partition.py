@@ -88,10 +88,16 @@ def genus_expansion(p: SpaceParams, n: int, h_max: int, order: int | None = None
     The genus-h invariant is the u^(2h - 2 + D) coefficient of the class
     component c * phi^m, which is c times a coefficient of
     ``phi_pow_coeffs(m, ...)``; the coefficients are computed only up to the
-    u-power the table needs.  ``order`` only validates: an order below that
-    u-power is a PrecisionError, checked first.  An order or an h_max above
-    MAX_ORDER is a ValueError.  Every check runs before any work.
+    u-power the table needs.  A negative h_max, or one above MAX_ORDER, is a
+    ValueError, checked first: no order makes it legal.  ``order`` only
+    validates: an order below that u-power is a PrecisionError, checked
+    next, and an order above MAX_ORDER is a ValueError.  Every check runs
+    before any work.
     """
+    if h_max < 0:
+        raise ValueError("h_max must be nonnegative")
+    if h_max > MAX_ORDER:
+        raise ValueError(f"h_max {h_max} is above the limit {MAX_ORDER}")
     d = virtual_dim(p, n)
     needed = 2 * h_max - 2 + d
     if order is not None and needed > order:
@@ -99,10 +105,6 @@ def genus_expansion(p: SpaceParams, n: int, h_max: int, order: int | None = None
             f"insufficient truncation order u^{order}; "
             f"this table needs u^{needed} (raise --order)"
         )
-    if h_max < 0:
-        raise ValueError("h_max must be nonnegative")
-    if h_max > MAX_ORDER:
-        raise ValueError(f"h_max {h_max} is above the limit {MAX_ORDER}")
     if order is None:
         order = max(needed, 0)
     if order > MAX_ORDER:
