@@ -41,6 +41,7 @@ from .gluing import (
     trace_formula,
 )
 from .words import (
+    TUBE_OPERATORS,
     build_cap,
     build_handle,
     build_pants,
@@ -242,7 +243,8 @@ def verify_gluing_derivations(word_g_max: int = 3, word_k_max: int = 2) -> Check
     Covers: caps glued to pants give the level tubes; opposite-level tubes
     compose to the identity tube; tubes capped off give the level caps; the
     displayed Frobenius relation; the two-pants assembly of the genus-adding
-    matrix pieces, pair by pair and in one pass; the operator-algebra
+    matrix pieces, pair by pair and in one pass; the level operators glued
+    to the identity cylinder give the tubes; the operator-algebra
     identities; and agreement of every closed-surface word with the trace
     formula on the swept grid.
 
@@ -263,7 +265,8 @@ def verify_gluing_derivations(word_g_max: int = 3, word_k_max: int = 2) -> Check
         its (lowered, lowered) tensor."""
         return contract(build_tube((0, 0)), 1, matrix_to_tensor(build_operator(name)), 0)
 
-    # caps attached to pants produce the level tubes
+    # caps attached to pants produce the level tubes: the localization data
+    # against the level operators that the tubes are read off
     for level in ((0, -1), (-1, 0), (0, 1), (1, 0)):
         rep.check(f"cap{level} * pants", build_tube(level), chain(f"cap{level} * pants"))
 
@@ -295,8 +298,9 @@ def verify_gluing_derivations(word_g_max: int = 3, word_k_max: int = 2) -> Check
     # the handle of closed_surface_word glues both fibers in one contraction pass
     rep.check("two-pants handle, one pass", handle, build_handle())
 
-    # the hand-encoded matrices glued to the identity cylinder are the tubes
-    for name, level in (("U1", (1, 0)), ("U2", (0, 1)), ("U1inv", (-1, 0)), ("U2inv", (0, -1))):
+    # the level operators glued to the identity cylinder are the tubes: the
+    # raised-lowered gluing of contract against the rows times the weights
+    for level, name in TUBE_OPERATORS.items():
         rep.check(f"raised tube {level} = {name}", build_tube(level), lowered(name))
 
     _operator_identities(rep)

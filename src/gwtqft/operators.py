@@ -8,9 +8,10 @@ three-variable arithmetic runs here; ``gluing._unfold`` re-expands a folded
 value in t0, t1, t2 at the output.
 
 Matrices are the row-raised forms of the generator tensors (entry (a, b) is
-the lowered (a, b) entry times the inverse weight of x_a).  Every command
-loads this module; the cap, tube and pants tensors that the matrices are
-re-derived from live in ``words``, which only ``word`` and ``verify`` load.
+the lowered (a, b) entry times the inverse weight of x_a); ``words`` reads
+the level tubes back off U1, U2, U1inv and U2inv.  Every command loads this
+module; the cap and pants tensors, the localization data that the matrices
+are re-derived from, live in ``words``, which only ``word`` and ``verify`` load.
 """
 
 from __future__ import annotations

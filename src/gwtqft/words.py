@@ -5,8 +5,9 @@ Only ``word`` and ``verify`` load this module.  ``compute``, ``extract``
 and ``genus`` run the trace engine of ``gluing`` alone, so they do not
 compile it.
 
-The tensors are the localization values of the basic relative partition
-functions; the operators of ``operators`` and everything else are obtained
+The caps and the pants are the localization values of the genus-0 basic
+relative partition functions; a tube is its level operator of ``operators``
+with row a lowered by the weight T(x_a), and everything else is obtained
 from them by gluing.  Entries are stored with all slots lowered.
 
 Gluing two relative slots sums over the fixed-point basis with one slot
@@ -61,6 +62,7 @@ from .operators import (
     _d,
     _phi,
     build_operator,
+    mat_identity,
     weight,
 )
 from .phicalc import PhiElem
@@ -123,11 +125,10 @@ def _tensor1(values: Sequence[PhiElem]) -> RelTensor:
     return RelTensor((False,), values)
 
 
-def _tensor2(rows: Sequence[Sequence[PhiElem]]) -> RelTensor:
-    return RelTensor((False, False), [rows[a][b] for a in LABELS for b in LABELS])
-
-
-_BASIC_LEVELS = {(0, 0), (0, -1), (-1, 0), (0, 1), (1, 0)}
+#: the level operator that each nonzero basic level's tube lowers; the
+#: level (0,0) tube lowers the identity
+TUBE_OPERATORS = {(1, 0): "U1", (0, 1): "U2", (-1, 0): "U1inv", (0, -1): "U2inv"}
+_BASIC_LEVELS = {(0, 0), *TUBE_OPERATORS}
 
 
 @cache
@@ -153,51 +154,19 @@ def build_cap(level: Level) -> RelTensor:
 
 @cache
 def build_tube(level: Level) -> RelTensor:
-    """Two-holed genus-0 generator at the given level, both slots lowered."""
+    """Two-holed genus-0 generator at the given level, both slots lowered:
+    the level operator with row a times the weight T(x_a)."""
     if level not in _BASIC_LEVELS:
         raise ValueError(f"level {level} tube is not a basic generator")
-    z = PhiElem.zero()
-
-    def tube(diagonal: Sequence[PhiElem], rest=lambda a, b: z) -> RelTensor:
-        """Entry (a, b) is rest(a, b), plus diagonal[a] when a == b."""
-        return _tensor2([
-            [rest(a, b) + diagonal[a] if a == b else rest(a, b) for b in LABELS] for a in LABELS
-        ])
-
-    if level == (0, 0):
-        return tube([_phi(weight(a), 0) for a in LABELS])
-    # the annihilation tubes: class 0 on the diagonal, class 1 (phi^2) in every cell
-    if level == (0, -1):
-        return tube(
-            [_phi(_d(0, 1) * _d(0, 2) ** 2, -1), _phi(_d(1, 0) * _d(1, 2) ** 2, -1), z],
-            lambda a, b: _phi(1, 2),
-        )
-    if level == (-1, 0):
-        return tube(
-            [_phi(_d(0, 2) * _d(0, 1) ** 2, -1), z, _phi(_d(2, 0) * _d(2, 1) ** 2, -1)],
-            lambda a, b: _phi(1, 2),
-        )
-    # the creation tubes: class -1 on the diagonal, class 0 (phi^1) from body
-    if level == (0, 1):
-        body = [
-            [_d(0, 1), _ZERO, _d(2, 1)],
-            [_ZERO, _d(1, 0), _d(2, 0)],
-            [_d(2, 1), _d(2, 0), _d(2, 0) + _d(2, 1)],
-        ]
-        return tube([z, z, _phi(weight(2) ** 2, -2)], lambda a, b: _phi(body[a][b], 1))
-    # level (1, 0)
-    body = [
-        [_d(0, 2), _d(1, 2), _ZERO],
-        [_d(1, 2), _d(1, 0) + _d(1, 2), _d(1, 0)],
-        [_ZERO, _d(1, 0), _d(2, 0)],
-    ]
-    return tube([z, _phi(weight(1) ** 2, -2), z], lambda a, b: _phi(body[a][b], 1))
+    op = build_operator(TUBE_OPERATORS[level]) if level != (0, 0) else mat_identity()
+    return RelTensor((False, False), [e * _phi(WEIGHTS[a], 0) for a in LABELS for e in op[a]])
 
 
 # the ten distinct entries of the fiber-class-1 pants, indexed by sorted label
 # multisets; the remaining 17 cells follow by full symmetry in the three slots.
 # The mixed entries obey pants[a,b,c] = t_a + t_b - 2 t_missing-style patterns
-# forced by capping off one slot: pants[lam,a,b] must rebuild the level tubes.
+# forced by capping off one slot: a level cap glued to the pants must give
+# the level tube, its level operator lowered (see build_tube).
 _PANTS_F = {
     (0, 0, 0): _d(0, 1) + _d(0, 2),
     (1, 1, 1): _d(1, 0) + _d(1, 2),

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gwtqft import checks, gluing
+from gwtqft import checks, gluing, words
 from gwtqft.checks import (
     PRIME,
     CheckReport,
@@ -83,6 +83,24 @@ class TestGluingDerivations:
         rep = CheckReport("gluing_derivations", "unit")
         checks._operator_identities(rep)
         assert any(f.startswith(f"G[1][1] phi^0 {label}") for f in rep.failures), rep.failures
+
+    def test_a_changed_level_operator_fails_at_its_cap(self, monkeypatch):
+        # the tubes are read off the level operators, so one changed entry of
+        # U1 changes the tube (1,0), and the level cap glued to the pants,
+        # the localization data, tells it apart
+        u1 = build_operator("U1")
+        doctored = ((u1[0][0] + _phi(1, 1),) + u1[0][1:],) + u1[1:]
+        monkeypatch.setattr(
+            words, "build_operator", lambda name: doctored if name == "U1" else build_operator(name)
+        )
+        words.build_tube.cache_clear()
+        try:
+            rep = verify_gluing_derivations(word_g_max=0, word_k_max=0)
+        finally:
+            monkeypatch.undo()
+            words.build_tube.cache_clear()
+        assert not rep.passed
+        assert rep.failures[0].startswith("cap(1, 0) * pants: expected "), rep.failures[0]
 
     def test_case_count(self):
         # 71 generator and operator cases (the two-pants handle three
