@@ -18,7 +18,7 @@ _EXPORTS = {
     "gluing": "trace_formula",
     "words": "build_cap build_tube build_pants CobordismWord closed_surface_word contract"
     " evaluate_word parse_word split_classes",
-    "partition": "SpaceParams compute_Z virtual_dim class_component support genus_expansion",
+    "partition": "virtual_dim class_component genus_expansion",
     "checks": "mat_power",
 }
 _SOURCE = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

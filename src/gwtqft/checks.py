@@ -267,15 +267,16 @@ def verify_gluing_derivations(word_g_max: int = 3, word_k_max: int = 2) -> Check
 
     # caps attached to pants produce the level tubes: the localization data
     # against the level operators that the tubes are read off
-    for level in ((0, -1), (-1, 0), (0, 1), (1, 0)):
+    for level in TUBE_OPERATORS:
         rep.check(f"cap{level} * pants", build_tube(level), chain(f"cap{level} * pants"))
 
     # opposite-level tubes compose to the level (0,0) tube
-    for lv, opp in (((0, -1), (0, 1)), ((0, 1), (0, -1)), ((-1, 0), (1, 0)), ((1, 0), (-1, 0))):
+    for lv in TUBE_OPERATORS:
+        opp = (-lv[0], -lv[1])
         rep.check(f"tube{lv} * tube{opp}", build_tube((0, 0)), chain(f"tube{lv} * tube{opp}"))
 
     # capping a tube with the level (0,0) cap produces the level cap
-    for level in ((0, -1), (-1, 0), (0, 1), (1, 0)):
+    for level in TUBE_OPERATORS:
         rep.check(f"tube{level} * cap(0,0)", build_cap(level), chain(f"tube{level} * cap(0,0)"))
 
     # the displayed Frobenius relation among the pants classes 0 and 1, its

@@ -8,19 +8,19 @@ class by class, as its phi^(K + 3n) parts for its total level K.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error (including a
 word of more than ``words.MAX_WORD_GENERATORS`` generators, a request with
-g + |k1| + |k2| above ``gluing.MAX_REQUEST``, or a ``genus --order`` or
-``--hmax`` above ``partition.MAX_ORDER``, or a ``verify --trials`` outside
-1..``checks.MAX_TRIALS``), 3 internal error (a quotient the theory
-guarantees failed to reduce, such as a denominator outside the products of
-ti - tj; a matrix trace or coefficient of the trace engine that is not an
-integer polynomial of its weight; a level operator whose det is not 1; a
-word tensor with a phi power outside its mod-3 class grading; a division
-by zero, which no input can cause; or the interpreter ran out of recursion
-depth or memory), 130 (128 + SIGINT) when the command was interrupted, as
-by Ctrl-C, with one ``interrupted`` line on stderr, and 141 (128 + SIGPIPE)
-when the reader of stdout went away before the output was written.  An
-interrupt while the interpreter is still starting, before ``main`` runs,
-is outside this mapping.
+g + |k1| + |k2| above ``gluing.MAX_REQUEST``, a ``genus`` table with an
+``--hmax``, or a u-power it needs, above ``partition.MAX_ORDER``, or a
+``verify --trials`` outside 1..``checks.MAX_TRIALS``), 3 internal error (a
+quotient the theory guarantees failed to reduce, such as a denominator
+outside the products of ti - tj; a matrix trace or coefficient of the trace
+engine that is not an integer polynomial of its weight; a level operator
+whose det is not 1; a word tensor with a phi power outside its mod-3 class
+grading; a division by zero, which no input can cause; or the interpreter
+ran out of recursion depth or memory), 130 (128 + SIGINT) when the command
+was interrupted, as by Ctrl-C, with one ``interrupted`` line on stderr, and
+141 (128 + SIGPIPE) when the reader of stdout went away before the output
+was written.  An interrupt while the interpreter is still starting, before
+``main`` runs, is outside this mapping.
 
 Each command compiles only what it runs: ``compute``, ``extract`` and
 ``genus`` load ``operators`` and the trace engine in ``gluing``; ``word``
@@ -40,13 +40,7 @@ from typing import TYPE_CHECKING
 
 from . import SUITES, __version__
 from .exactring import LATEX, TEXT, ReductionError
-from .partition import (
-    MAX_ORDER,
-    SpaceParams,
-    class_component,
-    compute_Z,
-    genus_expansion,
-)
+from .partition import MAX_ORDER, class_component, genus_expansion
 
 if TYPE_CHECKING:
     from .words import RelTensor
@@ -57,8 +51,6 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_INTERRUPTED = 130
 EXIT_BROKEN_PIPE = 141
-
-DEFAULT_ORDER = 10
 
 # the printing style of each non-JSON format, and the line of a genus table
 STYLES = {"text": TEXT, "latex": LATEX}
@@ -122,14 +114,12 @@ def _tensor_json(t: RelTensor) -> dict:
 # -- commands ----------------------------------------------------------------------
 
 
-def _params(args) -> SpaceParams:
-    return SpaceParams(args.genus, args.level1, args.level2)
-
-
 def cmd_compute(args) -> int:
     """compute, and extract: compute's answer read at the class n."""
-    p = _params(args)
-    z = class_component(p, args.n) if "n" in args else compute_Z(p)
+    from .gluing import trace_formula
+
+    key = (args.genus, args.level1, args.level2)
+    z = class_component(*key, args.n) if "n" in args else trace_formula(*key)
     if args.format == "json":
         print(_document(args, terms=z.to_json_terms()))
     else:
@@ -138,7 +128,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    rows = genus_expansion(_params(args), args.n, args.hmax, order=args.order)
+    rows = genus_expansion(args.genus, args.level1, args.level2, args.n, args.hmax)
     if args.format == "json":
         print(_document(args, hmax=args.hmax, rows=[{"h": h, **inv.to_json()} for h, inv in rows]))
     else:
@@ -234,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, with_n=True)
     p.add_argument("--hmax", type=int, required=True,
                    help=f"largest genus to tabulate, at most {MAX_ORDER}")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                   help=f"u-series truncation order, at most {MAX_ORDER}")
     p.set_defaults(fn=cmd_genus)
 
     p = sub.add_parser("verify", help="run the closed-form verification suites")

@@ -35,11 +35,10 @@ Z[x, y] with x = t0 - t2, y = t1 - t2 and denominator (x - y)^a x^b y^c.
 The generators are built in that ring (see ``operators``), and every
 function here takes and returns folded tensors; ``gluing._unfold``
 re-expands an entry in t0, t1, t2 for output.  A pair of lowered slots is
-glued with the folded inverse weight as a factor of each product (a pair
-of raised ones with the weight), and each coefficient of a glued entry is
-one sum of unreduced products reduced once.  Words are contracted one
-generator at a time, so a word's cost grows with its length (see
-MAX_WORD_GENERATORS).
+glued with the folded inverse weight as a factor of each product, and each
+coefficient of a glued entry is one sum of unreduced products reduced
+once.  Words are contracted one generator at a time, so a word's cost
+grows with its length (see MAX_WORD_GENERATORS).
 """
 
 from __future__ import annotations
@@ -49,8 +48,7 @@ from functools import cache
 from itertools import product
 from typing import NamedTuple, Sequence
 
-from .exactring import ReductionError, _xy_clean, _xy_fraction_sum, _xy_mul_into
-from .gluing import _ONE
+from .exactring import ReductionError, _xy_fraction_sum, _xy_mul_into
 from .operators import (
     INV_WEIGHTS,
     LABELS,
@@ -234,20 +232,17 @@ def _offsets(rank: int, glued: tuple[int, ...]) -> tuple[list[int], list[int]]:
 def _glue_factors(pairs) -> list[tuple]:
     """The factor of every glued label tuple, in row-major order, for slot
     pairs of the given (variance, variance): 1 / T(x_a) for each pair of
-    lowered slots and T(x_a) for each pair of raised ones, so that every
-    pair is summed with opposite variance.  A factor is (sign, polynomial
-    or None, dexp)."""
+    lowered slots, so that every pair is summed with opposite variance.  A
+    factor is (sign, dexp)."""
     out = []
     for labels in product(LABELS, repeat=len(pairs)):
-        sign, poly, dexp = 1, None, (0, 0, 0)
+        sign, dexp = 1, (0, 0, 0)
         for lam, (va, vb) in zip(labels, pairs):
-            if va == vb and va:
-                poly = _xy_clean(_xy_mul_into({}, poly or _ONE, WEIGHTS[lam].num))
-            elif va == vb:
+            if not (va or vb):
                 inv = INV_WEIGHTS[lam]
                 d = inv.dexp
                 sign, dexp = sign * inv.num[0, 0], (dexp[0] + d[0], dexp[1] + d[1], dexp[2] + d[2])
-        out.append((sign, poly, dexp))
+        out.append((sign, dexp))
     return out
 
 
@@ -256,14 +251,13 @@ def _dot(terms) -> PhiElem:
     entries, f a glue factor.  Products are left unreduced; each phi^m
     coefficient of the sum is reduced once."""
     parts: dict[int, list] = {}
-    for x, y, (sign, poly, (w0, w1, w2)) in terms:
+    for x, y, (sign, (w0, w1, w2)) in terms:
         for m2, c2 in y.terms.items():
             d2 = c2.dexp
             for m1, c1 in x.terms.items():
                 d1 = c1.dexp
-                num = _xy_mul_into({}, c1.num, c2.num, sign)
                 parts.setdefault(m1 + m2, []).append((
-                    num if poly is None else _xy_mul_into({}, num, poly),
+                    _xy_mul_into({}, c1.num, c2.num, sign),
                     (d1[0] + d2[0] + w0, d1[1] + d2[1] + w1, d1[2] + d2[2] + w2),
                 ))
     total = {}
@@ -280,17 +274,20 @@ def contract(a: RelTensor, slot_a, b: RelTensor, slot_b) -> RelTensor:
     slot_a and slot_b are single slots, or equal-length tuples of slots that
     are glued pairwise (slot_a[i] to slot_b[i]) in one pass: every pair that
     joins the same two tensors costs one sum over the glued labels, with no
-    intermediate tensor.  A pair of slots of the same variance is summed
-    with the weight or its inverse as a factor, so no slot is raised or
-    lowered first, and zero entries are skipped.  Result slots: a's
-    remaining slots then b's.
+    intermediate tensor.  A pair of lowered slots is summed with the
+    inverse weight as a factor, so no slot is raised first, and zero
+    entries are skipped.  A pair of raised slots is a ValueError: no word
+    or check glues one.  Result slots: a's remaining slots then b's.
     """
     slots_a, slots_b = _slots(a.rank, slot_a), _slots(b.rank, slot_b)
     if len(slots_a) != len(slots_b):
         raise ValueError("slot lists to glue differ in length")
+    pairs = [(a.variance[sa], b.variance[sb]) for sa, sb in zip(slots_a, slots_b)]
+    if (True, True) in pairs:
+        raise ValueError("cannot glue two raised slots")
     free_a, glue_a = _offsets(a.rank, slots_a)
     free_b, glue_b = _offsets(b.rank, slots_b)
-    factors = _glue_factors([(a.variance[sa], b.variance[sb]) for sa, sb in zip(slots_a, slots_b)])
+    factors = _glue_factors(pairs)
     glue = list(zip(glue_a, glue_b, factors))
     variance = [v for s, v in enumerate(a.variance) if s not in slots_a]
     variance += [v for s, v in enumerate(b.variance) if s not in slots_b]

@@ -13,8 +13,9 @@ CHANGES.md.  The requests cover every printing rule of all three formats:
 - ``compute``, ``extract`` (n in {-1, 0, 1}) and ``genus`` in text, JSON
   and LaTeX for g <= 3, k1 in -2..1 and k2 in -1..1.  ``genus`` reads the
   top class, the largest n of nonnegative t-degree, with ``--hmax 2``, and
-  the class below it with ``--hmax 4 --order 20``, whose rows past h = g
-  carry Fraction coefficients;
+  the class below it with ``--hmax 4``, whose rows past h = g carry
+  Fraction coefficients; and, in all three formats, ``genus -g 1 --n 0
+  --hmax 9``, which needs u^16;
 - ``word`` in text and JSON: every atom of the grammar (the fifteen
   operators, ``pants``, and the cap and tube at each of the five basic
   levels) alone and traced, and chains whose entries have denominators;
@@ -58,7 +59,8 @@ CHAINS = ("U1 * U2inv", "N1 * E1", "cap(0,-1) * pants", "A * B", "trace(G * U2in
 FORMATS = ("text", "json", "latex")
 USAGE_ERRORS = (
     "compute -g 103", "compute -g -1", "verify --suite cy --gmax 103 --kmax 0",
-    "verify --trials 0", "genus -g 2 --n 0 --hmax 201", "word 'trace(G^33)'", "word foo",
+    "verify --trials 0", "genus -g 2 --n 0 --hmax 201", "genus -g 0 --n 100 --hmax 2",
+    "word 'trace(G^33)'", "word foo",
 )
 ELAPSED = re.compile(r'"elapsed": [^,]*, ')
 
@@ -81,8 +83,8 @@ def requests(slow: bool = False) -> list[list[str]]:
                     out.append(["compute", *key, *tail])
                     out += [["extract", *key, "--n", str(n), *tail] for n in (-1, 0, 1)]
                     out.append(["genus", *key, "--n", str(top), "--hmax", "2", *tail])
-                    out.append(["genus", *key, "--n", str(top - 1), "--hmax", "4",
-                                "--order", "20", *tail])
+                    out.append(["genus", *key, "--n", str(top - 1), "--hmax", "4", *tail])
+    out += [["genus", "-g", "1", "--n", "0", "--hmax", "9", "--format", fmt] for fmt in FORMATS]
     out += _words((*ATOMS, *(f"trace({a})" for a in ATOMS), *CHAINS))
     out += [["verify", "--suite", "all", "--format", "json", "--seed", str(s)] for s in (1, 42, 97)]
     out += _compute_all_formats(((3, -40, 5), (0, -50, -50)))

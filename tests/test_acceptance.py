@@ -14,14 +14,7 @@ from gwtqft.exactring import TPoly, TRat
 from gwtqft.phicalc import PhiElem
 from gwtqft.operators import _phi, build_operator, mat_identity
 from gwtqft.gluing import mat_mul, mat_trace, trace_formula
-from gwtqft.partition import (
-    SpaceParams,
-    class_component,
-    compute_Z,
-    genus_expansion,
-    support,
-    virtual_dim,
-)
+from gwtqft.partition import class_component, genus_expansion, virtual_dim
 from gwtqft.checks import (
     mat_power,
     mat_scale,
@@ -60,11 +53,11 @@ def test_criterion_2_special_case_sweeps():
     # the level-(0,0) family must cover all three residues of g mod 3
     q = (t0 - t1) * (t0 - t2) + (t1 - t0) * (t1 - t2) + (t2 - t0) * (t2 - t1)
     spot = (
-        class_component(SpaceParams(3), 1).is_zero
-        and class_component(SpaceParams(6), 3).is_zero
-        and class_component(SpaceParams(2), 0) == phi(q)
-        and class_component(SpaceParams(5), 2) == phi(q.scale(27 * 4), 6)
-        and class_component(SpaceParams(8), 4) == phi(q.scale(3**6 * 7), 12)
+        class_component(3, 0, 0, 1).is_zero
+        and class_component(6, 0, 0, 3).is_zero
+        and class_component(2, 0, 0, 0) == phi(q)
+        and class_component(5, 0, 0, 2) == phi(q.scale(27 * 4), 6)
+        and class_component(8, 0, 0, 4) == phi(q.scale(3**6 * 7), 12)
     )
     ok = rep.passed and spot and elapsed < 60.0
     report(2, "special-case closed forms, g<=5, |k|<=4, level-(0,0) g<=8",
@@ -124,7 +117,7 @@ def test_criterion_6_genus_zero_path():
 
 
 def test_criterion_7_genus_tables():
-    rows = genus_expansion(SpaceParams(0, 1, 0), -1, 4)
+    rows = genus_expansion(0, 1, 0, -1, 4)
     # independent oracle: the schoolbook inverse square of the Taylor series,
     # read at u^(2h - 2)
     oracle = phi_power(-2, 9)
@@ -133,9 +126,8 @@ def test_criterion_7_genus_tables():
     assert want[:3] == [TRat.make(1), TRat.make(Fraction(1, 12)), TRat.make(Fraction(1, 240))]
     # D = 0 classes give plain rational numbers
     for (g, k, n) in [(1, 0, 0), (2, 2, 0), (4, 0, 2), (0, 4, -2)]:
-        p = SpaceParams(g, 0, k)
-        assert virtual_dim(p, n) == 0
-        for _, inv in genus_expansion(p, n, 3):
+        assert virtual_dim(g, 0, k, n) == 0
+        for _, inv in genus_expansion(g, 0, k, n, 3):
             ok = ok and inv.num.is_const and inv.den.is_const
     report(7, "genus tables match independent series inversion; D=0 rows rational", ok)
     assert ok
@@ -148,20 +140,26 @@ def test_criterion_8_grading_suite():
         tuples.add((rng.randint(0, 4), rng.randint(-3, 3), rng.randint(-3, 3)))
     failures = []
     for (g, k1, k2) in sorted(tuples):
-        p = SpaceParams(g, k1, k2)
-        z = compute_Z(p)
+        p = (g, k1, k2)
+        z = trace_formula(g, k1, k2)
         base = 2 * g - 2 - k1 - k2
         if any((base - d) % 3 for _, c in z.items() for d in t_degrees(c.num)):
             failures.append(f"purity {p}")
-        sup = support(p)
-        if any(-virtual_dim(p, n) < 0 for n in sup):
+        # the classes of Z, one per phi power k1 + k2 + 3n
+        sup = []
+        for m in z.terms:
+            n, r = divmod(m - k1 - k2, 3)
+            if r:
+                failures.append(f"phi^{m} off the grading {p}")
+            sup.append(n)
+        if any(-virtual_dim(g, k1, k2, n) < 0 for n in sup):
             failures.append(f"negative degree {p}")
         total = PhiElem.zero()
         for n in sup:
-            total = total + class_component(p, n)
+            total = total + class_component(g, k1, k2, n)
         if total != z:
             failures.append(f"reconstruction {p}")
-        if permute_vars(compute_Z(SpaceParams(g, k2, k1)), (0, 2, 1)) != z:
+        if permute_vars(trace_formula(g, k2, k1), (0, 2, 1)) != z:
             failures.append(f"swap symmetry {p}")
         for _ in range(20):
             point = _random_residues(rng, g)

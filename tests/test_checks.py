@@ -304,7 +304,7 @@ class TestOverlapConsistency:
     def test_annihilation_family_agrees_with_calabi_yau(self):
         # wherever the pure-annihilation family hits virtual dimension zero,
         # its closed form must collapse to the Calabi-Yau value 3^g phi^(2g-2)
-        from gwtqft.partition import SpaceParams, class_component, virtual_dim
+        from gwtqft.partition import class_component, virtual_dim
 
         hits = 0
         for g in range(0, 4):
@@ -312,9 +312,8 @@ class TestOverlapConsistency:
                 for k2 in range(0, 5):
                     if 2 * g - 2 + k1 + k2 != 0:
                         continue
-                    p = SpaceParams(g, -k1, -k2)
-                    assert virtual_dim(p, 0) == 0
-                    got = class_component(p, 0)
+                    assert virtual_dim(g, -k1, -k2, 0) == 0
+                    got = class_component(g, -k1, -k2, 0)
                     assert got == phi(3**g, 2 * g - 2), (g, k1, k2)
                     hits += 1
         assert hits >= 4

@@ -102,11 +102,15 @@ class TestGenus:
         assert "h=2: 9" in out
         assert "h=3: -3/4" in out
 
-    def test_insufficient_order(self, capsys):
-        code, _, err = run_cli(capsys, "genus", "--genus", "1", "--n", "0",
-                               "--hmax", "9", "--order", "4")
-        assert code == 2
-        assert "u^16" in err
+    def test_order_option_is_gone(self, capsys):
+        # the table is computed to the u-power it needs; argparse's wording
+        # differs between Python versions, so only the exit code is checked
+        with pytest.raises(SystemExit) as exc:
+            main(["genus", "--genus", "1", "--n", "0", "--hmax", "9", "--order", "4"])
+        assert exc.value.code == 2
+        code, out, _ = run_cli(capsys, "genus", "--genus", "1", "--n", "0", "--hmax", "9")
+        assert code == 0
+        assert out.splitlines() == [f"h={h}: {3 if h == 1 else 0}" for h in range(10)]
 
     def test_json_rows(self, capsys):
         code, out, _ = run_cli(capsys, "genus", "--genus", "0", "--level1", "1",
@@ -347,13 +351,13 @@ class TestUsageErrors:
         assert code == 2
 
     def test_oversized_genus_order_is_exit_2(self):
-        # rejected before any work: the child spends well under a second of
-        # CPU time
-        proc, cpu = _fresh_cli_cpu("genus", "-g", "0", "--level1", "1", "--n", "-1",
-                                   "--hmax", "2", "--order", "100000")
+        # a table that needs a u-power above the limit is rejected before
+        # any work, with a message that names no option: the child spends
+        # well under a second of CPU time
+        proc, cpu = _fresh_cli_cpu("genus", "-g", "0", "--n", "100", "--hmax", "2")
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr == "error: truncation order u^100000 is above the limit u^200\n"
+        assert proc.stderr == "error: this table needs u^304, above the limit u^200\n"
         assert cpu < 1.0, cpu
 
     def test_oversized_genus_hmax_is_exit_2(self):

@@ -25,7 +25,7 @@ from gwtqft.operators import (
     mat_identity,
 )
 from gwtqft import cli, gluing, operators, words
-from gwtqft.partition import SpaceParams, class_component
+from gwtqft.partition import class_component
 from gwtqft.checks import mat_power, mat_scale
 from gwtqft.gluing import (
     _unfold,
@@ -233,8 +233,11 @@ class TestSelfGlue:
         # both slots raised: entries 1 / T(x_a), each summed with T(x_a)
         raised = inverse_tube()
         assert _unfold(glue_slots(raised, 0, 1).scalar()) == phi(3)
-        # two pairs of raised slots, each summed with the glue factor T(x_a)
-        assert _unfold(contract(raised, (0, 1), raised, (0, 1)).scalar()) == phi(3)
+        # no word or check glues two raised slots: contract rejects such a pair
+        with pytest.raises(ValueError, match="^cannot glue two raised slots$"):
+            contract(raised, (0, 1), raised, (0, 1))
+        with pytest.raises(ValueError, match="^cannot glue two raised slots$"):
+            contract(raised, (0, 1), matrix_to_tensor(build_operator("G")), (0, 1))
 
     @pytest.mark.parametrize("name", OPERATOR_NAMES)
     def test_operator_trace(self, name):
@@ -650,7 +653,7 @@ class TestWords:
         classes = split_classes(evaluate_word(word), word.level)
         summed = PhiElem.zero()
         for n, t in classes.items():
-            assert _unfold(t.scalar()) == class_component(SpaceParams(2, 1, 0), n), n
+            assert _unfold(t.scalar()) == class_component(2, 1, 0, n), n
             summed = summed + _unfold(t.scalar())
         assert summed == trace_formula(2, 1, 0)
 

@@ -1,9 +1,12 @@
 """Package exports: the names in ``gwtqft.__all__`` load their submodule on
-first use and are the submodules' own objects."""
+first use and are the submodules' own objects, as the README documents."""
 
+import doctest
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +39,19 @@ def test_submodules_import_from_package_in_fresh_process():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["gwtqft.checks", "gwtqft.cli", "gwtqft.gluing"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example_runs():
+    # the README's ``>>>`` lines, with the results they print, are a doctest
+    result = doctest.testfile(str(README), module_relative=False)
+    assert result.failed == 0
+    assert result.attempted >= 6
+
+
+def test_readme_lists_the_exported_names():
+    text = " ".join(README.read_text().split())
+    listed = re.search(r"They are (.*?); there is no parser", text).group(1)
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(gwtqft.__all__)

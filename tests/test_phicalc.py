@@ -6,7 +6,7 @@ from fractions import Fraction
 from gwtqft import partition
 from gwtqft.exactring import TPoly, TRat, XYRat
 from gwtqft.operators import build_operator
-from gwtqft.partition import SpaceParams, genus_expansion
+from gwtqft.partition import genus_expansion
 from gwtqft.phicalc import PhiElem, phi_pow_coeffs
 from reference import phi, phi_from_json, phi_power, series_mul, sin_half_coeffs
 
@@ -138,23 +138,27 @@ class TestToUseries:
 
 
 class TestUseriesCoeff:
-    """genus_expansion's rows for an injected class component c * phi^m:
-    SpaceParams(0) at n = 0 has D = 2, so row h is the u^(2h) coefficient."""
+    """genus_expansion's rows for an injected class component c * phi^m,
+    read at the key (g, m, 0) and n = 0, whose class is that phi power: D =
+    2 - 2g + m, so row h is the u^(2h - 2g + m) coefficient."""
 
     @staticmethod
-    def rows(monkeypatch, comp: PhiElem, h_max: int) -> list[TRat]:
-        monkeypatch.setattr(partition, "class_component", lambda p, n: comp)
-        return [inv for _, inv in genus_expansion(SpaceParams(0), 0, h_max)]
+    def rows(monkeypatch, g: int, comp: PhiElem, h_max: int) -> list[TRat]:
+        (m,) = comp.terms
+        monkeypatch.setattr(partition, "class_component", lambda *key: comp)
+        return [inv for _, inv in genus_expansion(g, m, 0, 0, h_max)]
 
     def test_below_min_exp_is_zero(self, monkeypatch):
-        rows = self.rows(monkeypatch, phi(5, 4), 3)
+        rows = self.rows(monkeypatch, 2, phi(5, 4), 3)
         assert rows[0].is_zero and rows[1].is_zero
         assert rows[2:] == [TRat.make(5), TRat.make(Fraction(-5, 6))]
-        # an odd phi power has only odd u-powers, so every even row is zero
-        assert all(inv.is_zero for inv in self.rows(monkeypatch, phi(5, -3), 3))
+        # an odd phi power is read at odd u-powers: row h is u^(2h - 3)
+        oracle = phi_power(-3, 7)
+        want = [TRat.make(5 * oracle[2 * h]) for h in range(4)]
+        assert self.rows(monkeypatch, 0, phi(5, -3), 3) == want
 
     def test_leading_scaling(self, monkeypatch):
-        assert self.rows(monkeypatch, phi(9, 2), 1)[1] == TRat.make(9)
+        assert self.rows(monkeypatch, 1, phi(9, 2), 1)[1] == TRat.make(9)
 
 
 class TestStrings:
