@@ -7,7 +7,8 @@ phi^(k1 + k2 + 3n) term of Z, and ``word`` prints a word without operators
 class by class, as its phi^(K + 3n) parts for its total level K.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error (including a
-word of more than ``words.MAX_WORD_GENERATORS`` generators, a request with
+word of more than ``words.MAX_WORD_GENERATORS`` generators or one that
+builds a tensor of more than ``words.MAX_WORD_SLOTS`` slots, a request with
 g + |k1| + |k2| above ``gluing.MAX_REQUEST``, a ``genus`` table with an
 ``--hmax``, or a u-power it needs, above ``partition.MAX_ORDER``, or a
 ``verify --trials`` outside 1..``checks.MAX_TRIALS``), 3 internal error (a
@@ -85,7 +86,7 @@ def _nonzero_entries(t: RelTensor):
 
     for labels in product(LABELS, repeat=t.rank):
         val = t.entry(*labels)
-        if not val.is_zero:
+        if val:
             yield labels, val
 
 

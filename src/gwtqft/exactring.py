@@ -130,10 +130,6 @@ class TPoly:
         return bool(self.terms)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _ZERO_EXP in self.terms)
 
@@ -373,10 +369,6 @@ class TRat:
         return bool(self.num)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.num
-
-    @property
     def is_poly(self) -> bool:
         return not any(self.dexp)
 
@@ -594,10 +586,6 @@ class XYRat:
 
     def __bool__(self) -> bool:
         return bool(self.num)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.num
 
     def __eq__(self, other):
         if not isinstance(other, XYRat):

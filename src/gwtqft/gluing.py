@@ -35,11 +35,11 @@ coefficient is read at phi = 1 only when each phi^m coefficient is an
 integer polynomial of degree w - m for its weight w, so an operator that
 breaks the homogeneity raises ReductionError instead of giving a wrong Z.
 
-The bounded ``lru_cache`` on ``trace_formula`` is the one memo of results.
-Below it only generator data is cached: the 27 seeds and the coefficients
-of G, U1, U2, U1inv and U2inv.  Every trace is read through a ``_reader``,
-whose memo of walked values lives as long as the reader.  ``trace_formula``
-drops it before re-expanding Z, so requests over g = 1..N take O(N^2) steps;
+The bounded ``lru_cache`` on ``trace_formula`` memoises results, and each
+``_reader`` memoises the folded values it walks, for as long as it lives.
+Below them only generator data is cached: the 27 seeds and the
+coefficients of G, U1, U2, U1inv and U2inv.  ``trace_formula`` drops its
+reader before re-expanding Z, so requests over g = 1..N take O(N^2) steps;
 a suite reads all its keys through one reader: ``verify --suite all`` takes
 604 recurrence steps, against 4,407 when each of its 556 reads walks alone.
 """
@@ -69,22 +69,22 @@ def mat_trace(m: Op3) -> PhiElem:
     return m[0][0] + m[1][1] + m[2][2]
 
 
+def _cofactor(m: Op3, i: int, j: int) -> PhiElem:
+    """The (i, j) cofactor of a 3x3 matrix, sign included: the minor on rows
+    i + 1, i + 2 and columns j + 1, j + 2 mod 3."""
+    i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+    return m[i1][j1] * m[i2][j2] - m[i1][j2] * m[i2][j1]
+
+
 def mat_adjugate(m: Op3) -> Op3:
-    """The transposed cofactor matrix.  The (i, j) cofactor of a 3x3 matrix,
-    sign included, is the minor on rows i + 1, i + 2 and columns j + 1, j + 2
-    mod 3."""
-
-    def cof(i: int, j: int) -> PhiElem:
-        i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
-        return m[i1][j1] * m[i2][j2] - m[i1][j2] * m[i2][j1]
-
-    return tuple(tuple(cof(j, i) for j in LABELS) for i in LABELS)
+    """The transposed cofactor matrix."""
+    return tuple(tuple(_cofactor(m, j, i) for j in LABELS) for i in LABELS)
 
 
-def mat_det(m: Op3, adj: Op3) -> PhiElem:
-    """det m, by the cofactors of row 0: row 0 of m times column 0 of
-    adj = mat_adjugate(m), which the caller has already formed."""
-    return m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]
+def mat_det(m: Op3) -> PhiElem:
+    """det m, by the cofactors of row 0."""
+    c0, c1, c2 = (_cofactor(m, 0, j) for j in LABELS)
+    return m[0][0] * c0 + m[0][1] * c1 + m[0][2] * c2
 
 
 # -- the closed-surface trace formula ------------------------------------------
@@ -141,16 +141,16 @@ def _combine(pairs) -> _XYPoly:
 
 
 @cache
-def _char_poly(name: str, weight: int) -> tuple[_XYPoly, _XYPoly, _XYPoly]:
-    """Folded (e1, e2, e3) of an operator of the given weight, so that
-    M^3 = e1 M^2 - e2 M + e3 I: its trace, the trace of its adjugate (the
-    sum of its principal 2x2 minors) and its determinant."""
+def _char_poly(name: str) -> tuple[_XYPoly, _XYPoly, _XYPoly]:
+    """Folded (e1, e2, e3) of the operator, so that M^3 = e1 M^2 - e2 M + e3 I:
+    its trace, the trace of its adjugate (the sum of its principal 2x2
+    minors) and its determinant.  G has weight 2, a level operator 0."""
     m = build_operator(name)
-    adj = mat_adjugate(m)
+    weight = 2 if name == "G" else 0
     return (
         _at_phi_one(mat_trace(m), weight, f"tr {name}"),
-        _at_phi_one(mat_trace(adj), 2 * weight, f"tr adj {name}"),
-        _at_phi_one(mat_det(m, adj), 3 * weight, f"det {name}"),
+        _at_phi_one(mat_trace(mat_adjugate(m)), 2 * weight, f"tr adj {name}"),
+        _at_phi_one(mat_det(m), 3 * weight, f"det {name}"),
     )
 
 
@@ -158,9 +158,8 @@ def _step(name: str) -> tuple[_XYPoly, _XYPoly, _XYPoly]:
     """(c1, -c2, c3) of the operator M = G, U1, U2, U1inv or U2inv, so that
     the traces x_n of M^n X obey x_n = c1 x_(n-1) - c2 x_(n-2) + c3 x_(n-3).
     A level operator must have det 1, or it raises ReductionError."""
-    weight = 2 if name == "G" else 0
-    c1, c2, c3 = _char_poly(name, weight)
-    if weight == 0 and c3 != _ONE:
+    c1, c2, c3 = _char_poly(name)
+    if name != "G" and c3 != _ONE:
         raise ReductionError(f"det {name} is not 1")
     return c1, {e: -c for e, c in c2.items()}, c3
 

@@ -7,12 +7,12 @@ A class is one power of phi.  The class beta0 + n f part of Z has t-degree
 coefficient has t-degree 2g - 2 - m (the trace engine checks this weight
 on every trace it reads at phi = 1).  So class n is exactly the phi^(k1 + k2 + 3n) term of Z.
 
-Z is memoised once, by the bounded ``lru_cache`` on
-``gluing.trace_formula``, which also rejects g + |k1| + |k2| above
-``gluing.MAX_REQUEST``.  A genus table expands the one phi power of its
-class in u, up to the u-power the table needs and no further.  ``gluing``
-is imported inside ``class_component``, so importing this module loads no
-operator algebra.
+Z is memoised by the bounded ``lru_cache`` on ``gluing.trace_formula``,
+which also rejects g + |k1| + |k2| above ``gluing.MAX_REQUEST``; its read
+also memoises the folded values it walks (see ``gluing``).  A genus table
+expands the one phi power of its class in u, up to the u-power the table
+needs and no further.  ``gluing`` is imported inside ``class_component``,
+so importing this module loads no operator algebra.
 """
 
 from __future__ import annotations

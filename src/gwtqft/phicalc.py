@@ -49,17 +49,8 @@ class PhiElem:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def items(self) -> list[tuple[int, object]]:
         return sorted(self.terms.items())
-
-    def min_exp(self) -> int:
-        if not self.terms:
-            raise ValueError("zero element has no minimal exponent")
-        return min(self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, PhiElem):

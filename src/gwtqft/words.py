@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from itertools import product
+from itertools import accumulate, product
 from typing import NamedTuple, Sequence
 
 from .exactring import ReductionError, _xy_fraction_sum, _xy_mul_into
@@ -340,6 +340,13 @@ def _generator(gen: GenRef) -> RelTensor:
     return (build_cap if gen[0] == "cap" else build_tube)(gen[1])
 
 
+# The most slots of a composite that evaluate_word builds: a tensor of r
+# slots has 3^r entries, and a chain of k pants builds k + 2 slots.  In a
+# fresh process on CPython 3.11.7 (2 shared cores), `word` took 0.83 s on
+# pants^6 (8 slots), 3.8 s on pants^7 and 23 s on pants^8
+MAX_WORD_SLOTS = 8
+
+
 def evaluate_word(w: CobordismWord) -> RelTensor:
     """Evaluate a cobordism word to its composite tensor, summed over the
     fiber classes; a fully glued word yields a rank-0 result.  The classes
@@ -350,7 +357,9 @@ def evaluate_word(w: CobordismWord) -> RelTensor:
     in the same contraction pass as its last join (see contract); a traced
     single generator glues its two ends to the level (0,0) tube, the
     identity cylinder.  A cap has one slot, so it can only end an open
-    chain.
+    chain.  A word whose fold builds a composite of more than MAX_WORD_SLOTS
+    slots is a ValueError, raised before any contraction; the closing pass
+    of a traced chain builds nothing wider than the composite before it.
     """
     gens = w.generators
     n = len(gens)
@@ -360,6 +369,13 @@ def evaluate_word(w: CobordismWord) -> RelTensor:
     for i in (*range(1, n - 1), *ends):
         if gens[i][0] == "cap":
             raise ValueError(f"slot {(i, 0)} is unknown or already glued")
+    slots = [{"cap": 1, "pants": 3}.get(gen[0], 2) for gen in gens]
+    joined = slots[1:n - 1 if w.traced else n]
+    widest = max(accumulate((s - 2 for s in joined), initial=slots[0]))
+    if widest > MAX_WORD_SLOTS:
+        raise ValueError(
+            f"the word builds a tensor of {widest} slots; at most {MAX_WORD_SLOTS} are allowed"
+        )
     t = _generator(gens[0])
     if n == 1:
         return contract(t, (0, t.rank - 1), build_tube((0, 0)), (0, 1)) if w.traced else t
@@ -416,12 +432,14 @@ _ATOM_RE = re.compile(
     r"(?:\^(?P<pow>-?\d+))?\s*"
 )
 
-_INVERTIBLE = {"U1": "U1inv", "U2": "U2inv", "U1inv": "U1", "U2inv": "U2"}
+# each level operator and its inverse, the operator of the opposite level
+_INVERTIBLE = {name: TUBE_OPERATORS[-a, -b] for (a, b), name in TUBE_OPERATORS.items()}
 
 # words are contracted one generator at a time, in the folded ring:
 # trace(G^32) takes about 1 s in a fresh process on CPython 3.11.7 (2 shared
 # cores), and the cost grows with the length, so the bound stays at 32 until
-# traced chains of commuting operators are routed to trace_formula
+# traced chains of commuting operators are routed to trace_formula.  The
+# width of what a word builds is bounded apart, by MAX_WORD_SLOTS
 MAX_WORD_GENERATORS = 32
 
 

@@ -60,7 +60,7 @@ FORMATS = ("text", "json", "latex")
 USAGE_ERRORS = (
     "compute -g 103", "compute -g -1", "verify --suite cy --gmax 103 --kmax 0",
     "verify --trials 0", "genus -g 2 --n 0 --hmax 201", "genus -g 0 --n 100 --hmax 2",
-    "word 'trace(G^33)'", "word foo",
+    "word 'trace(G^33)'", "word foo", "word 'pants^32'", "word 'trace(pants^8)'",
 )
 ELAPSED = re.compile(r'"elapsed": [^,]*, ')
 

@@ -48,13 +48,13 @@ def test_criterion_1_calabi_yau():
 
 def test_criterion_2_special_case_sweeps():
     start = time.monotonic()
-    rep = verify_special_cases(g_max=5, k_max=4, g_max_level0=8)
+    rep = verify_special_cases(g_max=5, k_max=4)
     elapsed = time.monotonic() - start
     # the level-(0,0) family must cover all three residues of g mod 3
     q = (t0 - t1) * (t0 - t2) + (t1 - t0) * (t1 - t2) + (t2 - t0) * (t2 - t1)
     spot = (
-        class_component(3, 0, 0, 1).is_zero
-        and class_component(6, 0, 0, 3).is_zero
+        not class_component(3, 0, 0, 1)
+        and not class_component(6, 0, 0, 3)
         and class_component(2, 0, 0, 0) == phi(q)
         and class_component(5, 0, 0, 2) == phi(q.scale(27 * 4), 6)
         and class_component(8, 0, 0, 4) == phi(q.scale(3**6 * 7), 12)
@@ -83,7 +83,7 @@ def test_criterion_3_operator_algebra():
         "B^3 = 0": mat_power(b, 3) == zero,
     }
     ab2 = mat_mul(a, mat_mul(b, b))
-    checks["tr(ABAB^2) = 0"] = mat_trace(mat_mul(mat_mul(a, b), ab2)).is_zero
+    checks["tr(ABAB^2) = 0"] = not mat_trace(mat_mul(mat_mul(a, b), ab2))
     checks["(AB^2)^2 = 27 phi^6 AB^2"] = mat_power(ab2, 2) == mat_scale(ab2, _phi(27, 6))
     ok = all(checks.values())
     report(3, "operator algebra identities", ok,
@@ -92,7 +92,7 @@ def test_criterion_3_operator_algebra():
 
 
 def test_criterion_4_gluing_rederivation():
-    rep = verify_gluing_derivations(word_g_max=3, word_k_max=2)
+    rep = verify_gluing_derivations()
     report(4, "gluing identities and closed words vs trace formula, g<=3, |k|<=2",
            rep.passed, f"{rep.cases} cases")
     assert rep.passed, rep.failures[:1]
@@ -111,7 +111,7 @@ def test_criterion_6_genus_zero_path():
         trace_formula(0, k1, k2)  # reduction must succeed for every pair
     z10 = trace_formula(0, 1, 0)
     z00 = trace_formula(0, 0, 0)
-    ok = z10 == phi(1, -2) and z00.is_zero
+    ok = z10 == phi(1, -2) and not z00
     report(6, "genus-0 traces reduce for |k|<=3; Z(0|1,0) = phi^-2, Z(0|0,0) = 0", ok)
     assert ok
 

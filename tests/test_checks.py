@@ -9,6 +9,7 @@ from gwtqft import checks, gluing, words
 from gwtqft.checks import (
     PRIME,
     CheckReport,
+    _elem_mod,
     _random_residues,
     numeric_trace,
     run_checks,
@@ -40,18 +41,30 @@ class TestCalabiYau:
 
 class TestSpecialCases:
     def test_small_sweep_passes(self):
-        rep = verify_special_cases(2, 2, 5)
+        rep = verify_special_cases(2, 2)
         assert rep.passed, rep.failures[:1]
 
     def test_case_count(self):
-        rep = verify_special_cases(1, 1, 2)
-        # 2*2 + 2*2 + 2*1 + 2*4 + 2 parameter tuples over the five families
-        assert rep.cases == 20
+        rep = verify_special_cases(1, 1)
+        # 2*2 + 2*2 + 2*1 + 2*4 + 8 parameter tuples over the five families:
+        # the level-(0,0) family always runs to g = 8
+        assert rep.cases == 26
+
+
+    @pytest.mark.parametrize("g", [0, 3, 9])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_run_checks_bounds_are_the_suite_defaults(self, g, k):
+        # run_checks passes the bounds alone; the level-(0,0) family's
+        # g = max(g_max, 8) is the suite's own
+        rep = verify_special_cases(g, k)
+        (via,) = run_checks("appendixB", g_max=g, k_max=k)
+        assert (via.swept, via.cases) == (rep.swept, rep.cases)
+        assert rep.swept.endswith(f"level-(0,0) family up to g={max(g, 8)}")
 
 
 class TestGluingDerivations:
     def test_passes(self):
-        rep = verify_gluing_derivations(word_g_max=2, word_k_max=1)
+        rep = verify_gluing_derivations()
         assert rep.passed, rep.failures[:1]
 
     def test_row_denominator_outside_weight_recorded(self, monkeypatch):
@@ -95,7 +108,7 @@ class TestGluingDerivations:
         )
         words.build_tube.cache_clear()
         try:
-            rep = verify_gluing_derivations(word_g_max=0, word_k_max=0)
+            rep = verify_gluing_derivations()
         finally:
             monkeypatch.undo()
             words.build_tube.cache_clear()
@@ -104,11 +117,11 @@ class TestGluingDerivations:
 
     def test_case_count(self):
         # 71 generator and operator cases (the two-pants handle three
-        # times: section class, fiber class, one pass) and one closed word;
-        # the folded row-denominator and t-degree checks add 2 cases per
-        # coefficient of G, U1, U2, U1inv and U2inv (50 of them), and the
-        # two determinants 2 more: 72 + 100 + 2 = 174
-        assert verify_gluing_derivations(word_g_max=0, word_k_max=0).cases == 174
+        # times: section class, fiber class, one pass) and 100 closed words
+        # (g <= 3, |k1|, |k2| <= 2); the folded row-denominator and t-degree
+        # checks add 2 cases per coefficient of G, U1, U2, U1inv and U2inv
+        # (50 of them), and the two determinants 2 more: 171 + 100 + 2 = 273
+        assert verify_gluing_derivations().cases == 273
 
 
 class TestSemisimplicity:
@@ -158,6 +171,17 @@ class TestNumericCrosscheck:
         folded = folded_mod(gluing._at_phi_one(z, 2 * g - 2, "Z"), 2 * g - 2, point)
         assert numeric_trace(g, k1, k2, point) == folded
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_folded_element_and_its_unfold_agree(self, seed):
+        # _elem_mod reads the fold off each coefficient's type: XYRat at
+        # x = t0 - t2, y = t1 - t2, TRat at t0, t1, t2
+        rng = random.Random(seed)
+        folded = [e for row in build_operator("G") for e in row]
+        folded.append(gluing._reader()(rng.randint(0, 4), rng.randint(-3, 3), rng.randint(-3, 3)))
+        for e in folded:
+            point = _random_residues(rng, 1)
+            assert _elem_mod(e, point) == _elem_mod(gluing._unfold(e), point)
+
     def test_a_pole_is_redrawn(self, monkeypatch):
         class Scripted:
             def __init__(self, *values):
@@ -202,8 +226,8 @@ def _seed_off_by_one(seed):
 
 def _char_poly_off_by_one(char_poly):
     # the x^2 coefficient of c1 = tr(G) = x^2 - x y + y^2 plus 1
-    def broken(name, weight):
-        c1, c2, c3 = char_poly(name, weight)
+    def broken(name):
+        c1, c2, c3 = char_poly(name)
         return ({**c1, (2, 0): c1[2, 0] + 1}, c2, c3) if name == "G" else (c1, c2, c3)
 
     return broken

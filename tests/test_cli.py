@@ -412,6 +412,18 @@ class TestUsageErrors:
         assert proc.stderr.startswith("error: ")
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("text, slots", [("pants^32", 34), ("trace(pants^8)", 9)])
+    def test_too_wide_word_is_exit_2(self, text, slots):
+        # rejected before any contraction: pants^9, 11 slots, took 90 s
+        # before the bound, and pants^32 never finished
+        proc, cpu = _fresh_cli_cpu("word", text)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: the word builds a tensor of {slots} slots; at most 8 are allowed\n"
+        )
+        assert cpu < 1.0, cpu
+
     @pytest.mark.parametrize("flag", ["--gmax", "--kmax"])
     def test_negative_sweep_bound_is_exit_2(self, flag):
         proc = _fresh_cli("verify", "--suite", "cy", flag, "-3")
@@ -543,12 +555,12 @@ class TestNumericReEvaluation:
         terms = json.loads(out)["terms"]
         point = _random_residues(random.Random(sum(key)), g)
         want = numeric_trace(g, k1, k2, point)
-        assert _elem_mod(phi_from_json(terms), point, False) == want
+        assert _elem_mod(phi_from_json(terms), point) == want
         # the first digit of the last numerator that is no variable's index
         num = terms[-1]["num"]
         i = re.search(r"(?<!t)\d", num).start()
         terms[-1] = {**terms[-1], "num": num[:i] + str(int(num[i]) % 9 + 1) + num[i + 1:]}
-        assert _elem_mod(phi_from_json(terms), point, False) != want
+        assert _elem_mod(phi_from_json(terms), point) != want
 
 
 class TestWordGolden:
