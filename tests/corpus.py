@@ -26,8 +26,10 @@ CHANGES.md.  The requests cover every printing rule of all three formats:
   differs between Python versions.
 
 The slow part (about 20 s) adds ``compute`` in all three formats at the
-request bound, (102, 0, 0), (2, 100, 0), (2, -100, 0) and (1, -50, 51), the
-wide sweep ``verify --suite all --gmax 20 --kmax 10 --format json``, and
+request bound, (102, 0, 0), (2, 100, 0), (2, -100, 0) and (1, -50, 51);
+``extract`` of the classes n = 60 and n = 67 (which is 0) and the ``genus``
+table of class 60 up to h = 103, all at (102, 0, 0), in text and JSON; the
+wide sweep ``verify --suite all --gmax 20 --kmax 10 --format json``; and
 every 2-atom ``word`` chain, plain and traced, in text and JSON: 2,704
 requests, of which the 470 traced chains with a cap are usage errors.
 A ``verify`` report's ``elapsed`` is a timing, so it is dropped before
@@ -91,6 +93,9 @@ def requests(slow: bool = False) -> list[list[str]]:
     out += [shlex.split(text) for text in USAGE_ERRORS]
     if slow:
         out += _compute_all_formats(((102, 0, 0), (2, 100, 0), (2, -100, 0), (1, -50, 51)))
+        for tail in (["--format", "text"], ["--format", "json"]):
+            out += [["extract", *_key(102, 0, 0), "--n", str(n), *tail] for n in (60, 67)]
+            out.append(["genus", *_key(102, 0, 0), "--n", "60", "--hmax", "103", *tail])
         out.append(["verify", "--suite", "all", "--gmax", "20", "--kmax", "10", "--format", "json"])
         chains = [f"{a} * {b}" for a in ATOMS for b in ATOMS]
         out += _words(w for chain in chains for w in (chain, f"trace({chain})"))
