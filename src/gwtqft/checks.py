@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import time
+from functools import partial
 from itertools import product
 from math import prod
 
@@ -85,7 +86,9 @@ def mat_power(m: Op3, e: int) -> Op3:
 
 
 class CheckReport:
-    """Outcome of one verification sweep."""
+    """Outcome of one verification sweep.  ``check`` is the only code that
+    counts a case or records a failure; ``run_checks`` sets ``elapsed``, the
+    suite's wall time, which stays 0.0 on a report built by a direct call."""
 
     __slots__ = ("check_id", "swept", "passed", "failures", "cases", "elapsed")
 
@@ -93,15 +96,12 @@ class CheckReport:
         self.check_id, self.swept = check_id, swept
         self.passed, self.failures, self.cases, self.elapsed = True, [], 0, 0.0
 
-    def record(self, params: str, expected, got) -> None:
-        self.passed = False
-        self.failures.append(f"{params}: expected {expected}, got {got}")
-
     def check(self, params: str, expected, got, show=str) -> None:
         """Count a case; a failure records both sides as show writes them."""
         self.cases += 1
         if expected != got:
-            self.record(params, show(expected), show(got))
+            self.passed = False
+            self.failures.append(f"{params}: expected {show(expected)}, got {show(got)}")
 
     def summary(self) -> str:
         state = "pass" if self.passed else "FAIL"
@@ -121,9 +121,13 @@ class CheckReport:
         }
 
 
-def _timed(report: CheckReport, t0: float) -> CheckReport:
-    report.elapsed = time.monotonic() - t0
-    return report
+def _check_class(
+    rep: CheckReport, read, params: str, g: int, k1: int, k2: int, n: int, expected: XYRat | int
+) -> None:
+    """Check class n of Z(g | k1, k2), its phi^(k1 + k2 + 3n) coefficient
+    as read folded through read, against expected."""
+    m = k1 + k2 + 3 * n
+    rep.check(params, _phi(expected, m), _phi(_coeff(read(g, k1, k2), m), m), _unfold)
 
 
 # -- Calabi-Yau classes ---------------------------------------------------------
@@ -131,18 +135,16 @@ def _timed(report: CheckReport, t0: float) -> CheckReport:
 
 def verify_calabi_yau(g_max: int = 6, k_max: int = 6) -> CheckReport:
     """Z restricted to a Calabi-Yau section class equals 3^g phi^(2g-2)."""
-    t0 = time.monotonic()
     rep = CheckReport("calabi_yau", f"0<=g<={g_max}, 0<=k<={k_max}, 3 | 2g-2-k")
-    read = _reader()
+    check = partial(_check_class, rep, _reader())
     for g in range(g_max + 1):
         for k in range(k_max + 1):
             if (2 * g - 2 - k) % 3 != 0:
                 continue
+            # class n has phi-power k + 3n = 2g - 2: Calabi-Yau degree 0
             n = (2 * g - 2 - k) // 3
-            m = 2 * g - 2  # = k + 3n, the class of Calabi-Yau degree 0
-            got = _phi(_coeff(read(g, 0, k), m), m)
-            rep.check(f"g={g}, k={k}, n={n}", _phi(3 ** g, m), got, _unfold)
-    return _timed(rep, t0)
+            check(f"g={g}, k={k}, n={n}", g, 0, k, n, 3 ** g)
+    return rep
 
 
 # -- extreme-class closed forms ------------------------------------------------
@@ -167,17 +169,11 @@ def verify_special_cases(g_max: int = 5, k_max: int = 4) -> CheckReport:
     exponent contradicts both the annihilation matrices and the Calabi-Yau
     overlap, and the swept identity only holds with the negative sign.
     """
-    t0 = time.monotonic()
     top = max(g_max, 8)
     rep = CheckReport(
         "special_cases", f"0<=g<={g_max}, |k|<={k_max}; level-(0,0) family up to g={top}"
     )
-    read = _reader()
-
-    def check(params: str, g: int, k1: int, k2: int, n: int, expected: XYRat | int) -> None:
-        # the class n of Z(g | k1, k2) is its phi^(k1 + k2 + 3n) coefficient
-        m = k1 + k2 + 3 * n
-        rep.check(params, _phi(expected, m), _phi(_coeff(read(g, k1, k2), m), m), _unfold)
+    check = partial(_check_class, rep, _reader())
 
     # creation on the first factor, annihilation on the second
     for g in range(g_max + 1):
@@ -226,7 +222,7 @@ def verify_special_cases(g_max: int = 5, k_max: int = 4) -> CheckReport:
         expected = (0, 3 ** g, sum(WEIGHTS) * (3 ** g // 9 * (g - 1)))[g % 3]
         check(f"top-class g={g}, n={n}", g, 0, 0, n, expected)
 
-    return _timed(rep, t0)
+    return rep
 
 
 # -- gluing re-derivations ----------------------------------------------------------
@@ -251,7 +247,6 @@ def verify_gluing_derivations() -> CheckReport:
     Tensors are compared folded and summed over the fiber classes; class n
     of a level-K tensor is its phi^(K + 3n) part (see words.split_classes).
     """
-    t0 = time.monotonic()
     rep = CheckReport("gluing_derivations", "generator identities; words g<=3, |k|<=2")
     pants = build_pants()
 
@@ -263,19 +258,18 @@ def verify_gluing_derivations() -> CheckReport:
         its (lowered, lowered) tensor."""
         return contract(build_tube((0, 0)), 1, matrix_to_tensor(build_operator(name)), 0)
 
-    # caps attached to pants produce the level tubes: the localization data
-    # against the level operators that the tubes are read off
-    for level in TUBE_OPERATORS:
+    for level, name in TUBE_OPERATORS.items():
+        # caps attached to pants produce the level tubes: the localization
+        # data against the level operators that the tubes are read off
         rep.check(f"cap{level} * pants", build_tube(level), chain(f"cap{level} * pants"))
-
-    # opposite-level tubes compose to the level (0,0) tube
-    for lv in TUBE_OPERATORS:
-        opp = (-lv[0], -lv[1])
-        rep.check(f"tube{lv} * tube{opp}", build_tube((0, 0)), chain(f"tube{lv} * tube{opp}"))
-
-    # capping a tube with the level (0,0) cap produces the level cap
-    for level in TUBE_OPERATORS:
+        # opposite-level tubes compose to the level (0,0) tube
+        opp = (-level[0], -level[1])
+        rep.check(f"tube{level} * tube{opp}", build_tube((0, 0)), chain(f"tube{level} * tube{opp}"))
+        # capping a tube with the level (0,0) cap produces the level cap
         rep.check(f"tube{level} * cap(0,0)", build_cap(level), chain(f"tube{level} * cap(0,0)"))
+        # the level operator glued to the identity cylinder is the tube: the
+        # raised-lowered gluing of contract against the rows times the weights
+        rep.check(f"raised tube {level} = {name}", build_tube(level), lowered(name))
 
     # the displayed Frobenius relation among the pants classes 0 and 1, its
     # phi^0 and phi^3 parts
@@ -297,11 +291,6 @@ def verify_gluing_derivations() -> CheckReport:
     # the handle of closed_surface_word glues both fibers in one contraction pass
     rep.check("two-pants handle, one pass", handle, build_handle())
 
-    # the level operators glued to the identity cylinder are the tubes: the
-    # raised-lowered gluing of contract against the rows times the weights
-    for level, name in TUBE_OPERATORS.items():
-        rep.check(f"raised tube {level} = {name}", build_tube(level), lowered(name))
-
     _operator_identities(rep)
 
     # closed-surface words reproduce the trace formula
@@ -312,7 +301,17 @@ def verify_gluing_derivations() -> CheckReport:
                 got = evaluate_word(closed_surface_word(g, k1, k2)).scalar()
                 rep.check(f"word g={g}, k1={k1}, k2={k2}", read(g, k1, k2), got, _unfold)
 
-    return _timed(rep, t0)
+    return rep
+
+
+def _show_matrix(m: Op3) -> str:
+    """A matrix of folded elements, unfolded, row by row."""
+    return "[" + "; ".join(", ".join(str(_unfold(e)) for e in row) for row in m) + "]"
+
+
+def _show_denominator(dexp: tuple[int, int, int]) -> str:
+    """(t0 - t1)^a (t0 - t2)^b (t1 - t2)^c for dexp = (a, b, c)."""
+    return " ".join(f"({f})^{k}" for f, k in zip(("t0 - t1", "t0 - t2", "t1 - t2"), dexp))
 
 
 def _operator_identities(rep: CheckReport) -> None:
@@ -326,9 +325,7 @@ def _operator_identities(rep: CheckReport) -> None:
     zero = mat_scale(ident, PhiElem.zero())
 
     def chk(name: str, lhs: Op3, rhs: Op3) -> None:
-        rep.cases += 1
-        if lhs != rhs:
-            rep.record(name, "equal matrices", "entrywise difference")
+        rep.check(name, rhs, lhs, _show_matrix)
 
     chk("U1 U1inv = I", mat_mul(u1, u1inv), ident)
     chk("U2 U2inv = I", mat_mul(u2, u2inv), ident)
@@ -440,10 +437,8 @@ def _operator_identities(rep: CheckReport) -> None:
             bound = INV_WEIGHTS[a].dexp
             for b, entry in zip(LABELS, row):
                 for m, coeff in entry.items():
-                    rep.cases += 1
-                    if any(k > top for k, top in zip(coeff.dexp, bound)):
-                        den = _unfold(PhiElem.term(coeff, m)).terms[m].den
-                        rep.record(f"{name} row {a} denominator", f"a divisor of T(x_{a})", str(den))
+                    capped = tuple(map(min, coeff.dexp, bound))
+                    rep.check(f"{name} row {a} denominator", capped, coeff.dexp, _show_denominator)
                     degrees = sorted({i + j - sum(coeff.dexp) for i, j in coeff.num})
                     rep.check(f"{name}[{a}][{b}] phi^{m} t-degrees", [w - m], degrees)
     for name in ("U1", "U2"):
@@ -456,19 +451,16 @@ def _operator_identities(rep: CheckReport) -> None:
 def verify_semisimplicity() -> CheckReport:
     """The u = 0 structure constants are delta-diagonal with values T(x_a),
     so the weight-rescaled fixed-point basis is idempotent."""
-    t0 = time.monotonic()
     rep = CheckReport("semisimplicity", "structure constants at u = 0")
     pants = build_pants()
 
     for a, b, k in product(LABELS, repeat=3):
-        # the structure constant c[ab]^k: the pants entry with slot k raised
+        # the structure constant c[ab]^k, the pants entry with slot k raised:
+        # its terms of phi-power <= 0, so a negative power fails the case
         entry = pants.entry(a, b, k) * _phi(INV_WEIGHTS[k], 0)
-        if entry and min(entry.terms) < 0:
-            rep.record(f"c[{a}{b}]^{k}", "no negative phi powers", str(_unfold(entry)))
-            continue
-        u0 = _coeff(entry, 0)
+        low = PhiElem({m: c for m, c in entry.terms.items() if m <= 0})
         expected = WEIGHTS[a] if a == b == k else _ZERO
-        rep.check(f"c[{a}{b}]^{k} at u=0", _phi(expected, 0), _phi(u0, 0), _unfold)
+        rep.check(f"c[{a}{b}]^{k} at u=0", _phi(expected, 0), low, _unfold)
 
     # idempotency of e_{x_i} / T(x_i) in the u = 0 algebra: the lowered
     # pants entries multiplied by the folded inverse weights
@@ -477,7 +469,7 @@ def verify_semisimplicity() -> CheckReport:
             coeff = _coeff(pants.entry(i, j, k), 0) * INV_WEIGHTS[i] * INV_WEIGHTS[j]
             expected = XYRat.const(1) if i == j == k else _ZERO
             rep.check(f"idempotent ({i},{j}) -> {k}", _phi(expected, 0), _phi(coeff, 0), _unfold)
-    return _timed(rep, t0)
+    return rep
 
 
 # -- numeric cross-check -------------------------------------------------------------
@@ -576,7 +568,6 @@ def verify_numeric_crosscheck(seed: int = 42, trials: int = 20) -> CheckReport:
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    t0 = time.monotonic()
     rep = CheckReport("numeric_crosscheck", f"seed={seed}, trials={trials}")
     rng = random.Random(seed)
     for _ in range(trials):
@@ -587,7 +578,7 @@ def verify_numeric_crosscheck(seed: int = 42, trials: int = 20) -> CheckReport:
         symbolic = _elem_mod(trace_formula(g, k1, k2), point)
         numeric = numeric_trace(g, k1, k2, point)
         rep.check(f"g={g}, k1={k1}, k2={k2} at {point}", symbolic, numeric)
-    return _timed(rep, t0)
+    return rep
 
 
 # -- suite driver ------------------------------------------------------------------
@@ -609,13 +600,9 @@ def largest_request(suite: str, g_max: int | None = None, k_max: int | None = No
     largest = 0
     if suite in ("all", "cy"):
         gm, km = _cy_bounds(g_max, k_max)
-        # g -> g + 3 and k -> k + 3 keep 3 | 2g - 2 - k, so the largest
-        # admissible pair has g > gm - 3 and k > km - 3
-        largest = max(
-            (g + k for g in range(max(gm - 2, 0), gm + 1) for k in range(max(km - 2, 0), km + 1)
-             if (2 * g - 2 - k) % 3 == 0),
-            default=0,
-        )
+        # 3 | 2g - 2 - k exactly when g + k = 1 mod 3, so the largest swept
+        # g + k is the largest such sum up to gm + km, or none below 1
+        largest = max(gm + km - (gm + km + 2) % 3, 0)
     if suite in ("all", "appendixB"):
         gm, km = _special_bounds(g_max, k_max)
         # the annihilation family reaches (gm, -km, -km), the level-(0,0) one (max(gm, 8), 0, 0)
@@ -631,10 +618,10 @@ def run_checks(
     trials: int = 20,
 ) -> list[CheckReport]:
     """Run one named suite (or all of them), one after another, and return
-    the reports.  g_max and k_max default per suite when None; a negative
-    one, bounds that make a suite request g + |k1| + |k2| above
-    gluing.MAX_REQUEST, or trials outside 1..MAX_TRIALS is a ValueError
-    raised before any suite runs."""
+    the reports, each with the suite's wall time as its elapsed.  g_max and
+    k_max default per suite when None; a negative one, bounds that make a
+    suite request g + |k1| + |k2| above gluing.MAX_REQUEST, or trials
+    outside 1..MAX_TRIALS is a ValueError raised before any suite runs."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if not 1 <= trials <= MAX_TRIALS:
@@ -652,15 +639,17 @@ def run_checks(
             f"{given} makes --suite {suite} request g + |k1| + |k2| = {largest},"
             f" above the limit {MAX_REQUEST}"
         )
-    tasks = []
-    if suite in ("all", "cy"):
-        tasks.append(lambda: verify_calabi_yau(*_cy_bounds(g_max, k_max)))
-    if suite in ("all", "appendixB"):
-        tasks.append(lambda: verify_special_cases(*_special_bounds(g_max, k_max)))
-    if suite in ("all", "gluing"):
-        tasks.append(lambda: verify_gluing_derivations())
-    if suite in ("all", "semisimple"):
-        tasks.append(lambda: verify_semisimplicity())
-    if suite in ("all", "numeric"):
-        tasks.append(lambda: verify_numeric_crosscheck(seed, trials))
-    return sorted((fn() for fn in tasks), key=lambda r: r.check_id)
+    tasks = {
+        "cy": lambda: verify_calabi_yau(*_cy_bounds(g_max, k_max)),
+        "appendixB": lambda: verify_special_cases(*_special_bounds(g_max, k_max)),
+        "gluing": verify_gluing_derivations,
+        "semisimple": verify_semisimplicity,
+        "numeric": lambda: verify_numeric_crosscheck(seed, trials),
+    }
+    reports = []
+    for name, fn in tasks.items():
+        if suite in ("all", name):
+            t0 = time.monotonic()
+            reports.append(fn())
+            reports[-1].elapsed = time.monotonic() - t0
+    return sorted(reports, key=lambda r: r.check_id)

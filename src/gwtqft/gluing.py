@@ -217,8 +217,8 @@ def _fill(memo: dict, key: tuple[int, int, int]) -> _XYPoly:
 MAX_REQUEST = 102
 
 
-# only cli.cmd_compute, partition.class_component and the numeric suite,
-# which draws from 245 keys, call it
+# only cli.cmd_compute and the numeric suite, which draws from 245 keys,
+# call it
 @lru_cache(maxsize=1024)
 def trace_formula(g: int, k1: int, k2: int) -> PhiElem:
     """Section-class partition function of the closed genus-g, level

@@ -7,10 +7,10 @@ A class is one power of phi.  The class beta0 + n f part of Z has t-degree
 coefficient has t-degree 2g - 2 - m (the trace engine checks this weight
 on every trace it reads at phi = 1).  So class n is exactly the phi^(k1 + k2 + 3n) term of Z.
 
-Z is memoised by the bounded ``lru_cache`` on ``gluing.trace_formula``,
-which also rejects g + |k1| + |k2| above ``gluing.MAX_REQUEST``; its read
-also memoises the folded values it walks (see ``gluing``).  A genus table
-expands the one phi power of its class in u, up to the u-power the table
+A class is read folded, by the recurrences of ``gluing._reader``, which
+reject g + |k1| + |k2| above ``gluing.MAX_REQUEST``, and only its one phi
+power is re-expanded in t0, t1, t2; Z as a whole is ``trace_formula``'s.
+A genus table expands that phi power in u, up to the u-power the table
 needs and no further.  ``gluing`` is imported inside ``class_component``,
 so importing this module loads no operator algebra.
 """
@@ -28,11 +28,13 @@ def virtual_dim(g: int, k1: int, k2: int, n: int) -> int:
 
 
 def class_component(g: int, k1: int, k2: int, n: int) -> PhiElem:
-    """The class beta0 + n f part of Z: its phi^(k1 + k2 + 3n) term."""
-    from .gluing import trace_formula
+    """The class beta0 + n f part of Z: its phi^(k1 + k2 + 3n) term, read
+    folded by a fresh ``gluing._reader`` and re-expanded alone, so the
+    other phi powers of Z are never re-expanded (nor memoised)."""
+    from .gluing import _reader, _unfold
 
     m = k1 + k2 + 3 * n
-    return PhiElem.term(trace_formula(g, k1, k2).terms.get(m), m)
+    return _unfold(PhiElem.term(_reader()(g, k1, k2).terms.get(m), m))
 
 
 # The largest u-power, and the largest h_max, that genus_expansion accepts.

@@ -25,7 +25,7 @@ CHANGES.md.  The requests cover every printing rule of all three formats:
 - the program's own usage errors, but none of argparse's, whose wording
   differs between Python versions.
 
-The slow part (about 20 s) adds ``compute`` in all three formats at the
+The slow part (about 27 s) adds ``compute`` in all three formats at the
 request bound, (102, 0, 0), (2, 100, 0), (2, -100, 0) and (1, -50, 51);
 ``extract`` of the classes n = 60 and n = 67 (which is 0) and the ``genus``
 table of class 60 up to h = 103, all at (102, 0, 0), in text and JSON; the

@@ -97,6 +97,23 @@ class TestGluingDerivations:
         checks._operator_identities(rep)
         assert any(f.startswith(f"G[1][1] phi^0 {label}") for f in rep.failures), rep.failures
 
+    def test_a_changed_operator_fails_an_identity_with_both_matrices_shown(self, monkeypatch):
+        # one changed entry of B breaks B^3 = 0 first; the failure writes
+        # both matrices entry by entry, re-expanded in t0, t1, t2
+        b = build_operator("B")
+        doctored = (b[0], (b[1][0], b[1][1] + _phi(1, 3), b[1][2]), b[2])
+        monkeypatch.setattr(
+            checks, "build_operator", lambda name: doctored if name == "B" else build_operator(name)
+        )
+        rep = CheckReport("gluing_derivations", "unit")
+        checks._operator_identities(rep)
+        assert not rep.passed
+        first = rep.failures[0]
+        assert first.startswith("B^3 = 0: expected [0, 0, 0; 0, 0, 0; 0, 0, 0], got [("), first
+        got = first.split(", got ", 1)[1]
+        assert got.count(";") == 2 and "*phi^9" in got and "t2" in got, got
+        assert "XYRat" not in first
+
     def test_a_changed_level_operator_fails_at_its_cap(self, monkeypatch):
         # the tubes are read off the level operators, so one changed entry of
         # U1 changes the tube (1,0), and the level cap glued to the pants,
@@ -129,6 +146,22 @@ class TestSemisimplicity:
         rep = verify_semisimplicity()
         assert rep.passed, rep.failures[:1]
         assert rep.cases == 54
+
+    def test_a_negative_phi_power_fails_a_counted_case(self, monkeypatch):
+        # a phi^-3 term in the pants entry (0, 1, 2) is still one of the 54
+        # cases, and its failure shows the raised entry's terms of
+        # phi-power <= 0, re-expanded: 1 / T(x_2) phi^-3
+        pants = words.build_pants()
+        entries = list(pants.entries)
+        entries[5] = entries[5] + _phi(1, -3)  # the row-major index of (0, 1, 2)
+        monkeypatch.setattr(checks, "build_pants", lambda: words.RelTensor(pants.variance, entries))
+        rep = verify_semisimplicity()
+        assert not rep.passed
+        assert rep.cases == 54
+        assert len(rep.failures) == 1
+        assert rep.failures[0] == (
+            "c[01]^2 at u=0: expected 0, got (1 / (t0*t1 - t0*t2 - t1*t2 + t2^2))*phi^-3"
+        ), rep.failures[0]
 
 
 class TestNumericCrosscheck:
@@ -403,6 +436,19 @@ class TestRunner:
         with pytest.raises(ValueError, match=f"= {largest}, above the limit 102$"):
             run_checks(suite, **bounds)
 
+    def test_calabi_yau_largest_request_is_the_nine_pair_search(self):
+        # g -> g + 3 and k -> k + 3 keep 3 | 2g - 2 - k, so the largest
+        # admissible pair has g > g_max - 3 and k > k_max - 3
+        for g_max in range(121):
+            for k_max in range(121):
+                searched = max(
+                    (g + k for g in range(max(g_max - 2, 0), g_max + 1)
+                     for k in range(max(k_max - 2, 0), k_max + 1)
+                     if (2 * g - 2 - k) % 3 == 0),
+                    default=0,
+                )
+                assert checks.largest_request("cy", g_max, k_max) == searched, (g_max, k_max)
+
     def test_largest_request_is_the_largest_key_requested(self, monkeypatch):
         # every key the bounded suites read from their folded-trace reader, recorded
         keys = []
@@ -448,6 +494,13 @@ class TestRunner:
     def test_negative_bounds_rejected(self, bounds):
         with pytest.raises(ValueError, match="must be nonnegative"):
             run_checks("cy", **bounds)
+
+    def test_every_report_is_timed(self):
+        # run_checks times each suite; a suite called directly is not timed
+        reports = run_checks("all")
+        assert len(reports) == 5
+        assert all(r.elapsed > 0 for r in reports), [(r.check_id, r.elapsed) for r in reports]
+        assert verify_semisimplicity().elapsed == 0.0
 
     def test_single_suite(self):
         reports = run_checks("semisimple")

@@ -105,6 +105,20 @@ class TestClassComponent:
             assert -virtual_dim(1, 0, 0, n) < 0
             assert not class_component(1, 0, 0, n)
 
+    def test_is_the_phi_power_of_its_class(self):
+        # class_component re-expands one phi power of the folded Z: it is
+        # that power of the re-expanded Z, for every class with a term and
+        # for one without, the class below the lowest (class -1 if Z = 0)
+        for g in range(7):
+            for k1 in range(-3, 4):
+                for k2 in range(-3, 4):
+                    z = trace_formula(g, k1, k2)
+                    ns = [(m - k1 - k2) // 3 for m in z.terms]
+                    for n in [*ns, min(ns, default=0) - 1]:
+                        m = k1 + k2 + 3 * n
+                        want = PhiElem.term(z.terms.get(m), m)
+                        assert class_component(g, k1, k2, n) == want, (g, k1, k2, n)
+
     def test_reconstruction(self):
         for (g, k1, k2) in [(1, 1, 0), (2, 0, 0), (2, 1, -1), (0, 2, 1)]:
             total = PhiElem.zero()
