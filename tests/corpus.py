@@ -29,9 +29,11 @@ The slow part (about 27 s) adds ``compute`` in all three formats at the
 request bound, (102, 0, 0), (2, 100, 0), (2, -100, 0) and (1, -50, 51);
 ``extract`` of the classes n = 60 and n = 67 (which is 0) and the ``genus``
 table of class 60 up to h = 103, all at (102, 0, 0), in text and JSON; the
-wide sweep ``verify --suite all --gmax 20 --kmax 10 --format json``; and
-every 2-atom ``word`` chain, plain and traced, in text and JSON: 2,704
-requests, of which the 470 traced chains with a cap are usage errors.
+wide sweep ``verify --suite all --gmax 20 --kmax 10 --format json``; the
+1,000-trial numeric cross-check ``verify --suite numeric --seed 7 --trials
+1000 --format json``; and every 2-atom ``word`` chain, plain and traced, in
+text and JSON: 2,704 requests, of which the 470 traced chains with a cap
+are usage errors.
 A ``verify`` report's ``elapsed`` is a timing, so it is dropped before
 hashing.
 """
@@ -97,6 +99,9 @@ def requests(slow: bool = False) -> list[list[str]]:
             out += [["extract", *_key(102, 0, 0), "--n", str(n), *tail] for n in (60, 67)]
             out.append(["genus", *_key(102, 0, 0), "--n", "60", "--hmax", "103", *tail])
         out.append(["verify", "--suite", "all", "--gmax", "20", "--kmax", "10", "--format", "json"])
+        out.append(
+            ["verify", "--suite", "numeric", "--seed", "7", "--trials", "1000", "--format", "json"]
+        )
         chains = [f"{a} * {b}" for a in ATOMS for b in ATOMS]
         out += _words(w for chain in chains for w in (chain, f"trace({chain})"))
     return out
