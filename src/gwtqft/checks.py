@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import time
-from functools import partial
+from functools import partial, reduce
 from itertools import product
 from math import prod
 
@@ -504,42 +504,26 @@ def _operator_mod(name: str, point):
     return tuple(tuple(_elem_mod(e, point) for e in row) for row in build_operator(name))
 
 
-def _mul_mod(a, b):
-    return tuple(tuple(e % PRIME for e in row) for row in mat_mul(a, b))
-
-
-def _power_mod(m, e: int):
-    """m^e mod PRIME, e >= 0, by binary powering."""
-    result = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    while e:
-        if e & 1:
-            result = _mul_mod(result, m)
-        m = _mul_mod(m, m) if e > 1 else m
-        e >>= 1
-    return result
-
-
-def _det_mod(m) -> int:
-    return mat_det(m) % PRIME
-
-
 def numeric_trace(g: int, k1: int, k2: int, point) -> int:
     """tr(G^(g-1) U1^k1 U2^k2) at point = (t0, t1, t2, phi), mod PRIME.
 
     G, U1, U2 and the explicit inverses U1inv, U2inv (for negative levels)
-    are evaluated entry by entry, then powered by binary powering of
-    integer 3x3 matrices; at g = 0, G^-1 is adj(G) times the inverse of
-    det G.  No recurrence and no re-expansion is involved.  The point must
-    not be a pole: t0, t1, t2 pairwise distinct, phi nonzero and, at g = 0,
-    det G nonzero; inverting a zero raises ValueError.
+    are evaluated entry by entry.  The chain of factors, adj(G) at g = 0 or
+    G repeated g - 1 times, then each level operator |k| times, is
+    multiplied with mat_mul in exact integers and reduced mod PRIME once;
+    at g = 0, G^-1 is adj(G) times the inverse of det G.  No recurrence and
+    no re-expansion is involved.  The point must not be a pole: t0, t1, t2
+    pairwise distinct, phi nonzero and, at g = 0, det G nonzero; inverting
+    a zero raises ValueError.
     """
     gm = _operator_mod("G", point)
-    chain = _power_mod(gm, g - 1) if g else mat_adjugate(gm)
+    factors = [mat_adjugate(gm)] if g == 0 else [gm] * (g - 1)
     for name, k in (("U1", k1), ("U2", k2)):
         if k:
-            level = _operator_mod(name if k > 0 else name + "inv", point)
-            chain = _mul_mod(chain, _power_mod(level, abs(k)))
-    return mat_trace(chain) * (1 if g else pow(_det_mod(gm), -1, PRIME)) % PRIME
+            factors += [_operator_mod(name if k > 0 else name + "inv", point)] * abs(k)
+    # the empty chain, at g = 1 and level (0, 0), is the identity, of trace 3
+    trace = mat_trace(reduce(mat_mul, factors)) if factors else 3
+    return trace * (1 if g else pow(mat_det(gm), -1, PRIME)) % PRIME
 
 
 def _random_residues(rng: random.Random, g: int) -> tuple[int, int, int, int]:
@@ -547,7 +531,9 @@ def _random_residues(rng: random.Random, g: int) -> tuple[int, int, int, int]:
     pole of numeric_trace at genus g."""
     while True:
         point = tuple(rng.randrange(PRIME) for _ in range(4))
-        if point[3] and len(set(point[:3])) == 3 and (g or _det_mod(_operator_mod("G", point))):
+        if point[3] and len(set(point[:3])) == 3 and (
+            g or mat_det(_operator_mod("G", point)) % PRIME
+        ):
             return point
 
 

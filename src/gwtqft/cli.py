@@ -59,7 +59,9 @@ _GENUS_ROWS = {"text": "h={}: {}", "latex": "Z^{{{}}} &= {} \\\\"}
 
 
 def dumps_canonical(doc: dict) -> str:
-    """The byte-stable JSON serialization used by every command."""
+    """The byte-stable JSON document of compute, extract, genus and word:
+    indented, keys sorted.  ``verify --format json`` writes no document but
+    one sorted object per report line, with json.dumps."""
     # imported here: text and LaTeX output would pay for it on every start
     import json
 
@@ -229,10 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the closed-form verification suites")
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--gmax", type=int, default=None)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--gmax", type=int, default=None,
+                   help="largest genus of the cy and appendixB sweeps (defaults 6 and 5)")
+    p.add_argument("--kmax", type=int, default=None,
+                   help="largest |level| of the cy and appendixB sweeps (defaults 6 and 4)")
+    p.add_argument("--seed", type=int, default=42,
+                   help="seed of the numeric suite's random keys and points (default 42)")
+    p.add_argument("--trials", type=int, default=20,
+                   help="number of numeric trials, in 1..1000 (default 20)")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(fn=cmd_verify)
 

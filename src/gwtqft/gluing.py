@@ -147,9 +147,10 @@ def _char_poly(name: str) -> tuple[_XYPoly, _XYPoly, _XYPoly]:
     minors) and its determinant.  G has weight 2, a level operator 0."""
     m = build_operator(name)
     weight = 2 if name == "G" else 0
+    minors = _cofactor(m, 0, 0) + _cofactor(m, 1, 1) + _cofactor(m, 2, 2)
     return (
         _at_phi_one(mat_trace(m), weight, f"tr {name}"),
-        _at_phi_one(mat_trace(mat_adjugate(m)), 2 * weight, f"tr adj {name}"),
+        _at_phi_one(minors, 2 * weight, f"tr adj {name}"),
         _at_phi_one(mat_det(m), 3 * weight, f"det {name}"),
     )
 

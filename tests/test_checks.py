@@ -2,6 +2,7 @@
 failing inputs must produce counterexamples rather than exceptions."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,7 @@ from gwtqft.checks import (
     CheckReport,
     _elem_mod,
     _random_residues,
+    mat_power,
     numeric_trace,
     run_checks,
     verify_calabi_yau,
@@ -20,7 +22,7 @@ from gwtqft.checks import (
     verify_special_cases,
 )
 from gwtqft.exactring import XYRat
-from gwtqft.gluing import trace_formula
+from gwtqft.gluing import mat_adjugate, mat_det, mat_mul, mat_trace, trace_formula
 from gwtqft.operators import _phi, build_operator
 from gwtqft.phicalc import PhiElem
 from reference import folded_mod, phi, value_mod
@@ -204,6 +206,28 @@ class TestNumericCrosscheck:
         folded = folded_mod(gluing._at_phi_one(z, 2 * g - 2, "Z"), 2 * g - 2, point)
         assert numeric_trace(g, k1, k2, point) == folded
 
+    def test_every_drawable_key_against_the_folded_matrix_trace(self):
+        # all 245 keys the suite draws, the empty chain (1, 0, 0) and every
+        # genus-0 branch included, at one non-pole point: numeric_trace
+        # against the trace of folded matrix powers, read by _elem_mod
+        point = _random_residues(random.Random(5), 0)
+        gmat = build_operator("G")
+        levels = {
+            (name, k): mat_power(build_operator(name if k > 0 else name + "inv"), abs(k))
+            for name in ("U1", "U2")
+            for k in range(-3, 4)
+        }
+        heads = {g: mat_power(gmat, g - 1) for g in range(1, 5)}
+        heads[0] = mat_adjugate(gmat)
+        inv_det = pow(_elem_mod(mat_det(gmat), point), -1, PRIME)
+        for k1, k2 in product(range(-3, 4), repeat=2):
+            w = mat_mul(levels["U1", k1], levels["U2", k2])
+            for g, head in heads.items():
+                want = _elem_mod(mat_trace(mat_mul(head, w)), point)
+                if g == 0:
+                    want = want * inv_det % PRIME
+                assert numeric_trace(g, k1, k2, point) == want, (g, k1, k2)
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_a_folded_element_and_its_unfold_agree(self, seed):
         # _elem_mod reads the fold off each coefficient's type: XYRat at
@@ -229,7 +253,7 @@ class TestNumericCrosscheck:
         assert _random_residues(Scripted(1, 1, 2, 5, 1, 2, 3, 0, 1, 2, 3, 5), 1) == (1, 2, 3, 5)
         # at g = 0 a zero det G is redrawn as well
         dets = iter([0, 1])
-        monkeypatch.setattr(checks, "_det_mod", lambda m: next(dets))
+        monkeypatch.setattr(checks, "mat_det", lambda m: next(dets))
         assert _random_residues(Scripted(1, 2, 3, 5, 4, 5, 6, 7), 0) == (4, 5, 6, 7)
 
 

@@ -137,6 +137,18 @@ class TestVerify:
         doc = json.loads(out.splitlines()[0])
         assert doc["passed"] is True
 
+    def test_help_names_the_suites_each_option_reaches(self, capsys):
+        from gwtqft.checks import MAX_TRIALS, _cy_bounds, _special_bounds
+
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        (cg, ck), (sg, sk) = _cy_bounds(None, None), _special_bounds(None, None)
+        assert f"genus of the cy and appendixB sweeps (defaults {cg} and {sg})" in text
+        assert f"|level| of the cy and appendixB sweeps (defaults {ck} and {sk})" in text
+        assert "seed of the numeric suite's random keys and points (default 42)" in text
+        assert f"number of numeric trials, in 1..{MAX_TRIALS} (default 20)" in text
+
     def test_semisimple_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "semisimple")
         assert code == 0
