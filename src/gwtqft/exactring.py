@@ -1,12 +1,9 @@
 """Exact arithmetic over Q[t0, t1, t2] and the fractions the theory produces.
 
-TPoly is a sparse trivariate polynomial over Q.  An integral coefficient is
-stored as an int and only a genuinely rational one as a Fraction: every
-weight T(x_a) is monic up to sign, so the theory's numerators have integer
-coefficients, and int arithmetic is several times faster.  Mixing the two is
-exact (int with int stays int, int with Fraction stays a Fraction), and an
-integral Fraction compares, hashes and prints like the equal int, so no
-operation needs to normalise its result.
+TPoly is a sparse trivariate polynomial over Q.  A coefficient is stored as
+given, an int or a Fraction, and only zeros are dropped: an integral
+Fraction equals, hashes and prints like the equal int, so no operation
+normalises its result.
 
 TRat is a fraction whose denominator is a product of powers of the three
 linear forms t0 - t1, t0 - t2, t1 - t2, stored as an exponent triple; its
@@ -64,14 +61,6 @@ LATEX = Style(("t_0", "t_1", "t_2"), "", ("+", "-"), r"\frac{{{}}}{{{}}}", r"\fr
 FIRST = ("", "-")
 
 
-def _exact(c) -> int | Fraction:
-    """c as an int when it is integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 def _grlex(e: Exponent) -> tuple[int, Exponent]:
     # graded lexicographic order with t0 > t1 > t2
     return (e[0] + e[1] + e[2], e)
@@ -80,11 +69,9 @@ def _grlex(e: Exponent) -> tuple[int, Exponent]:
 class TPoly:
     """Sparse polynomial in t0, t1, t2 over Q.
 
-    ``terms`` maps exponent triples to nonzero coefficients; the zero
-    polynomial is the empty map.  Coefficients built here are ints when
-    integral and Fractions otherwise; arithmetic may leave an integral
-    Fraction, which equals, hashes and prints like the int.  Instances are
-    treated as immutable.
+    ``terms`` maps exponent triples to nonzero coefficients, each an int or
+    a Fraction as given; the zero polynomial is the empty map.  Instances
+    are treated as immutable.
     """
 
     __slots__ = ("terms",)
@@ -93,7 +80,6 @@ class TPoly:
         clean: dict[Exponent, int | Fraction] = {}
         if terms:
             for exp, c in terms.items():
-                c = _exact(c)
                 if c:
                     clean[exp] = c
         self.terms = clean
@@ -111,7 +97,6 @@ class TPoly:
 
     @classmethod
     def const(cls, c: Fraction | int) -> "TPoly":
-        c = _exact(c)
         return cls._raw({_ZERO_EXP: c} if c else {})
 
     @classmethod
@@ -145,10 +130,9 @@ class TPoly:
         return max(e[0] + e[1] + e[2] for e in self.terms)
 
     def scale(self, c: Fraction | int) -> "TPoly":
-        c = _exact(c)
         if not c:
             return TPoly._raw({})
-        return TPoly._raw({e: _exact(cf * c) for e, cf in self.terms.items()})
+        return TPoly._raw({e: cf * c for e, cf in self.terms.items()})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -191,8 +175,6 @@ class TPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.terms or not o.terms:
-            return TPoly._raw({})
         acc: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
@@ -352,9 +334,7 @@ class TRat:
         rest, dexp = _cancel_forms(den, (den.degree(),) * 3)
         if not rest.is_const:
             raise ReductionError(f"denominator {den} is not a product of ti - tj")
-        lc = rest.const_value()
-        if lc != 1:
-            num = num.scale(Fraction(1) / lc)
+        num = num.scale(Fraction(1) / rest.const_value())
         return cls._reduced(num, dexp)
 
     # -- structure -----------------------------------------------------------
@@ -385,8 +365,6 @@ class TRat:
     def __add__(self, other):
         if not isinstance(other, TRat):
             return NotImplemented
-        if self.dexp == other.dexp:
-            return TRat._reduced(self.num + other.num, self.dexp)
         dexp = tuple(map(max, self.dexp, other.dexp))
         n1 = _times_forms(self.num, [m - k for m, k in zip(dexp, self.dexp)])
         n2 = _times_forms(other.num, [m - k for m, k in zip(dexp, other.dexp)])

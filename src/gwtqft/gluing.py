@@ -184,17 +184,16 @@ def _seed(j: int, k1: int, k2: int) -> _XYPoly:
 def _fill(memo: dict, key: tuple[int, int, int]) -> _XYPoly:
     """Folded tr(G^j U1^k1 U2^k2) at key = (j, k1, k2), j >= -1, kept in memo
     with every value the walk to it passes.  A key in the seed window -1..1
-    is a seed.  Otherwise the first coordinate outside the window (j, then
-    k1, then k2) is walked out by the recurrence of G, of U1 or U1inv, or of
-    U2 or U2inv, from the last three values of its line: those memo holds,
-    or the window's.  So the recursion runs across the three axes, never
-    once per step."""
+    is a seed, which _seed's cache holds and memo does not.  Otherwise the
+    first coordinate outside the window (j, then k1, then k2) is walked out
+    by the recurrence of G, of U1 or U1inv, or of U2 or U2inv, from the last
+    three values of its line: those memo holds, or the window's.  So the
+    recursion runs across the three axes, never once per step."""
     if key in memo:
         return memo[key]
     axis = next((i for i, c in enumerate(key) if not -1 <= c <= 1), None)
     if axis is None:
-        memo[key] = _seed(*key)
-        return memo[key]
+        return _seed(*key)
     k = key[axis]
     s = 1 if k > 0 else -1
 
@@ -246,7 +245,7 @@ def _check_request(g: int, k1: int, k2: int) -> None:
 def _reader():
     """A reader of folded partition functions: read(g, k1, k2) is s_(g-1)
     graded at weight 2g - 2, under trace_formula's bound.  Its memo keeps
-    every value _fill passed until the reader is dropped, so a sweep that
+    every value _fill walks until the reader is dropped, so a sweep that
     reads all its keys through one reader pays each recurrence step once."""
     memo: dict = {}
 

@@ -8,7 +8,9 @@ compile it.
 The caps and the pants are the localization values of the genus-0 basic
 relative partition functions; a tube is its level operator of ``operators``
 with row a lowered by the weight T(x_a), and everything else is obtained
-from them by gluing.  Entries are stored with all slots lowered.
+from them by gluing.  Their entries are stored with all slots lowered; an
+operator enters a word through ``matrix_to_tensor`` with its first slot
+raised, so ``word A`` prints ``Z^x0_x0 = ...``.
 
 Gluing two relative slots sums over the fixed-point basis with one slot
 raised.  Every slot pair between the same two tensors is glued in one pass

@@ -103,20 +103,18 @@ class TestNormalize:
 
 
 class TestIntegerCoefficients:
-    def test_integral_fraction_stored_as_int(self):
+    def test_integral_fraction_equals_hashes_and_prints_like_its_int(self):
         p = TPoly({(1, 0, 0): Fraction(4, 2)})
-        assert type(p.terms[(1, 0, 0)]) is int
         assert p == TPoly({(1, 0, 0): 2})
         assert hash(p) == hash(TPoly({(1, 0, 0): 2}))
         assert str(p) == str(TPoly({(1, 0, 0): 2})) == "2*t0"
         assert type(TPoly({(1, 0, 0): Fraction(1, 2)}).terms[(1, 0, 0)]) is Fraction
 
-    def test_folded_sign_keeps_int_numerator(self):
+    def test_folded_sign_goes_into_the_numerator(self):
         # T(x_1) = (t1 - t0)(t1 - t2) has leading coefficient -1 in grlex,
         # which make folds into the numerator
         r = TRat.make(1, (t1 - t0) * (t1 - t2))
         assert r.num == TPoly.const(-1)
-        assert all(type(c) is int for c in r.num.terms.values())
 
 
 class TestFieldArith:
