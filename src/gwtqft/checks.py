@@ -47,7 +47,6 @@ from .words import (
     build_handle,
     build_pants,
     build_tube,
-    closed_surface_word,
     contract,
     evaluate_word,
     matrix_to_tensor,
@@ -242,7 +241,9 @@ def verify_gluing_derivations() -> CheckReport:
     matrix pieces, pair by pair and in one pass; the level operators glued
     to the identity cylinder give the tubes; the operator-algebra
     identities; and agreement of every closed-surface word with the trace
-    formula for g <= 3, |k1|, |k2| <= 2.
+    formula for g <= 3, |k1|, |k2| <= 2, each surface cut into two arcs,
+    head(g) T1^|k1| and T2^|k2|, that are built once and glued by one
+    closing contraction (see _closed_surfaces).
 
     Tensors are compared folded and summed over the fiber classes; class n
     of a level-K tensor is its phi^(K + 3n) part (see words.split_classes).
@@ -293,15 +294,46 @@ def verify_gluing_derivations() -> CheckReport:
 
     _operator_identities(rep)
 
-    # closed-surface words reproduce the trace formula
+    # closed-surface words, each glued from its two arcs, reproduce the
+    # trace formula
     read = _reader()
-    for g in range(4):
-        for k1 in range(-2, 3):
-            for k2 in range(-2, 3):
-                got = evaluate_word(closed_surface_word(g, k1, k2)).scalar()
-                rep.check(f"word g={g}, k1={k1}, k2={k2}", read(g, k1, k2), got, _unfold)
+    for (g, k1, k2), got in _closed_surfaces():
+        rep.check(f"word g={g}, k1={k1}, k2={k2}", read(g, k1, k2), got, _unfold)
 
     return rep
+
+
+def _closed_surfaces():
+    """((g, k1, k2), Z) for g <= 3 and |k1|, |k2| <= 2 in ascending order,
+    Z the folded scalar of closed_surface_word(g, k1, k2) glued from two
+    arcs: head(g) T1^|k1|, the head being the level (0,0) cap at g = 0,
+    nothing at g = 1 and g - 1 handles above, and T2^|k2|, capped at g = 0.
+    Each arc extends the one before it on its line by one contraction, and
+    an empty arc is the identity tube."""
+    cap, ident = build_cap((0, 0)), build_tube((0, 0))
+
+    def line(start, unit, capped=False):
+        """start extended |k| <= 2 times by the tube of level sign(k) unit:
+        on the right, or on the left of a capped arc."""
+        arcs = {0: start}
+        for sign in (1, -1):
+            tube, arc = build_tube((sign * unit[0], sign * unit[1])), start
+            for k in (sign, 2 * sign):
+                arc = contract(tube, 1, arc, 0) if capped else contract(arc, arc.rank - 1, tube, 0)
+                arcs[k] = arc
+        return arcs
+
+    handle = build_handle()
+    heads = (cap, ident, handle, contract(handle, 1, handle, 0))
+    ring_seconds = line(ident, (0, 1))
+    for g, head in enumerate(heads):
+        firsts = line(head, (1, 0))
+        # a sphere glues its two capped arcs at their free slots; a ring
+        # glues each end of the first arc to the other end of the second
+        seconds = ring_seconds if g else line(cap, (0, 1), capped=True)
+        ends = ((0, 1), (1, 0)) if g else (0, 0)
+        for k1, k2 in product(range(-2, 3), repeat=2):
+            yield (g, k1, k2), contract(firsts[k1], ends[0], seconds[k2], ends[1]).scalar()
 
 
 def _show_matrix(m: Op3) -> str:

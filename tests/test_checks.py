@@ -142,6 +142,30 @@ class TestGluingDerivations:
         # (50 of them), and the two determinants 2 more: 171 + 100 + 2 = 273
         assert verify_gluing_derivations().cases == 273
 
+    def test_arc_glued_surfaces_are_the_words(self):
+        # each closed surface glued from its two arcs is the word that
+        # evaluate_word folds from the left, key by key in the suite's order
+        glued = list(checks._closed_surfaces())
+        assert [key for key, _ in glued] == list(product(range(4), range(-2, 3), range(-2, 3)))
+        for key, z in glued:
+            assert z == words.evaluate_word(words.closed_surface_word(*key)).scalar(), key
+
+    def test_contract_calls(self, monkeypatch):
+        # with the generator caches warm: 20 for the generator identities,
+        # 25 to build the arcs and 100 closing contractions
+        verify_gluing_derivations()
+        calls = []
+        for module in (words, checks):
+            contract = module.contract
+
+            def counted(*args, _contract=contract):
+                calls.append(args)
+                return _contract(*args)
+
+            monkeypatch.setattr(module, "contract", counted)
+        verify_gluing_derivations()
+        assert len(calls) == 145
+
 
 class TestSemisimplicity:
     def test_passes(self):
@@ -321,6 +345,20 @@ class TestFaultInjection:
         assert not rep.passed
         assert rep.failures[0].startswith("word g=2, k1=-2, k2=-2: expected (")
         assert not any("XYRat" in f for f in rep.failures)
+
+    def test_a_changed_handle_fails_the_words_from_genus_two(self, monkeypatch):
+        # every ring of genus g >= 2 is glued from arcs that start with the
+        # handle, and no arc below genus 2 holds one
+        handle = words.build_handle()
+        first = handle.entries[0]
+        doctored = words.RelTensor(
+            handle.variance, (first + _phi(1, min(first.terms)),) + handle.entries[1:]
+        )
+        monkeypatch.setattr(checks, "build_handle", lambda: doctored)
+        rep = verify_gluing_derivations()
+        swept = [f.split(":")[0] for f in rep.failures if f.startswith("word ")]
+        assert swept[0] == "word g=2, k1=-2, k2=-2", swept
+        assert not any(f.startswith(("word g=0", "word g=1")) for f in swept), swept
 
     @pytest.mark.parametrize(
         "name, wrap", [("_seed", _seed_off_by_one), ("_char_poly", _char_poly_off_by_one)]
