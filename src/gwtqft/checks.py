@@ -25,7 +25,6 @@ from .operators import (
     WEIGHTS,
     _ZERO,
     Op3,
-    _d,
     _phi,
     build_operator,
     mat_add,
@@ -417,8 +416,8 @@ def _operator_identities(rep: CheckReport) -> None:
     for e in (1, 2, 3):
         powered = tuple(
             tuple(
-                _phi(_d(1, 0) ** e, -e) if (i, j) == (1, 1)
-                else _phi(_d(2, 0) ** e, -e) if (i, j) == (2, 2)
+                _phi(_dpow(1, 0, e), -e) if (i, j) == (1, 1)
+                else _phi(_dpow(2, 0, e), -e) if (i, j) == (2, 2)
                 else PhiElem.zero()
                 for j in LABELS
             )

@@ -118,17 +118,6 @@ class TPoly:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _ZERO_EXP in self.terms)
 
-    def const_value(self) -> int | Fraction:
-        if not self.is_const:
-            raise ValueError("polynomial is not constant")
-        return self.terms.get(_ZERO_EXP, 0)
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(e[0] + e[1] + e[2] for e in self.terms)
-
     def scale(self, c: Fraction | int) -> "TPoly":
         if not c:
             return TPoly._raw({})
@@ -136,7 +125,8 @@ class TPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other) -> "TPoly | None":
+    @staticmethod
+    def _coerce(other) -> "TPoly | None":
         if isinstance(other, TPoly):
             return other
         if isinstance(other, (int, Fraction)):
@@ -325,17 +315,18 @@ class TRat:
 
     @classmethod
     def make(cls, num, den=1) -> "TRat":
-        num = _as_poly(num)
-        den = _as_poly(den)
-        if not den:
+        p, q = TPoly._coerce(num), TPoly._coerce(den)
+        if p is None or q is None:
+            raise TypeError(f"cannot interpret {(num if p is None else den)!r} as a polynomial")
+        if not q:
             raise ZeroDivisionError("denominator is zero")
-        if not num:
+        if not p:
             return RAT_ZERO
-        rest, dexp = _cancel_forms(den, (den.degree(),) * 3)
+        # each form divides q at most its total degree times
+        rest, dexp = _cancel_forms(q, (max(map(sum, q.terms)),) * 3)
         if not rest.is_const:
-            raise ReductionError(f"denominator {den} is not a product of ti - tj")
-        num = num.scale(Fraction(1) / rest.const_value())
-        return cls._reduced(num, dexp)
+            raise ReductionError(f"denominator {q} is not a product of ti - tj")
+        return cls._reduced(p.scale(Fraction(1) / rest.terms[_ZERO_EXP]), dexp)
 
     # -- structure -----------------------------------------------------------
 
@@ -423,14 +414,6 @@ class TRat:
 
 
 RAT_ZERO = TRat(TPoly.zero())
-
-
-def _as_poly(x) -> TPoly:
-    if isinstance(x, TPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return TPoly.const(x)
-    raise TypeError(f"cannot interpret {x!r} as a polynomial")
 
 
 # -- folded fractions over Z[x, y] ---------------------------------------------
@@ -594,21 +577,11 @@ class XYRat:
         o = _as_xy(other)
         if o is None:
             return NotImplemented
-        if not self.num or not o.num:
-            return XYRat({})
         d1, d2 = self.dexp, o.dexp
         num = _xy_mul_into({}, self.num, o.num)
         return _xy_fraction_sum([(num, (d1[0] + d2[0], d1[1] + d2[1], d1[2] + d2[2]))])
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("folded powers need a nonnegative integer")
-        result = XYRat.const(1)
-        for _ in range(n):
-            result = result * self
-        return result
 
     def __repr__(self) -> str:
         return f"XYRat({self.num!r}, {self.dexp!r})"

@@ -88,6 +88,11 @@ def _row_rat(num_rows: Sequence[Sequence[XYRat]], m: int) -> Op3:
     return _mat([[_phi(num_rows[a][b] * INV_WEIGHTS[a], m) for b in LABELS] for a in LABELS])
 
 
+#: each of G, U1, U2, U1inv and U2inv is the sum of its two class pieces
+_SUMS = {"G": ("A", "B"), "U1": ("C1", "E1"), "U2": ("C2", "E2"),
+         "U1inv": ("N1", "M1"), "U2inv": ("N2", "M2")}
+
+
 @cache
 def build_operator(name: str) -> Op3:
     """One of the fifteen closed-form 3x3 operator matrices, folded.
@@ -131,16 +136,8 @@ def build_operator(name: str) -> Op3:
     if name in ("M1", "M2"):
         one = XYRat.const(1)
         return _row_rat([[one] * 3] * 3, 2)
-    if name == "G":
-        return mat_add(build_operator("A"), build_operator("B"))
-    if name == "U1":
-        return mat_add(build_operator("C1"), build_operator("E1"))
-    if name == "U2":
-        return mat_add(build_operator("C2"), build_operator("E2"))
-    if name == "U1inv":
-        return mat_add(build_operator("N1"), build_operator("M1"))
-    if name == "U2inv":
-        return mat_add(build_operator("N2"), build_operator("M2"))
+    if name in _SUMS:
+        return mat_add(*map(build_operator, _SUMS[name]))
     raise ValueError(f"unknown operator {name!r}")
 
 

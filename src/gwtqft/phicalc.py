@@ -89,8 +89,6 @@ class PhiElem:
     def __mul__(self, other):
         if not isinstance(other, PhiElem):
             return NotImplemented
-        if not self.terms or not other.terms:
-            return PhiElem({})
         acc = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwtqft.checks import PRIME, _elem_mod
-from gwtqft.exactring import _LINEAR_PAIRS, LATEX, ReductionError, TPoly, TRat, _div_linear
+from gwtqft.exactring import _LINEAR_PAIRS, LATEX, ReductionError, TPoly, TRat, XYRat, _div_linear
 from gwtqft.phicalc import PhiElem
 from reference import parse_poly, poly_mod
 
@@ -149,6 +149,23 @@ class TestFieldArith:
             with pytest.raises(TypeError):
                 a * other
             assert a != other
+
+    def test_make_rejects_a_non_polynomial(self):
+        for num, den in ((object(), 1), (t0, object()), ("t0", t1), (1.5, 1)):
+            with pytest.raises(TypeError, match="as a polynomial"):
+                TRat.make(num, den)
+
+
+class TestFoldedZero:
+    """A product with the folded zero is the canonical zero."""
+
+    def test_zero_times_anything(self):
+        zero = XYRat({})
+        for c in (XYRat({(1, 0): 2, (0, 1): -1}, (1, 0, 0)), XYRat({(0, 0): -1}, (1, 0, 1)),
+                  XYRat.const(5), zero, 3):
+            for got in (zero * c, c * zero):
+                assert got == zero
+                assert got.num == {} and got.dexp == (0, 0, 0)
 
 
 class TestEvaluate:

@@ -701,6 +701,13 @@ class TestWords:
             with pytest.raises(ValueError, match=re.escape("slot (1, 0) is unknown or already glued")):
                 evaluate_word(word._replace(traced=traced))
 
+    def test_labels_outside_the_basis_are_rejected(self):
+        tube = build_tube((1, 0))
+        assert tube.entry(1, 0) is tube.entries[3]
+        for labels, bad in (((0, 3), 3), ((-1, 0), -1), ((1, 5), 5)):
+            with pytest.raises(ValueError, match=f"0, 1 or 2, got {bad}$"):
+                tube.entry(*labels)
+
     def test_traced_single_generator_is_self_glued(self):
         # brute-force oracle: sum pants[lam, a, lam] / T(x_lam) over lam
         got = unfold_tensor(evaluate_word(CobordismWord((("pants",),), traced=True)))
@@ -764,6 +771,16 @@ class TestWordSlotBound:
     def test_nine_slots_are_rejected_before_any_contraction(self, no_contract, text, slots):
         with pytest.raises(ValueError, match=f"a tensor of {slots} slots; at most 8 "):
             evaluate_word(parse_word(text))
+
+    @pytest.mark.parametrize("gens, kind", [
+        ((("foo", (1, 0)), ("cap", (0, 0))), "foo"),
+        ((("pantz",),), "pantz"),
+        ((("tube", (0, 0)), ("pants",), ("Handle",)), "Handle"),
+    ])
+    def test_unknown_kinds_are_rejected_before_any_contraction(self, no_contract, gens, kind):
+        for traced in (False, True):
+            with pytest.raises(ValueError, match=f"unknown generator kind '{kind}'"):
+                evaluate_word(CobordismWord(gens, traced))
 
     def test_the_closing_pass_is_not_counted(self, no_contract):
         # trace(pants^7) joins its last pants in the closing pass, which

@@ -1,6 +1,8 @@
 """Package exports: the names in ``gwtqft.__all__`` load their submodule on
-first use and are the submodules' own objects, as the README documents."""
+first use and are the submodules' own objects, as the README documents.
+The package imports nothing outside the standard library."""
 
+import ast
 import doctest
 import os
 import re
@@ -55,3 +57,21 @@ def test_readme_lists_the_exported_names():
     text = " ".join(README.read_text().split())
     listed = re.search(r"They are (.*?); there is no parser", text).group(1)
     assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(gwtqft.__all__)
+
+
+def test_standard_library_only():
+    # the runtime depends on nothing outside the standard library
+    package = Path(gwtqft.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [] if node.level else [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top == "gwtqft" or top in sys.stdlib_module_names, (path.name, name)
+    pyproject = README.with_name("pyproject.toml").read_text()
+    assert re.search(r"^dependencies = \[\]$", pyproject, re.M)

@@ -37,6 +37,13 @@ class TestPhiArith:
         b = phi(1, 2)
         assert a * b == phi(w2, 0)
 
+    def test_product_with_zero_is_empty(self):
+        zero = PhiElem({})
+        for e in (phi(t0 - t2, -1), phi(1, -1) + phi(t0, 1),
+                  PhiElem.term(XYRat({(1, 0): 1}, (0, 1, 1)), 2), zero):
+            assert (zero * e).terms == {}
+            assert (e * zero).terms == {}
+
     def test_mixed_product(self):
         a = phi(1, -1) + phi(t0, 1)
         b = phi(1, 1)
