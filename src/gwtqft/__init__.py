@@ -14,12 +14,11 @@ SUITES = ("all", "cy", "appendixB", "gluing", "semisimple", "numeric")
 _EXPORTS = {
     "exactring": "TPoly TRat",
     "phicalc": "PhiElem phi_pow_coeffs",
-    "operators": "build_operator weight",
+    "operators": "build_operator weight mat_power",
     "gluing": "trace_formula",
     "words": "build_cap build_tube build_pants CobordismWord closed_surface_word contract"
     " evaluate_word parse_word split_classes",
     "partition": "virtual_dim class_component genus_expansion",
-    "checks": "mat_power",
 }
 _SOURCE = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 

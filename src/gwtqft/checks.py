@@ -28,18 +28,15 @@ from .operators import (
     _phi,
     build_operator,
     mat_add,
-    mat_identity,
-)
-from .gluing import (
-    MAX_REQUEST,
-    _reader,
-    _unfold,
     mat_adjugate,
     mat_det,
+    mat_identity,
     mat_mul,
+    mat_power,
+    mat_scale,
     mat_trace,
-    trace_formula,
 )
+from .gluing import MAX_REQUEST, _reader, _unfold, trace_formula
 from .words import (
     TUBE_OPERATORS,
     build_cap,
@@ -60,27 +57,6 @@ from .words import (
 def _coeff(e: PhiElem, m: int) -> XYRat:
     """The phi^m coefficient of a folded element."""
     return e.terms.get(m, _ZERO)
-
-
-# -- matrix helpers of the checks ---------------------------------------------------
-
-
-def mat_scale(m: Op3, c: PhiElem) -> Op3:
-    return tuple(tuple(e * c for e in row) for row in m)
-
-
-def mat_power(m: Op3, e: int) -> Op3:
-    """Exact matrix power m^e, e >= 0, by binary powering."""
-    if e < 0:
-        raise ValueError("matrix powers need a nonnegative exponent")
-    result = mat_identity()
-    base = m
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if e > 1 else base
-        e >>= 1
-    return result
 
 
 class CheckReport:

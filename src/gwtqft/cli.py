@@ -86,8 +86,7 @@ def _nonzero_entries(t: RelTensor):
 
     from .operators import LABELS
 
-    for labels in product(LABELS, repeat=t.rank):
-        val = t.entry(*labels)
+    for labels, val in zip(product(LABELS, repeat=t.rank), t.entries):
         if val:
             yield labels, val
 

@@ -1,6 +1,5 @@
-"""The trace engine: 3x3 matrix algebra over folded phi-Laurent
-polynomials, their re-expansion in t0, t1, t2, and the closed-surface trace
-formula.
+"""The trace engine: the closed-surface trace formula over folded
+phi-Laurent polynomials, and the re-expansion of a folded value in t0, t1, t2.
 
 ``compute``, ``extract`` and ``genus`` compile this module, ``operators``
 and the layers below them, and nothing else: the cap, tube and pants
@@ -50,42 +49,7 @@ from functools import cache, lru_cache
 
 from .exactring import ReductionError, TRat, XYRat, _XYPoly, _shift, _xy_clean, _xy_mul_into
 from .phicalc import PhiElem
-from .operators import INV_WEIGHTS, LABELS, Op3, _phi, build_operator
-
-# -- 3x3 matrix algebra over folded phi-Laurent polynomials --------------------
-
-
-def mat_mul(a: Op3, b: Op3) -> Op3:
-    return tuple(
-        tuple(
-            a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
-            for j in LABELS
-        )
-        for i in LABELS
-    )
-
-
-def mat_trace(m: Op3) -> PhiElem:
-    return m[0][0] + m[1][1] + m[2][2]
-
-
-def _cofactor(m: Op3, i: int, j: int) -> PhiElem:
-    """The (i, j) cofactor of a 3x3 matrix, sign included: the minor on rows
-    i + 1, i + 2 and columns j + 1, j + 2 mod 3."""
-    i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
-    return m[i1][j1] * m[i2][j2] - m[i1][j2] * m[i2][j1]
-
-
-def mat_adjugate(m: Op3) -> Op3:
-    """The transposed cofactor matrix."""
-    return tuple(tuple(_cofactor(m, j, i) for j in LABELS) for i in LABELS)
-
-
-def mat_det(m: Op3) -> PhiElem:
-    """det m, by the cofactors of row 0."""
-    c0, c1, c2 = (_cofactor(m, 0, j) for j in LABELS)
-    return m[0][0] * c0 + m[0][1] * c1 + m[0][2] * c2
-
+from .operators import INV_WEIGHTS, LABELS, _cofactor, _phi, build_operator, mat_det, mat_trace
 
 # -- the closed-surface trace formula ------------------------------------------
 

@@ -1,5 +1,6 @@
 """Closed-form TQFT generator data: fixed-point weights and the 3x3
-creation/annihilation/genus-adding matrices over Q((u))(t0, t1, t2).
+creation/annihilation/genus-adding matrices over Q((u))(t0, t1, t2), and the
+one 3x3 matrix algebra over them.
 
 Every weight and matrix entry depends on t only through x = t0 - t2 and
 y = t1 - t2, so each is built folded: a PhiElem whose phi^m coefficients are
@@ -74,18 +75,14 @@ OPERATOR_NAMES = (
 )
 
 
-def _mat(rows: Sequence[Sequence[PhiElem]]) -> Op3:
-    return tuple(tuple(row) for row in rows)
-
-
-def _diag_phi(vals: Sequence[XYRat], m: int) -> Op3:
+def _diag_phi(vals: Sequence[XYRat | int], m: int) -> Op3:
     z = PhiElem.zero()
-    return _mat([[_phi(vals[a], m) if a == b else z for b in LABELS] for a in LABELS])
+    return tuple(tuple(_phi(vals[a], m) if a == b else z for b in LABELS) for a in LABELS)
 
 
 def _row_rat(num_rows: Sequence[Sequence[XYRat]], m: int) -> Op3:
     # entry (a, b) = num_rows[a][b] / T(x_a) at phi^m
-    return _mat([[_phi(num_rows[a][b] * INV_WEIGHTS[a], m) for b in LABELS] for a in LABELS])
+    return tuple(tuple(_phi(num_rows[a][b] * INV_WEIGHTS[a], m) for b in LABELS) for a in LABELS)
 
 
 #: each of G, U1, U2, U1inv and U2inv is the sum of its two class pieces
@@ -141,13 +138,62 @@ def build_operator(name: str) -> Op3:
     raise ValueError(f"unknown operator {name!r}")
 
 
-# -- small matrix helpers (shared with the gluing engine) -------------------------
-
-
-def mat_add(a: Op3, b: Op3) -> Op3:
-    return _mat([[a[i][j] + b[i][j] for j in LABELS] for i in LABELS])
+# -- 3x3 matrix algebra over folded phi-Laurent polynomials ---------------------
 
 
 def mat_identity() -> Op3:
-    z = PhiElem.zero()
-    return _mat([[ONE if i == j else z for j in LABELS] for i in LABELS])
+    return _diag_phi((1, 1, 1), 0)
+
+
+def mat_add(a: Op3, b: Op3) -> Op3:
+    return tuple(tuple(a[i][j] + b[i][j] for j in LABELS) for i in LABELS)
+
+
+def mat_scale(m: Op3, c: PhiElem) -> Op3:
+    return tuple(tuple(e * c for e in row) for row in m)
+
+
+def mat_mul(a: Op3, b: Op3) -> Op3:
+    return tuple(
+        tuple(
+            a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
+            for j in LABELS
+        )
+        for i in LABELS
+    )
+
+
+def mat_power(m: Op3, e: int) -> Op3:
+    """Exact matrix power m^e, e >= 0, by binary powering."""
+    if e < 0:
+        raise ValueError("matrix powers need a nonnegative exponent")
+    result = mat_identity()
+    base = m
+    while e:
+        if e & 1:
+            result = mat_mul(result, base)
+        base = mat_mul(base, base) if e > 1 else base
+        e >>= 1
+    return result
+
+
+def mat_trace(m: Op3) -> PhiElem:
+    return m[0][0] + m[1][1] + m[2][2]
+
+
+def _cofactor(m: Op3, i: int, j: int) -> PhiElem:
+    """The (i, j) cofactor of a 3x3 matrix, sign included: the minor on rows
+    i + 1, i + 2 and columns j + 1, j + 2 mod 3."""
+    i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+    return m[i1][j1] * m[i2][j2] - m[i1][j2] * m[i2][j1]
+
+
+def mat_adjugate(m: Op3) -> Op3:
+    """The transposed cofactor matrix."""
+    return tuple(tuple(_cofactor(m, j, i) for j in LABELS) for i in LABELS)
+
+
+def mat_det(m: Op3) -> PhiElem:
+    """det m, by the cofactors of row 0."""
+    c0, c1, c2 = (_cofactor(m, 0, j) for j in LABELS)
+    return m[0][0] * c0 + m[0][1] * c1 + m[0][2] * c2

@@ -448,9 +448,10 @@ _ATOM_RE = re.compile(
 _INVERTIBLE = {name: TUBE_OPERATORS[-a, -b] for (a, b), name in TUBE_OPERATORS.items()}
 
 # words are contracted one generator at a time, so a word's cost grows with
-# its length, and the bound keeps every word request short: trace(G^32) takes
-# about 0.5 s (0.46-0.53 s) in a fresh process on CPython 3.11.7 (2 shared cores).  The width
-# of what a word builds is bounded apart, by MAX_WORD_SLOTS
+# its length, and the bound keeps every word request short: in fresh processes
+# on CPython 3.11.7 (2 shared cores), trace(G^12) takes 0.07-0.09 s,
+# trace(G^24) 0.21-0.28 s and trace(G^32) 0.44-0.71 s.  The width of what a
+# word builds is bounded apart, by MAX_WORD_SLOTS
 MAX_WORD_GENERATORS = 32
 
 

@@ -12,12 +12,18 @@ from itertools import product
 
 from gwtqft.exactring import TPoly, TRat
 from gwtqft.phicalc import PhiElem
-from gwtqft.operators import _phi, build_operator, mat_identity
-from gwtqft.gluing import mat_mul, mat_trace, trace_formula
-from gwtqft.partition import class_component, genus_expansion, virtual_dim
-from gwtqft.checks import (
+from gwtqft.operators import (
+    _phi,
+    build_operator,
+    mat_identity,
+    mat_mul,
     mat_power,
     mat_scale,
+    mat_trace,
+)
+from gwtqft.gluing import trace_formula
+from gwtqft.partition import class_component, genus_expansion, virtual_dim
+from gwtqft.checks import (
     _random_residues,
     numeric_trace,
     verify_calabi_yau,

@@ -12,7 +12,6 @@ from gwtqft.checks import (
     CheckReport,
     _elem_mod,
     _random_residues,
-    mat_power,
     numeric_trace,
     run_checks,
     verify_calabi_yau,
@@ -22,8 +21,16 @@ from gwtqft.checks import (
     verify_special_cases,
 )
 from gwtqft.exactring import XYRat
-from gwtqft.gluing import mat_adjugate, mat_det, mat_mul, mat_trace, trace_formula
-from gwtqft.operators import _phi, build_operator
+from gwtqft.gluing import trace_formula
+from gwtqft.operators import (
+    _phi,
+    build_operator,
+    mat_adjugate,
+    mat_det,
+    mat_mul,
+    mat_power,
+    mat_trace,
+)
 from gwtqft.phicalc import PhiElem
 from reference import folded_mod, phi, value_mod
 

@@ -22,19 +22,17 @@ from gwtqft.operators import (
     _phi,
     build_operator,
     mat_add,
+    mat_adjugate,
+    mat_det,
     mat_identity,
+    mat_mul,
+    mat_power,
+    mat_scale,
+    mat_trace,
 )
 from gwtqft import cli, gluing, operators, words
 from gwtqft.partition import class_component
-from gwtqft.checks import mat_power, mat_scale
-from gwtqft.gluing import (
-    _unfold,
-    mat_adjugate,
-    mat_det,
-    mat_mul,
-    mat_trace,
-    trace_formula,
-)
+from gwtqft.gluing import _unfold, trace_formula
 from gwtqft.words import (
     CobordismWord,
     RelTensor,

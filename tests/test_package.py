@@ -43,6 +43,34 @@ def test_submodules_import_from_package_in_fresh_process():
     assert proc.stdout.split() == ["gwtqft.checks", "gwtqft.cli", "gwtqft.gluing"]
 
 
+def test_mat_power_loads_only_the_algebra():
+    # the algebra lives in operators, which loads neither checks nor words
+    code = ("import sys; from gwtqft import mat_power; "
+            "print(mat_power.__module__, 'gwtqft.checks' in sys.modules, "
+            "'gwtqft.words' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gwtqft.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["gwtqft.operators", "False", "False"]
+
+
+def test_one_matrix_algebra():
+    from gwtqft import checks, gluing, operators
+
+    assert checks.mat_power is operators.mat_power
+    assert checks.mat_mul is operators.mat_mul
+    assert gluing.mat_det is operators.mat_det
+    # no module but operators defines a 3x3 matrix helper
+    for path in sorted(Path(gwtqft.__file__).parent.glob("*.py")):
+        if path.stem == "operators":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert not node.name.startswith("mat_"), (path.name, node.name)
+                assert node.name != "_cofactor", path.name
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
