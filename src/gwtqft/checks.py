@@ -14,6 +14,7 @@ import time
 from functools import partial, reduce
 from itertools import product
 from math import prod
+from typing import Sequence
 
 from . import SUITES
 from .exactring import XYRat, _xy_times_forms
@@ -22,9 +23,11 @@ from .operators import (
     INV_WEIGHTS,
     LABELS,
     ONE,
+    OPERATOR_NAMES,
     WEIGHTS,
     _ZERO,
     Op3,
+    _diag_phi,
     _phi,
     build_operator,
     mat_add,
@@ -202,9 +205,9 @@ def verify_special_cases(g_max: int = 5, k_max: int = 4) -> CheckReport:
 # -- gluing re-derivations ----------------------------------------------------------
 
 
-def _ones_matrix(scale: XYRat | int, m: int) -> Op3:
-    e = _phi(scale, m)
-    return tuple(tuple(e for _ in LABELS) for _ in LABELS)
+def _rows(vals: Sequence[XYRat | int], m: int) -> Op3:
+    """Row a is vals[a] phi^m in every column."""
+    return tuple((_phi(v, m),) * 3 for v in vals)
 
 
 def verify_gluing_derivations() -> CheckReport:
@@ -322,14 +325,11 @@ def _show_denominator(dexp: tuple[int, int, int]) -> str:
 
 
 def _operator_identities(rep: CheckReport) -> None:
-    op = build_operator
     ident = mat_identity()
-    a, b = op("A"), op("B")
-    c1, c2, e1, e2 = op("C1"), op("C2"), op("E1"), op("E2")
-    n1, n2, m1, m2 = op("N1"), op("N2"), op("M1"), op("M2")
-    g, u1, u2 = op("G"), op("U1"), op("U2")
-    u1inv, u2inv = op("U1inv"), op("U2inv")
-    zero = mat_scale(ident, PhiElem.zero())
+    a, b, c1, c2, e1, e2, n1, n2, m1, m2, g, u1, u2, u1inv, u2inv = map(
+        build_operator, OPERATOR_NAMES
+    )
+    zero = _rows((0,) * 3, 0)
 
     def chk(name: str, lhs: Op3, rhs: Op3) -> None:
         rep.check(name, rhs, lhs, _show_matrix)
@@ -345,7 +345,7 @@ def _operator_identities(rep: CheckReport) -> None:
 
     chk("B^3 = 0", mat_power(b, 3), zero)
     ab2 = mat_mul(a, mat_mul(b, b))
-    chk("A B^2 = ones 9 phi^6", ab2, _ones_matrix(9, 6))
+    chk("A B^2 = ones 9 phi^6", ab2, _rows((9,) * 3, 6))
     for e in (1, 2, 3):
         chk(
             f"(A B^2)^{e}",
@@ -355,54 +355,38 @@ def _operator_identities(rep: CheckReport) -> None:
     abab2 = mat_mul(mat_mul(a, b), ab2)
     rep.check("tr(A B A B^2) = 0", PhiElem.zero(), mat_trace(abab2), _unfold)
     chk("(A B A B^2)^2 = 0", mat_mul(abab2, abab2), zero)
-    chk(
-        "A (A B^2) rows",
-        mat_mul(a, ab2),
-        tuple(tuple(_phi(WEIGHTS[i] * 9, 6) for _ in LABELS) for i in LABELS),
-    )
+    chk("A (A B^2) rows", mat_mul(a, ab2), _rows([w * 9 for w in WEIGHTS], 6))
     chk(
         "(A B)^2 (A B^2)",
         mat_mul(mat_power(mat_mul(a, b), 2), ab2),
-        _ones_matrix(sum(WEIGHTS) * 162, 12),
+        _rows((sum(WEIGHTS) * 162,) * 3, 12),
     )
     chk(
         "A^2 B^2 (A B^2)",
         mat_mul(mat_mul(mat_power(a, 2), mat_power(b, 2)), ab2),
-        tuple(tuple(_phi(WEIGHTS[i] * 243, 12) for _ in LABELS) for i in LABELS),
+        _rows([w * 243 for w in WEIGHTS], 12),
     )
 
     for egen, name in ((e1, "E1"), (e2, "E2")):
         chk(f"{name}^3 = 0", mat_power(egen, 3), zero)
         chk(f"B {name}^2 = 0", mat_mul(b, mat_power(egen, 2)), zero)
-    ceb = mat_mul(c2, mat_mul(e2, b))
-    expected_ceb = tuple(
-        tuple(_phi(3, 2) if i == 2 else PhiElem.zero() for _ in LABELS) for i in LABELS
-    )
-    chk("C E B bottom row", ceb, expected_ceb)
+    chk("C E B bottom row", mat_mul(c2, mat_mul(e2, b)), _rows((0, 0, 3), 2))
     ece = mat_mul(e2, mat_mul(c2, e2))
     for e in (2, 3):
         chk(f"(E C E)^{e} = E C E", mat_power(ece, e), ece)
     ae2 = mat_mul(a, mat_power(e2, 2))
-    chk("A E^2 = ones phi^2", ae2, _ones_matrix(1, 2))
+    chk("A E^2 = ones phi^2", ae2, _rows((1,) * 3, 2))
     ce2 = mat_mul(c2, mat_power(e2, 2))
     for e in (1, 2):
         chk(f"A E^2 (C E^2)^{e}", mat_mul(ae2, mat_power(ce2, e)), ae2)
 
     c1e2_e1c2 = mat_add(mat_mul(c1, e2), mat_mul(e1, c2))
     for e in (1, 2, 3):
-        powered = tuple(
-            tuple(
-                _phi(_dpow(1, 0, e), -e) if (i, j) == (1, 1)
-                else _phi(_dpow(2, 0, e), -e) if (i, j) == (2, 2)
-                else PhiElem.zero()
-                for j in LABELS
-            )
-            for i in LABELS
-        )
+        powered = _diag_phi((0, _dpow(1, 0, e), _dpow(2, 0, e)), -e)
         name = "C1 E2 + E1 C2 diagonal" if e == 1 else f"(C1 E2 + E1 C2)^{e}"
         chk(name, mat_power(c1e2_e1c2, e), powered)
 
-    for mgen, ngen, tag in ((m2, n2, "2"), ((m1), (n1), "1")):
+    for mgen, ngen, tag in ((m2, n2, "2"), (m1, n1, "1")):
         chk(f"M{tag}^3 = 0", mat_power(mgen, 3), zero)
         sym = mat_add(
             mat_add(mat_mul(mat_power(mgen, 2), ngen), mat_mul(mgen, mat_mul(ngen, mgen))),
@@ -439,8 +423,9 @@ def _operator_identities(rep: CheckReport) -> None:
     # phi^m coefficients of t-degree w - m.  Both are read off the folded
     # coefficients: the fold keeps the denominator exponents, and a shift
     # in t2 keeps the degree of each term
-    for name, w in (("G", 2), ("U1", 0), ("U2", 0), ("U1inv", 0), ("U2inv", 0)):
-        for a, row in zip(LABELS, build_operator(name)):
+    for name, w, matrix in (("G", 2, g), ("U1", 0, u1), ("U2", 0, u2), ("U1inv", 0, u1inv),
+                            ("U2inv", 0, u2inv)):
+        for a, row in zip(LABELS, matrix):
             bound = INV_WEIGHTS[a].dexp
             for b, entry in zip(LABELS, row):
                 for m, coeff in entry.items():
@@ -448,8 +433,8 @@ def _operator_identities(rep: CheckReport) -> None:
                     rep.check(f"{name} row {a} denominator", capped, coeff.dexp, _show_denominator)
                     degrees = sorted({i + j - sum(coeff.dexp) for i, j in coeff.num})
                     rep.check(f"{name}[{a}][{b}] phi^{m} t-degrees", [w - m], degrees)
-    for name in ("U1", "U2"):
-        rep.check(f"det {name} = 1", ONE, mat_det(build_operator(name)), _unfold)
+    for name, matrix in (("U1", u1), ("U2", u2)):
+        rep.check(f"det {name} = 1", ONE, mat_det(matrix), _unfold)
 
 
 # -- semisimplicity ---------------------------------------------------------------

@@ -177,7 +177,8 @@ def _fill(memo: dict, key: tuple[int, int, int]) -> _XYPoly:
 
 # The largest g + |k1| + |k2| trace_formula accepts: (2, 100, 0) prints
 # 20.5 MB of text, and (102, 0, 0), the largest output measured at the
-# limit, 37.8 MB in 4 s at 164 MB peak RSS (CPython 3.11.7, 2 shared cores).
+# limit, 37.8 MB in 2.9 s at 168 MiB peak RSS and a 144.7 MiB tracemalloc
+# peak (CPython 3.11.7, 2 shared cores).
 MAX_REQUEST = 102
 
 

@@ -63,7 +63,6 @@ from .operators import (
     _phi,
     build_operator,
     mat_identity,
-    weight,
 )
 from .phicalc import PhiElem
 
@@ -123,10 +122,6 @@ class RelTensor:
 # -- the generators ------------------------------------------------------------------
 
 
-def _tensor1(values: Sequence[PhiElem]) -> RelTensor:
-    return RelTensor((False,), values)
-
-
 #: the level operator that each nonzero basic level's tube lowers; the
 #: level (0,0) tube lowers the identity
 TUBE_OPERATORS = {(1, 0): "U1", (0, 1): "U2", (-1, 0): "U1inv", (0, -1): "U2inv"}
@@ -138,20 +133,21 @@ def build_cap(level: Level) -> RelTensor:
     """One-holed genus-0 generator at the given level."""
     if level not in _BASIC_LEVELS:
         raise ValueError(f"level {level} cap is not a basic generator")
-    z = PhiElem.zero()
     if level == (0, 0):
-        return _tensor1([ONE] * 3)
-    if level == (0, -1):
+        values = [ONE] * 3
+    elif level == (0, -1):
         # (t_a - t2) phi^-1, class 0
-        return _tensor1([_phi(_d(a, 2), -1) if a != 2 else z for a in LABELS])
-    if level == (-1, 0):
+        values = [_phi(_d(a, 2), -1) for a in LABELS]
+    elif level == (-1, 0):
         # (t_a - t1) phi^-1, class 0
-        return _tensor1([_phi(_d(a, 1), -1) if a != 1 else z for a in LABELS])
-    if level == (0, 1):
+        values = [_phi(_d(a, 1), -1) for a in LABELS]
+    elif level == (0, 1):
         # (t_a - t0)(t_a - t1) phi^-2, class -1, nonzero only at a = 2
-        return _tensor1([z, z, _phi(weight(2), -2)])
-    # level (1, 0): (t_a - t0)(t_a - t2) phi^-2, class -1, nonzero only at a = 1
-    return _tensor1([z, _phi(weight(1), -2), z])
+        values = [_phi(_d(a, 0) * _d(a, 1), -2) for a in LABELS]
+    else:
+        # level (1, 0): (t_a - t0)(t_a - t2) phi^-2, class -1, nonzero only at a = 1
+        values = [_phi(_d(a, 0) * _d(a, 2), -2) for a in LABELS]
+    return RelTensor((False,), values)
 
 
 @cache

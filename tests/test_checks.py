@@ -123,6 +123,31 @@ class TestGluingDerivations:
         assert got.count(";") == 2 and "*phi^9" in got and "t2" in got, got
         assert "XYRat" not in first
 
+    # one changed entry breaks every identity whose expected matrix is built
+    # from a closed form, so none of those expectations is vacuous
+    @pytest.mark.parametrize("name, cell, extra, identities", [
+        ("A", (0, 0), _phi(1, 0),
+         ["A B^2 = ones 9 phi^6", "A (A B^2) rows", "(A B)^2 (A B^2)", "A^2 B^2 (A B^2)"]),
+        ("C1", (1, 1), _phi(1, -2),
+         ["C1 E2 + E1 C2 diagonal", "(C1 E2 + E1 C2)^2", "(C1 E2 + E1 C2)^3"]),
+        ("E2", (2, 0), _phi(1, 1), ["C E B bottom row", "A E^2 = ones phi^2"]),
+    ])
+    def test_a_changed_operator_fails_each_closed_form_identity(
+        self, monkeypatch, name, cell, extra, identities
+    ):
+        op = build_operator(name)
+        doctored = tuple(
+            tuple(e + extra if (a, b) == cell else e for b, e in enumerate(row))
+            for a, row in enumerate(op)
+        )
+        monkeypatch.setattr(
+            checks, "build_operator", lambda n: doctored if n == name else build_operator(n)
+        )
+        rep = CheckReport("gluing_derivations", "unit")
+        checks._operator_identities(rep)
+        failed = {f.split(": expected ", 1)[0] for f in rep.failures}
+        assert set(identities) <= failed, rep.failures
+
     def test_a_changed_level_operator_fails_at_its_cap(self, monkeypatch):
         # the tubes are read off the level operators, so one changed entry of
         # U1 changes the tube (1,0), and the level cap glued to the pants,

@@ -103,3 +103,20 @@ def test_standard_library_only():
                 assert top == "gwtqft" or top in sys.stdlib_module_names, (path.name, name)
     pyproject = README.with_name("pyproject.toml").read_text()
     assert re.search(r"^dependencies = \[\]$", pyproject, re.M)
+
+
+def test_no_unused_imports():
+    # every module but the lazy export table uses each name it imports
+    package = Path(gwtqft.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))
