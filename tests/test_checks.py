@@ -55,9 +55,73 @@ class TestSpecialCases:
 
     def test_case_count(self):
         rep = verify_special_cases(1, 1)
-        # 2*2 + 2*2 + 2*1 + 2*4 + 8 parameter tuples over the five families:
-        # the level-(0,0) family always runs to g = 8
+        # 2*2 + 2*2 + 2*1 + 2*4 parameter tuples over the four extreme-class
+        # families, and 8 for the top class: the level-(0,0) family always
+        # runs to g = 8
         assert rep.cases == 26
+
+    def test_extreme_class_is_the_lowest_class_at_every_level(self):
+        # beyond the suite's families, levels such as (2, 1) and (-1, 3)
+        # included: class -max(0, k1, k2) is the localization sum, and Z has
+        # no lower phi power; at (0, 0, 0), (0, -1, 0), (0, 0, -1) and
+        # (0, 1, 1), Z and the sum are both 0
+        rep = CheckReport("extreme_class", "unit")
+        read = gluing._reader()
+        zeros = []
+        for key in product(range(7), range(-5, 6), range(-5, 6)):
+            g, k1, k2 = key
+            n = -max(0, k1, k2)
+            expected = checks._extreme_class(*key)
+            checks._check_class(rep, read, f"{key}", *key, n, expected)
+            powers = read(*key).terms
+            low = [m for m in powers if m < k1 + k2 + 3 * n]
+            rep.check(f"{key} powers below class {n}", [], low)
+            if not powers:
+                zeros.append(key)
+        assert rep.passed, rep.failures[:1]
+        assert rep.cases == 2 * 847
+        assert zeros == [(0, -1, 0), (0, 0, -1), (0, 0, 0), (0, 1, 1)]
+
+    def test_calabi_yau_at_every_level(self):
+        # the theorem holds at every level (k1, k2), not only the suite's
+        # k1 = 0, k2 >= 0: phi^(2g - 2) of Z is 3^g when 3 | 2g - 2 - k1 - k2
+        rep = CheckReport("calabi_yau", "unit")
+        read = gluing._reader()
+        for g, k1, k2 in product(range(9), range(-6, 7), range(-6, 7)):
+            if (2 * g - 2 - k1 - k2) % 3 == 0:
+                n = (2 * g - 2 - k1 - k2) // 3
+                checks._check_class(rep, read, f"{g, k1, k2}", g, k1, k2, n, 3 ** g)
+        assert rep.passed, rep.failures[:1]
+        assert rep.cases == 507
+
+    def test_each_exponent_of_the_localization_formula_counts(self, monkeypatch):
+        # every (t_a - t_b) raised once more fails every extreme-class case
+        # and none of the 8 top-class ones
+        dpow = checks._dpow
+        monkeypatch.setattr(checks, "_dpow", lambda i, j, e: dpow(i, j, e + 1))
+        rep = verify_special_cases()
+        assert (rep.cases, len(rep.failures)) == (422, 414)
+        assert rep.failures[0].startswith("first-creation g=0, k1=1, k2=0: expected ")
+        assert not any(f.startswith("top-class") for f in rep.failures)
+
+    def test_every_top_fixed_point_counts(self, monkeypatch):
+        # the first fixed point of largest level alone fails exactly the
+        # keys with two or three of them: 24 balanced-creation and 54
+        # annihilation cases with k1 = 0 or k2 = 0
+        def first_top_point(g, k1, k2):
+            levels = (0, k1, k2)
+            a = levels.index(max(levels))
+            b, c = (b for b in range(3) if b != a)
+            e = g - 1 + levels[a]
+            return checks._dpow(a, b, e - levels[b]) * checks._dpow(a, c, e - levels[c])
+
+        monkeypatch.setattr(checks, "_extreme_class", first_top_point)
+        rep = verify_special_cases()
+        assert (rep.cases, len(rep.failures)) == (422, 78)
+        assert rep.failures[0].startswith("balanced-creation g=0, k=1: expected ")
+        failed = [f.split(": expected ", 1)[0] for f in rep.failures]
+        assert sum(f.startswith("balanced-creation") for f in failed) == 24
+        assert sum(f.startswith("annihilation") for f in failed) == 54
 
 
     @pytest.mark.parametrize("g", [0, 3, 9])
